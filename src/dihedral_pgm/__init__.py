@@ -22,9 +22,8 @@ from .pgm import (GramOperator, LsbPovm, OptimalityReport, PovmBlock,
 from .reptheory import (IrrepDecomposition, IrrepLabel, equivalence_check,
                         hidden_state_in_irrep_basis, irrep, irrep_labels,
                         left_regular, qft_dihedral, right_regular)
-from .simulate import (OutcomeDistribution, TrialRecord,
-                       outcome_distribution, run_trials,
-                       shift_covariance_check)
+from .simulate import (OutcomeDistribution, outcome_distribution,
+                       run_trials, shift_covariance_check)
 from .subsetsum import (PartialIsometry, SubsetProfile, SubsetSumInstance,
                         count_eta, count_eta_batch, enumerate_subsets,
                         format_solution, iter_all_eta, neumark_complete,

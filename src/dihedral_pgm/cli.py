@@ -77,9 +77,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if (2 * args.N) ** args.k > 4096:
-        raise ScaleLimitError(
-            f"(2N)^k = {(2 * args.N) ** args.k} exceeds the oracle guard 4096")
     shift = 1 if args.perturb else 0
     lines = []
     ok = True
@@ -104,13 +101,14 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     hidden = TRIVIAL if args.hidden == "trivial" else int(args.hidden)
-    rate, records = simulate.run_trials(args.N, args.k, hidden, args.trials,
+    rate, columns = simulate.run_trials(args.N, args.k, hidden, args.trials,
                                         args.seed, threads=args.threads)
+    # index N names the trivial outcome, and the trivial hidden subgroup
+    names = [str(j) for j in range(args.N)] + ["trivial"]
+    want = args.N if hidden is TRIVIAL else hidden % args.N
     lines = ["trial,hidden,outcome,correct"]
-    for i, rec in enumerate(records):
-        out = "trivial" if rec.outcome is TRIVIAL else str(rec.outcome)
-        hid = "trivial" if rec.hidden is TRIVIAL else str(rec.hidden)
-        lines.append(f"{i},{hid},{out},{int(rec.correct)}")
+    lines += [f"{i},{names[want]},{names[out]},{int(out == want)}"
+              for i, out in enumerate(columns["outcomes"].tolist())]
     _write(args.output, "\n".join(lines) + "\n")
     stderr = math.sqrt(max(rate * (1 - rate), 0.0) / args.trials)
     summary = {"rate": rate, "stderr": stderr, "trials": args.trials}
@@ -155,8 +153,8 @@ def cmd_lsb(args) -> int:
     if args.exact:
         p = success.lsb_success_exact(args.N, args.k)
         point = success.ThresholdPoint(args.N, args.k,
-                                       args.k / math.log2(args.N), p, 0.0,
-                                       "EXACT")
+                                       success._density(args.N, args.k), p,
+                                       0.0, "EXACT")
     else:
         point, bound = success.lsb_threshold_check(
             args.N, args.k, args.samples, args.seed, threads=args.threads)

@@ -300,7 +300,8 @@ def _check_dense(N: int, k: int) -> int:
     dim = (2 * N) ** k
     if dim > DENSE_DIM_LIMIT:
         raise ScaleLimitError(
-            f"oracle scale exceeded: (2N)^k = {dim} > {DENSE_DIM_LIMIT}")
+            f"oracle scale exceeded: (2N)^k = {dim} > the dense guard "
+            f"{DENSE_DIM_LIMIT}")
     return dim
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dihedral import (BlockLabel, ScaleLimitError, _check_dense,
                        bit_dot_table, block_state, phase_table)
-from .subsetsum import count_eta_batch, iter_all_eta, vtilde
+from .subsetsum import iter_all_eta, vtilde
 
 #: Eigenvalues below this relative threshold count as zero in G^(-1/2).
 PSEUDO_INVERSE_CUTOFF = 1e-10

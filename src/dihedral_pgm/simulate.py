@@ -18,7 +18,6 @@ simulator run at k around 20 and N around 1024.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,16 +25,7 @@ import numpy as np
 
 from .dihedral import TRIVIAL, BlockLabel
 from .subsetsum import count_eta_batch
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One simulated measurement: what was hidden, what came out."""
-
-    hidden: object  # shift d, or TRIVIAL
-    label: BlockLabel
-    outcome: object  # j in Z_N, or TRIVIAL
-    correct: bool
+from .success import _shards
 
 
 @dataclass(frozen=True)
@@ -81,48 +71,46 @@ def outcome_distribution(label: BlockLabel, hidden) -> OutcomeDistribution:
 
 
 def run_trials(N: int, k: int, hidden, trials: int, seed,
-               threads: int = 1) -> tuple[float, list[TrialRecord]]:
-    """Simulate full measurement trials and return (success rate, records).
+               threads: int = 1) -> tuple[float, dict[str, np.ndarray]]:
+    """Simulate full measurement trials and return (success rate, columns).
 
-    Outcomes are drawn by inverse CDF on the N+1 probabilities with one
-    uniform per trial (ties resolve toward smaller j).  Trials run in
-    fixed-size shards with split seeds, merged in shard order.
+    The columns are "labels", the (trials, k) block labels x, and
+    "outcomes", the (trials,) outcomes j with N standing for the trivial
+    outcome.  Outcomes are drawn by inverse CDF on the N+1 probabilities
+    with one uniform per trial (ties resolve toward smaller j).  Trials
+    run in the estimators' shards (success.SHARD draws, split seeds),
+    merged in shard order.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    shard_size = 4096
-    counts = [min(shard_size, trials - lo) for lo in range(0, trials, shard_size)]
-    seeds = np.random.SeedSequence(seed).spawn(len(counts))
 
-    def shard(args):
-        ss, n = args
+    def shard(job):
+        ss, n = job
         rng = np.random.default_rng(ss)
         xs = rng.integers(0, N, size=(n, k))
-        eta = count_eta_batch(xs, N)
-        probs = _distributions(eta, N, k, hidden)
-        cdf = np.cumsum(probs, axis=1)
         u = rng.random(n)
-        outcomes = np.minimum((cdf <= u[:, None]).sum(axis=1), N)
-        return xs, outcomes
+        eta = count_eta_batch(xs, N)
+        # The (n, N+1) tables are built 512 rows at a time, so a worker
+        # never holds more than the counting recurrence itself does and
+        # the pool's peak memory does not depend on how workers interleave.
+        outcomes = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, 512):
+            rows = slice(lo, lo + 512)
+            cdf = np.cumsum(_distributions(eta[rows], N, k, hidden), axis=1)
+            outcomes[rows] = (cdf <= u[rows, None]).sum(axis=1)
+        return xs, np.minimum(outcomes, N)
 
-    jobs = list(zip(seeds, counts))
+    jobs = _shards(trials, seed)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(shard, jobs))
     else:
         parts = [shard(j) for j in jobs]
-
-    want = TRIVIAL if hidden is TRIVIAL else int(hidden) % N
-    records = []
-    hits = 0
-    for xs, outcomes in parts:
-        for row, out in zip(xs, outcomes):
-            result = TRIVIAL if out == N else int(out)
-            ok = result == want
-            hits += ok
-            records.append(TrialRecord(want, BlockLabel(tuple(row), N),
-                                       result, bool(ok)))
-    return hits / trials, records
+    labels = np.concatenate([xs for xs, _ in parts])
+    outcomes = np.concatenate([out for _, out in parts])
+    want = N if hidden is TRIVIAL else int(hidden) % N
+    rate = int(np.count_nonzero(outcomes == want)) / trials
+    return rate, {"labels": labels, "outcomes": outcomes}
 
 
 def shift_covariance_check(N: int, k: int, samples: int, seed) -> bool:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dihedral import (DENSE_DIM_LIMIT, ENUM_LIMIT, BlockLabel,
-                       ScaleLimitError, bit_dot_table)
+from .dihedral import (DENSE_DIM_LIMIT, BlockLabel, ScaleLimitError,
+                       bit_dot_table)
 
 #: int64 counting is exact up to 2^k <= 2^62.
 BATCH_K_LIMIT = 62
@@ -69,11 +69,7 @@ def count_eta(label: BlockLabel) -> SubsetProfile:
 
     Counts are Python integers, so there is no overflow for any k.
     """
-    N = label.N
-    counts = [0] * N
-    counts[0] = 1
-    for xj in label.x:
-        counts = [counts[r] + counts[(r - xj) % N] for r in range(N)]
+    counts = _dp_rows(label)[-1]
     return SubsetProfile(label, tuple(counts), sum(c > 0 for c in counts))
 
 
@@ -86,9 +82,20 @@ def count_eta_batch(xs: np.ndarray, N: int) -> np.ndarray:
     T = np.zeros((S, N), dtype=np.int64)
     T[:, 0] = 1
     r = np.arange(N, dtype=np.int64)
+    rows = np.arange(0, S * N, N, dtype=np.int64)[:, None]
+    # Both work tables are allocated once, so memory stays flat at three
+    # (S, N) tables for the whole recurrence.
+    idx = np.empty((S, N), dtype=np.int64)
+    shifted = np.empty((S, N), dtype=np.int64)
     for j in range(k):
-        idx = (r[None, :] - xs[:, j:j + 1]) % N
-        T += np.take_along_axis(T, idx, axis=1)
+        # flat index of T[s, (r - x_j) mod N]
+        np.subtract(r, xs[:, j:j + 1], out=idx)
+        idx %= N
+        idx += rows
+        # idx is in range; "clip" writes straight into out, where the
+        # default "raise" mode would buffer a fourth table
+        np.take(T.reshape(-1), idx, out=shifted, mode="clip")
+        T += shifted
     return T
 
 
@@ -138,6 +145,7 @@ def vtilde(label: BlockLabel) -> PartialIsometry:
 # ---------------------------------------------------------------------------
 
 def _dp_rows(label: BlockLabel) -> list[list[int]]:
+    """Every row T_0 .. T_k of the counting table, as Python integers."""
     N = label.N
     rows = [[0] * N]
     rows[0][0] = 1

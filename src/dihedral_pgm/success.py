@@ -14,9 +14,11 @@ Everything here reduces to statistics of the solution counts eta_r^x:
   2N-dimensional spectra, and the resulting copy lower bound from the
   displayed entropy inequality.
 
-Monte Carlo estimators are sharded with split seeds and merged in shard
-order, so results are byte-identical for a given seed regardless of the
-worker count.
+Each of these is a mean over x of a per-draw value kernel of eta^x, and
+every one goes through the single reducer _mean: it either enumerates
+Z_N^k exactly under EXACT_ENUM_LIMIT, or averages seeded shards of SHARD
+uniform draws merged in shard order, so Monte Carlo results are
+byte-identical for a given seed regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from .dihedral import (ScaleLimitError, hidden_subgroup_state,
                        subgroup_elements)
 from .subsetsum import count_eta_batch, iter_all_eta
 
-#: Shard size shared by the exact enumerator and the MC estimators; the
-#: fsum merge over shards makes totals independent of threading.
+#: Shard size shared by the exact enumerator, the MC estimators and the
+#: trial simulator; the fsum merge over shards makes totals independent
+#: of threading.
 SHARD = 4096
 
 #: Hard guard on exact enumeration of Z_N^k.
@@ -78,6 +81,62 @@ def _density(N: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the reducer: one mean over x in Z_N^k, exact or Monte Carlo
+# ---------------------------------------------------------------------------
+
+def _all_eta(N: int, k: int):
+    """eta over all of Z_N^k in SHARD-row chunks, behind the enumeration
+    guard (checked on the call, not on the first chunk)."""
+    if N ** k > EXACT_ENUM_LIMIT:
+        raise ScaleLimitError(
+            f"N^k = {N ** k} exceeds the enumeration guard; use success_mc, "
+            "lsb_threshold_check or trivial_success with samples")
+    return (eta for _, eta in iter_all_eta(N, k, batch=SHARD))
+
+
+def _shards(samples: int, seed) -> list:
+    """The RNG shard plan: (child seed, draw count) per SHARD draws, the
+    last shard partial, in merge order."""
+    root = (seed if isinstance(seed, np.random.SeedSequence)
+            else np.random.SeedSequence(seed))
+    counts = [min(SHARD, samples - lo) for lo in range(0, samples, SHARD)]
+    return list(zip(root.spawn(len(counts)), counts))
+
+
+def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
+          threads: int = 1) -> tuple[float, float]:
+    """Mean over x in Z_N^k of the kernel values(eta, N, k), which maps
+    (S, N) counts to S per-draw values, and its standard error.
+
+    With samples None the mean is exact (stderr 0): Z_N^k is enumerated
+    in SHARD chunks and the chunk sums are merged by fsum.  Otherwise x
+    is drawn uniformly in the seeded shards of _shards, run on up to
+    `threads` workers and merged in shard order.
+    """
+    if samples is None:
+        sums = [float(np.sum(values(eta, N, k))) for eta in _all_eta(N, k)]
+        return math.fsum(sums) / N ** k, 0.0
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+
+    def shard(job):
+        ss, n = job
+        xs = np.random.default_rng(ss).integers(0, N, size=(n, k))
+        v = values(count_eta_batch(xs, N), N, k)
+        return float(np.sum(v)), float(np.sum(v * v))
+
+    jobs = _shards(samples, seed)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(shard, jobs))
+    else:
+        parts = [shard(j) for j in jobs]
+    mean = math.fsum(s for s, _ in parts) / samples
+    var = max(math.fsum(q for _, q in parts) - samples * mean * mean, 0.0)
+    return mean, math.sqrt(var / (samples - 1) / samples)
+
+
+# ---------------------------------------------------------------------------
 # N-outcome success probability
 # ---------------------------------------------------------------------------
 
@@ -93,37 +152,10 @@ def _success_values(eta: np.ndarray, N: int, k: int) -> np.ndarray:
     return np.sqrt(ef).sum(axis=1) ** 2 / denom
 
 
-def _chunked(xs: np.ndarray):
-    for lo in range(0, xs.shape[0], SHARD):
-        yield xs[lo:lo + SHARD]
-
-
-def _success_over(xs: np.ndarray, N: int, k: int) -> tuple[float, float]:
-    """Mean and standard error of the per-draw values over given draws,
-    reduced shard by shard exactly like the estimators below."""
-    sums, sumsqs, count = [], [], 0
-    for chunk in _chunked(xs):
-        v = _success_values(count_eta_batch(chunk, N), N, k)
-        sums.append(float(np.sum(v)))
-        sumsqs.append(float(np.sum(v * v)))
-        count += v.size
-    mean = math.fsum(sums) / count
-    if count < 2:
-        return mean, 0.0
-    var = max(math.fsum(sumsqs) - count * mean * mean, 0.0) / (count - 1)
-    return mean, math.sqrt(var / count)
-
-
 def success_exact(N: int, k: int) -> ThresholdPoint:
     """Exact success probability by full enumeration of Z_N^k."""
     nu = _density(N, k)
-    if N ** k > EXACT_ENUM_LIMIT:
-        raise ScaleLimitError(
-            f"N^k = {N ** k} exceeds the enumeration guard; use success_mc")
-    sums = []
-    for _, eta in iter_all_eta(N, k, batch=SHARD):
-        sums.append(float(np.sum(_success_values(eta, N, k))))
-    p = math.fsum(sums) / N ** k
+    p, _ = _mean(N, k, _success_values)
     return ThresholdPoint(N, k, nu, p, 0.0, "EXACT")
 
 
@@ -131,36 +163,6 @@ def success_single_copy(N: int) -> ThresholdPoint:
     """Closed form (2N - 1) / N^2 for a single copy."""
     return ThresholdPoint(N, 1, _density(N, 1), (2 * N - 1) / N ** 2,
                           0.0, "CLOSED_FORM")
-
-
-def _sharded_mean(samples: int, seed, worker, threads: int = 1):
-    """Deterministic sharded Monte Carlo mean/stderr.
-
-    worker(rng, count) returns per-draw values; shards are merged in a
-    fixed order, so the result does not depend on the thread count.
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    counts = [min(SHARD, samples - lo) for lo in range(0, samples, SHARD)]
-    root = (seed if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed))
-    seeds = root.spawn(len(counts))
-
-    def shard(args):
-        ss, n = args
-        v = worker(np.random.default_rng(ss), n)
-        return float(np.sum(v)), float(np.sum(v * v))
-
-    jobs = list(zip(seeds, counts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(shard, jobs))
-    else:
-        parts = [shard(j) for j in jobs]
-    mean = math.fsum(s for s, _ in parts) / samples
-    var = max(math.fsum(q for _, q in parts) - samples * mean * mean, 0.0)
-    stderr = math.sqrt(var / (samples - 1) / samples)
-    return mean, stderr
 
 
 def success_mc(N: int, k: int, samples: int, seed,
@@ -171,13 +173,13 @@ def success_mc(N: int, k: int, samples: int, seed,
     / (2^k N); deterministic for a given seed.
     """
     nu = _density(N, k)
-
-    def worker(rng, n):
-        xs = rng.integers(0, N, size=(n, k))
-        return _success_values(count_eta_batch(xs, N), N, k)
-
-    p, stderr = _sharded_mean(samples, seed, worker, threads)
+    p, stderr = _mean(N, k, _success_values, samples, seed, threads)
     return ThresholdPoint(N, k, nu, p, stderr, "MC")
+
+
+def _support_values(eta: np.ndarray, N: int, k: int) -> np.ndarray:
+    """Per-draw support fractions support_dim / 2^k."""
+    return np.count_nonzero(eta, axis=1) / float(2 ** k)
 
 
 def trivial_success(N: int, k: int, samples: int | None = None,
@@ -189,22 +191,7 @@ def trivial_success(N: int, k: int, samples: int | None = None,
     Monte Carlo estimate of E_x[support_dim] / 2^k.
     """
     _density(N, k)
-    if samples is None:
-        if N ** k > EXACT_ENUM_LIMIT:
-            raise ScaleLimitError(
-                f"N^k = {N ** k} exceeds the enumeration guard; pass samples")
-        rank = 0
-        for _, eta in iter_all_eta(N, k, batch=SHARD):
-            rank += int(np.count_nonzero(eta, axis=1).sum())
-        return 1.0 - rank / float((2 * N) ** k)
-
-    def worker(rng, n):
-        xs = rng.integers(0, N, size=(n, k))
-        support = np.count_nonzero(count_eta_batch(xs, N), axis=1)
-        return support / float(2 ** k)
-
-    mean, _ = _sharded_mean(samples, seed, worker)
-    return 1.0 - mean
+    return 1.0 - _mean(N, k, _support_values, samples, seed)[0]
 
 
 def threshold_sweep(N: int, k_list, samples: int, seed,
@@ -246,13 +233,7 @@ def lsb_success_exact(N: int, k: int) -> float:
     _density(N, k)
     if N % 2 != 0:
         raise ValueError("N must be even")
-    if N ** k > EXACT_ENUM_LIMIT:
-        raise ScaleLimitError(
-            f"N^k = {N ** k} exceeds the enumeration guard; use lsb_threshold_check")
-    sums = []
-    for _, eta in iter_all_eta(N, k, batch=SHARD):
-        sums.append(float(np.sum(_lsb_values(eta, N, k))))
-    return math.fsum(sums) / N ** k
+    return _mean(N, k, _lsb_values)[0]
 
 
 def lsb_threshold_check(N: int, k: int, samples: int, seed,
@@ -262,12 +243,7 @@ def lsb_threshold_check(N: int, k: int, samples: int, seed,
     nu = _density(N, k)
     if N % 2 != 0:
         raise ValueError("N must be even")
-
-    def worker(rng, n):
-        xs = rng.integers(0, N, size=(n, k))
-        return _lsb_values(count_eta_batch(xs, N), N, k)
-
-    p, stderr = _sharded_mean(samples, seed, worker, threads)
+    p, stderr = _mean(N, k, _lsb_values, samples, seed, threads)
     return ThresholdPoint(N, k, nu, p, stderr, "MC"), lsb_upper_bound(N, k)
 
 
@@ -277,14 +253,12 @@ def lsb_counting_sums(N: int, k: int) -> tuple[int, int, int]:
     """
     if N % 2 != 0:
         raise ValueError("N must be even")
-    if N ** k > EXACT_ENUM_LIMIT:
-        raise ScaleLimitError("enumeration guard exceeded")
     sum0 = 0
     sum_half = 0
     cross = 0
     half = N // 2
     keep = np.array([r for r in range(N) if r not in (0, half)], dtype=np.int64)
-    for _, eta in iter_all_eta(N, k, batch=SHARD):
+    for eta in _all_eta(N, k):
         sum0 += int(eta[:, 0].sum())
         sum_half += int(eta[:, half].sum())
         mirrored = eta[:, (-keep) % N]

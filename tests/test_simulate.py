@@ -1,6 +1,7 @@
 """Protocol simulation: outcome distributions, trials, shift covariance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dihedral_pgm import (TRIVIAL, BlockLabel, block_state, count_eta,
                           shift_covariance_check, success_exact, success_mc,
                           trivial_success)
 from dihedral_pgm.simulate import _distributions
+from dihedral_pgm.success import SHARD
 from dihedral_pgm.subsetsum import iter_all_eta
 
 
@@ -69,20 +71,22 @@ def test_success_marginal_matches_exact():
 
 
 def test_run_trials_rate():
-    rate, records = run_trials(2, 1, 0, 10000, seed=5)
+    rate, columns = run_trials(2, 1, 0, 10000, seed=5)
     stderr = math.sqrt(0.75 * 0.25 / 10000)
     assert abs(rate - 0.75) <= 4 * stderr
-    assert len(records) == 10000
-    assert all(rec.correct == (rec.outcome == 0) for rec in records)
+    assert columns["labels"].shape == (10000, 1)
+    assert columns["outcomes"].shape == (10000,)
+    assert rate == np.count_nonzero(columns["outcomes"] == 0) / 10000
 
 
 def test_run_trials_trivial_subgroup():
     exact = trivial_success(8, 7)
-    rate, records = run_trials(8, 7, TRIVIAL, 10000, seed=5)
+    rate, columns = run_trials(8, 7, TRIVIAL, 10000, seed=5)
     stderr = math.sqrt(exact * (1 - exact) / 10000)
     assert abs(rate - exact) <= 4 * stderr
-    assert all(rec.hidden is TRIVIAL for rec in records)
-    assert any(rec.outcome is TRIVIAL for rec in records)
+    # outcome N = 8 is the trivial outcome, and it is the one scored
+    assert rate == np.count_nonzero(columns["outcomes"] == 8) / 10000
+    assert np.any(columns["outcomes"] == 8)
 
 
 def test_run_trials_matches_mc_estimator():
@@ -103,7 +107,23 @@ def test_run_trials_deterministic_and_thread_invariant():
     a = run_trials(8, 4, 3, 5000, seed=9)
     b = run_trials(8, 4, 3, 5000, seed=9, threads=4)
     assert a[0] == b[0]
-    assert all(x == y for x, y in zip(a[1], b[1]))
+    for name in ("labels", "outcomes"):
+        assert np.array_equal(a[1][name], b[1][name])
+
+
+def test_run_trials_peak_memory_is_the_counting_tables():
+    # A shard's peak is the three (SHARD, N) int64 tables of the counting
+    # recurrence, held all through it; the outcome tables come in row
+    # blocks that need less, so a worker pool's peak does not depend on
+    # how the workers interleave.
+    N = 256
+    tables = 3 * SHARD * N * 8
+    for hidden in (3, TRIVIAL):
+        tracemalloc.start()
+        run_trials(N, 12, hidden, SHARD, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert tables <= peak < 1.1 * tables
 
 
 def test_run_trials_validates_count():

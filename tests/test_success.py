@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from dihedral_pgm import (ScaleLimitError, assemble_block_density,
-                          chi_single_copy, dense_block_effects,
+                          chi_single_copy, count_eta_batch,
+                          dense_block_effects,
                           hidden_subgroup_state, info_lower_bound,
                           iter_all_eta, lsb_counting_sums, lsb_success_exact,
                           lsb_threshold_check, lsb_upper_bound,
                           subgroup_elements, success_exact, success_mc,
                           success_single_copy, threshold_sweep,
                           trivial_success)
-from dihedral_pgm.success import _success_over
+from dihedral_pgm.success import SHARD, _success_values
 
 
 def test_success_exact_two_by_one_is_exact():
@@ -69,8 +70,13 @@ def test_success_mc_deterministic_and_thread_invariant():
 
 @pytest.mark.parametrize("N,k", [(2, 12), (4, 5), (8, 4), (3, 7)])
 def test_mc_kernel_reproduces_exact_bitwise(N, k):
+    # the MC kernel applied to every x of Z_N^k, reduced shard by shard
+    # like the estimators, gives the exact value to the last bit
     xs = np.concatenate([chunk for chunk, _ in iter_all_eta(N, k)], axis=0)
-    p, _ = _success_over(xs, N, k)
+    sums = [float(np.sum(_success_values(count_eta_batch(xs[lo:lo + SHARD], N),
+                                         N, k)))
+            for lo in range(0, xs.shape[0], SHARD)]
+    p = math.fsum(sums) / xs.shape[0]
     assert p == success_exact(N, k).p
 
 
