@@ -7,10 +7,10 @@ E_j^x = e_j e_j^dag with e_j = sum_p omega^(jp) |S_p> / sqrt(N), the
 Gram operator has the closed-form spectral blocks
 (N / (2N)^k) sum_r eta_r |S_r><S_r|, and optimality reduces to two
 checks per block: the weighted operator sum_i p_i rho_i E_i is Hermitian
-and dominates every p_j rho_j.  Those checks run either on explicit
-dense matrices (verify_holevo) or blockwise over all of Z_N^k
-(certify_dihedral_pgm), which is the only path that scales to the full
-oracle guard (2N)^k = 4096.
+and dominates every p_j rho_j.  Both checks live in _conditions, run on
+dense matrices by verify_holevo and, through _certify_blocks, on each
+block's ensemble over all of Z_N^k by certify_dihedral_pgm and
+LsbPovm.certify, the only path that scales to (2N)^k = 4096.
 
 The parity (least-significant-bit) measurement lives here too: its two
 effects per block pair each |S_r> with |S_(r+N/2)>, and aggregate the
@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dihedral import (BlockLabel, ScaleLimitError, _check_dense,
+# block_state is not called here; perfbench/spans.py traces pgm.block_state.
+from .dihedral import (BlockLabel, ScaleLimitError, _check_dense,  # noqa: F401
                        bit_dot_table, block_state, phase_table)
 from .subsetsum import iter_all_eta, vtilde
 
@@ -151,23 +152,49 @@ class OptimalityReport:
     hermiticity_residual: float
     dominance_min_eigenvalue: float
     tolerance: float
-    passed: bool
     operator: np.ndarray | None = None  # sum_i p_i rho_i E_i when materialized
 
+    def _verdicts(self) -> tuple[bool, bool]:
+        return (self.hermiticity_residual <= self.tolerance,
+                self.dominance_min_eigenvalue >= -self.tolerance)
+
+    @property
+    def passed(self) -> bool:
+        return all(self._verdicts())
+
     def lines(self) -> list[str]:
-        ok = "PASS" if self.hermiticity_residual <= self.tolerance else "FAIL"
-        out = [f"lagrangian-hermiticity residual={self.hermiticity_residual:.3e} "
-               f"tol={self.tolerance:.1e} {ok}"]
-        ok = "PASS" if self.dominance_min_eigenvalue >= -self.tolerance else "FAIL"
-        out.append(f"dominance min-eigenvalue={self.dominance_min_eigenvalue:.3e} "
-                   f"tol={self.tolerance:.1e} {ok}")
-        return out
+        herm_ok, dom_ok = ("PASS" if ok else "FAIL" for ok in self._verdicts())
+        return [f"lagrangian-hermiticity residual={self.hermiticity_residual:.3e} "
+                f"tol={self.tolerance:.1e} {herm_ok}",
+                f"dominance min-eigenvalue={self.dominance_min_eigenvalue:.3e} "
+                f"tol={self.tolerance:.1e} {dom_ok}"]
 
 
-def _report(residual: float, dom_min: float, tol: float,
-            operator: np.ndarray | None = None) -> OptimalityReport:
-    passed = residual <= tol and dom_min >= -tol
-    return OptimalityReport(residual, dom_min, tol, passed, operator)
+def _conditions(priors, states, effects) -> tuple[np.ndarray, float, float]:
+    """L = sum_i p_i rho_i E_i, max|L - L^dag| and min_j of the least
+    eigenvalue of (L + L^dag)/2 - p_j rho_j.  The ensemble is walked one
+    state at a time, so dense inputs are never stacked or reweighted."""
+    L = sum(p * rho @ E for p, rho, E in zip(priors, states, effects))
+    residual = float(np.abs(L - L.conj().T).max())
+    Lh = (L + L.conj().T) / 2
+    dom_min = min(float(np.linalg.eigvalsh(Lh - p * rho).min())
+                  for p, rho in zip(priors, states))
+    return L, residual, dom_min
+
+
+def _certify_blocks(N: int, k: int, ensemble, tol: float) -> OptimalityReport:
+    """Worst residual and dominance over the blocks x in Z_N^k, where
+    ensemble(label) gives one block's priors, states and effects."""
+    _check_dense(N, k)
+    labels = (BlockLabel.from_flat(X, N, k) for X in range(N ** k))
+    residuals, doms = zip(*(_conditions(*ensemble(x))[1:] for x in labels))
+    return OptimalityReport(max(residuals), min(doms), tol)
+
+
+def _shift_states(label: BlockLabel) -> np.ndarray:
+    """Row d = 0..N-1 is block_state(label, d).amplitudes, from one table."""
+    exps = np.outer(np.arange(label.N, dtype=np.int64), bit_dot_table(label))
+    return phase_table(label.N)[exps % label.N] / np.sqrt(2.0 ** label.k)
 
 
 def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityReport:
@@ -188,42 +215,27 @@ def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityRepor
     resolved = sum(effects) @ S
     if np.abs(resolved - S).max() > tol:
         raise ValueError("effects do not resolve the ensemble support")
-    L = sum(p * rho @ E for p, rho, E in zip(priors, states, effects))
-    residual = float(np.abs(L - L.conj().T).max())
-    Lh = (L + L.conj().T) / 2
-    dom_min = min(float(np.linalg.eigvalsh(Lh - p * rho).min())
-                  for p, rho in zip(priors, states))
-    return _report(residual, dom_min, tol, L)
+    L, residual, dom_min = _conditions(priors, states, effects)
+    return OptimalityReport(residual, dom_min, tol, L)
 
 
 def certify_dihedral_pgm(N: int, k: int, tol: float = 1e-9,
                          assignment_shift: int = 0) -> OptimalityReport:
-    """Blockwise optimality certificate for the N-outcome measurement.
-
-    Runs both conditions over every block x in Z_N^k, which is equivalent
-    to the dense check on the full (2N)^k space (all operators are block
-    diagonal) but needs only 2^k-dimensional eigenproblems.  A nonzero
-    assignment_shift assigns effect E_(j+shift) to state j; any shift
-    other than 0 is a deliberately wrong measurement and must fail.
+    """Blockwise optimality certificate for the N-outcome measurement:
+    states psi_d psi_d^dag with prior 1/N times the block weight N^-k, and
+    effects e_d e_d^dag.  A nonzero assignment_shift assigns effect
+    E_(j+shift) to state j, a deliberately wrong measurement that must fail.
     """
-    _check_dense(N, k)
-    weight = 1.0 / (N * float(N) ** k)  # prior 1/N times block weight N^-k
-    shifts = np.arange(N, dtype=np.int64)
-    residual = 0.0
-    dom_min = np.inf
-    for X in range(N ** k):
-        label = BlockLabel.from_flat(X, N, k)
-        psi = np.stack([block_state(label, int(d)).amplitudes for d in shifts])
-        vectors = povm_block(label).effect_vectors
-        assigned = vectors[(shifts + assignment_shift) % N]
-        overlaps = np.einsum("jb,jb->j", psi.conj(), assigned)
-        L = weight * (psi.T * overlaps) @ assigned.conj()
-        residual = max(residual, float(np.abs(L - L.conj().T).max()))
-        Lh = (L + L.conj().T) / 2
-        for j in range(N):
-            diff = Lh - weight * np.outer(psi[j], psi[j].conj())
-            dom_min = min(dom_min, float(np.linalg.eigvalsh(diff).min()))
-    return _report(residual, float(dom_min), tol)
+    priors = np.full(N, 1.0 / (N * float(N) ** k))
+    assigned = (np.arange(N) + assignment_shift) % N
+
+    def ensemble(label):
+        psi = _shift_states(label)
+        e = povm_block(label).effect_vectors[assigned]
+        return (priors, psi[:, :, None] * psi.conj()[:, None, :],
+                e[:, :, None] * e.conj()[:, None, :])
+
+    return _certify_blocks(N, k, ensemble, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +266,14 @@ class LsbPovm:
     def certify(self, tol: float = 1e-9) -> OptimalityReport:
         """Blockwise optimality check for the two-state parity ensemble."""
         N, k = self.N, self.k
-        _check_dense(N, k)
         weight = 2.0 / (N * float(N) ** k)  # (2/N) per shift, block weight N^-k
-        residual = 0.0
-        dom_min = np.inf
-        for X in range(N ** k):
-            label = BlockLabel.from_flat(X, N, k)
-            psi = np.stack([block_state(label, d).amplitudes for d in range(N)])
-            rho_even = weight * psi[0::2].T @ psi[0::2].conj()
-            rho_odd = weight * psi[1::2].T @ psi[1::2].conj()
-            Ep, Em = self.block(label)
-            L = 0.5 * (rho_even @ Ep + rho_odd @ Em)
-            residual = max(residual, float(np.abs(L - L.conj().T).max()))
-            Lh = (L + L.conj().T) / 2
-            for rho in (rho_even, rho_odd):
-                dom = float(np.linalg.eigvalsh(Lh - 0.5 * rho).min())
-                dom_min = min(dom_min, dom)
-        return _report(residual, float(dom_min), tol)
+
+        def ensemble(label):
+            psi = _shift_states(label)
+            states = [weight * s.T @ s.conj() for s in (psi[0::2], psi[1::2])]
+            return (0.5, 0.5), states, self.block(label)
+
+        return _certify_blocks(N, k, ensemble, tol)
 
 
 def lsb_povm(N: int, k: int) -> LsbPovm:

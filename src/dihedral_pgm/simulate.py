@@ -36,11 +36,6 @@ class OutcomeDistribution:
     hidden: object
     probs: np.ndarray  # length N + 1
 
-    def prob(self, outcome) -> float:
-        if outcome is TRIVIAL:
-            return float(self.probs[-1])
-        return float(self.probs[int(outcome) % self.label.N])
-
 
 def _distributions(eta: np.ndarray, N: int, k: int, hidden) -> np.ndarray:
     """Outcome probabilities, rows = draws, columns = (j in Z_N, trivial)."""

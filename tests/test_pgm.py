@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from dihedral_pgm import (BlockLabel, ScaleLimitError, assemble_block_density,
-                          certify_dihedral_pgm, completion_effect,
-                          dense_block_effects, gram_operator, lsb_povm,
-                          pgm_dense, povm_block, verify_holevo, vtilde)
+from dihedral_pgm import (BlockLabel, LsbPovm, ScaleLimitError,
+                          assemble_block_density, certify_dihedral_pgm,
+                          completion_effect, dense_block_effects,
+                          gram_operator, lsb_povm, pgm_dense, povm_block,
+                          verify_holevo, vtilde)
+from dihedral_pgm.cli import main
+
+#: Every oracle size the certifiers run at: (2N)^k <= 4096.
+CERT_SIZES = [(N, k) for N in (2, 3, 4, 5, 6, 8) for k in range(1, 13)
+              if (2 * N) ** k <= 4096]
 
 
 def test_povm_block_two_point_example():
@@ -131,13 +137,31 @@ def test_pgm_dense_matches_closed_form_per_block():
             assert np.abs(built[j] - blk.effect(j)).max() < 1e-10
 
 
+def test_shift_states_stack_block_states_bitwise():
+    from dihedral_pgm import block_state
+    from dihedral_pgm.pgm import _shift_states
+    rng = np.random.default_rng(67)
+    for _ in range(100):
+        N = int(rng.integers(2, 9))
+        k = int(rng.integers(1, 7))
+        label = BlockLabel(tuple(rng.integers(0, N, size=k)), N)
+        slow = np.stack([block_state(label, d).amplitudes for d in range(N)])
+        assert np.array_equal(_shift_states(label), slow)
+
+
 def test_verify_holevo_orthogonal_projectors():
     zero = np.diag([1.0, 0.0]).astype(complex)
     one = np.diag([0.0, 1.0]).astype(complex)
     report = verify_holevo([zero, one], [0.5, 0.5], [zero, one])
     assert report.passed
     assert report.hermiticity_residual <= 1e-15
+    assert report.dominance_min_eigenvalue == 0.0
     assert report.operator is not None
+    # swapped effects: L = 0, so L - p_0 rho_0 has the eigenvalue -1/2
+    swapped = verify_holevo([zero, one], [0.5, 0.5], [one, zero])
+    assert not swapped.passed
+    assert swapped.hermiticity_residual == 0.0
+    assert swapped.dominance_min_eigenvalue == -0.5
 
 
 @pytest.mark.parametrize("N,k", [(2, 1), (2, 2), (3, 1), (4, 1)])
@@ -180,10 +204,13 @@ def test_certify_matches_dense_verification():
                    - dense.dominance_min_eigenvalue) < 1e-12
 
 
-def test_certify_perturbed_fails_dominance():
-    report = certify_dihedral_pgm(4, 1, assignment_shift=1)
+@pytest.mark.parametrize("N,k", CERT_SIZES)
+def test_certify_perturbed_fails_dominance(N, k):
+    report = certify_dihedral_pgm(N, k, assignment_shift=1)
     assert not report.passed
     assert report.dominance_min_eigenvalue < -1e-9
+    assert main(["verify", "--N", str(N), "--k", str(k), "--perturb"]) == 1
+    assert main(["verify", "--N", str(N), "--k", str(k)]) == 0
 
 
 def test_certify_guard():
@@ -232,6 +259,17 @@ def test_lsb_certify():
     assert lsb_povm(4, 2).certify().passed
     assert lsb_povm(6, 1).certify().passed
     assert lsb_povm(2, 3).certify().passed
+
+
+@pytest.mark.parametrize("N,k", [(N, k) for N, k in CERT_SIZES if N % 2 == 0])
+def test_lsb_certify_swapped_effects_fail(N, k, monkeypatch):
+    # assigning E- to the even shifts and E+ to the odd ones must fail
+    block = LsbPovm.block
+    monkeypatch.setattr(LsbPovm, "block",
+                        lambda self, label: block(self, label)[::-1])
+    report = lsb_povm(N, k).certify()
+    assert not report.passed
+    assert report.dominance_min_eigenvalue < -1e-9
 
 
 def test_lsb_certify_matches_dense():
