@@ -59,14 +59,20 @@ class PovmBlock:
         return V.conj().T @ V
 
 
-def povm_block(label: BlockLabel) -> PovmBlock:
-    """Closed-form effect vectors e_j = sum_p omega^(jp) |S_p> / sqrt(N)."""
+def _block_phases(label: BlockLabel) -> tuple[np.ndarray, np.ndarray]:
+    """The block's bit-dot sums s_b = b.x and the (N, 2^k) phase matrix
+    omega^(j s_b), j = 0..N-1, shared by the effects and the shift states."""
     N = label.N
     sums = bit_dot_table(label)
-    eta = np.bincount(sums, minlength=N)
-    table = phase_table(N)
-    phases = table[(np.outer(np.arange(N, dtype=np.int64), sums)) % N]
-    vectors = phases / np.sqrt(N * eta[sums])
+    exps = np.outer(np.arange(N, dtype=np.int64), sums) % N
+    return sums, phase_table(N)[exps]
+
+
+def povm_block(label: BlockLabel) -> PovmBlock:
+    """Closed-form effect vectors e_j = sum_p omega^(jp) |S_p> / sqrt(N)."""
+    sums, phases = _block_phases(label)
+    eta = np.bincount(sums, minlength=label.N)
+    vectors = phases / np.sqrt(label.N * eta[sums])
     return PovmBlock(label, vectors, int(np.count_nonzero(eta)))
 
 
@@ -183,18 +189,12 @@ def _conditions(priors, states, effects) -> tuple[np.ndarray, float, float]:
 
 
 def _certify_blocks(N: int, k: int, ensemble, tol: float) -> OptimalityReport:
-    """Worst residual and dominance over the blocks x in Z_N^k, where
-    ensemble(label) gives one block's priors, states and effects."""
+    """Worst residual and dominance over the N^k blocks; ensemble(label), called
+    only after the guard, gives one block's priors, states and effects."""
     _check_dense(N, k)
     labels = (BlockLabel.from_flat(X, N, k) for X in range(N ** k))
     residuals, doms = zip(*(_conditions(*ensemble(x))[1:] for x in labels))
     return OptimalityReport(max(residuals), min(doms), tol)
-
-
-def _shift_states(label: BlockLabel) -> np.ndarray:
-    """Row d = 0..N-1 is block_state(label, d).amplitudes, from one table."""
-    exps = np.outer(np.arange(label.N, dtype=np.int64), bit_dot_table(label))
-    return phase_table(label.N)[exps % label.N] / np.sqrt(2.0 ** label.k)
 
 
 def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityReport:
@@ -226,12 +226,13 @@ def certify_dihedral_pgm(N: int, k: int, tol: float = 1e-9,
     effects e_d e_d^dag.  A nonzero assignment_shift assigns effect
     E_(j+shift) to state j, a deliberately wrong measurement that must fail.
     """
-    priors = np.full(N, 1.0 / (N * float(N) ** k))
-    assigned = (np.arange(N) + assignment_shift) % N
-
     def ensemble(label):
-        psi = _shift_states(label)
-        e = povm_block(label).effect_vectors[assigned]
+        priors = np.full(N, 1.0 / (N * float(N) ** k))
+        sums, phases = _block_phases(label)
+        eta = np.bincount(sums, minlength=N)
+        psi = phases / np.sqrt(2.0 ** k)  # rows of block_state
+        # rows of povm_block, row j holding e_(j+shift)
+        e = np.roll(phases, -assignment_shift, axis=0) / np.sqrt(N * eta[sums])
         return (priors, psi[:, :, None] * psi.conj()[:, None, :],
                 e[:, :, None] * e.conj()[:, None, :])
 
@@ -266,10 +267,10 @@ class LsbPovm:
     def certify(self, tol: float = 1e-9) -> OptimalityReport:
         """Blockwise optimality check for the two-state parity ensemble."""
         N, k = self.N, self.k
-        weight = 2.0 / (N * float(N) ** k)  # (2/N) per shift, block weight N^-k
 
         def ensemble(label):
-            psi = _shift_states(label)
+            weight = 2.0 / (N * float(N) ** k)  # 2/N a shift, N^-k a block
+            psi = _block_phases(label)[1] / np.sqrt(2.0 ** k)
             states = [weight * s.T @ s.conj() for s in (psi[0::2], psi[1::2])]
             return (0.5, 0.5), states, self.block(label)
 

@@ -61,9 +61,13 @@ def test_verify_pass_and_guard_and_perturb(capsys):
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
 
-    code, _, err = run_cli(["verify", "--N", "9", "--k", "4"], capsys)
-    assert code == 3
-    assert "guard" in err
+    # The guard runs before any setup: N^k overflows a float at (2, 1100)
+    # and (1024, 103), and N = 10^9 would allocate gigabytes.
+    for N, k in [(9, 4), (2, 1100), (1024, 103), (10 ** 9, 1)]:
+        code, out, err = run_cli(["verify", "--N", str(N), "--k", str(k)],
+                                 capsys)
+        assert code == 3
+        assert out == "" and "guard" in err
 
     code, out, _ = run_cli(["verify", "--N", "4", "--k", "1", "--perturb"],
                            capsys)

@@ -137,16 +137,35 @@ def test_pgm_dense_matches_closed_form_per_block():
             assert np.abs(built[j] - blk.effect(j)).max() < 1e-10
 
 
-def test_shift_states_stack_block_states_bitwise():
+def test_block_phases_stack_block_states_bitwise():
     from dihedral_pgm import block_state
-    from dihedral_pgm.pgm import _shift_states
+    from dihedral_pgm.pgm import _block_phases
     rng = np.random.default_rng(67)
     for _ in range(100):
         N = int(rng.integers(2, 9))
         k = int(rng.integers(1, 7))
         label = BlockLabel(tuple(rng.integers(0, N, size=k)), N)
         slow = np.stack([block_state(label, d).amplitudes for d in range(N)])
-        assert np.array_equal(_shift_states(label), slow)
+        assert np.array_equal(_block_phases(label)[1] / np.sqrt(2.0 ** k), slow)
+
+
+@pytest.mark.parametrize("shift", [0, 1, 3])
+def test_certify_ensemble_is_block_states_and_povm_block(shift, monkeypatch):
+    from dihedral_pgm import block_state, pgm
+    monkeypatch.setattr(pgm, "_certify_blocks", lambda N, k, ens, tol: ens)
+    for N, k in [(2, 3), (3, 2), (4, 2), (8, 1)]:
+        ensemble = certify_dihedral_pgm(N, k, assignment_shift=shift)
+        for X in range(N ** k):
+            label = BlockLabel.from_flat(X, N, k)
+            priors, states, effects = ensemble(label)
+            psi = np.stack([block_state(label, d).amplitudes
+                            for d in range(N)])
+            e = povm_block(label).effect_vectors[(np.arange(N) + shift) % N]
+            assert np.array_equal(priors, np.full(N, 1.0 / N ** (k + 1)))
+            assert np.array_equal(states,
+                                  psi[:, :, None] * psi.conj()[:, None, :])
+            assert np.array_equal(effects,
+                                  e[:, :, None] * e.conj()[:, None, :])
 
 
 def test_verify_holevo_orthogonal_projectors():
@@ -216,6 +235,13 @@ def test_certify_perturbed_fails_dominance(N, k):
 def test_certify_guard():
     with pytest.raises(ScaleLimitError):
         certify_dihedral_pgm(9, 4)
+    # The guard runs before any array or N^k float is built: 2^1100 would
+    # overflow a float, and N = 10^9 would allocate gigabytes of priors.
+    for N, k in [(2, 1100), (10 ** 9, 1)]:
+        with pytest.raises(ScaleLimitError):
+            certify_dihedral_pgm(N, k)
+        with pytest.raises(ScaleLimitError):
+            lsb_povm(N, k).certify()
 
 
 def test_completion_effect_blockwise():
