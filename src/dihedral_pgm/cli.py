@@ -9,6 +9,7 @@ error, 3 a resource guard refused the requested scale.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -149,12 +150,13 @@ def cmd_subsetsum(args) -> int:
 def cmd_lsb(args) -> int:
     if args.N % 2 != 0:
         raise ValueError("N must be even")
-    bound = success.lsb_upper_bound(args.N, args.k)
     if args.exact:
         p = success.lsb_success_exact(args.N, args.k)
         point = success.ThresholdPoint(args.N, args.k,
                                        success._density(args.N, args.k), p,
                                        0.0, "EXACT")
+        # only after the enumeration guard: 2^k / N overflows a float
+        bound = success.lsb_upper_bound(args.N, args.k)
     else:
         point, bound = success.lsb_threshold_check(
             args.N, args.k, args.samples, args.seed, threads=args.threads)
@@ -178,7 +180,9 @@ def cmd_infobound(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every main()."""
     parser = argparse.ArgumentParser(
         prog="dihedral-pgm",
         description="Optimal measurement on dihedral hidden-subgroup states: "

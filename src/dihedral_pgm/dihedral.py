@@ -29,7 +29,7 @@ Conventions fixed once for all modules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -246,6 +246,13 @@ class BlockLabel:
             index, v = divmod(index, N)
             digits.append(v)
         return cls(tuple(reversed(digits)), N)
+
+    @cached_property
+    def bit_dots(self) -> np.ndarray:
+        """bit_dot_table(self), built once per label and shared read-only."""
+        sums = bit_dot_table(self)
+        sums.flags.writeable = False
+        return sums
 
 
 def bit_dot_table(label: BlockLabel) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# block_state is not called here; perfbench/spans.py traces pgm.block_state.
+# Unused here: perfbench/spans.py traces pgm.block_state, pgm.bit_dot_table.
 from .dihedral import (BlockLabel, ScaleLimitError, _check_dense,  # noqa: F401
                        bit_dot_table, block_state, phase_table)
 from .subsetsum import iter_all_eta, vtilde
@@ -63,7 +63,7 @@ def _block_phases(label: BlockLabel) -> tuple[np.ndarray, np.ndarray]:
     """The block's bit-dot sums s_b = b.x and the (N, 2^k) phase matrix
     omega^(j s_b), j = 0..N-1, shared by the effects and the shift states."""
     N = label.N
-    sums = bit_dot_table(label)
+    sums = label.bit_dots
     exps = np.outer(np.arange(N, dtype=np.int64), sums) % N
     return sums, phase_table(N)[exps]
 
@@ -91,8 +91,7 @@ class GramOperator:
     def block(self, label: BlockLabel) -> np.ndarray:
         """(N / (2N)^k) sum_r eta_r |S_r><S_r| for one block."""
         V = vtilde(label).rows
-        sums = bit_dot_table(label)
-        eta = np.bincount(sums, minlength=self.N).astype(np.float64)
+        eta = np.bincount(label.bit_dots, minlength=self.N).astype(np.float64)
         scale = self.N / float((2 * self.N) ** self.k)
         return scale * ((V.T * eta[None, :]) @ V.conj())
 

@@ -132,7 +132,7 @@ def superposition_vector(label: BlockLabel, r: int) -> np.ndarray:
 
 def vtilde(label: BlockLabel) -> PartialIsometry:
     """The partial isometry sum_p |p><S_p| as an (N x 2^k) row stack."""
-    sums = bit_dot_table(label)
+    sums = label.bit_dots
     eta = np.bincount(sums, minlength=label.N)
     rows = np.zeros((label.N, 2 ** label.k), dtype=np.complex128)
     cols = np.arange(2 ** label.k)
@@ -226,7 +226,7 @@ def neumark_complete(label: BlockLabel) -> np.ndarray:
     dim = N + 2 ** k
     if dim > DENSE_DIM_LIMIT:
         raise ScaleLimitError(f"dense dimension {dim} exceeds {DENSE_DIM_LIMIT}")
-    sums = bit_dot_table(label)
+    sums = label.bit_dots
     eta = np.bincount(sums, minlength=N)
     V = vtilde(label).rows
     U = np.zeros((dim, dim), dtype=np.complex128)

@@ -44,11 +44,6 @@ EXACT_ENUM_LIMIT = 2 ** 26
 #: Automatic exact/MC switch used by threshold_sweep.
 SWEEP_EXACT_LIMIT = 2 ** 14
 
-#: Up to this N the per-draw value is accumulated from the cross products
-#: sqrt(eta_r eta_q), which are exact for perfect squares; this is what
-#: makes small closed-form values (like 3/4 at N=2, k=1) come out exact.
-EXACT_CROSS_MAX_N = 64
-
 
 @dataclass(frozen=True)
 class ThresholdPoint:
@@ -141,15 +136,9 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
 # ---------------------------------------------------------------------------
 
 def _success_values(eta: np.ndarray, N: int, k: int) -> np.ndarray:
-    """Per-draw values (sum_r sqrt(eta_r))^2 / (2^k N)."""
-    denom = N * float(2 ** k)
-    ef = eta.astype(np.float64)
-    if N <= EXACT_CROSS_MAX_N:
-        total = np.zeros(eta.shape[0])
-        for r in range(N):
-            total += np.sqrt(ef * ef[:, r:r + 1]).sum(axis=1)
-        return total / denom
-    return np.sqrt(ef).sum(axis=1) ** 2 / denom
+    """Per-draw values (sum_r sqrt(eta_r))^2 / (2^k N), O(N) for every N."""
+    root_sums = np.sqrt(eta.astype(np.float64)).sum(axis=1)
+    return root_sums ** 2 / (N * float(2 ** k))
 
 
 def success_exact(N: int, k: int) -> ThresholdPoint:
@@ -257,7 +246,7 @@ def lsb_counting_sums(N: int, k: int) -> tuple[int, int, int]:
     sum_half = 0
     cross = 0
     half = N // 2
-    keep = np.array([r for r in range(N) if r not in (0, half)], dtype=np.int64)
+    keep = np.setdiff1d(np.arange(N, dtype=np.int64), (0, half))
     for eta in _all_eta(N, k):
         sum0 += int(eta[:, 0].sum())
         sum_half += int(eta[:, half].sum())

@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import gc
 import json
 
 import pytest
@@ -142,6 +143,15 @@ def test_lsb_odd_n(capsys):
     assert "N must be even" in err
 
 
+def test_lsb_oversized_k_hits_the_guard(capsys):
+    # 2^k / N in the parity bound overflows a float at k = 1100
+    for args in (["--N", "1024", "--k", "1100"],
+                 ["--N", "2", "--k", "1100", "--exact"]):
+        code, out, err = run_cli(["lsb"] + args, capsys)
+        assert code == 3
+        assert out == "" and "error:" in err
+
+
 def test_lsb_exact_row(capsys):
     code, out, _ = run_cli(["lsb", "--N", "4", "--k", "2", "--exact"], capsys)
     assert code == 0
@@ -177,3 +187,12 @@ def test_help_exits_zero():
         with pytest.raises(SystemExit) as exc:
             main([sub, "--help"])
         assert exc.value.code == 0
+
+
+def test_main_leaves_no_reference_cycles(tmp_path):
+    args = ["verify", "--N", "2", "--k", "1", "--output",
+            str(tmp_path / "verify.txt")]
+    assert main(args) == 0  # warm-up: the parser is built once
+    gc.collect()
+    assert main(args) == 0
+    assert gc.collect() == 0

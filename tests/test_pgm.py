@@ -6,8 +6,8 @@ import pytest
 from dihedral_pgm import (BlockLabel, LsbPovm, ScaleLimitError,
                           assemble_block_density, certify_dihedral_pgm,
                           completion_effect, dense_block_effects,
-                          gram_operator, lsb_povm, pgm_dense, povm_block,
-                          verify_holevo, vtilde)
+                          gram_operator, lsb_povm, neumark_complete,
+                          pgm_dense, povm_block, verify_holevo, vtilde)
 from dihedral_pgm.cli import main
 
 #: Every oracle size the certifiers run at: (2N)^k <= 4096.
@@ -296,6 +296,27 @@ def test_lsb_certify_swapped_effects_fail(N, k, monkeypatch):
     report = lsb_povm(N, k).certify()
     assert not report.passed
     assert report.dominance_min_eigenvalue < -1e-9
+
+
+def test_one_bit_dot_table_per_block(monkeypatch):
+    from dihedral_pgm import dihedral, pgm, subsetsum
+    calls = []
+    table = dihedral.bit_dot_table
+
+    def counted(label):
+        calls.append(label)
+        return table(label)
+
+    for module in (dihedral, pgm, subsetsum):
+        monkeypatch.setattr(module, "bit_dot_table", counted)
+    lsb_povm(4, 2).certify()
+    assert len(calls) == 4 ** 2
+    label = BlockLabel((1, 3), 4)
+    gram_operator(4, 2).block(label)
+    neumark_complete(label)
+    assert len(calls) == 4 ** 2 + 1
+    assert not label.bit_dots.flags.writeable
+    assert np.array_equal(label.bit_dots, table(label))
 
 
 def test_lsb_certify_matches_dense():

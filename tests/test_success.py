@@ -21,6 +21,12 @@ def test_success_exact_two_by_one_is_exact():
     assert success_exact(2, 1).p == 0.75
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_success_exact_two_closed_form(k):
+    # N = 2: eta = (2^(k-1), 2^(k-1)) except at x = 0, so p = 1 - 2^-(k+1)
+    assert abs(success_exact(2, k).p - (1 - 2.0 ** -(k + 1))) <= 2 ** -52
+
+
 def test_success_exact_single_copy_closed_form():
     for N in range(2, 33):
         point = success_exact(N, 1)
