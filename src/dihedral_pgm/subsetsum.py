@@ -110,6 +110,55 @@ def iter_all_eta(N: int, k: int, batch: int = 4096):
         yield digits, count_eta_batch(digits, N)
 
 
+def _nondecreasing_blocks(N: int, k: int):
+    """The nondecreasing x in Z_N^k in lexicographic order, one (S, k)
+    block per leading digit."""
+    for lead in range(N):
+        rows = np.full((1, 1), lead, dtype=np.int64)
+        for _ in range(k - 1):
+            # append a column, each digit at least the one before it
+            last = rows[:, -1]
+            reps = N - last
+            first = np.repeat(np.cumsum(reps) - reps, reps)
+            digit = np.repeat(last, reps) + np.arange(first.size) - first
+            rows = np.column_stack([np.repeat(rows, reps, axis=0), digit])
+        yield rows
+
+
+def _orbit_weights(xs: np.ndarray) -> np.ndarray:
+    """Orbit sizes k!/prod_v m_v! of nondecreasing rows, built position by
+    position as i!/prod c, so no factorial is ever formed."""
+    w = np.ones(xs.shape[0], dtype=np.int64)
+    run = np.ones(xs.shape[0], dtype=np.int64)
+    for i in range(1, xs.shape[1]):
+        # run: how many of x_1 .. x_(i+1) equal x_(i+1)
+        run = np.where(xs[:, i] == xs[:, i - 1], run + 1, 1)
+        w = w * (i + 1) // run
+    return w
+
+
+def _iter_orbit_eta(N: int, k: int, batch: int = 4096):
+    """Yield (weights, eta_chunk) over one x per orbit of Z_N^k under
+    permutations of the coordinates (the nondecreasing x, in lexicographic
+    order), at most `batch` rows a chunk; weights are the exact int64
+    orbit sizes, summing to N^k.  Permuting x leaves eta unchanged, so a
+    weighted sum over these rows equals the sum over all of Z_N^k."""
+    parts, held = [], 0
+    for block in _nondecreasing_blocks(N, k):
+        parts.append(block)
+        held += block.shape[0]
+        if held >= batch:
+            rows = np.concatenate(parts)
+            cut = held - held % batch
+            parts, held = [rows[cut:]], held - cut
+            for lo in range(0, cut, batch):
+                chunk = rows[lo:lo + batch]
+                yield _orbit_weights(chunk), count_eta_batch(chunk, N)
+    if held:
+        rows = np.concatenate(parts)
+        yield _orbit_weights(rows), count_eta_batch(rows, N)
+
+
 # ---------------------------------------------------------------------------
 # enumeration and superpositions
 # ---------------------------------------------------------------------------

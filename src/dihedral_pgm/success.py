@@ -15,10 +15,14 @@ Everything here reduces to statistics of the solution counts eta_r^x:
   displayed entropy inequality.
 
 Each of these is a mean over x of a per-draw value kernel of eta^x, and
-every one goes through the single reducer _mean: it either enumerates
-Z_N^k exactly under EXACT_ENUM_LIMIT, or averages seeded shards of SHARD
-uniform draws merged in shard order, so Monte Carlo results are
-byte-identical for a given seed regardless of the worker count.
+every one goes through the single reducer _mean.  Its exact branch, under
+EXACT_ENUM_LIMIT, uses that permuting the coordinates of x leaves eta^x
+unchanged: it evaluates the kernel once per multiset of coordinates (the
+nondecreasing x, C(N+k-1, k) of them in place of N^k) and weights each
+value by the exact size of its orbit.  Its Monte Carlo branch averages
+seeded shards of SHARD uniform draws merged in shard order, so Monte
+Carlo results are byte-identical for a given seed regardless of the
+worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ import numpy as np
 
 from .dihedral import (ScaleLimitError, hidden_subgroup_state,
                        subgroup_elements)
-from .subsetsum import count_eta_batch, iter_all_eta
+# Unused here: perfbench/spans.py traces success.iter_all_eta.
+from .subsetsum import (_iter_orbit_eta, count_eta_batch,  # noqa: F401
+                        iter_all_eta)
 
 #: Shard size shared by the exact enumerator, the MC estimators and the
 #: trial simulator; the fsum merge over shards makes totals independent
@@ -80,13 +86,15 @@ def _density(N: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _all_eta(N: int, k: int):
-    """eta over all of Z_N^k in SHARD-row chunks, behind the enumeration
-    guard (checked on the call, not on the first chunk)."""
+    """(weights, eta) chunks of at most SHARD rows over one x per orbit of
+    Z_N^k under coordinate permutations, each weighted by its exact orbit
+    size, behind the enumeration guard (checked on the call, not on the
+    first chunk)."""
     if N ** k > EXACT_ENUM_LIMIT:
         raise ScaleLimitError(
             f"N^k = {N ** k} exceeds the enumeration guard; use success_mc, "
             "lsb_threshold_check or trivial_success with samples")
-    return (eta for _, eta in iter_all_eta(N, k, batch=SHARD))
+    return _iter_orbit_eta(N, k, batch=SHARD)
 
 
 def _shards(samples: int, seed) -> list:
@@ -103,14 +111,22 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
     """Mean over x in Z_N^k of the kernel values(eta, N, k), which maps
     (S, N) counts to S per-draw values, and its standard error.
 
-    With samples None the mean is exact (stderr 0): Z_N^k is enumerated
-    in SHARD chunks and the chunk sums are merged by fsum.  Otherwise x
-    is drawn uniformly in the seeded shards of _shards, run on up to
-    `threads` workers and merged in shard order.
+    With samples None the mean is exact (stderr 0): one x per orbit of
+    Z_N^k under coordinate permutations is enumerated in SHARD chunks
+    (_all_eta), each chunk's values are summed weighted by their orbit
+    sizes, and the chunk sums are merged by fsum and divided by N^k.
+    Otherwise x is drawn uniformly in the seeded shards of _shards, run
+    on up to `threads` workers and merged in shard order: the mean from
+    the fsum of the shard sums, the variance from each shard's squared
+    deviations about its own mean, combined by the pairwise update.
     """
     if samples is None:
-        sums = [float(np.sum(values(eta, N, k))) for eta in _all_eta(N, k)]
-        return math.fsum(sums) / N ** k, 0.0
+        def chunk_sum(chunk):
+            w, eta = chunk
+            return float(np.sum(w * values(eta, N, k)))
+
+        # map holds no chunk while the next one is counted
+        return math.fsum(map(chunk_sum, _all_eta(N, k))) / N ** k, 0.0
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
@@ -118,7 +134,9 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
         ss, n = job
         xs = np.random.default_rng(ss).integers(0, N, size=(n, k))
         v = values(count_eta_batch(xs, N), N, k)
-        return float(np.sum(v)), float(np.sum(v * v))
+        total = float(np.sum(v))
+        dev = v - total / n
+        return total, float(np.sum(dev * dev)), n
 
     jobs = _shards(samples, seed)
     if threads > 1:
@@ -126,9 +144,15 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
             parts = list(pool.map(shard, jobs))
     else:
         parts = [shard(j) for j in jobs]
-    mean = math.fsum(s for s, _ in parts) / samples
-    var = max(math.fsum(q for _, q in parts) - samples * mean * mean, 0.0)
-    return mean, math.sqrt(var / (samples - 1) / samples)
+    mean = math.fsum(total for total, _, _ in parts) / samples
+    # Chan et al.'s pairwise merge of (count, mean, squared deviations)
+    seen, run_mean, sq_dev = 0, 0.0, 0.0
+    for total, sq, n in parts:
+        delta = total / n - run_mean
+        seen += n
+        run_mean += delta * n / seen
+        sq_dev += sq + delta * delta * (seen - n) * n / seen
+    return mean, math.sqrt(sq_dev / (samples - 1) / samples)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +162,12 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
 def _success_values(eta: np.ndarray, N: int, k: int) -> np.ndarray:
     """Per-draw values (sum_r sqrt(eta_r))^2 / (2^k N), O(N) for every N."""
     root_sums = np.sqrt(eta.astype(np.float64)).sum(axis=1)
-    return root_sums ** 2 / (N * float(2 ** k))
+    # a block whose value is exactly 1 can round to 1 + 2^-52
+    return np.minimum(root_sums ** 2 / (N * float(2 ** k)), 1.0)
 
 
 def success_exact(N: int, k: int) -> ThresholdPoint:
-    """Exact success probability by full enumeration of Z_N^k."""
+    """Exact success probability by orbit-weighted enumeration of Z_N^k."""
     nu = _density(N, k)
     p, _ = _mean(N, k, _success_values)
     return ThresholdPoint(N, k, nu, p, 0.0, "EXACT")
@@ -237,8 +262,9 @@ def lsb_threshold_check(N: int, k: int, samples: int, seed,
 
 
 def lsb_counting_sums(N: int, k: int) -> tuple[int, int, int]:
-    """Exact integer sums behind the parity bound, by full enumeration:
-    sum_x eta_0, sum_x eta_(N/2), and sum_x sum_(r != 0, N/2) eta_r eta_(-r).
+    """Exact integer sums behind the parity bound, by orbit-weighted
+    enumeration: sum_x eta_0, sum_x eta_(N/2), and
+    sum_x sum_(r != 0, N/2) eta_r eta_(-r).
     """
     if N % 2 != 0:
         raise ValueError("N must be even")
@@ -247,11 +273,11 @@ def lsb_counting_sums(N: int, k: int) -> tuple[int, int, int]:
     cross = 0
     half = N // 2
     keep = np.setdiff1d(np.arange(N, dtype=np.int64), (0, half))
-    for eta in _all_eta(N, k):
-        sum0 += int(eta[:, 0].sum())
-        sum_half += int(eta[:, half].sum())
+    for w, eta in _all_eta(N, k):
+        sum0 += int(w @ eta[:, 0])
+        sum_half += int(w @ eta[:, half])
         mirrored = eta[:, (-keep) % N]
-        cross += int((eta[:, keep] * mirrored).sum())
+        cross += int(w @ (eta[:, keep] * mirrored).sum(axis=1))
     return sum0, sum_half, cross
 
 

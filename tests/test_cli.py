@@ -43,6 +43,19 @@ def test_sweep_threads_do_not_change_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_mc_rows_never_exceed_one(tmp_path, capsys):
+    # at N = 2 every block but x = 0 succeeds with probability exactly 1
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(["sweep", "--N", "2", "--k", "16..20",
+                          "--output", str(out)], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    for row in rows:
+        assert row[5] == "MC"
+        assert float(row[3]) <= 1.0
+
+
 def test_sweep_rejects_zero_k(capsys):
     code, _, err = run_cli(["sweep", "--N", "64", "--k", "0..3"], capsys)
     assert code == 2

@@ -3,11 +3,15 @@
 * Exact statistics equal a slow per-label reference built from
   BlockLabel.from_flat and the Python-integer count_eta, which shares no
   code with count_eta_batch or iter_all_eta.
+* The orbit enumerator behind every exact mean visits each multiset of
+  coordinates once, in chunks of at most `batch` rows, with a weight
+  equal to the number of labels that sort to it.
 * Monte Carlo statistics and trial columns are bitwise independent of
   the thread count, at sample counts on both sides of one shard.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from hypothesis import strategies as st
 from dihedral_pgm import (TRIVIAL, BlockLabel, count_eta, lsb_success_exact,
                           lsb_threshold_check, run_trials, success_exact,
                           success_mc, trivial_success)
+from dihedral_pgm.subsetsum import (_iter_orbit_eta, _nondecreasing_blocks,
+                                    _orbit_weights)
 from dihedral_pgm.success import SHARD, _mean, _support_values
 
 ORACLE_ENUM = 4096
@@ -67,6 +73,27 @@ def test_trivial_success_exact_matches_per_label_reference(size):
     N, k = size
     ref = 1.0 - _reference(N, k, lambda eta: sum(e > 0 for e in eta) / 2 ** k)
     assert abs(trivial_success(N, k) - ref) < 1e-12
+
+
+@core
+@given(_oracle_sizes(), st.integers(1, 64))
+def test_orbit_weights_count_sorted_labels(size, batch):
+    N, k = size
+    labels = [BlockLabel.from_flat(X, N, k) for X in range(N ** k)]
+    orbits = Counter(tuple(sorted(label.x)) for label in labels)
+    reps = np.concatenate(list(_nondecreasing_blocks(N, k)))
+    weights = _orbit_weights(reps)
+    # one row per multiset, in lexicographic order
+    assert [tuple(x) for x in reps.tolist()] == sorted(orbits)
+    assert weights.tolist() == [orbits[tuple(x)] for x in reps.tolist()]
+    assert int(weights.sum()) == N ** k
+    chunks = list(_iter_orbit_eta(N, k, batch))
+    assert len(chunks) == -(-len(orbits) // batch)
+    assert all(eta.shape[0] <= batch for _, eta in chunks)
+    assert np.array_equal(np.concatenate([w for w, _ in chunks]), weights)
+    eta = np.concatenate([eta for _, eta in chunks])
+    assert eta.tolist() == [list(count_eta(BlockLabel(tuple(x), N)).eta)
+                            for x in reps.tolist()]
 
 
 def _mc_cases():

@@ -14,17 +14,31 @@ from dihedral_pgm import (ScaleLimitError, assemble_block_density,
                           subgroup_elements, success_exact, success_mc,
                           success_single_copy, threshold_sweep,
                           trivial_success)
-from dihedral_pgm.success import SHARD, _success_values
+from dihedral_pgm import success
+from dihedral_pgm.success import (SHARD, _lsb_values, _mean,
+                                  _success_values, _support_values)
+
+#: Every (N, k) the certifiers check, the same set as in test_pgm.py.
+CERT_SIZES = [(N, k) for N in (2, 3, 4, 5, 6, 8) for k in range(1, 13)
+              if (2 * N) ** k <= 4096]
+
+#: Orbit and full enumeration sum in different orders; 8 ulp of the
+#: full-enumeration value bounds the difference (at most 3 seen).
+ORBIT_ULPS = 8
+
+
+def _close(orbit, full):
+    return abs(orbit - full) <= ORBIT_ULPS * math.ulp(full)
 
 
 def test_success_exact_two_by_one_is_exact():
     assert success_exact(2, 1).p == 0.75
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", range(1, 15))
 def test_success_exact_two_closed_form(k):
     # N = 2: eta = (2^(k-1), 2^(k-1)) except at x = 0, so p = 1 - 2^-(k+1)
-    assert abs(success_exact(2, k).p - (1 - 2.0 ** -(k + 1))) <= 2 ** -52
+    assert success_exact(2, k).p == 1 - 2.0 ** -(k + 1)
 
 
 def test_success_exact_single_copy_closed_form():
@@ -75,15 +89,49 @@ def test_success_mc_deterministic_and_thread_invariant():
 
 
 @pytest.mark.parametrize("N,k", [(2, 12), (4, 5), (8, 4), (3, 7)])
-def test_mc_kernel_reproduces_exact_bitwise(N, k):
+def test_mc_kernel_reproduces_exact_bitwise(N, k, monkeypatch):
     # the MC kernel applied to every x of Z_N^k, reduced shard by shard
-    # like the estimators, gives the exact value to the last bit
+    # like the estimators
     xs = np.concatenate([chunk for chunk, _ in iter_all_eta(N, k)], axis=0)
     sums = [float(np.sum(_success_values(count_eta_batch(xs[lo:lo + SHARD], N),
                                          N, k)))
             for lo in range(0, xs.shape[0], SHARD)]
     p = math.fsum(sums) / xs.shape[0]
-    assert p == success_exact(N, k).p
+    # the orbit-weighted sum runs in another order
+    assert _close(success_exact(N, k).p, p)
+    # fed every label with weight 1, the exact reducer is that reduction
+    # to the last bit: one kernel serves both
+    monkeypatch.setattr(success, "_all_eta", lambda N, k: (
+        (np.ones(eta.shape[0], dtype=np.int64), eta)
+        for _, eta in iter_all_eta(N, k, batch=SHARD)))
+    assert _mean(N, k, _success_values)[0] == p
+
+
+def test_mc_stderr_is_shift_invariant():
+    # the variance is merged from deviations about shard means, so a
+    # constant offset on every per-draw value leaves the stderr alone
+    def shifted(eta, N, k):
+        return _success_values(eta, N, k) + 1e3
+
+    mean, stderr = _mean(64, 6, _success_values, 10000, seed=3)
+    mean_c, stderr_c = _mean(64, 6, shifted, 10000, seed=3)
+    assert stderr > 0
+    assert abs(stderr_c - stderr) <= 1e-12 * stderr
+    assert abs(mean_c - 1e3 - mean) < 1e-9
+
+
+def test_mc_stderr_matches_two_pass():
+    # the merged shard variance is the two-pass variance of all draws
+    N, k, samples = 64, 6, 10000
+    v = np.concatenate([
+        _success_values(count_eta_batch(
+            np.random.default_rng(ss).integers(0, N, size=(n, k)), N), N, k)
+        for ss, n in success._shards(samples, 3)])
+    mean, stderr = _mean(N, k, _success_values, samples, seed=3)
+    assert abs(mean - math.fsum(v) / samples) <= 2 * math.ulp(mean)
+    two_pass = math.sqrt(math.fsum((v - v.mean()) ** 2)
+                         / (samples - 1) / samples)
+    assert abs(stderr - two_pass) <= 1e-12 * two_pass
 
 
 def test_eta_row_sums():
@@ -192,6 +240,17 @@ def test_lsb_threshold_check_small_case_matches_exact():
     assert abs(point.p - lsb_success_exact(2, 1)) <= 4 * point.stderr
 
 
+@pytest.mark.parametrize("N,k", [(4, 13), (8, 8), (16, 6), (2, 26)])
+def test_counting_sums_at_the_guard(N, k):
+    # N^k up to the enumeration guard: the orbit-weighted int64 sums
+    # still hit the closed forms exactly
+    assert N ** k <= success.EXACT_ENUM_LIMIT
+    sum0, sum_half, cross = lsb_counting_sums(N, k)
+    assert sum0 == N ** k + (2 ** k - 1) * N ** (k - 1)
+    assert sum_half == (2 ** k - 1) * N ** (k - 1)
+    assert cross == (N - 2) * (2 ** k - 1) * (2 ** k - 2) * N ** (k - 2)
+
+
 def test_counting_identities_exact():
     for N in (4, 6):
         for k in (1, 2, 3, 4):
@@ -256,3 +315,37 @@ def test_info_bound_domain():
         info_lower_bound(8, 1.5)
     with pytest.raises(ValueError):
         info_lower_bound(1, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# orbit enumeration against full enumeration
+# ---------------------------------------------------------------------------
+
+def _full_enumeration(N, k):
+    """Success, parity and support means and the parity counting sums,
+    over every label of Z_N^k."""
+    kernels = [_success_values, _support_values]
+    if N % 2 == 0:
+        kernels.append(_lsb_values)
+    sums = [[] for _ in kernels]
+    counts = [0, 0, 0]
+    half = N // 2
+    for _, eta in iter_all_eta(N, k):
+        for out, kernel in zip(sums, kernels):
+            out.append(float(np.sum(kernel(eta, N, k))))
+        counts[0] += int(eta[:, 0].sum())
+        counts[1] += int(eta[:, half].sum())
+        counts[2] += sum(int((eta[:, r] * eta[:, -r % N]).sum())
+                         for r in range(N) if r not in (0, half))
+    means = [math.fsum(out) / N ** k for out in sums]
+    return means, tuple(counts)
+
+
+@pytest.mark.parametrize("N,k", CERT_SIZES + [(8, 7), (16, 5), (64, 3)])
+def test_orbit_enumeration_matches_full(N, k):
+    means, counts = _full_enumeration(N, k)
+    assert _close(success_exact(N, k).p, means[0])
+    assert _close(trivial_success(N, k), 1.0 - means[1])
+    if N % 2 == 0:
+        assert _close(lsb_success_exact(N, k), means[2])
+        assert lsb_counting_sums(N, k) == counts
