@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dihedral import TRIVIAL, BlockLabel
-from .subsetsum import count_eta_batch
-from .success import _shards
+from .subsetsum import CHUNK_BYTES, count_eta_batch
+from .success import _guard_shard_memory, _shards
 
 
 @dataclass(frozen=True)
@@ -85,16 +85,19 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
         xs = rng.integers(0, N, size=(n, k))
         u = rng.random(n)
         eta = count_eta_batch(xs, N)
-        # The (n, N+1) tables are built 512 rows at a time, so a worker
-        # never holds more than the counting recurrence itself does and
-        # the pool's peak memory does not depend on how workers interleave.
+        # The (n, N+1) tables are built in chunks of the counting
+        # recurrence's byte budget, so a worker holds the counts plus one
+        # cache-sized chunk in either phase, and the pool's peak memory
+        # hardly depends on how workers interleave.
         outcomes = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, 512):
-            rows = slice(lo, lo + 512)
+        for lo in range(0, n, chunk):
+            rows = slice(lo, lo + chunk)
             cdf = np.cumsum(_distributions(eta[rows], N, k, hidden), axis=1)
             outcomes[rows] = (cdf <= u[rows, None]).sum(axis=1)
         return xs, np.minimum(outcomes, N)
 
+    _guard_shard_memory(N, trials)
+    chunk = max(1, CHUNK_BYTES // (N * 8))
     jobs = _shards(trials, seed)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

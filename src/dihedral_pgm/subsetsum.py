@@ -11,7 +11,10 @@ solutions.
 
 Counting is exact integer dynamic programming; sampling walks the same
 table backwards, so it is exactly uniform over solutions without ever
-enumerating them.
+enumerating them.  The batched counter runs the recurrence in chunks of
+draws whose work tables fit in CHUNK_BYTES, on int32 counts below
+k = 31, gathering each shifted row from a doubled row [T | T] so that no
+index is ever reduced mod N.
 """
 
 from __future__ import annotations
@@ -25,6 +28,16 @@ from .dihedral import (DENSE_DIM_LIMIT, BlockLabel, ScaleLimitError,
 
 #: int64 counting is exact up to 2^k <= 2^62.
 BATCH_K_LIMIT = 62
+
+#: int32 work tables are exact up to 2^k <= 2^30.
+INT32_K_LIMIT = 30
+
+#: Bytes of one chunk's T in count_eta_batch.  The chunk's tables
+#: (doubled row plus gathered row, 3x this) then stay cache-sized: at
+#: N = 1024 a 4096-draw shard runs in 64-row chunks.  Halving or doubling
+#: it was slower on a 2-vCPU machine, and larger chunks raise the peak
+#: memory of small-N exact enumeration.
+CHUNK_BYTES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -74,29 +87,38 @@ def count_eta(label: BlockLabel) -> SubsetProfile:
 
 
 def count_eta_batch(xs: np.ndarray, N: int) -> np.ndarray:
-    """eta for many draws at once: xs is (S, k) integers, result (S, N) int64."""
+    """eta for many draws at once: xs is (S, k) integers, result (S, N) int64.
+
+    The rows are counted in chunks of CHUNK_BYTES // (N * itemsize) draws,
+    each on its own work table, and copied into the int64 result.  The
+    work tables are int32 up to k = INT32_K_LIMIT (a count is at most
+    2^k) and int64 beyond it.  A chunk keeps each row doubled, [T | T],
+    so T[(r - x_j) mod N] for every r is the contiguous slice starting at
+    N - x_j, gathered with no modulo pass.
+    """
     xs = np.asarray(xs)
     S, k = xs.shape
     if k > BATCH_K_LIMIT:
         raise ScaleLimitError(f"int64 counting overflows beyond k = {BATCH_K_LIMIT}")
-    T = np.zeros((S, N), dtype=np.int64)
-    T[:, 0] = 1
-    r = np.arange(N, dtype=np.int64)
-    rows = np.arange(0, S * N, N, dtype=np.int64)[:, None]
-    # Both work tables are allocated once, so memory stays flat at three
-    # (S, N) tables for the whole recurrence.
-    idx = np.empty((S, N), dtype=np.int64)
-    shifted = np.empty((S, N), dtype=np.int64)
-    for j in range(k):
-        # flat index of T[s, (r - x_j) mod N]
-        np.subtract(r, xs[:, j:j + 1], out=idx)
-        idx %= N
-        idx += rows
-        # idx is in range; "clip" writes straight into out, where the
-        # default "raise" mode would buffer a fourth table
-        np.take(T.reshape(-1), idx, out=shifted, mode="clip")
-        T += shifted
-    return T
+    work = np.int32 if k <= INT32_K_LIMIT else np.int64
+    rows = max(1, CHUNK_BYTES // (N * np.dtype(work).itemsize))
+    starts = xs % N
+    np.subtract(N, starts, out=starts)  # in [1, N]
+    eta = np.empty((S, N), dtype=np.int64)
+    for lo in range(0, S, rows):
+        start = starts[lo:lo + rows]
+        n = start.shape[0]
+        doubled = np.zeros((n, 2 * N), dtype=work)
+        doubled[:, [0, N]] = 1
+        T = doubled[:, :N]
+        # windows[s, i] is the view doubled[s, i:i + N]
+        windows = np.lib.stride_tricks.sliding_window_view(doubled, N, axis=1)
+        chunk_rows = np.arange(n)
+        for j in range(k):
+            T += windows[chunk_rows, start[:, j]]
+            doubled[:, N:] = T
+        eta[lo:lo + n] = T
+    return eta
 
 
 def iter_all_eta(N: int, k: int, batch: int = 4096):

@@ -50,6 +50,14 @@ EXACT_ENUM_LIMIT = 2 ** 26
 #: Automatic exact/MC switch used by threshold_sweep.
 SWEEP_EXACT_LIMIT = 2 ** 14
 
+#: Memory guard on Monte Carlo: the largest shard's (rows, N) int64 count
+#: table may take at most this many bytes, so N <= 4096 at SHARD rows.
+#: Each worker also holds the value kernel's float64 copies of that table,
+#: two for success and four for parity, so at the limit a worker peaks at
+#: 0.4-0.7 GB (tracemalloc, N = 4096) and `--threads T` needs at most
+#: 0.7 T GB: the two workers of a 2-core machine fit in 1.4 GB.
+MC_SHARD_BYTES = 2 ** 27
+
 
 @dataclass(frozen=True)
 class ThresholdPoint:
@@ -97,6 +105,16 @@ def _all_eta(N: int, k: int):
     return _iter_orbit_eta(N, k, batch=SHARD)
 
 
+def _guard_shard_memory(N: int, samples: int) -> None:
+    """The Monte Carlo memory guard, run before any draw is made or any
+    table sized by N allocated."""
+    rows = min(samples, SHARD)
+    if rows * N * 8 > MC_SHARD_BYTES:
+        raise ScaleLimitError(
+            f"a Monte Carlo shard's ({rows}, {N}) int64 count table exceeds "
+            f"the memory guard of {MC_SHARD_BYTES} bytes")
+
+
 def _shards(samples: int, seed) -> list:
     """The RNG shard plan: (child seed, draw count) per SHARD draws, the
     last shard partial, in merge order."""
@@ -115,10 +133,11 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
     Z_N^k under coordinate permutations is enumerated in SHARD chunks
     (_all_eta), each chunk's values are summed weighted by their orbit
     sizes, and the chunk sums are merged by fsum and divided by N^k.
-    Otherwise x is drawn uniformly in the seeded shards of _shards, run
-    on up to `threads` workers and merged in shard order: the mean from
-    the fsum of the shard sums, the variance from each shard's squared
-    deviations about its own mean, combined by the pairwise update.
+    Otherwise, behind the memory guard MC_SHARD_BYTES, x is drawn
+    uniformly in the seeded shards of _shards, run on up to `threads`
+    workers and merged in shard order: the mean from the fsum of the
+    shard sums, the variance from each shard's squared deviations about
+    its own mean, combined by the pairwise update.
     """
     if samples is None:
         def chunk_sum(chunk):
@@ -138,6 +157,7 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
         dev = v - total / n
         return total, float(np.sum(dev * dev)), n
 
+    _guard_shard_memory(N, samples)
     jobs = _shards(samples, seed)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

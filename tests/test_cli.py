@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import gc
+import hashlib
 import json
 
 import pytest
@@ -87,6 +88,48 @@ def test_verify_pass_and_guard_and_perturb(capsys):
                            capsys)
     assert code == 1
     assert "dominance" in out and "FAIL" in out
+
+
+def test_monte_carlo_memory_guard_exits_3(tmp_path, capsys):
+    # At N = 2^20 one shard of the default 10000 draws would need a 32 GiB
+    # count table; the guard refuses it before any output is written.
+    out = tmp_path / "out.csv"
+    N = str(2 ** 20)
+    for argv in (["sweep", "--N", N, "--k", "8..12"],
+                 ["lsb", "--N", N, "--k", "12"],
+                 ["simulate", "--N", N, "--k", "12", "--hidden", "5"]):
+        code, stdout, err = run_cli(argv + ["--output", str(out)], capsys)
+        assert code == 3
+        assert stdout == "" and "memory guard" in err
+        assert not out.exists()
+
+
+#: sha256 of (stdout, --output file) at fixed seeds, as written before the
+#: counting kernel was chunked; any change to the Monte Carlo bytes shows.
+GOLDEN = [
+    (["sweep", "--N", "1024", "--k", "8..12", "--samples", "5000",
+      "--seed", "7"],
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "6c052db375b728214b0e720b488b1eb8ea1fd80ad8271bc03e241db0abdd7a37"),
+    (["lsb", "--N", "256", "--k", "12", "--samples", "5000", "--seed", "7"],
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "3cf8de3256f0c7b17de12a0d0bef4db68da023195b5fa5ee9c94cd5d7ef6f476"),
+    (["simulate", "--N", "256", "--k", "12", "--hidden", "5", "--trials",
+      "5000", "--seed", "7", "--threads", "2"],
+     "8351bb2b0951fd3e442c0377325984e15cb30f67197b04429a71d05dc090f6f2",
+     "438ce4230a3f20ac3baab4ad5677a9bfd0ce24778319c3ca1fb4b5f03e256f47"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha, output_sha", GOLDEN,
+                         ids=[argv[0] for argv, _, _ in GOLDEN])
+def test_cli_bytes_match_golden_digests(argv, stdout_sha, output_sha,
+                                        tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, _ = run_cli(argv + ["--output", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == output_sha
 
 
 def test_simulate_summary_and_log(tmp_path, capsys):

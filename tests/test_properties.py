@@ -6,8 +6,12 @@
 * The orbit enumerator behind every exact mean visits each multiset of
   coordinates once, in chunks of at most `batch` rows, with a weight
   equal to the number of labels that sort to it.
+* count_eta_batch, which counts in byte-budgeted chunks on int32 or
+  int64 work tables, is bitwise equal to the Python-integer _dp_rows at
+  row counts on both sides of one chunk, for either work dtype.
 * Monte Carlo statistics and trial columns are bitwise independent of
-  the thread count, at sample counts on both sides of one shard.
+  the thread count, at sample counts on both sides of one shard, and on
+  shards that span several chunks.
 """
 
 import math
@@ -21,8 +25,10 @@ from hypothesis import strategies as st
 from dihedral_pgm import (TRIVIAL, BlockLabel, count_eta, lsb_success_exact,
                           lsb_threshold_check, run_trials, success_exact,
                           success_mc, trivial_success)
-from dihedral_pgm.subsetsum import (_iter_orbit_eta, _nondecreasing_blocks,
-                                    _orbit_weights)
+from dihedral_pgm.subsetsum import (CHUNK_BYTES, INT32_K_LIMIT,
+                                    _dp_rows, _iter_orbit_eta,
+                                    _nondecreasing_blocks, _orbit_weights,
+                                    count_eta_batch)
 from dihedral_pgm.success import SHARD, _mean, _support_values
 
 ORACLE_ENUM = 4096
@@ -96,15 +102,41 @@ def test_orbit_weights_count_sorted_labels(size, batch):
                             for x in reps.tolist()]
 
 
-def _mc_cases():
-    return st.tuples(st.integers(2, 16).map(lambda h: 2 * h),
-                     st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+def _kernel_sizes():
+    """(N, k): int32 work tables at N <= 2048, and k = 28..40 at N <= 4,
+    across the int32/int64 switch after k = INT32_K_LIMIT."""
+    return st.one_of(st.tuples(st.integers(1, 2048), st.integers(1, 10)),
+                     st.tuples(st.integers(1, 4), st.integers(28, 40)))
 
 
-@pytest.mark.parametrize("samples", SAMPLES)
-@settings(parent=core, max_examples=4)
-@given(_mc_cases())
-def test_mc_estimators_thread_invariant(samples, case):
+@core
+@given(_kernel_sizes(), st.sampled_from((None, -1, 0, 1)), st.data())
+def test_count_eta_batch_matches_dp_rows(size, offset, data):
+    N, k = size
+    itemsize = 4 if k <= INT32_K_LIMIT else 8
+    chunk = max(1, CHUNK_BYTES // (N * itemsize))
+    # one row, or a full chunk with one row missing, none or one over
+    S = 1 if offset is None else chunk + offset
+    # rows repeat a few distinct x, so the slow reference runs once per x;
+    # adding multiples of N checks that entries are reduced mod N
+    pool = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, N - 1), min_size=k, max_size=k),
+        min_size=1, max_size=8)), dtype=np.int64)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    which = rng.integers(0, len(pool), size=S)
+    xs = pool[which] + N * rng.integers(-2, 3, size=(S, k))
+    eta = count_eta_batch(xs, N)
+    assert eta.dtype == np.int64 and eta.shape == (S, N)
+    ref = np.array([_dp_rows(BlockLabel(tuple(x), N))[-1]
+                    for x in pool.tolist()], dtype=np.int64)
+    assert np.array_equal(eta, ref[which])
+
+
+def _mc_cases(Ns=st.integers(2, 16).map(lambda h: 2 * h)):
+    return st.tuples(Ns, st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+
+
+def _assert_mc_thread_invariant(samples, case):
     N, k, seed = case
     points = {(p.p, p.stderr) for p in
               (success_mc(N, k, samples, seed, threads=t) for t in THREADS)}
@@ -119,10 +151,7 @@ def test_mc_estimators_thread_invariant(samples, case):
     assert leftover == {trivial_success(N, k, samples, seed)}
 
 
-@pytest.mark.parametrize("samples", SAMPLES)
-@settings(parent=core, max_examples=4)
-@given(_mc_cases(), st.booleans())
-def test_run_trials_columns_thread_invariant(samples, case, trivial):
+def _assert_trials_thread_invariant(samples, case, trivial):
     N, k, seed = case
     hidden = TRIVIAL if trivial else seed % N
     runs = [run_trials(N, k, hidden, samples, seed, threads=t)
@@ -134,3 +163,25 @@ def test_run_trials_columns_thread_invariant(samples, case, trivial):
         assert other_rate == rate
         assert np.array_equal(other["labels"], columns["labels"])
         assert np.array_equal(other["outcomes"], columns["outcomes"])
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+@settings(parent=core, max_examples=4)
+@given(_mc_cases())
+def test_mc_estimators_thread_invariant(samples, case):
+    _assert_mc_thread_invariant(samples, case)
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+@settings(parent=core, max_examples=4)
+@given(_mc_cases(), st.booleans())
+def test_run_trials_columns_thread_invariant(samples, case, trivial):
+    _assert_trials_thread_invariant(samples, case, trivial)
+
+
+@settings(parent=core, max_examples=2)
+@given(_mc_cases(st.sampled_from((512, 1024))), st.booleans())
+def test_multi_chunk_shards_thread_invariant(case, trivial):
+    # at N >= 512 each shard spans several count and outcome chunks
+    _assert_mc_thread_invariant(SHARD + 1, case)
+    _assert_trials_thread_invariant(SHARD + 1, case, trivial)

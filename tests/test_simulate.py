@@ -6,13 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dihedral_pgm import (TRIVIAL, BlockLabel, block_state, count_eta,
-                          outcome_distribution, povm_block, run_trials,
-                          shift_covariance_check, success_exact, success_mc,
-                          trivial_success)
+from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError, block_state,
+                          count_eta, outcome_distribution, povm_block,
+                          run_trials, shift_covariance_check, success_exact,
+                          success_mc, trivial_success)
 from dihedral_pgm.simulate import _distributions
-from dihedral_pgm.success import SHARD
-from dihedral_pgm.subsetsum import iter_all_eta
+from dihedral_pgm.success import MC_SHARD_BYTES, SHARD, _guard_shard_memory
+from dihedral_pgm.subsetsum import CHUNK_BYTES, iter_all_eta
 
 
 def test_outcome_distribution_examples():
@@ -111,19 +111,44 @@ def test_run_trials_deterministic_and_thread_invariant():
         assert np.array_equal(a[1][name], b[1][name])
 
 
-def test_run_trials_peak_memory_is_the_counting_tables():
-    # A shard's peak is the three (SHARD, N) int64 tables of the counting
-    # recurrence, held all through it; the outcome tables come in row
-    # blocks that need less, so a worker pool's peak does not depend on
-    # how the workers interleave.
+def test_run_trials_peak_memory_is_one_count_table():
+    # A shard holds its one (SHARD, N) int64 count table, plus, in either
+    # phase, one chunk of the byte budget CHUNK_BYTES: the counting work
+    # tables, or one block of outcome tables.  The few CHUNK_BYTES above
+    # the count table cover that chunk and the (SHARD, k) draws, so a
+    # worker pool's peak hardly depends on how the workers interleave.
     N = 256
-    tables = 3 * SHARD * N * 8
+    table = SHARD * N * 8
     for hidden in (3, TRIVIAL):
         tracemalloc.start()
         run_trials(N, 12, hidden, SHARD, seed=4)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert tables <= peak < 1.1 * tables
+        assert table <= peak < table + 16 * CHUNK_BYTES
+
+
+def test_monte_carlo_guard_allocates_nothing_sized_by_n():
+    # One (SHARD, 2^20) count table would be 32 GiB: the guard raises
+    # before any draw or table, in the estimators and the simulator alike.
+    N = 2 ** 20
+    for call in (lambda: success_mc(N, 12, 10000, seed=1),
+                 lambda: run_trials(N, 12, 5, 10000, seed=1)):
+        tracemalloc.start()
+        with pytest.raises(ScaleLimitError, match="memory guard"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def test_monte_carlo_guard_bounds_the_largest_shard():
+    # the limit is on the largest shard's (min(samples, SHARD), N) table
+    assert MC_SHARD_BYTES == SHARD * 4096 * 8
+    _guard_shard_memory(4096, 10000)
+    _guard_shard_memory(2 ** 20, 16)
+    for N, samples in ((4097, 10000), (4097, SHARD), (2 ** 20, 17)):
+        with pytest.raises(ScaleLimitError, match="memory guard"):
+            _guard_shard_memory(N, samples)
 
 
 def test_run_trials_validates_count():

@@ -54,6 +54,14 @@ def test_count_eta_big_k_exact_integers():
     assert count_eta(label).eta == (2 ** 70, 0)
 
 
+def test_count_eta_batch_largest_counts_on_either_work_dtype():
+    # x = 0 puts all 2^k subsets on r = 0, the largest count there is:
+    # 2^30 is the last that int32 work tables hold, 2^62 the last of int64
+    for k in (30, 31, 62):
+        eta = count_eta_batch(np.zeros((2, k), dtype=np.int64), 3)
+        assert eta.tolist() == [[2 ** k, 0, 0]] * 2
+
+
 def test_enumerate_examples():
     assert enumerate_subsets(BlockLabel((1, 2), 4), 3).tolist() == [3]
     assert enumerate_subsets(BlockLabel((0, 0), 2), 1).tolist() == []
