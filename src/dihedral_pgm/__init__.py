@@ -26,9 +26,9 @@ from .simulate import (OutcomeDistribution, outcome_distribution,
                        run_trials, shift_covariance_check)
 from .subsetsum import (PartialIsometry, SubsetProfile, SubsetSumInstance,
                         count_eta, count_eta_batch, enumerate_subsets,
-                        format_solution, iter_all_eta, neumark_complete,
-                        parse_instance, qsample, sample_solution,
-                        sample_solutions, superposition_vector, vtilde)
+                        format_solution, neumark_complete, parse_instance,
+                        qsample, sample_solution, sample_solutions,
+                        superposition_vector, vtilde)
 from .success import (InfoBoundResult, ThresholdPoint, chi_single_copy,
                       info_lower_bound, lsb_counting_sums, lsb_success_exact,
                       lsb_threshold_check, lsb_upper_bound, success_exact,

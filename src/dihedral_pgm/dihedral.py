@@ -254,6 +254,13 @@ class BlockLabel:
         sums.flags.writeable = False
         return sums
 
+    @cached_property
+    def eta(self) -> np.ndarray:
+        """Solution counts eta_r = #{b : b . x = r}, read from bit_dots."""
+        counts = np.bincount(self.bit_dots, minlength=self.N)
+        counts.flags.writeable = False
+        return counts
+
 
 def bit_dot_table(label: BlockLabel) -> np.ndarray:
     """(b . x) mod N for every bit string b, in little-endian order.
@@ -294,7 +301,7 @@ def block_state(label: BlockLabel, shift) -> BlockState:
         return BlockState(label, TRIVIAL, None)
     N = label.N
     table = phase_table(N)
-    amps = table[(int(shift) * bit_dot_table(label).astype(np.int64)) % N]
+    amps = table[(int(shift) * label.bit_dots.astype(np.int64)) % N]
     amps = amps / np.sqrt(2.0 ** label.k)
     return BlockState(label, int(shift) % N, amps)
 

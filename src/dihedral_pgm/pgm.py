@@ -10,7 +10,10 @@ checks per block: the weighted operator sum_i p_i rho_i E_i is Hermitian
 and dominates every p_j rho_j.  Both checks live in _conditions, run on
 dense matrices by verify_holevo and, through _certify_blocks, on each
 block's ensemble over all of Z_N^k by certify_dihedral_pgm and
-LsbPovm.certify, the only path that scales to (2N)^k = 4096.
+LsbPovm.certify, the only path that scales to (2N)^k = 4096.  The Gram
+rank, the number of occupied (x, p) pairs, is an orbit-weighted sum of
+support sizes over the one guarded orbit walk of the exact means
+(success._all_eta).
 
 The parity (least-significant-bit) measurement lives here too: its two
 effects per block pair each |S_r> with |S_(r+N/2)>, and aggregate the
@@ -19,23 +22,22 @@ per-shift effects over even and odd j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Unused here: perfbench/spans.py traces pgm.block_state, pgm.bit_dot_table.
 from .dihedral import (BlockLabel, ScaleLimitError, _check_dense,  # noqa: F401
                        bit_dot_table, block_state, phase_table)
-from .subsetsum import iter_all_eta, vtilde
+# Unused here: perfbench/spans.py traces pgm.iter_all_eta.
+from .subsetsum import iter_all_eta, vtilde  # noqa: F401
+from .success import _all_eta
 
 #: Eigenvalues below this relative threshold count as zero in G^(-1/2).
 PSEUDO_INVERSE_CUTOFF = 1e-10
 
 #: Generic dense builders stay below this dimension.
 PGM_DENSE_LIMIT = 256
-
-#: Exact Gram-rank enumeration guard.
-GRAM_ENUM_LIMIT = 2 ** 22
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +73,8 @@ def _block_phases(label: BlockLabel) -> tuple[np.ndarray, np.ndarray]:
 def povm_block(label: BlockLabel) -> PovmBlock:
     """Closed-form effect vectors e_j = sum_p omega^(jp) |S_p> / sqrt(N)."""
     sums, phases = _block_phases(label)
-    eta = np.bincount(sums, minlength=label.N)
-    vectors = phases / np.sqrt(label.N * eta[sums])
-    return PovmBlock(label, vectors, int(np.count_nonzero(eta)))
+    vectors = phases / np.sqrt(label.N * label.eta[sums])
+    return PovmBlock(label, vectors, int(np.count_nonzero(label.eta)))
 
 
 @dataclass
@@ -81,31 +82,23 @@ class GramOperator:
     """Block description of G = sum_j rho_j^(x k copies).
 
     Blocks are produced lazily from the closed form; the exact rank (the
-    number of occupied (x, p) pairs) is only enumerated under its guard.
+    number of occupied (x, p) pairs) is summed over one x per S_k orbit
+    of Z_N^k behind the enumeration guard of the exact means.
     """
 
     N: int
     k: int
-    _rank: int | None = field(default=None, repr=False)
 
     def block(self, label: BlockLabel) -> np.ndarray:
         """(N / (2N)^k) sum_r eta_r |S_r><S_r| for one block."""
         V = vtilde(label).rows
-        eta = np.bincount(label.bit_dots, minlength=self.N).astype(np.float64)
         scale = self.N / float((2 * self.N) ** self.k)
-        return scale * ((V.T * eta[None, :]) @ V.conj())
+        return scale * ((V.T * label.eta[None, :]) @ V.conj())
 
     def rank(self) -> int:
         """Number of occupied (x, p) pairs; equals the support dimension."""
-        if self._rank is None:
-            if self.N ** self.k > GRAM_ENUM_LIMIT:
-                raise ScaleLimitError(
-                    f"N^k = {self.N ** self.k} exceeds the eager rank guard")
-            total = 0
-            for _, eta in iter_all_eta(self.N, self.k):
-                total += int(np.count_nonzero(eta, axis=1).sum())
-            self._rank = total
-        return self._rank
+        return sum(int(w @ np.count_nonzero(eta, axis=1))
+                   for w, eta in _all_eta(self.N, self.k))
 
     def trace(self) -> float:
         """tr G = N exactly (each of the N summands has unit trace)."""
@@ -228,10 +221,10 @@ def certify_dihedral_pgm(N: int, k: int, tol: float = 1e-9,
     def ensemble(label):
         priors = np.full(N, 1.0 / (N * float(N) ** k))
         sums, phases = _block_phases(label)
-        eta = np.bincount(sums, minlength=N)
         psi = phases / np.sqrt(2.0 ** k)  # rows of block_state
         # rows of povm_block, row j holding e_(j+shift)
-        e = np.roll(phases, -assignment_shift, axis=0) / np.sqrt(N * eta[sums])
+        e = (np.roll(phases, -assignment_shift, axis=0)
+             / np.sqrt(N * label.eta[sums]))
         return (priors, psi[:, :, None] * psi.conj()[:, None, :],
                 e[:, :, None] * e.conj()[:, None, :])
 

@@ -51,7 +51,7 @@ def _distributions(eta: np.ndarray, N: int, k: int, hidden) -> np.ndarray:
     # W[m] = |sum_p omega^(mp) sqrt(eta_p)|^2, shared by every shift:
     # P(j) only reads it at index (d - j) mod N, so shift covariance is
     # exact by construction.
-    amps = np.fft.ifft(np.sqrt(eta.astype(np.float64)), axis=1) * N
+    amps = np.fft.ifft(np.sqrt(eta, dtype=np.float64), axis=1) * N
     W = amps.real ** 2 + amps.imag ** 2
     cols = (d - np.arange(N)) % N
     out[:, :N] = W[:, cols] / denom

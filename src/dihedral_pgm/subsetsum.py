@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dihedral import (DENSE_DIM_LIMIT, BlockLabel, ScaleLimitError,
+# Unused here: perfbench/spans.py traces subsetsum.bit_dot_table.
+from .dihedral import (DENSE_DIM_LIMIT, BlockLabel, ScaleLimitError,  # noqa: F401
                        bit_dot_table)
 
 #: int64 counting is exact up to 2^k <= 2^62.
@@ -123,7 +124,8 @@ def count_eta_batch(xs: np.ndarray, N: int) -> np.ndarray:
 
 def iter_all_eta(N: int, k: int, batch: int = 4096):
     """Yield (labels_chunk, eta_chunk) over all x in Z_N^k in lexicographic
-    order, chunked; labels_chunk is an (S, k) digit array."""
+    order, chunked; labels_chunk is an (S, k) digit array.  Unguarded and
+    N^k rows long: the slow path the orbit walk is tested against."""
     total = N ** k
     weights = N ** np.arange(k - 1, -1, -1, dtype=np.int64)
     for lo in range(0, total, batch):
@@ -187,14 +189,12 @@ def _iter_orbit_eta(N: int, k: int, batch: int = 4096):
 
 def enumerate_subsets(label: BlockLabel, r: int) -> np.ndarray:
     """All b with b . x = r mod N, as increasing little-endian integers."""
-    sums = bit_dot_table(label)
-    return np.flatnonzero(sums == r % label.N).astype(np.int64)
+    return np.flatnonzero(label.bit_dots == r % label.N).astype(np.int64)
 
 
 def superposition_vector(label: BlockLabel, r: int) -> np.ndarray:
     """|S_r> as 2^k amplitudes; the zero vector when eta_r = 0."""
-    sums = bit_dot_table(label)
-    members = np.flatnonzero(sums == r % label.N)
+    members = np.flatnonzero(label.bit_dots == r % label.N)
     vec = np.zeros(2 ** label.k, dtype=np.complex128)
     if members.size:
         vec[members] = 1 / np.sqrt(members.size)
@@ -204,10 +204,9 @@ def superposition_vector(label: BlockLabel, r: int) -> np.ndarray:
 def vtilde(label: BlockLabel) -> PartialIsometry:
     """The partial isometry sum_p |p><S_p| as an (N x 2^k) row stack."""
     sums = label.bit_dots
-    eta = np.bincount(sums, minlength=label.N)
     rows = np.zeros((label.N, 2 ** label.k), dtype=np.complex128)
     cols = np.arange(2 ** label.k)
-    rows[sums, cols] = 1 / np.sqrt(eta[sums])
+    rows[sums, cols] = 1 / np.sqrt(label.eta[sums])
     return PartialIsometry(label, rows)
 
 
@@ -297,8 +296,7 @@ def neumark_complete(label: BlockLabel) -> np.ndarray:
     dim = N + 2 ** k
     if dim > DENSE_DIM_LIMIT:
         raise ScaleLimitError(f"dense dimension {dim} exceeds {DENSE_DIM_LIMIT}")
-    sums = label.bit_dots
-    eta = np.bincount(sums, minlength=N)
+    sums, eta = label.bit_dots, label.eta
     V = vtilde(label).rows
     U = np.zeros((dim, dim), dtype=np.complex128)
     U[:N, :2 ** k] = V

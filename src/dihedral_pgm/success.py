@@ -52,10 +52,11 @@ SWEEP_EXACT_LIMIT = 2 ** 14
 
 #: Memory guard on Monte Carlo: the largest shard's (rows, N) int64 count
 #: table may take at most this many bytes, so N <= 4096 at SHARD rows.
-#: Each worker also holds the value kernel's float64 copies of that table,
-#: two for success and four for parity, so at the limit a worker peaks at
-#: 0.4-0.7 GB (tracemalloc, N = 4096) and `--threads T` needs at most
-#: 0.7 T GB: the two workers of a 2-core machine fit in 1.4 GB.
+#: Each worker also holds the value kernel's tables of that shape, one
+#: float64 table for success and a rolled copy plus one float64 product
+#: for parity, so at the limit a worker peaks at 0.27-0.40 GB
+#: (tracemalloc, N = 4096) and `--threads T` needs at most 0.4 T GB: the
+#: two workers of a 2-core machine fit in 0.8 GB.
 MC_SHARD_BYTES = 2 ** 27
 
 
@@ -181,7 +182,7 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
 
 def _success_values(eta: np.ndarray, N: int, k: int) -> np.ndarray:
     """Per-draw values (sum_r sqrt(eta_r))^2 / (2^k N), O(N) for every N."""
-    root_sums = np.sqrt(eta.astype(np.float64)).sum(axis=1)
+    root_sums = np.sqrt(eta, dtype=np.float64).sum(axis=1)
     # a block whose value is exactly 1 can round to 1 + 2^-52
     return np.minimum(root_sums ** 2 / (N * float(2 ** k)), 1.0)
 
@@ -250,9 +251,8 @@ def threshold_sweep(N: int, k_list, samples: int, seed,
 def _lsb_values(eta: np.ndarray, N: int, k: int) -> np.ndarray:
     """Per-draw parity success values
     (1/2)(1 + sum_r sqrt(eta_r eta_(r+N/2)) / 2^k)."""
-    ef = eta.astype(np.float64)
-    paired = np.roll(ef, -(N // 2), axis=1)
-    cross = np.sqrt(ef * paired).sum(axis=1)
+    prod = np.multiply(eta, np.roll(eta, -(N // 2), axis=1), dtype=np.float64)
+    cross = np.sqrt(prod, out=prod).sum(axis=1)
     return 0.5 * (1.0 + cross / float(2 ** k))
 
 

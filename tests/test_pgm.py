@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from dihedral_pgm import (BlockLabel, LsbPovm, ScaleLimitError,
-                          assemble_block_density, certify_dihedral_pgm,
-                          completion_effect, dense_block_effects,
+                          assemble_block_density, block_state,
+                          certify_dihedral_pgm, completion_effect,
+                          count_eta, dense_block_effects, enumerate_subsets,
                           gram_operator, lsb_povm, neumark_complete,
-                          pgm_dense, povm_block, verify_holevo, vtilde)
+                          pgm_dense, povm_block, success_exact,
+                          superposition_vector, verify_holevo, vtilde)
 from dihedral_pgm.cli import main
 
 #: Every oracle size the certifiers run at: (2N)^k <= 4096.
@@ -62,6 +64,15 @@ def test_gram_rank_small():
         assert gram_operator(N, k).rank() == count
 
 
+def test_gram_rank_guard_is_the_enumeration_guard():
+    # N = 2: the zero label has support {0}, every other label {0, 1}
+    assert gram_operator(2, 26).rank() == 2 ** 27 - 1
+    for call in (lambda: gram_operator(2, 27).rank(),
+                 lambda: success_exact(2, 27)):
+        with pytest.raises(ScaleLimitError, match="enumeration guard"):
+            call()
+
+
 def test_gram_blocks_match_dense_sum():
     for N, k in [(2, 1), (2, 2), (3, 1)]:
         G = sum(assemble_block_density(d, k, N) for d in range(N))
@@ -82,7 +93,6 @@ def test_gram_lazy_blocks_beyond_rank_guard():
     block = op.block(label)
     assert block.shape == (32, 32)
     # spectral content: eigenvalues are scale * eta_r on the occupied span
-    from dihedral_pgm import count_eta
     eta = sorted(e for e in count_eta(label).eta if e > 0)
     scale = 64 / float(128 ** 5)
     lam = np.sort(np.linalg.eigvalsh(block))[-len(eta):]
@@ -314,9 +324,14 @@ def test_one_bit_dot_table_per_block(monkeypatch):
     label = BlockLabel((1, 3), 4)
     gram_operator(4, 2).block(label)
     neumark_complete(label)
+    block_state(label, 3)
+    enumerate_subsets(label, 1)
+    superposition_vector(label, 1)
     assert len(calls) == 4 ** 2 + 1
     assert not label.bit_dots.flags.writeable
     assert np.array_equal(label.bit_dots, table(label))
+    assert not label.eta.flags.writeable
+    assert np.array_equal(label.eta, count_eta(label).eta)
 
 
 def test_lsb_certify_matches_dense():

@@ -2,7 +2,7 @@
 
 * Exact statistics equal a slow per-label reference built from
   BlockLabel.from_flat and the Python-integer count_eta, which shares no
-  code with count_eta_batch or iter_all_eta.
+  code with count_eta_batch or the orbit enumerator.
 * The orbit enumerator behind every exact mean visits each multiset of
   coordinates once, in chunks of at most `batch` rows, with a weight
   equal to the number of labels that sort to it.

@@ -1,20 +1,22 @@
 """Success probabilities, thresholds, counting identities, information bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dihedral_pgm import (ScaleLimitError, assemble_block_density,
                           chi_single_copy, count_eta_batch,
-                          dense_block_effects,
+                          dense_block_effects, gram_operator,
                           hidden_subgroup_state, info_lower_bound,
-                          iter_all_eta, lsb_counting_sums, lsb_success_exact,
+                          lsb_counting_sums, lsb_success_exact,
                           lsb_threshold_check, lsb_upper_bound,
                           subgroup_elements, success_exact, success_mc,
                           success_single_copy, threshold_sweep,
                           trivial_success)
 from dihedral_pgm import success
+from dihedral_pgm.subsetsum import iter_all_eta
 from dihedral_pgm.success import (SHARD, _lsb_values, _mean,
                                   _success_values, _support_values)
 
@@ -132,6 +134,21 @@ def test_mc_stderr_matches_two_pass():
     two_pass = math.sqrt(math.fsum((v - v.mean()) ** 2)
                          / (samples - 1) / samples)
     assert abs(stderr - two_pass) <= 1e-12 * two_pass
+
+
+def test_value_kernels_hold_one_float_table():
+    # beyond the (S, N) int64 counts the success kernel holds one float64
+    # table and the parity kernel one rolled copy of the counts plus one
+    # float64 product; these tables set a Monte Carlo worker's peak
+    N, k = 1024, 10
+    xs = np.random.default_rng(5).integers(0, N, size=(SHARD, k))
+    eta = count_eta_batch(xs, N)
+    for kernel, bound in ((_success_values, 1.5), (_lsb_values, 2.5)):
+        tracemalloc.start()
+        kernel(eta, N, k)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < bound * eta.nbytes
 
 
 def test_eta_row_sums():
@@ -322,13 +339,14 @@ def test_info_bound_domain():
 # ---------------------------------------------------------------------------
 
 def _full_enumeration(N, k):
-    """Success, parity and support means and the parity counting sums,
-    over every label of Z_N^k."""
+    """Success, parity and support means, the parity counting sums and
+    the number of occupied (x, p) pairs, over every label of Z_N^k."""
     kernels = [_success_values, _support_values]
     if N % 2 == 0:
         kernels.append(_lsb_values)
     sums = [[] for _ in kernels]
     counts = [0, 0, 0]
+    occupied = 0
     half = N // 2
     for _, eta in iter_all_eta(N, k):
         for out, kernel in zip(sums, kernels):
@@ -337,15 +355,17 @@ def _full_enumeration(N, k):
         counts[1] += int(eta[:, half].sum())
         counts[2] += sum(int((eta[:, r] * eta[:, -r % N]).sum())
                          for r in range(N) if r not in (0, half))
+        occupied += int(np.count_nonzero(eta))
     means = [math.fsum(out) / N ** k for out in sums]
-    return means, tuple(counts)
+    return means, tuple(counts), occupied
 
 
 @pytest.mark.parametrize("N,k", CERT_SIZES + [(8, 7), (16, 5), (64, 3)])
 def test_orbit_enumeration_matches_full(N, k):
-    means, counts = _full_enumeration(N, k)
+    means, counts, occupied = _full_enumeration(N, k)
     assert _close(success_exact(N, k).p, means[0])
     assert _close(trivial_success(N, k), 1.0 - means[1])
+    assert gram_operator(N, k).rank() == occupied
     if N % 2 == 0:
         assert _close(lsb_success_exact(N, k), means[2])
         assert lsb_counting_sums(N, k) == counts
