@@ -171,18 +171,21 @@ def hidden_subgroup_state(subgroup: frozenset[DihedralElement],
     if dim > DENSE_DIM_LIMIT:
         raise ScaleLimitError(f"dense dimension {dim} exceeds {DENSE_DIM_LIMIT}")
     order = len(elems)
-    rho = np.zeros((dim, dim), dtype=np.complex128)
+    # column c of V is the c-th coset state; the cosets partition the group,
+    # so each entry of V V^dag has exactly one nonzero term
+    V = np.zeros((dim, dim), dtype=np.complex128)
     seen = np.zeros(dim, dtype=bool)
+    cosets = 0
     for idx in range(dim):
         if seen[idx]:
             continue
         g = element_from_index(idx, N)
         coset = [multiply(g, h).index for h in elems]
         seen[coset] = True
-        v = np.zeros(dim, dtype=np.complex128)
-        v[coset] = 1 / np.sqrt(order)
-        rho += (order / dim) * np.outer(v, v.conj())
-    return rho
+        V[coset, cosets] = 1 / np.sqrt(order)
+        cosets += 1
+    V = V[:, :cosets]
+    return (order / dim) * (V @ V.conj().T)
 
 
 def tilde_basis_change(N: int) -> np.ndarray:

@@ -8,9 +8,12 @@ Gram operator has the closed-form spectral blocks
 (N / (2N)^k) sum_r eta_r |S_r><S_r|, and optimality reduces to two
 checks per block: the weighted operator sum_i p_i rho_i E_i is Hermitian
 and dominates every p_j rho_j.  Both checks live in _conditions, run on
-dense matrices by verify_holevo and, through _certify_blocks, on each
-block's ensemble over all of Z_N^k by certify_dihedral_pgm and
-LsbPovm.certify, the only path that scales to (2N)^k = 4096.  The Gram
+dense matrices by verify_holevo and, through _certify_blocks, on the
+ensemble of one block per S_k orbit of Z_N^k (the nondecreasing x,
+C(N+k-1, k) of them) by certify_dihedral_pgm and LsbPovm.certify, the
+only path that scales to (2N)^k = 4096.  Permuting the coordinates of x
+permutes the bits of b, a relabelling of the 2^k block basis, so every
+block on an orbit has the same residual and spectrum.  The Gram
 rank, the number of occupied (x, p) pairs, is an orbit-weighted sum of
 support sizes over the one guarded orbit walk of the exact means
 (success._all_eta).
@@ -30,7 +33,7 @@ import numpy as np
 from .dihedral import (BlockLabel, ScaleLimitError, _check_dense,  # noqa: F401
                        bit_dot_table, block_state, phase_table)
 # Unused here: perfbench/spans.py traces pgm.iter_all_eta.
-from .subsetsum import iter_all_eta, vtilde  # noqa: F401
+from .subsetsum import _nondecreasing_blocks, iter_all_eta, vtilde  # noqa: F401
 from .success import _all_eta
 
 #: Eigenvalues below this relative threshold count as zero in G^(-1/2).
@@ -151,6 +154,7 @@ class OptimalityReport:
     dominance_min_eigenvalue: float
     tolerance: float
     operator: np.ndarray | None = None  # sum_i p_i rho_i E_i when materialized
+    worst_block: tuple[int, ...] | None = None  # block x of the least dominance
 
     def _verdicts(self) -> tuple[bool, bool]:
         return (self.hermiticity_residual <= self.tolerance,
@@ -181,12 +185,23 @@ def _conditions(priors, states, effects) -> tuple[np.ndarray, float, float]:
 
 
 def _certify_blocks(N: int, k: int, ensemble, tol: float) -> OptimalityReport:
-    """Worst residual and dominance over the N^k blocks; ensemble(label), called
-    only after the guard, gives one block's priors, states and effects."""
+    """Worst residual and dominance over Z_N^k, read from one nondecreasing x
+    per S_k orbit; ensemble(label), called only after the guard, gives one
+    block's priors, states and effects.
+
+    A permutation of x permutes the bits of every b, which relabels the
+    block basis and so conjugates the block's states, effects and L by one
+    permutation matrix: residual and spectrum are the same on the orbit.
+    worst_block is the first representative, in walk order, of the least
+    dominance eigenvalue.
+    """
     _check_dense(N, k)
-    labels = (BlockLabel.from_flat(X, N, k) for X in range(N ** k))
-    residuals, doms = zip(*(_conditions(*ensemble(x))[1:] for x in labels))
-    return OptimalityReport(max(residuals), min(doms), tol)
+    reps = (tuple(x) for rows in _nondecreasing_blocks(N, k)
+            for x in rows.tolist())
+    checks = [(x, *_conditions(*ensemble(BlockLabel(x, N)))[1:]) for x in reps]
+    worst, _, dom_min = min(checks, key=lambda c: c[2])
+    return OptimalityReport(max(c[1] for c in checks), dom_min, tol,
+                            worst_block=worst)
 
 
 def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityReport:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,12 +120,14 @@ def right_regular(g: DihedralElement) -> np.ndarray:
     return M
 
 
+@lru_cache(maxsize=None)
 def qft_dihedral(N: int) -> np.ndarray:
     """Fourier transform over the group as a dense 2N x 2N unitary.
 
     Row (x, l, m) has entries sqrt(d_x / 2N) [Gamma_x(g)]_(l, m) over the
     group-basis columns g = r^t s^k (index t N + k); rows are ordered per
     the module convention.  Row orthonormality is Schur orthogonality.
+    Built once per N and shared read-only.
     """
     if 2 * N > 1024:
         raise ScaleLimitError("QFT guard is 2N <= 1024")
@@ -148,6 +151,7 @@ def qft_dihedral(N: int) -> np.ndarray:
                               for i in range(2 * N)])
             Q[row] = scale * signs
             row += 1
+    Q.flags.writeable = False
     return Q
 
 

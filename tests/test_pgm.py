@@ -1,16 +1,21 @@
 """Measurement construction and optimality certification."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_pgm import (BlockLabel, LsbPovm, ScaleLimitError,
                           assemble_block_density, block_state,
                           certify_dihedral_pgm, completion_effect,
                           count_eta, dense_block_effects, enumerate_subsets,
-                          gram_operator, lsb_povm, neumark_complete,
+                          gram_operator, lsb_povm, neumark_complete, pgm,
                           pgm_dense, povm_block, success_exact,
                           superposition_vector, verify_holevo, vtilde)
 from dihedral_pgm.cli import main
+from dihedral_pgm.subsetsum import _nondecreasing_blocks
 
 #: Every oracle size the certifiers run at: (2N)^k <= 4096.
 CERT_SIZES = [(N, k) for N in (2, 3, 4, 5, 6, 8) for k in range(1, 13)
@@ -242,6 +247,91 @@ def test_certify_perturbed_fails_dominance(N, k):
     assert main(["verify", "--N", str(N), "--k", str(k)]) == 0
 
 
+def _spy_certify_blocks(patch):
+    """Record each ensemble passed to _certify_blocks, which still runs."""
+    ensembles = []
+    certify_blocks = pgm._certify_blocks
+
+    def spy(N, k, ensemble, tol):
+        ensembles.append(ensemble)
+        return certify_blocks(N, k, ensemble, tol)
+
+    patch.setattr(pgm, "_certify_blocks", spy)
+    return ensembles
+
+
+def _full_walk(N, k, ensemble, tol):
+    """Slow path: both conditions at every one of the N^k blocks."""
+    residuals, doms = zip(*(
+        pgm._conditions(*ensemble(BlockLabel.from_flat(X, N, k)))[1:]
+        for X in range(N ** k)))
+    return pgm.OptimalityReport(max(residuals), min(doms), tol)
+
+
+@pytest.mark.parametrize("N,k", CERT_SIZES)
+def test_orbit_walk_matches_full_walk(N, k, monkeypatch):
+    """One block per S_k orbit certifies all of Z_N^k: the certifiers'
+    reports equal a walk over all N^k blocks of the captured ensemble."""
+    scale = 1e-12 * float(N) ** -(k + 1)
+    block = LsbPovm.block
+
+    def check(certify, swap_lsb=False):
+        with monkeypatch.context() as m:
+            if swap_lsb:
+                m.setattr(LsbPovm, "block",
+                          lambda self, label: block(self, label)[::-1])
+            ensembles = _spy_certify_blocks(m)
+            orbit = certify()
+            full = _full_walk(N, k, ensembles[0], orbit.tolerance)
+        assert orbit.passed == full.passed
+        assert abs(orbit.hermiticity_residual
+                   - full.hermiticity_residual) <= scale
+        assert abs(orbit.dominance_min_eigenvalue
+                   - full.dominance_min_eigenvalue) <= scale
+
+    check(lambda: certify_dihedral_pgm(N, k))
+    check(lambda: certify_dihedral_pgm(N, k, assignment_shift=1))
+    if N % 2 == 0:
+        check(lambda: lsb_povm(N, k).certify())
+        check(lambda: lsb_povm(N, k).certify(), swap_lsb=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_block_conditions_are_invariant_under_permuting_x(data):
+    N, k = data.draw(st.sampled_from(CERT_SIZES))
+    x = data.draw(st.lists(st.integers(0, N - 1), min_size=k, max_size=k))
+    sigma = data.draw(st.permutations(range(k)))
+    shift = data.draw(st.sampled_from((0, 1)))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pgm, "_certify_blocks", lambda N, k, ens, tol: ens)
+        ensemble = certify_dihedral_pgm(N, k, assignment_shift=shift)
+    _, residual, dom = pgm._conditions(*ensemble(BlockLabel(x, N)))
+    _, residual_p, dom_p = pgm._conditions(
+        *ensemble(BlockLabel([x[i] for i in sigma], N)))
+    assert abs(residual - residual_p) <= 1e-15
+    assert abs(dom - dom_p) <= 1e-15
+
+
+# (2,4) has four representatives tied at the least dominance
+@pytest.mark.parametrize("N,k", [(4, 3), (2, 4)])
+def test_worst_block_is_first_representative_of_least_dominance(N, k,
+                                                                 monkeypatch):
+    ensembles = _spy_certify_blocks(monkeypatch)
+    report = certify_dihedral_pgm(N, k, assignment_shift=1)
+    x = report.worst_block
+    assert len(x) == k and list(x) == sorted(x)
+    ensemble = ensembles[0]
+    assert (pgm._conditions(*ensemble(BlockLabel(x, N)))[2]
+            == report.dominance_min_eigenvalue)
+    walk = [tuple(r) for rows in _nondecreasing_blocks(N, k)
+            for r in rows.tolist()]
+    doms = [pgm._conditions(*ensemble(BlockLabel(r, N)))[2] for r in walk]
+    assert walk.index(x) == doms.index(min(doms))
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    assert verify_holevo([zero], [1.0], [zero]).worst_block is None
+
+
 def test_certify_guard():
     with pytest.raises(ScaleLimitError):
         certify_dihedral_pgm(9, 4)
@@ -320,14 +410,15 @@ def test_one_bit_dot_table_per_block(monkeypatch):
     for module in (dihedral, pgm, subsetsum):
         monkeypatch.setattr(module, "bit_dot_table", counted)
     lsb_povm(4, 2).certify()
-    assert len(calls) == 4 ** 2
+    # one label per S_k orbit representative
+    assert len(calls) == math.comb(4 + 2 - 1, 2)
     label = BlockLabel((1, 3), 4)
     gram_operator(4, 2).block(label)
     neumark_complete(label)
     block_state(label, 3)
     enumerate_subsets(label, 1)
     superposition_vector(label, 1)
-    assert len(calls) == 4 ** 2 + 1
+    assert len(calls) == math.comb(4 + 2 - 1, 2) + 1
     assert not label.bit_dots.flags.writeable
     assert np.array_equal(label.bit_dots, table(label))
     assert not label.eta.flags.writeable

@@ -79,6 +79,14 @@ def test_qft_unitary(N):
     assert np.abs(Q @ Q.conj().T - np.eye(2 * N)).max() < 1e-12
 
 
+def test_qft_built_once_per_n_and_read_only():
+    Q = qft_dihedral(6)
+    assert qft_dihedral(6) is Q
+    assert not Q.flags.writeable
+    with pytest.raises(ValueError):
+        Q[0, 0] = 0
+
+
 def test_qft_n2_is_scaled_character_table():
     # all four irreps of the order-4 group are one dimensional
     Q = qft_dihedral(2)

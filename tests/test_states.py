@@ -8,8 +8,9 @@ from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError,
                           assemble_block_density, bit_dot_table,
                           block_basis_transform, block_state,
                           coset_state_group_basis, dense_state,
-                          hidden_subgroup_state, phase_table,
-                          subgroup_elements, tilde_basis_change)
+                          element_from_index, hidden_subgroup_state,
+                          multiply, phase_table, subgroup_elements,
+                          tilde_basis_change)
 
 
 def _coset_mixture(d, N):
@@ -62,6 +63,32 @@ def test_hidden_subgroup_state_trivial_is_maximally_mixed():
     for N in (2, 5):
         rho = hidden_subgroup_state(subgroup_elements("trivial", N))
         assert np.abs(rho - np.eye(2 * N) / (2 * N)).max() < 1e-15
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+def test_hidden_subgroup_state_equals_outer_product_sum_bitwise(N):
+    # each entry of V V^dag has one nonzero term, so the single product is
+    # bitwise the sum of one dense outer product per coset
+    dim = 2 * N
+    subgroups = [subgroup_elements("trivial", N)]
+    subgroups += [subgroup_elements("order2", N, d=d) for d in range(N)]
+    for sub in subgroups:
+        elems = list(sub)
+        order = len(elems)
+        expected = np.zeros((dim, dim), dtype=np.complex128)
+        seen = np.zeros(dim, dtype=bool)
+        for idx in range(dim):
+            if seen[idx]:
+                continue
+            g = element_from_index(idx, N)
+            coset = [multiply(g, h).index for h in elems]
+            seen[coset] = True
+            v = np.zeros(dim, dtype=np.complex128)
+            v[coset] = 1 / np.sqrt(order)
+            expected += (order / dim) * np.outer(v, v.conj())
+        rho = hidden_subgroup_state(sub, N)
+        assert rho.dtype == expected.dtype
+        assert rho.tobytes() == expected.tobytes()
 
 
 def test_block_state_examples():
