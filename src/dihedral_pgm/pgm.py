@@ -34,7 +34,7 @@ from .dihedral import (BlockLabel, ScaleLimitError, _check_dense,  # noqa: F401
                        bit_dot_table, block_state, phase_table)
 # Unused here: perfbench/spans.py traces pgm.iter_all_eta.
 from .subsetsum import _nondecreasing_blocks, iter_all_eta, vtilde  # noqa: F401
-from .success import _all_eta
+from .success import _all_eta, _support_sizes
 
 #: Eigenvalues below this relative threshold count as zero in G^(-1/2).
 PSEUDO_INVERSE_CUTOFF = 1e-10
@@ -100,8 +100,8 @@ class GramOperator:
 
     def rank(self) -> int:
         """Number of occupied (x, p) pairs; equals the support dimension."""
-        return sum(int(w @ np.count_nonzero(eta, axis=1))
-                   for w, eta in _all_eta(self.N, self.k))
+        return sum(int(w @ sizes) for w, sizes in _all_eta(
+            self.N, self.k, lambda rows, eta: _support_sizes(eta)))
 
     def trace(self) -> float:
         """tr G = N exactly (each of the N summands has unit trace)."""

@@ -58,6 +58,28 @@ def _distributions(eta: np.ndarray, N: int, k: int, hidden) -> np.ndarray:
     return out
 
 
+def _outcomes(eta: np.ndarray, N: int, k: int, hidden,
+              u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outcomes, one per row of eta, from one uniform u per
+    row: the number of cumulative probabilities at or below u (ties
+    resolve toward smaller j), capped at N, the trivial outcome.
+
+    The tables are built CHUNK_BYTES // (16 N) rows at a time, so the
+    largest, the complex128 Fourier transform, takes CHUNK_BYTES whatever
+    the work dtype of eta.  With larger blocks (whole counting chunks, or
+    half of them) the allocator handed back and faulted in their pages
+    block after block: 9e4 page faults and up to 1.5x the time for the
+    10000 trials of simulate at N = 1024, k = 20, against 3e3-3e4."""
+    S = eta.shape[0]
+    step = max(1, CHUNK_BYTES // (16 * N))
+    outcomes = np.empty(S, dtype=np.int64)
+    for lo in range(0, S, step):
+        rows = slice(lo, lo + step)
+        cdf = np.cumsum(_distributions(eta[rows], N, k, hidden), axis=1)
+        outcomes[rows] = (cdf <= u[rows, None]).sum(axis=1)
+    return np.minimum(outcomes, N)
+
+
 def outcome_distribution(label: BlockLabel, hidden) -> OutcomeDistribution:
     """Exact within-block outcome distribution for one label."""
     eta = count_eta_batch(np.array([label.x]), label.N)
@@ -74,7 +96,11 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     outcome.  Outcomes are drawn by inverse CDF on the N+1 probabilities
     with one uniform per trial (ties resolve toward smaller j).  Trials
     run in the estimators' shards (success.SHARD draws, split seeds),
-    merged in shard order.
+    merged in shard order.  Within a shard the outcomes are
+    count_eta_batch's reducer (_outcomes): each cache-sized counting
+    chunk is turned into its outcomes while it is still in cache, so a
+    worker holds its draws plus one chunk's tables, never a (SHARD, N)
+    table.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -84,20 +110,10 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
         rng = np.random.default_rng(ss)
         xs = rng.integers(0, N, size=(n, k))
         u = rng.random(n)
-        eta = count_eta_batch(xs, N)
-        # The (n, N+1) tables are built in chunks of the counting
-        # recurrence's byte budget, so a worker holds the counts plus one
-        # cache-sized chunk in either phase, and the pool's peak memory
-        # hardly depends on how workers interleave.
-        outcomes = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, chunk):
-            rows = slice(lo, lo + chunk)
-            cdf = np.cumsum(_distributions(eta[rows], N, k, hidden), axis=1)
-            outcomes[rows] = (cdf <= u[rows, None]).sum(axis=1)
-        return xs, np.minimum(outcomes, N)
+        return xs, count_eta_batch(
+            xs, N, lambda rows, eta: _outcomes(eta, N, k, hidden, u[rows]))
 
     _guard_shard_memory(N, trials)
-    chunk = max(1, CHUNK_BYTES // (N * 8))
     jobs = _shards(trials, seed)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

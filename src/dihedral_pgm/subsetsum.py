@@ -11,10 +11,15 @@ solutions.
 
 Counting is exact integer dynamic programming; sampling walks the same
 table backwards, so it is exactly uniform over solutions without ever
-enumerating them.  The batched counter runs the recurrence in chunks of
-draws whose work tables fit in CHUNK_BYTES, on int32 counts below
-k = 31, gathering each shifted row from a doubled row [T | T] so that no
-index is ever reduced mod N.
+enumerating them.  The batched counter is one chunk pipeline: it counts
+a chunk of draws whose work table fits in CHUNK_BYTES, hands the chunk
+to a row-wise reducer while it is still in cache, and moves on, so no
+(draws, N) table is ever held unless the caller asks for it (the
+default reducer).  Work tables are the narrowest exact integer type
+(int16 up to k = 14, int32 up to k = 30, int64 up to k = 62); each chunk
+starts from the histogram of the 2^m subset sums of its first m
+coordinates, built by doubling, and runs the remaining k - m steps on a
+doubled row [T | T] so that no index is ever reduced mod N.
 """
 
 from __future__ import annotations
@@ -33,12 +38,40 @@ BATCH_K_LIMIT = 62
 #: int32 work tables are exact up to 2^k <= 2^30.
 INT32_K_LIMIT = 30
 
+#: int16 work tables are exact up to 2^k <= 2^14.
+INT16_K_LIMIT = 14
+
 #: Bytes of one chunk's T in count_eta_batch.  The chunk's tables
 #: (doubled row plus gathered row, 3x this) then stay cache-sized: at
-#: N = 1024 a 4096-draw shard runs in 64-row chunks.  Halving or doubling
-#: it was slower on a 2-vCPU machine, and larger chunks raise the peak
-#: memory of small-N exact enumeration.
+#: N = 1024 a 4096-draw shard runs in 128-row int16 or 64-row int32
+#: chunks.  Halving or doubling it was slower on a 2-vCPU machine, and
+#: larger chunks raise the peak memory of small-N exact enumeration.
 CHUNK_BYTES = 2 ** 18
+
+
+def _prefix_width(N: int) -> int:
+    """Coordinates m whose 2^m subset sums seed each counting chunk:
+    the largest m with 2^m <= N / 64.  The histogram of the sums costs
+    about one dense step and saves m of them; m = 1 at N = 64 made 4096
+    draws at k = 3 1.6x slower."""
+    return max(0, N.bit_length() - 7)
+
+
+def _subset_sums(x: np.ndarray, N: int) -> np.ndarray:
+    """The 2^m sums b . x mod N of each row of x, an (S, m) array with
+    entries in [0, N), as an (S, 2^m) int64 array in little-endian order
+    of b, built by doubling with one conditional subtraction of N a step."""
+    sums = np.zeros((x.shape[0], 1), dtype=np.int64)
+    for j in range(x.shape[1]):
+        more = sums + x[:, j:j + 1]
+        more[more >= N] -= N
+        sums = np.concatenate([sums, more], axis=1)
+    return sums
+
+
+def _widen(rows: slice, eta: np.ndarray) -> np.ndarray:
+    """The identity reducer: a chunk's counts as int64."""
+    return eta.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -87,39 +120,61 @@ def count_eta(label: BlockLabel) -> SubsetProfile:
     return SubsetProfile(label, tuple(counts), sum(c > 0 for c in counts))
 
 
-def count_eta_batch(xs: np.ndarray, N: int) -> np.ndarray:
-    """eta for many draws at once: xs is (S, k) integers, result (S, N) int64.
+def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
+    """eta for many draws at once, reduced row-wise chunk by chunk.
 
-    The rows are counted in chunks of CHUNK_BYTES // (N * itemsize) draws,
-    each on its own work table, and copied into the int64 result.  The
-    work tables are int32 up to k = INT32_K_LIMIT (a count is at most
-    2^k) and int64 beyond it.  A chunk keeps each row doubled, [T | T],
-    so T[(r - x_j) mod N] for every r is the contiguous slice starting at
+    xs is (S, k) integers.  The rows are counted in chunks of
+    CHUNK_BYTES // (N * itemsize) draws, each on its own work table, and
+    every chunk is handed to reduce(rows, eta_chunk) while it is still
+    in cache: rows is the chunk's slice of xs and eta_chunk its
+    (len, N) counts in the work dtype.  The per-row results are
+    concatenated in row order.  The default reducer widens the chunk to
+    int64, so count_eta_batch(xs, N) is the (S, N) int64 table.
+
+    The work tables are int16 up to k = INT16_K_LIMIT, int32 up to
+    k = INT32_K_LIMIT and int64 beyond (a count is at most 2^k).  A chunk
+    starts from the histogram of the 2^m subset sums of its first m
+    coordinates (m from _prefix_width(N), sums from _subset_sums), and
+    runs the remaining k - m steps of the recurrence.  It keeps each row doubled, [T | T], so
+    T[(r - x_j) mod N] for every r is the contiguous slice starting at
     N - x_j, gathered with no modulo pass.
     """
     xs = np.asarray(xs)
     S, k = xs.shape
     if k > BATCH_K_LIMIT:
         raise ScaleLimitError(f"int64 counting overflows beyond k = {BATCH_K_LIMIT}")
-    work = np.int32 if k <= INT32_K_LIMIT else np.int64
+    if reduce is None:
+        reduce = _widen
+    work = (np.int16 if k <= INT16_K_LIMIT else
+            np.int32 if k <= INT32_K_LIMIT else np.int64)
     rows = max(1, CHUNK_BYTES // (N * np.dtype(work).itemsize))
-    starts = xs % N
-    np.subtract(N, starts, out=starts)  # in [1, N]
-    eta = np.empty((S, N), dtype=np.int64)
-    for lo in range(0, S, rows):
-        start = starts[lo:lo + rows]
-        n = start.shape[0]
+    m = min(k, _prefix_width(N))
+    out = None
+    # one pass over an empty xs still gives the reducer's output shape
+    for lo in range(0, max(S, 1), rows):
+        x = xs[lo:lo + rows] % N
+        n = x.shape[0]
         doubled = np.zeros((n, 2 * N), dtype=work)
-        doubled[:, [0, N]] = 1
         T = doubled[:, :N]
+        if m:
+            # one bincount over all rows: row s's sums land in s*N .. s*N+N-1
+            flat = _subset_sums(x[:, :m], N) + np.arange(0, n * N, N)[:, None]
+            T[...] = np.bincount(flat.ravel(), minlength=n * N).reshape(n, N)
+            doubled[:, N:] = T
+        else:
+            doubled[:, [0, N]] = 1
         # windows[s, i] is the view doubled[s, i:i + N]
         windows = np.lib.stride_tricks.sliding_window_view(doubled, N, axis=1)
         chunk_rows = np.arange(n)
-        for j in range(k):
+        start = N - x  # in [1, N]
+        for j in range(m, k):
             T += windows[chunk_rows, start[:, j]]
             doubled[:, N:] = T
-        eta[lo:lo + n] = T
-    return eta
+        result = reduce(slice(lo, lo + n), T)
+        if out is None:
+            out = np.empty((S,) + result.shape[1:], dtype=result.dtype)
+        out[lo:lo + n] = result
+    return out
 
 
 def iter_all_eta(N: int, k: int, batch: int = 4096):
@@ -161,12 +216,14 @@ def _orbit_weights(xs: np.ndarray) -> np.ndarray:
     return w
 
 
-def _iter_orbit_eta(N: int, k: int, batch: int = 4096):
-    """Yield (weights, eta_chunk) over one x per orbit of Z_N^k under
-    permutations of the coordinates (the nondecreasing x, in lexicographic
-    order), at most `batch` rows a chunk; weights are the exact int64
-    orbit sizes, summing to N^k.  Permuting x leaves eta unchanged, so a
-    weighted sum over these rows equals the sum over all of Z_N^k."""
+def _iter_orbit_eta(N: int, k: int, batch: int = 4096, reduce=None):
+    """Yield (weights, reduced_chunk) over one x per orbit of Z_N^k under
+    permutations of the coordinates (the nondecreasing x, in
+    lexicographic order), at most `batch` rows a chunk; weights are the
+    exact int64 orbit sizes, summing to N^k, and reduced_chunk is
+    count_eta_batch(chunk, N, reduce), the (rows, N) int64 counts by
+    default.  Permuting x leaves eta unchanged, so a weighted sum over
+    these rows equals the sum over all of Z_N^k."""
     parts, held = [], 0
     for block in _nondecreasing_blocks(N, k):
         parts.append(block)
@@ -177,10 +234,10 @@ def _iter_orbit_eta(N: int, k: int, batch: int = 4096):
             parts, held = [rows[cut:]], held - cut
             for lo in range(0, cut, batch):
                 chunk = rows[lo:lo + batch]
-                yield _orbit_weights(chunk), count_eta_batch(chunk, N)
+                yield _orbit_weights(chunk), count_eta_batch(chunk, N, reduce)
     if held:
         rows = np.concatenate(parts)
-        yield _orbit_weights(rows), count_eta_batch(rows, N)
+        yield _orbit_weights(rows), count_eta_batch(rows, N, reduce)
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,11 @@ SWEEP_EXACT_LIMIT = 2 ** 14
 
 #: Memory guard on Monte Carlo: the largest shard's (rows, N) int64 count
 #: table may take at most this many bytes, so N <= 4096 at SHARD rows.
-#: Each worker also holds the value kernel's tables of that shape, one
-#: float64 table for success and a rolled copy plus one float64 product
-#: for parity, so at the limit a worker peaks at 0.27-0.40 GB
-#: (tracemalloc, N = 4096) and `--threads T` needs at most 0.4 T GB: the
-#: two workers of a 2-core machine fit in 0.8 GB.
+#: No such table is held any more: the value kernels run on each
+#: cache-sized counting chunk, so at the limit a worker peaks at 2.3-3.3
+#: MB for success and parity (tracemalloc, N = 4096, k = 10..30), and
+#: `--threads T` needs a few MB a worker.  The guard stays the scale
+#: limit of the Monte Carlo commands.
 MC_SHARD_BYTES = 2 ** 27
 
 
@@ -94,16 +94,17 @@ def _density(N: int, k: int) -> float:
 # the reducer: one mean over x in Z_N^k, exact or Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _all_eta(N: int, k: int):
-    """(weights, eta) chunks of at most SHARD rows over one x per orbit of
-    Z_N^k under coordinate permutations, each weighted by its exact orbit
-    size, behind the enumeration guard (checked on the call, not on the
-    first chunk)."""
+def _all_eta(N: int, k: int, reduce):
+    """(weights, reduced) chunks of at most SHARD rows over one x per
+    orbit of Z_N^k under coordinate permutations, each weighted by its
+    exact orbit size, behind the enumeration guard (checked on the call,
+    not on the first chunk); reduced holds reduce(rows, eta) per row,
+    applied by count_eta_batch to each cache-sized counting chunk."""
     if N ** k > EXACT_ENUM_LIMIT:
         raise ScaleLimitError(
             f"N^k = {N ** k} exceeds the enumeration guard; use success_mc, "
             "lsb_threshold_check or trivial_success with samples")
-    return _iter_orbit_eta(N, k, batch=SHARD)
+    return _iter_orbit_eta(N, k, SHARD, reduce)
 
 
 def _guard_shard_memory(N: int, samples: int) -> None:
@@ -128,7 +129,10 @@ def _shards(samples: int, seed) -> list:
 def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
           threads: int = 1) -> tuple[float, float]:
     """Mean over x in Z_N^k of the kernel values(eta, N, k), which maps
-    (S, N) counts to S per-draw values, and its standard error.
+    (S, N) counts to S per-draw values, and its standard error.  The
+    kernel is row-wise, so it runs as count_eta_batch's reducer on each
+    cache-sized counting chunk, on counts in the chunk's work dtype, and
+    no (SHARD, N) table is held.
 
     With samples None the mean is exact (stderr 0): one x per orbit of
     Z_N^k under coordinate permutations is enumerated in SHARD chunks
@@ -140,20 +144,23 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
     shard sums, the variance from each shard's squared deviations about
     its own mean, combined by the pairwise update.
     """
+    def reduce(rows, eta):
+        return values(eta, N, k)
+
     if samples is None:
         def chunk_sum(chunk):
-            w, eta = chunk
-            return float(np.sum(w * values(eta, N, k)))
+            w, v = chunk
+            return float(np.sum(w * v))
 
         # map holds no chunk while the next one is counted
-        return math.fsum(map(chunk_sum, _all_eta(N, k))) / N ** k, 0.0
+        return math.fsum(map(chunk_sum, _all_eta(N, k, reduce))) / N ** k, 0.0
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
     def shard(job):
         ss, n = job
         xs = np.random.default_rng(ss).integers(0, N, size=(n, k))
-        v = values(count_eta_batch(xs, N), N, k)
+        v = count_eta_batch(xs, N, reduce)
         total = float(np.sum(v))
         dev = v - total / n
         return total, float(np.sum(dev * dev)), n
@@ -212,9 +219,14 @@ def success_mc(N: int, k: int, samples: int, seed,
     return ThresholdPoint(N, k, nu, p, stderr, "MC")
 
 
+def _support_sizes(eta: np.ndarray) -> np.ndarray:
+    """Per-draw support dimensions: the occupied residues r, eta_r > 0."""
+    return np.count_nonzero(eta, axis=1)
+
+
 def _support_values(eta: np.ndarray, N: int, k: int) -> np.ndarray:
     """Per-draw support fractions support_dim / 2^k."""
-    return np.count_nonzero(eta, axis=1) / float(2 ** k)
+    return _support_sizes(eta) / float(2 ** k)
 
 
 def trivial_success(N: int, k: int, samples: int | None = None,
@@ -281,6 +293,17 @@ def lsb_threshold_check(N: int, k: int, samples: int, seed,
     return ThresholdPoint(N, k, nu, p, stderr, "MC"), lsb_upper_bound(N, k)
 
 
+def _counting_terms(eta: np.ndarray, N: int) -> np.ndarray:
+    """Per-draw (eta_0, eta_(N/2), sum_(r != 0, N/2) eta_r eta_(-r)) as an
+    (S, 3) int64 table; the counts are widened before the products, which
+    overflow the int16 work tables from k = 8 on."""
+    eta = eta.astype(np.int64)
+    half = N // 2
+    keep = np.setdiff1d(np.arange(N, dtype=np.int64), (0, half))
+    cross = (eta[:, keep] * eta[:, (-keep) % N]).sum(axis=1)
+    return np.column_stack((eta[:, 0], eta[:, half], cross))
+
+
 def lsb_counting_sums(N: int, k: int) -> tuple[int, int, int]:
     """Exact integer sums behind the parity bound, by orbit-weighted
     enumeration: sum_x eta_0, sum_x eta_(N/2), and
@@ -288,16 +311,11 @@ def lsb_counting_sums(N: int, k: int) -> tuple[int, int, int]:
     """
     if N % 2 != 0:
         raise ValueError("N must be even")
-    sum0 = 0
-    sum_half = 0
-    cross = 0
-    half = N // 2
-    keep = np.setdiff1d(np.arange(N, dtype=np.int64), (0, half))
-    for w, eta in _all_eta(N, k):
-        sum0 += int(w @ eta[:, 0])
-        sum_half += int(w @ eta[:, half])
-        mirrored = eta[:, (-keep) % N]
-        cross += int(w @ (eta[:, keep] * mirrored).sum(axis=1))
+    sum0 = sum_half = cross = 0
+    for w, terms in _all_eta(N, k, lambda rows, eta: _counting_terms(eta, N)):
+        sum0 += int(w @ terms[:, 0])
+        sum_half += int(w @ terms[:, 1])
+        cross += int(w @ terms[:, 2])
     return sum0, sum_half, cross
 
 

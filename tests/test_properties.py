@@ -6,9 +6,13 @@
 * The orbit enumerator behind every exact mean visits each multiset of
   coordinates once, in chunks of at most `batch` rows, with a weight
   equal to the number of labels that sort to it.
-* count_eta_batch, which counts in byte-budgeted chunks on int32 or
-  int64 work tables, is bitwise equal to the Python-integer _dp_rows at
-  row counts on both sides of one chunk, for either work dtype.
+* count_eta_batch, which counts in byte-budgeted chunks on int16, int32
+  or int64 work tables seeded from the subset sums of the first m
+  coordinates, is bitwise equal to the Python-integer _dp_rows at row
+  counts on both sides of one chunk, for every work dtype and for k on
+  both sides of m; and every reducer the program hands it gives, chunk
+  by chunk, per-row results bitwise equal to the same function applied
+  to the whole int64 table.
 * Monte Carlo statistics and trial columns are bitwise independent of
   the thread count, at sample counts on both sides of one shard, and on
   shards that span several chunks.
@@ -25,11 +29,15 @@ from hypothesis import strategies as st
 from dihedral_pgm import (TRIVIAL, BlockLabel, count_eta, lsb_success_exact,
                           lsb_threshold_check, run_trials, success_exact,
                           success_mc, trivial_success)
-from dihedral_pgm.subsetsum import (CHUNK_BYTES, INT32_K_LIMIT,
-                                    _dp_rows, _iter_orbit_eta,
-                                    _nondecreasing_blocks, _orbit_weights,
+from dihedral_pgm.simulate import _outcomes
+from dihedral_pgm.subsetsum import (CHUNK_BYTES, INT16_K_LIMIT,
+                                    INT32_K_LIMIT, _dp_rows,
+                                    _iter_orbit_eta, _nondecreasing_blocks,
+                                    _orbit_weights, _prefix_width,
                                     count_eta_batch)
-from dihedral_pgm.success import SHARD, _mean, _support_values
+from dihedral_pgm.success import (SHARD, _counting_terms, _lsb_values,
+                                  _mean, _success_values, _support_sizes,
+                                  _support_values)
 
 ORACLE_ENUM = 4096
 THREADS = (1, 2, 3)
@@ -103,33 +111,75 @@ def test_orbit_weights_count_sorted_labels(size, batch):
 
 
 def _kernel_sizes():
-    """(N, k): int32 work tables at N <= 2048, and k = 28..40 at N <= 4,
-    across the int32/int64 switch after k = INT32_K_LIMIT."""
-    return st.one_of(st.tuples(st.integers(1, 2048), st.integers(1, 10)),
-                     st.tuples(st.integers(1, 4), st.integers(28, 40)))
+    """(N, k): N <= 2048 with k on both sides of the int16/int32 switch
+    after k = INT16_K_LIMIT and of N's prefix width m, and k = 28..40 at
+    N <= 4, across the int32/int64 switch after k = INT32_K_LIMIT."""
+    def ks(N):
+        m = _prefix_width(N)
+        edges = {max(1, m - 1), max(1, m), m + 1, INT16_K_LIMIT,
+                 INT16_K_LIMIT + 1}
+        return st.one_of(st.sampled_from(sorted(edges)), st.integers(1, 16))
+    return st.one_of(
+        st.integers(1, 2048).flatmap(lambda N: st.tuples(st.just(N), ks(N))),
+        st.tuples(st.integers(1, 4),
+                  st.one_of(st.sampled_from((INT32_K_LIMIT, INT32_K_LIMIT + 1)),
+                            st.integers(28, 40))))
 
 
-@core
-@given(_kernel_sizes(), st.sampled_from((None, -1, 0, 1)), st.data())
-def test_count_eta_batch_matches_dp_rows(size, offset, data):
+def _kernel_rows(size, offset, data):
+    """(N, k, pool, which, xs): S = 1 row, or a full counting chunk with
+    one row missing, none or one over, each row one of a few distinct x
+    (so the slow reference runs once per x) plus multiples of N (so
+    entries must be reduced mod N)."""
     N, k = size
-    itemsize = 4 if k <= INT32_K_LIMIT else 8
+    itemsize = (2 if k <= INT16_K_LIMIT else
+                4 if k <= INT32_K_LIMIT else 8)
     chunk = max(1, CHUNK_BYTES // (N * itemsize))
-    # one row, or a full chunk with one row missing, none or one over
     S = 1 if offset is None else chunk + offset
-    # rows repeat a few distinct x, so the slow reference runs once per x;
-    # adding multiples of N checks that entries are reduced mod N
     pool = np.array(data.draw(st.lists(
         st.lists(st.integers(0, N - 1), min_size=k, max_size=k),
         min_size=1, max_size=8)), dtype=np.int64)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     which = rng.integers(0, len(pool), size=S)
     xs = pool[which] + N * rng.integers(-2, 3, size=(S, k))
+    return N, k, pool, which, xs
+
+
+@settings(parent=core, max_examples=30)
+@given(_kernel_sizes(), st.sampled_from((None, -1, 0, 1)), st.data())
+def test_count_eta_batch_matches_dp_rows(size, offset, data):
+    N, k, pool, which, xs = _kernel_rows(size, offset, data)
     eta = count_eta_batch(xs, N)
-    assert eta.dtype == np.int64 and eta.shape == (S, N)
+    assert eta.dtype == np.int64 and eta.shape == (xs.shape[0], N)
     ref = np.array([_dp_rows(BlockLabel(tuple(x), N))[-1]
                     for x in pool.tolist()], dtype=np.int64)
     assert np.array_equal(eta, ref[which])
+
+
+@settings(parent=core, max_examples=30)
+@given(_kernel_sizes(), st.sampled_from((None, -1, 0, 1)), st.data())
+def test_chunk_reducers_match_the_int64_table(size, offset, data):
+    # every reducer the program hands count_eta_batch sees the counts in
+    # the chunk's work dtype; its per-row results must not depend on that
+    # dtype or on where the chunks are cut
+    N, k, _, _, xs = _kernel_rows(size, offset, data)
+    S = xs.shape[0]
+    u = np.random.default_rng(S).random(S)
+    table = count_eta_batch(xs, N)
+    reducers = [
+        lambda rows, eta: _success_values(eta, N, k),
+        lambda rows, eta: _lsb_values(eta, N, k),
+        lambda rows, eta: _support_values(eta, N, k),
+        lambda rows, eta: _support_sizes(eta),
+        lambda rows, eta: _counting_terms(eta, N),
+        lambda rows, eta: _outcomes(eta, N, k, N // 2, u[rows]),
+        lambda rows, eta: _outcomes(eta, N, k, TRIVIAL, u[rows]),
+    ]
+    for reduce in reducers:
+        fused = count_eta_batch(xs, N, reduce)
+        whole = reduce(slice(0, S), table)
+        assert fused.dtype == whole.dtype and fused.shape == whole.shape
+        assert np.array_equal(fused, whole)
 
 
 def _mc_cases(Ns=st.integers(2, 16).map(lambda h: 2 * h)):

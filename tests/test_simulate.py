@@ -111,20 +111,21 @@ def test_run_trials_deterministic_and_thread_invariant():
         assert np.array_equal(a[1][name], b[1][name])
 
 
-def test_run_trials_peak_memory_is_one_count_table():
-    # A shard holds its one (SHARD, N) int64 count table, plus, in either
-    # phase, one chunk of the byte budget CHUNK_BYTES: the counting work
-    # tables, or one block of outcome tables.  The few CHUNK_BYTES above
-    # the count table cover that chunk and the (SHARD, k) draws, so a
-    # worker pool's peak hardly depends on how the workers interleave.
-    N = 256
-    table = SHARD * N * 8
-    for hidden in (3, TRIVIAL):
-        tracemalloc.start()
-        run_trials(N, 12, hidden, SHARD, seed=4)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert table <= peak < table + 16 * CHUNK_BYTES
+def test_run_trials_peak_memory_is_chunk_sized():
+    # A shard holds its (SHARD, k) draws and uniforms, and one counting
+    # chunk of the byte budget CHUNK_BYTES with its block of outcome
+    # tables: no (SHARD, N) count table, which would be 8 MB at N = 256
+    # and 32 MB at N = 1024.  The bound does not grow with N, so a worker
+    # pool's peak hardly depends on N or on how the workers interleave.
+    k = 12
+    draws = SHARD * (k + 1) * 8
+    for N in (256, 1024):
+        for hidden in (3, TRIVIAL):
+            tracemalloc.start()
+            run_trials(N, k, hidden, SHARD, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 20 * CHUNK_BYTES + draws
 
 
 def test_monte_carlo_guard_allocates_nothing_sized_by_n():

@@ -9,6 +9,7 @@ from dihedral_pgm import (BlockLabel, SubsetSumInstance, bit_dot_table,
                           format_solution, neumark_complete, parse_instance,
                           qsample, sample_solution, sample_solutions,
                           superposition_vector, vtilde)
+from dihedral_pgm.subsetsum import _prefix_width, _subset_sums
 
 
 def brute_counts(label):
@@ -56,10 +57,29 @@ def test_count_eta_big_k_exact_integers():
 
 def test_count_eta_batch_largest_counts_on_either_work_dtype():
     # x = 0 puts all 2^k subsets on r = 0, the largest count there is:
-    # 2^30 is the last that int32 work tables hold, 2^62 the last of int64
-    for k in (30, 31, 62):
+    # 2^14 is the last that int16 work tables hold, 2^30 the last of
+    # int32 and 2^62 the last of int64
+    for k in (14, 15, 30, 31, 62):
         eta = count_eta_batch(np.zeros((2, k), dtype=np.int64), 3)
         assert eta.tolist() == [[2 ** k, 0, 0]] * 2
+
+
+def test_count_eta_batch_prefix_sums_wrap_mod_n():
+    # at N >= 128 each chunk starts from the subset sums of its first
+    # coordinates; with every x_j = N - 1 almost all of them wrap past N
+    for N in (128, 1024, 2048):
+        m = _prefix_width(N)
+        assert m >= 1
+        for k in (m, m + 1):
+            xs = np.full((3, k), N - 1, dtype=np.int64)
+            xs[1] = np.arange(N - k, N)
+            xs[2] = np.arange(k) * (N // k) + 1
+            eta = count_eta_batch(xs, N)
+            sums = _subset_sums(xs, N)
+            for row, counts, row_sums in zip(xs.tolist(), eta.tolist(), sums):
+                label = BlockLabel(tuple(row), N)
+                assert counts == brute_counts(label)
+                assert np.array_equal(row_sums, bit_dot_table(label))
 
 
 def test_enumerate_examples():

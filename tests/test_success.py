@@ -16,7 +16,7 @@ from dihedral_pgm import (ScaleLimitError, assemble_block_density,
                           success_single_copy, threshold_sweep,
                           trivial_success)
 from dihedral_pgm import success
-from dihedral_pgm.subsetsum import iter_all_eta
+from dihedral_pgm.subsetsum import CHUNK_BYTES, iter_all_eta
 from dihedral_pgm.success import (SHARD, _lsb_values, _mean,
                                   _success_values, _support_values)
 
@@ -101,10 +101,12 @@ def test_mc_kernel_reproduces_exact_bitwise(N, k, monkeypatch):
     p = math.fsum(sums) / xs.shape[0]
     # the orbit-weighted sum runs in another order
     assert _close(success_exact(N, k).p, p)
-    # fed every label with weight 1, the exact reducer is that reduction
-    # to the last bit: one kernel serves both
-    monkeypatch.setattr(success, "_all_eta", lambda N, k: (
-        (np.ones(eta.shape[0], dtype=np.int64), eta)
+    # fed every label with weight 1, each chunk through the reducer the
+    # exact branch passes, that branch is that reduction to the last
+    # bit: one kernel serves both
+    monkeypatch.setattr(success, "_all_eta", lambda N, k, reduce: (
+        (np.ones(eta.shape[0], dtype=np.int64),
+         reduce(slice(0, eta.shape[0]), eta))
         for _, eta in iter_all_eta(N, k, batch=SHARD)))
     assert _mean(N, k, _success_values)[0] == p
 
@@ -139,7 +141,8 @@ def test_mc_stderr_matches_two_pass():
 def test_value_kernels_hold_one_float_table():
     # beyond the (S, N) int64 counts the success kernel holds one float64
     # table and the parity kernel one rolled copy of the counts plus one
-    # float64 product; these tables set a Monte Carlo worker's peak
+    # float64 product; on each counting chunk, these tables set a Monte
+    # Carlo worker's peak
     N, k = 1024, 10
     xs = np.random.default_rng(5).integers(0, N, size=(SHARD, k))
     eta = count_eta_batch(xs, N)
@@ -149,6 +152,21 @@ def test_value_kernels_hold_one_float_table():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < bound * eta.nbytes
+
+
+def test_mc_shard_peak_memory_is_chunk_sized():
+    # The value kernel runs on each cache-sized counting chunk, so a
+    # shard holds its draws and a few CHUNK_BYTES of work and value
+    # tables, never its (SHARD, N) counts: 32 MB at N = 1024.
+    N, k = 1024, 10
+    draws = SHARD * k * 8
+    for call in (lambda: success_mc(N, k, SHARD, seed=6),
+                 lambda: lsb_threshold_check(N, k, SHARD, seed=6)):
+        tracemalloc.start()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * CHUNK_BYTES + draws
 
 
 def test_eta_row_sums():
