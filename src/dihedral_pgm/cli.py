@@ -46,6 +46,12 @@ def _parse_k_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _float_repr(v: float) -> str:
     return repr(float(v))
 
@@ -195,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                            help=f"RNG seed (default {DEFAULT_SEED})")
         if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker cap for sharded estimators")
+            p.add_argument("--threads", type=_positive_int, default=1,
+                           help="workers for the Monte Carlo shards (>= 1)")
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -13,19 +13,21 @@ support_dim / (N 2^k) and the leftover outcome absorbs the rest.
 
 Nothing here materializes 2^k-dimensional vectors: a length-N Fourier
 transform of sqrt(eta) per block is all it takes, which is what lets the
-simulator run at k around 20 and N around 1024.
+simulator run at k around 20 and N around 1024.  Trials draw their labels
+in the estimators' one Monte Carlo pass, success._sharded.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# Unused here: perfbench/spans.py traces simulate.ThreadPoolExecutor.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dihedral import TRIVIAL, BlockLabel
 from .subsetsum import CHUNK_BYTES, count_eta_batch
-from .success import _guard_shard_memory, _shards
+from .success import _sharded
 
 
 @dataclass(frozen=True)
@@ -94,32 +96,24 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     The columns are "labels", the (trials, k) block labels x, and
     "outcomes", the (trials,) outcomes j with N standing for the trivial
     outcome.  Outcomes are drawn by inverse CDF on the N+1 probabilities
-    with one uniform per trial (ties resolve toward smaller j).  Trials
-    run in the estimators' shards (success.SHARD draws, split seeds),
-    merged in shard order.  Within a shard the outcomes are
-    count_eta_batch's reducer (_outcomes): each cache-sized counting
-    chunk is turned into its outcomes while it is still in cache, so a
-    worker holds its draws plus one chunk's tables, never a (SHARD, N)
-    table.
+    with one uniform per trial (ties resolve toward smaller j), drawn
+    after the shard's labels.  Trials run in the estimators' Monte Carlo
+    pass, success._sharded (memory guard, success.SHARD draws a shard,
+    split seeds, `threads` workers), merged in shard order.  Within a
+    shard the outcomes are count_eta_batch's reducer (_outcomes): each
+    cache-sized counting chunk is turned into its outcomes while it is
+    still in cache, so a worker holds its draws plus one chunk's tables,
+    never a (SHARD, N) table.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
 
-    def shard(job):
-        ss, n = job
-        rng = np.random.default_rng(ss)
-        xs = rng.integers(0, N, size=(n, k))
-        u = rng.random(n)
+    def shard(rng, xs):
+        u = rng.random(len(xs))
         return xs, count_eta_batch(
             xs, N, lambda rows, eta: _outcomes(eta, N, k, hidden, u[rows]))
 
-    _guard_shard_memory(N, trials)
-    jobs = _shards(trials, seed)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(shard, jobs))
-    else:
-        parts = [shard(j) for j in jobs]
+    parts = _sharded(N, k, trials, seed, threads, shard)
     labels = np.concatenate([xs for xs, _ in parts])
     outcomes = np.concatenate([out for _, out in parts])
     want = N if hidden is TRIVIAL else int(hidden) % N

@@ -20,9 +20,9 @@ EXACT_ENUM_LIMIT, uses that permuting the coordinates of x leaves eta^x
 unchanged: it evaluates the kernel once per multiset of coordinates (the
 nondecreasing x, C(N+k-1, k) of them in place of N^k) and weights each
 value by the exact size of its orbit.  Its Monte Carlo branch averages
-seeded shards of SHARD uniform draws merged in shard order, so Monte
-Carlo results are byte-identical for a given seed regardless of the
-worker count.
+the seeded shards of SHARD uniform draws of _sharded, the one Monte Carlo
+pass (simulate's trials run it too), merged in shard order, so Monte
+Carlo results are byte-identical for a given seed whatever the worker count.
 """
 
 from __future__ import annotations
@@ -50,13 +50,12 @@ EXACT_ENUM_LIMIT = 2 ** 26
 #: Automatic exact/MC switch used by threshold_sweep.
 SWEEP_EXACT_LIMIT = 2 ** 14
 
-#: Memory guard on Monte Carlo: the largest shard's (rows, N) int64 count
-#: table may take at most this many bytes, so N <= 4096 at SHARD rows.
-#: No such table is held any more: the value kernels run on each
-#: cache-sized counting chunk, so at the limit a worker peaks at 2.3-3.3
-#: MB for success and parity (tracemalloc, N = 4096, k = 10..30), and
-#: `--threads T` needs a few MB a worker.  The guard stays the scale
-#: limit of the Monte Carlo commands.
+#: Memory guard on Monte Carlo, the scale limit of the Monte Carlo
+#: commands: N * min(samples, SHARD) * 8 may be at most this many bytes,
+#: so N <= 4096 at SHARD draws.  It bounds no table actually held: the
+#: value kernels run on each cache-sized counting chunk, so at the limit
+#: a worker peaks at 2.3-3.3 MB for success and parity (tracemalloc,
+#: N = 4096, k = 10..30), and `--threads T` needs a few MB a worker.
 MC_SHARD_BYTES = 2 ** 27
 
 
@@ -107,23 +106,26 @@ def _all_eta(N: int, k: int, reduce):
     return _iter_orbit_eta(N, k, SHARD, reduce)
 
 
-def _guard_shard_memory(N: int, samples: int) -> None:
-    """The Monte Carlo memory guard, run before any draw is made or any
-    table sized by N allocated."""
+def _sharded(N: int, k: int, samples: int, seed, threads: int, work) -> list:
+    """The one Monte Carlo pass: the memory guard, before any draw, then
+    [work(rng, xs) per shard of SHARD draws, the last partial] in shard
+    order on `threads` workers.  Each shard's rng is its own child of seed
+    and first draws xs, its (n, k) labels uniform on Z_N^k."""
     rows = min(samples, SHARD)
-    if rows * N * 8 > MC_SHARD_BYTES:
+    if N * rows * 8 > MC_SHARD_BYTES:
         raise ScaleLimitError(
-            f"a Monte Carlo shard's ({rows}, {N}) int64 count table exceeds "
-            f"the memory guard of {MC_SHARD_BYTES} bytes")
-
-
-def _shards(samples: int, seed) -> list:
-    """The RNG shard plan: (child seed, draw count) per SHARD draws, the
-    last shard partial, in merge order."""
+            f"N * min(samples, SHARD) * 8 = {N * rows * 8} bytes (N = {N}) "
+            f"exceeds the Monte Carlo memory guard of {MC_SHARD_BYTES} bytes")
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
     counts = [min(SHARD, samples - lo) for lo in range(0, samples, SHARD)]
-    return list(zip(root.spawn(len(counts)), counts))
+
+    def shard(ss, n):
+        rng = np.random.default_rng(ss)
+        return work(rng, rng.integers(0, N, size=(n, k)))
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(shard, root.spawn(len(counts)), counts))
 
 
 def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
@@ -138,9 +140,9 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
     Z_N^k under coordinate permutations is enumerated in SHARD chunks
     (_all_eta), each chunk's values are summed weighted by their orbit
     sizes, and the chunk sums are merged by fsum and divided by N^k.
-    Otherwise, behind the memory guard MC_SHARD_BYTES, x is drawn
-    uniformly in the seeded shards of _shards, run on up to `threads`
-    workers and merged in shard order: the mean from the fsum of the
+    Otherwise x is drawn uniformly by the one Monte Carlo pass _sharded
+    (memory guard, seeded shards, `threads` workers), and the shard
+    results are merged in shard order: the mean from the fsum of the
     shard sums, the variance from each shard's squared deviations about
     its own mean, combined by the pairwise update.
     """
@@ -157,21 +159,13 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
-    def shard(job):
-        ss, n = job
-        xs = np.random.default_rng(ss).integers(0, N, size=(n, k))
+    def shard(rng, xs):
         v = count_eta_batch(xs, N, reduce)
         total = float(np.sum(v))
-        dev = v - total / n
-        return total, float(np.sum(dev * dev)), n
+        dev = v - total / len(v)
+        return total, float(np.sum(dev * dev)), len(v)
 
-    _guard_shard_memory(N, samples)
-    jobs = _shards(samples, seed)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(shard, jobs))
-    else:
-        parts = [shard(j) for j in jobs]
+    parts = _sharded(N, k, samples, seed, threads, shard)
     mean = math.fsum(total for total, _, _ in parts) / samples
     # Chan et al.'s pairwise merge of (count, mean, squared deviations)
     seen, run_mean, sq_dev = 0, 0.0, 0.0

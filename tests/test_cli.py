@@ -44,6 +44,22 @@ def test_sweep_threads_do_not_change_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--N", "64", "--k", "9"],
+    ["lsb", "--N", "64", "--k", "9"],
+    ["simulate", "--N", "64", "--k", "9", "--hidden", "5"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exit_2_at_parse_time(argv, threads, tmp_path,
+                                                capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", threads, "--output", str(out)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_mc_rows_never_exceed_one(tmp_path, capsys):
     # at N = 2 every block but x = 0 succeeds with probability exactly 1
     out = tmp_path / "sweep.csv"

@@ -11,7 +11,7 @@ from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError, block_state,
                           run_trials, shift_covariance_check, success_exact,
                           success_mc, trivial_success)
 from dihedral_pgm.simulate import _distributions
-from dihedral_pgm.success import MC_SHARD_BYTES, SHARD, _guard_shard_memory
+from dihedral_pgm.success import MC_SHARD_BYTES, SHARD, _sharded
 from dihedral_pgm.subsetsum import CHUNK_BYTES, iter_all_eta
 
 
@@ -143,13 +143,28 @@ def test_monte_carlo_guard_allocates_nothing_sized_by_n():
 
 
 def test_monte_carlo_guard_bounds_the_largest_shard():
-    # the limit is on the largest shard's (min(samples, SHARD), N) table
+    # the limit is N * min(samples, SHARD) * 8 <= MC_SHARD_BYTES
     assert MC_SHARD_BYTES == SHARD * 4096 * 8
-    _guard_shard_memory(4096, 10000)
-    _guard_shard_memory(2 ** 20, 16)
+
+    def never(rng, xs):
+        raise AssertionError("a shard ran past the memory guard")
+
+    assert len(_sharded(4096, 1, 10000, 1, 1, lambda rng, xs: None)) == 3
+    assert len(_sharded(2 ** 20, 1, 16, 1, 1, lambda rng, xs: None)) == 1
     for N, samples in ((4097, 10000), (4097, SHARD), (2 ** 20, 17)):
         with pytest.raises(ScaleLimitError, match="memory guard"):
-            _guard_shard_memory(N, samples)
+            _sharded(N, 1, samples, 1, 1, never)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_trials_labels_are_the_estimators_draws(threads):
+    # run_trials draws its labels from the estimators' shard plan, so the
+    # simulator and _mean see the same x for a given seed
+    N, k, trials = 64, 6, SHARD + 5
+    labels = np.concatenate(
+        _sharded(N, k, trials, 11, 1, lambda rng, xs: xs))
+    _, columns = run_trials(N, k, 3, trials, seed=11, threads=threads)
+    assert np.array_equal(columns["labels"], labels)
 
 
 def test_run_trials_validates_count():

@@ -90,6 +90,17 @@ def test_success_mc_deterministic_and_thread_invariant():
     assert d.p != a.p
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_mc_rejects_fewer_than_one_thread_before_any_draw(threads,
+                                                          monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the thread count was rejected")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="max_workers"):
+        success_mc(64, 6, 5000, seed=3, threads=threads)
+
+
 @pytest.mark.parametrize("N,k", [(2, 12), (4, 5), (8, 4), (3, 7)])
 def test_mc_kernel_reproduces_exact_bitwise(N, k, monkeypatch):
     # the MC kernel applied to every x of Z_N^k, reduced shard by shard
@@ -128,9 +139,8 @@ def test_mc_stderr_matches_two_pass():
     # the merged shard variance is the two-pass variance of all draws
     N, k, samples = 64, 6, 10000
     v = np.concatenate([
-        _success_values(count_eta_batch(
-            np.random.default_rng(ss).integers(0, N, size=(n, k)), N), N, k)
-        for ss, n in success._shards(samples, 3)])
+        _success_values(count_eta_batch(xs, N), N, k)
+        for xs in success._sharded(N, k, samples, 3, 1, lambda rng, xs: xs)])
     mean, stderr = _mean(N, k, _success_values, samples, seed=3)
     assert abs(mean - math.fsum(v) / samples) <= 2 * math.ulp(mean)
     two_pass = math.sqrt(math.fsum((v - v.mean()) ** 2)
