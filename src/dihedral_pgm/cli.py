@@ -145,8 +145,8 @@ def cmd_subsetsum(args) -> int:
             rng = np.random.default_rng(line_seeds[lineno - 1])
             try:
                 draws = subsetsum.sample_solutions(inst, args.samples, rng)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+            except ValueError as exc:  # a ScaleLimitError keeps its exit 3
+                raise type(exc)(f"line {lineno}: {exc}") from None
             out_lines += [subsetsum.format_solution(b, inst.label.k)
                           for b in draws]
     _write(args.output, "\n".join(out_lines) + "\n")

@@ -17,8 +17,8 @@ built on top of it.
 Conventions fixed once for all modules:
 
 * bit strings b in Z_2^k are little-endian integers sum_j b_j 2^(j-1)
-  (b_1 is the least significant bit), and b . x is accumulated as a full
-  integer before reduction mod N;
+  (b_1 is the least significant bit), and b . x is reduced mod N one
+  coordinate at a time, so it equals the full-integer sum mod N;
 * block labels x in Z_N^k flatten lexicographically (x_1 most
   significant);
 * complex phases are read from a per-N table of the N distinct roots of
@@ -41,6 +41,9 @@ DENSE_DIM_LIMIT = 4096
 
 #: Explicit enumeration of the 2^k bit strings is capped here.
 ENUM_LIMIT = 2 ** 24
+
+#: bit_dot_table adds two residues below N in int64, exact for N below this.
+BIT_DOT_N_LIMIT = 2 ** 62
 
 
 class ScaleLimitError(ValueError):
@@ -266,18 +269,26 @@ class BlockLabel:
 
 
 def bit_dot_table(label: BlockLabel) -> np.ndarray:
-    """(b . x) mod N for every bit string b, in little-endian order.
+    """(b . x) mod N for every bit string b, in little-endian order, as
+    int64.
 
-    The sums are accumulated as full integers and reduced mod N once at
-    the end.  Guarded at 2^k <= 2^24 entries.
+    The table is built by doubling, each new half reduced mod N with one
+    conditional subtraction, so every entry stays below 2N <= 2^63 and
+    equals the full-integer sum reduced mod N.  Guarded at 2^k <= 2^24
+    entries and N < BIT_DOT_N_LIMIT.
     """
     k = label.k
     if 2 ** k > ENUM_LIMIT:
         raise ScaleLimitError(f"2^{k} bit strings exceed the enumeration guard")
-    sums = np.zeros(1, dtype=np.int32)
+    if label.N >= BIT_DOT_N_LIMIT:
+        raise ScaleLimitError(
+            f"N = {label.N} is not below the int64 bit-dot guard 2^62")
+    sums = np.zeros(1, dtype=np.int64)
     for xj in label.x:
-        sums = np.concatenate([sums, sums + np.int32(xj)])
-    return sums % label.N
+        more = sums + xj
+        more[more >= label.N] -= label.N
+        sums = np.concatenate([sums, more])
+    return sums
 
 
 @dataclass(frozen=True)

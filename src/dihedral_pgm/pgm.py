@@ -6,23 +6,35 @@ superpositions |S_p>.  The effect assigned to guess j is rank one,
 E_j^x = e_j e_j^dag with e_j = sum_p omega^(jp) |S_p> / sqrt(N), the
 Gram operator has the closed-form spectral blocks
 (N / (2N)^k) sum_r eta_r |S_r><S_r|, and optimality reduces to two
-checks per block: the weighted operator sum_i p_i rho_i E_i is Hermitian
-and dominates every p_j rho_j.  Both checks live in _conditions, run on
-dense matrices by verify_holevo and, through _certify_blocks, on the
-ensemble of one block per S_k orbit of Z_N^k (the nondecreasing x,
-C(N+k-1, k) of them) by certify_dihedral_pgm and LsbPovm.certify, the
-only path that scales to (2N)^k = 4096.  Permuting the coordinates of x
-permutes the bits of b, a relabelling of the 2^k block basis, so every
-block on an orbit has the same residual and spectrum.  The Gram
-rank, the number of occupied (x, p) pairs, is an orbit-weighted sum of
-support sizes over the one guarded orbit walk of the exact means
-(success._all_eta).
+checks per block: the weighted operator L = sum_i p_i rho_i E_i is
+Hermitian and dominates every p_j rho_j.
+
+Two paths run these checks.  _conditions is the dense oracle: it takes
+explicit matrices, and verify_holevo runs it on the full space.  The
+certifiers certify_dihedral_pgm and LsbPovm.certify run the span-basis
+kernel instead, which reads nothing but the counts eta of each block.
+In the orthonormal basis of the occupied |S_p> (s <= min(N, 2^k) of
+them) the state for shift d has coordinates omega^(dp) a_p with
+a_p = sqrt(eta_p / 2^k), and <psi_d|e_(d+shift)> does not depend on d,
+so L is diagonal.  The N dominance operators are conjugates of one
+another by diag(omega^(jp)), so one real symmetric s x s eigensolve
+decides them all; for parity, sum_(d even) omega^(d(p-q)) vanishes
+unless p = q mod N/2, so everything splits into 2 x 2 blocks pairing p
+with p + N/2.  The dense 2^k block is V L V^dag with V the isometry of
+the |S_p>, so its entrywise residual is the compressed one scaled by
+1/sqrt(eta_p eta_q), and its spectrum is the compressed spectrum plus
+2^k - s zeros.  _certify_blocks feeds the kernel one block per S_k orbit
+of Z_N^k (the nondecreasing x, C(N+k-1, k) of them), batched through
+count_eta_batch: permuting the coordinates of x permutes the bits of b,
+a relabelling of the 2^k block basis, so every block on an orbit has the
+same residual and spectrum.  The Gram rank, the number of occupied
+(x, p) pairs, is an orbit-weighted sum of support sizes over the one
+guarded orbit walk of the exact means (success._all_eta).
 
 The parity (least-significant-bit) measurement lives here too: its two
 effects per block pair each |S_r> with |S_(r+N/2)>, and aggregate the
 per-shift effects over even and odd j.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -33,7 +45,8 @@ import numpy as np
 from .dihedral import (BlockLabel, ScaleLimitError, _check_dense,  # noqa: F401
                        bit_dot_table, block_state, phase_table)
 # Unused here: perfbench/spans.py traces pgm.iter_all_eta.
-from .subsetsum import _nondecreasing_blocks, iter_all_eta, vtilde  # noqa: F401
+from .subsetsum import (_nondecreasing_blocks, count_eta_batch,  # noqa: F401
+                        iter_all_eta, vtilde)
 from .success import _all_eta, _support_sizes
 
 #: Eigenvalues below this relative threshold count as zero in G^(-1/2).
@@ -117,7 +130,7 @@ def gram_operator(N: int, k: int) -> GramOperator:
 # ---------------------------------------------------------------------------
 
 def pgm_dense(states: list[np.ndarray], priors) -> list[np.ndarray]:
-    """Square-root measurement for an explicit ensemble of density matrices.
+    """Square-root measurement for explicit density matrices and priors.
 
     E_j = S^(-1/2) p_j rho_j S^(-1/2) with S = sum_i p_i rho_i and the
     inverse square root taken on the support of S (relative eigenvalue
@@ -174,8 +187,10 @@ class OptimalityReport:
 
 def _conditions(priors, states, effects) -> tuple[np.ndarray, float, float]:
     """L = sum_i p_i rho_i E_i, max|L - L^dag| and min_j of the least
-    eigenvalue of (L + L^dag)/2 - p_j rho_j.  The ensemble is walked one
-    state at a time, so dense inputs are never stacked or reweighted."""
+    eigenvalue of (L + L^dag)/2 - p_j rho_j, on dense matrices: the
+    oracle the span-basis kernel is tested against.  The states are
+    walked one at a time, so dense inputs are never stacked or
+    reweighted."""
     L = sum(p * rho @ E for p, rho, E in zip(priors, states, effects))
     residual = float(np.abs(L - L.conj().T).max())
     Lh = (L + L.conj().T) / 2
@@ -184,10 +199,12 @@ def _conditions(priors, states, effects) -> tuple[np.ndarray, float, float]:
     return L, residual, dom_min
 
 
-def _certify_blocks(N: int, k: int, ensemble, tol: float) -> OptimalityReport:
+def _certify_blocks(N: int, k: int, conditions, tol: float) -> OptimalityReport:
     """Worst residual and dominance over Z_N^k, read from one nondecreasing x
-    per S_k orbit; ensemble(label), called only after the guard, gives one
-    block's priors, states and effects.
+    per S_k orbit.  count_eta_batch counts the representatives and hands
+    each chunk's (rows, N) counts to conditions(eta), which returns the
+    chunk's (rows, 2) per-block residuals and least dominance eigenvalues;
+    nothing is built before the guard.
 
     A permutation of x permutes the bits of every b, which relabels the
     block basis and so conjugates the block's states, effects and L by one
@@ -196,12 +213,11 @@ def _certify_blocks(N: int, k: int, ensemble, tol: float) -> OptimalityReport:
     dominance eigenvalue.
     """
     _check_dense(N, k)
-    reps = (tuple(x) for rows in _nondecreasing_blocks(N, k)
-            for x in rows.tolist())
-    checks = [(x, *_conditions(*ensemble(BlockLabel(x, N)))[1:]) for x in reps]
-    worst, _, dom_min = min(checks, key=lambda c: c[2])
-    return OptimalityReport(max(c[1] for c in checks), dom_min, tol,
-                            worst_block=worst)
+    xs = np.concatenate(list(_nondecreasing_blocks(N, k)))
+    checks = count_eta_batch(xs, N, lambda rows, eta: conditions(eta))
+    worst = int(np.argmin(checks[:, 1]))
+    return OptimalityReport(float(checks[:, 0].max()), float(checks[worst, 1]),
+                            tol, worst_block=tuple(xs[worst].tolist()))
 
 
 def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityReport:
@@ -209,7 +225,7 @@ def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityRepor
 
     Raises ValueError naming the violated property when the effects are
     not positive semidefinite or do not act as the identity on the
-    support of the ensemble.
+    support of the states.
     """
     priors = np.asarray(priors, dtype=np.float64)
     if not (len(states) == len(effects) == priors.size):
@@ -221,9 +237,56 @@ def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityRepor
     S = sum(p * rho for p, rho in zip(priors, states))
     resolved = sum(effects) @ S
     if np.abs(resolved - S).max() > tol:
-        raise ValueError("effects do not resolve the ensemble support")
+        raise ValueError("effects do not resolve the support of the states")
     L, residual, dom_min = _conditions(priors, states, effects)
     return OptimalityReport(residual, dom_min, tol, L)
+
+
+def _span_first(occupied: np.ndarray, m: int) -> np.ndarray:
+    """Per row, the indices of the occupied columns in increasing order,
+    then of the empty ones, cut to the first m (m >= the most occupied)."""
+    return np.argsort(~occupied, axis=1, kind="stable")[:, :m]
+
+
+def _least_eigenvalues(M: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of each real symmetric block of M, whose rows and
+    columns off the span (occupied False) are zero: a diagonal 1, far
+    above the block scale, decouples them from one batched eigvalsh."""
+    M = M + np.where(occupied, 0.0, 1.0)[..., None] * np.eye(M.shape[-1])
+    return np.linalg.eigvalsh(M)[..., 0]
+
+
+def _with_complement(low: np.ndarray, occupied: np.ndarray, k: int) -> np.ndarray:
+    """The dense 2^k block's least eigenvalue: the span's, or 0 when the
+    span misses some of the 2^k dimensions (L and p rho vanish there)."""
+    s = occupied.reshape(occupied.shape[0], -1).sum(axis=1)
+    return np.where(s < 2 ** k, np.minimum(low, 0.0), low)
+
+
+def _pgm_conditions(eta: np.ndarray, N: int, k: int, shift: int) -> np.ndarray:
+    """(residual, dominance) per block of the N-outcome certificate, where
+    state d (prior N^-(k+1)) is paired with effect e_(d+shift).
+
+    In the span basis psi_d = D_d a and e_j = D_j 1 / sqrt(N), with
+    D_j = diag(omega^(jp)), so L is diagonal,
+    L_pp = N^-(k+1) a_p omega^(-shift p) sum_q a_q omega^(shift q), and
+    (L + L^dag)/2 - p rho_j = D_j (diag(Re L) - N^-(k+1) a a^T) D_j^dag
+    for every j: one real eigensolve a block.  The dense residual is
+    max_p 2 |Im L_pp| / eta_p.
+    """
+    p = _span_first(eta > 0, min(N, 2 ** k))
+    n = np.take_along_axis(eta, p, axis=1).astype(np.float64)
+    occupied = n > 0
+    a = np.sqrt(n / 2.0 ** k)
+    prior = 1.0 / (N * float(N) ** k)
+    phase = phase_table(N)[(shift * p) % N]
+    L = prior * a * phase.conj() * (a * phase).sum(axis=1, keepdims=True)
+    residual = np.divide(2 * np.abs(L.imag), n, out=np.zeros_like(n),
+                         where=occupied).max(axis=1)
+    M = -prior * a[:, :, None] * a[:, None, :]
+    M += L.real[:, :, None] * np.eye(p.shape[1])
+    low = _least_eigenvalues(M, occupied)
+    return np.column_stack([residual, _with_complement(low, occupied, k)])
 
 
 def certify_dihedral_pgm(N: int, k: int, tol: float = 1e-9,
@@ -232,18 +295,10 @@ def certify_dihedral_pgm(N: int, k: int, tol: float = 1e-9,
     states psi_d psi_d^dag with prior 1/N times the block weight N^-k, and
     effects e_d e_d^dag.  A nonzero assignment_shift assigns effect
     E_(j+shift) to state j, a deliberately wrong measurement that must fail.
+    Runs the span-basis kernel (_pgm_conditions) over the orbit walk.
     """
-    def ensemble(label):
-        priors = np.full(N, 1.0 / (N * float(N) ** k))
-        sums, phases = _block_phases(label)
-        psi = phases / np.sqrt(2.0 ** k)  # rows of block_state
-        # rows of povm_block, row j holding e_(j+shift)
-        e = (np.roll(phases, -assignment_shift, axis=0)
-             / np.sqrt(N * label.eta[sums]))
-        return (priors, psi[:, :, None] * psi.conj()[:, None, :],
-                e[:, :, None] * e.conj()[:, None, :])
-
-    return _certify_blocks(N, k, ensemble, tol)
+    return _certify_blocks(
+        N, k, lambda eta: _pgm_conditions(eta, N, k, assignment_shift), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +326,45 @@ class LsbPovm:
         K = V.T @ V[half].conj()
         return (P + K) / 2, (P - K) / 2
 
-    def certify(self, tol: float = 1e-9) -> OptimalityReport:
-        """Blockwise optimality check for the two-state parity ensemble."""
+    def pair_effects(self, both: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """E_+ and E_- on each pair (|S_h>, |S_(h+N/2)>) of the span basis,
+        (..., 2, 2) each: (1/2)(I +/- J), with J swapping the pair where
+        both is True (both residues occupied) and zero elsewhere."""
+        J = both[..., None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
+        return (np.eye(2) + J) / 2, (np.eye(2) - J) / 2
+
+    def _conditions(self, eta: np.ndarray) -> np.ndarray:
+        """(residual, dominance) per block of the two-state parity
+        certificate, priors 1/2, in 2 x 2 blocks pairing h with h + N/2.
+
+        On pair a = (a_h, a_(h+N/2)) the states are rho_+ = N^-k a a^T and
+        rho_- = N^-k (Z a)(Z a)^T with Z = diag(1, -1), since
+        sum_(d even) omega^(d(p-q)) = (N/2) [p = q mod N/2].  The dense
+        residual entry is |L_01 - L_10| / sqrt(eta_h eta_(h+N/2)).
+        """
         N, k = self.N, self.k
+        pairs = np.stack([eta[:, :N // 2], eta[:, N // 2:]], axis=2)
+        h = _span_first((pairs > 0).any(axis=2), min(N // 2, 2 ** k))
+        n = np.take_along_axis(pairs, h[:, :, None], axis=1).astype(np.float64)
+        occupied = n > 0
+        a = np.sqrt(n / 2.0 ** k)
+        states = [u[..., :, None] * u[..., None, :] / float(N) ** k
+                  for u in (a, a * [1.0, -1.0])]
+        effects = self.pair_effects(occupied.all(axis=2))
+        L = sum(0.5 * rho @ E for rho, E in zip(states, effects))
+        skew = np.abs(L[..., 0, 1] - L[..., 1, 0])
+        scale = np.sqrt(n[..., 0] * n[..., 1])
+        residual = np.divide(skew, scale, out=np.zeros_like(skew),
+                             where=scale > 0).max(axis=1)
+        Lh = (L + np.swapaxes(L, -1, -2)) / 2
+        low = np.minimum(*(_least_eigenvalues(Lh - 0.5 * rho, occupied)
+                           for rho in states)).min(axis=1)
+        return np.column_stack([residual, _with_complement(low, occupied, k)])
 
-        def ensemble(label):
-            weight = 2.0 / (N * float(N) ** k)  # 2/N a shift, N^-k a block
-            psi = _block_phases(label)[1] / np.sqrt(2.0 ** k)
-            states = [weight * s.T @ s.conj() for s in (psi[0::2], psi[1::2])]
-            return (0.5, 0.5), states, self.block(label)
-
-        return _certify_blocks(N, k, ensemble, tol)
+    def certify(self, tol: float = 1e-9) -> OptimalityReport:
+        """Blockwise optimality check for the two parity states (even and
+        odd shifts), by the span-basis kernel over the orbit walk."""
+        return _certify_blocks(self.N, self.k, self._conditions, tol)
 
 
 def lsb_povm(N: int, k: int) -> LsbPovm:

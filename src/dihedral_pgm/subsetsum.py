@@ -41,6 +41,11 @@ INT32_K_LIMIT = 30
 #: int16 work tables are exact up to 2^k <= 2^14.
 INT16_K_LIMIT = 14
 
+#: Cells (k+1) * N of the Python-integer counting table behind count_eta
+#: and the samplers; one run at N = 2 * 10^6, k = 3 (8 * 10^6 cells)
+#: peaked at 158 MB.
+DP_TABLE_LIMIT = 2 ** 20
+
 #: Bytes of one chunk's T in count_eta_batch.  The chunk's tables
 #: (doubled row plus gathered row, 3x this) then stay cache-sized: at
 #: N = 1024 a 4096-draw shard runs in 128-row int16 or 64-row int32
@@ -272,8 +277,13 @@ def vtilde(label: BlockLabel) -> PartialIsometry:
 # ---------------------------------------------------------------------------
 
 def _dp_rows(label: BlockLabel) -> list[list[int]]:
-    """Every row T_0 .. T_k of the counting table, as Python integers."""
+    """Every row T_0 .. T_k of the counting table, as Python integers,
+    guarded at DP_TABLE_LIMIT cells before any row is built."""
     N = label.N
+    if (label.k + 1) * N > DP_TABLE_LIMIT:
+        raise ScaleLimitError(
+            f"counting table (k+1) * N = {(label.k + 1) * N} cells exceeds "
+            f"the guard of {DP_TABLE_LIMIT}")
     rows = [[0] * N]
     rows[0][0] = 1
     for xj in label.x:

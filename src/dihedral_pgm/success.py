@@ -322,22 +322,34 @@ def _entropy_bits(spectrum: np.ndarray) -> float:
     return float(-(lam * np.log2(lam)).sum())
 
 
+def _shift_permutation(N: int, d: int) -> np.ndarray:
+    """Group-basis indices q with rho_d = rho_0[q][:, q]: the automorphism
+    of the dihedral group that fixes the rotation s and sends the
+    reflection r to r s^d maps r^t s^k to r^t s^(k + t d), so it carries
+    the hidden subgroup {e, r} to {e, r s^d} and permutes the group basis."""
+    j = np.arange(N)
+    return np.concatenate([j, N + (j - d) % N])
+
+
 def chi_single_copy(N: int) -> float:
     """Accessible-information ceiling S(mean) - mean(S) of the single-copy
     ensemble over all N shifts; equals 1 - 1/N.
 
-    The mixture spectrum is {1/N (once), 1/2N (2N-2 times), 0 (once)} and
-    each shifted state is a flat rank-N mixture, both checked by the
-    dense eigensolve this routine performs.
+    Only rho_0 is built.  The automorphism of the dihedral group that
+    fixes the rotation s and sends the reflection r to r s^d carries
+    {e, r} to {e, r s^d}, so each shifted state is rho_0 with its group
+    basis permuted (_shift_permutation): every shift has the entropy of
+    rho_0, and the mixture is a mean of permuted copies of rho_0.  The mixture spectrum is {1/N (once), 1/2N (2N-2 times),
+    0 (once)} and each shifted state is a flat rank-N mixture, both
+    checked by the two dense eigensolves this routine performs.
     """
     if 2 * N > 512:
         raise ScaleLimitError("dense eigensolve guard is 2N <= 512")
-    states = [hidden_subgroup_state(subgroup_elements("order2", N, d=d))
-              for d in range(N)]
-    mixture = sum(states) / N
+    rho = hidden_subgroup_state(subgroup_elements("order2", N, d=0))
+    mixture = sum(rho[np.ix_(q, q)] for q in
+                  (_shift_permutation(N, d) for d in range(N))) / N
     s_mix = _entropy_bits(np.linalg.eigvalsh(mixture))
-    s_each = [_entropy_bits(np.linalg.eigvalsh(rho)) for rho in states]
-    return s_mix - math.fsum(s_each) / N
+    return s_mix - _entropy_bits(np.linalg.eigvalsh(rho))
 
 
 def _binary_entropy(p: float) -> float:

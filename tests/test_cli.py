@@ -209,6 +209,23 @@ def test_subsetsum_qsample_mode(tmp_path, capsys):
     assert indices == [0, 3]
 
 
+@pytest.mark.parametrize("line, qsample", [
+    # (k+1) N = 8 * 10^6 cells of the sampler's counting table
+    ("2000000 3 5 1999999 7 11", False),
+    # N > 2^31: the sampler's table guard, the completion's dense guard
+    ("3000000000 3 5 2999999999 7 11", False),
+    ("3000000000 3 5 2999999999 7 11", True),
+])
+def test_subsetsum_guards_exit_3(line, qsample, tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(line + "\n")
+    argv = ["subsetsum", "--file", str(inst)] + (["--qsample"] if qsample else [])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "exceeds" in err
+
+
 def test_lsb_odd_n(capsys):
     code, _, err = run_cli(["lsb", "--N", "3", "--k", "2"], capsys)
     assert code == 2

@@ -1,7 +1,5 @@
 """Measurement construction and optimality certification."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +13,78 @@ from dihedral_pgm import (BlockLabel, LsbPovm, ScaleLimitError,
                           pgm_dense, povm_block, success_exact,
                           superposition_vector, verify_holevo, vtilde)
 from dihedral_pgm.cli import main
-from dihedral_pgm.subsetsum import _nondecreasing_blocks
+from dihedral_pgm.subsetsum import _nondecreasing_blocks, count_eta_batch
 
 #: Every oracle size the certifiers run at: (2N)^k <= 4096.
 CERT_SIZES = [(N, k) for N in (2, 3, 4, 5, 6, 8) for k in range(1, 13)
               if (2 * N) ** k <= 4096]
+
+
+# ---------------------------------------------------------------------------
+# the dense per-block oracle of the span-basis certifiers
+# ---------------------------------------------------------------------------
+
+def _pgm_ensemble(N, k, shift=0):
+    """Dense (priors, states, effects) of one block of the N-outcome
+    certificate: psi_d psi_d^dag with prior N^-(k+1), paired with
+    e_(d+shift) e_(d+shift)^dag, all 2^k x 2^k."""
+    def ensemble(label):
+        priors = np.full(N, 1.0 / (N * float(N) ** k))
+        sums, phases = pgm._block_phases(label)
+        psi = phases / np.sqrt(2.0 ** k)  # rows of block_state
+        # rows of povm_block, row j holding e_(j+shift)
+        e = np.roll(phases, -shift, axis=0) / np.sqrt(N * label.eta[sums])
+        return (priors, psi[:, :, None] * psi.conj()[:, None, :],
+                e[:, :, None] * e.conj()[:, None, :])
+    return ensemble
+
+
+def _lsb_ensemble(povm):
+    """Dense (priors, states, effects) of one block of the parity
+    certificate: the even and odd shift mixtures and povm.block."""
+    N, k = povm.N, povm.k
+
+    def ensemble(label):
+        weight = 2.0 / (N * float(N) ** k)  # 2/N a shift, N^-k a block
+        psi = pgm._block_phases(label)[1] / np.sqrt(2.0 ** k)
+        states = [weight * s.T @ s.conj() for s in (psi[0::2], psi[1::2])]
+        return (0.5, 0.5), states, povm.block(label)
+    return ensemble
+
+
+def _swap_lsb(patch):
+    """Assign E- to the even shifts and E+ to the odd ones, in the span
+    kernel (pair_effects) and in the dense oracle (block) alike."""
+    block, pairs = LsbPovm.block, LsbPovm.pair_effects
+    patch.setattr(LsbPovm, "block", lambda self, label: block(self, label)[::-1])
+    patch.setattr(LsbPovm, "pair_effects",
+                  lambda self, both: pairs(self, both)[::-1])
+
+
+def _split_lsb(patch):
+    """Replace E_+/- by the projectors onto the residues below N/2 and from
+    N/2 up: L is then not Hermitian, so the kernel's residual scaling by
+    1/sqrt(eta_h eta_(h+N/2)) is exercised."""
+    def block(self, label):
+        V = vtilde(label).rows
+        low, high = V[:self.N // 2], V[self.N // 2:]
+        return low.T @ low.conj(), high.T @ high.conj()
+
+    def pairs(self, both):
+        shape = both.shape + (2, 2)
+        return (np.broadcast_to(np.diag([1.0, 0.0]), shape),
+                np.broadcast_to(np.diag([0.0, 1.0]), shape))
+
+    patch.setattr(LsbPovm, "block", block)
+    patch.setattr(LsbPovm, "pair_effects", pairs)
+
+
+def _full_walk(N, k, ensemble, tol):
+    """Slow path: both dense conditions at every one of the N^k blocks."""
+    residuals, doms = zip(*(
+        pgm._conditions(*ensemble(BlockLabel.from_flat(X, N, k)))[1:]
+        for X in range(N ** k)))
+    return pgm.OptimalityReport(max(residuals), min(doms), tol)
 
 
 def test_povm_block_two_point_example():
@@ -165,11 +230,11 @@ def test_block_phases_stack_block_states_bitwise():
 
 
 @pytest.mark.parametrize("shift", [0, 1, 3])
-def test_certify_ensemble_is_block_states_and_povm_block(shift, monkeypatch):
-    from dihedral_pgm import block_state, pgm
-    monkeypatch.setattr(pgm, "_certify_blocks", lambda N, k, ens, tol: ens)
+def test_certify_ensemble_is_block_states_and_povm_block(shift):
+    # the dense oracle the span kernel is checked against is built from
+    # block_state and povm_block
     for N, k in [(2, 3), (3, 2), (4, 2), (8, 1)]:
-        ensemble = certify_dihedral_pgm(N, k, assignment_shift=shift)
+        ensemble = _pgm_ensemble(N, k, shift)
         for X in range(N ** k):
             label = BlockLabel.from_flat(X, N, k)
             priors, states, effects = ensemble(label)
@@ -221,21 +286,36 @@ def test_verify_holevo_rejects_bad_inputs():
     one = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(ValueError, match="not positive semidefinite"):
         verify_holevo([zero, one], [0.5, 0.5], [zero, -one])
-    with pytest.raises(ValueError, match="resolve the ensemble support"):
+    with pytest.raises(ValueError, match="resolve the support of the states"):
         verify_holevo([zero, one], [0.5, 0.5], [zero, 0.5 * one])
 
 
 def test_certify_matches_dense_verification():
-    for N, k in [(2, 1), (2, 2), (3, 1), (4, 1)]:
-        blockwise = certify_dihedral_pgm(N, k)
+    # every size verify_holevo's dense guard admits, (2N)^k <= 256: the
+    # PGM, the shifted assignment and (N even) the parity measurement on
+    # the full space
+    for N, k in [(N, k) for N, k in CERT_SIZES if (2 * N) ** k <= 256]:
         states = [assemble_block_density(d, k, N) for d in range(N)]
         effects = dense_block_effects(N, k)
-        dense = verify_holevo(states, [1 / N] * N, effects)
-        assert blockwise.passed and dense.passed
-        assert abs(blockwise.hermiticity_residual
-                   - dense.hermiticity_residual) < 1e-12
-        assert abs(blockwise.dominance_min_eigenvalue
-                   - dense.dominance_min_eigenvalue) < 1e-12
+        cases = [(certify_dihedral_pgm(N, k),
+                  verify_holevo(states, [1 / N] * N, effects)),
+                 (certify_dihedral_pgm(N, k, assignment_shift=1),
+                  verify_holevo(states, [1 / N] * N,
+                                effects[1:] + effects[:1]))]
+        if N % 2 == 0:
+            parity = [sum(states[s::2]) * (2 / N) for s in (0, 1)]
+            cases.append((lsb_povm(N, k).certify(),
+                          verify_holevo(parity, [0.5, 0.5],
+                                        [sum(effects[0::2]),
+                                         sum(effects[1::2])])))
+        scale = 1e-12 * float(N) ** -(k + 1)
+        for blockwise, dense in cases:
+            assert blockwise.passed == dense.passed
+            assert abs(blockwise.hermiticity_residual
+                       - dense.hermiticity_residual) <= scale
+            assert abs(blockwise.dominance_min_eigenvalue
+                       - dense.dominance_min_eigenvalue) <= scale
+        assert cases[0][0].passed and not cases[1][0].passed
 
 
 @pytest.mark.parametrize("N,k", CERT_SIZES)
@@ -247,65 +327,41 @@ def test_certify_perturbed_fails_dominance(N, k):
     assert main(["verify", "--N", str(N), "--k", str(k)]) == 0
 
 
-def _spy_certify_blocks(patch):
-    """Record each ensemble passed to _certify_blocks, which still runs."""
-    ensembles = []
-    certify_blocks = pgm._certify_blocks
-
-    def spy(N, k, ensemble, tol):
-        ensembles.append(ensemble)
-        return certify_blocks(N, k, ensemble, tol)
-
-    patch.setattr(pgm, "_certify_blocks", spy)
-    return ensembles
-
-
-def _full_walk(N, k, ensemble, tol):
-    """Slow path: both conditions at every one of the N^k blocks."""
-    residuals, doms = zip(*(
-        pgm._conditions(*ensemble(BlockLabel.from_flat(X, N, k)))[1:]
-        for X in range(N ** k)))
-    return pgm.OptimalityReport(max(residuals), min(doms), tol)
-
-
 @pytest.mark.parametrize("N,k", CERT_SIZES)
 def test_orbit_walk_matches_full_walk(N, k, monkeypatch):
-    """One block per S_k orbit certifies all of Z_N^k: the certifiers'
-    reports equal a walk over all N^k blocks of the captured ensemble."""
+    """One block per S_k orbit, through the span-basis kernel, certifies
+    all of Z_N^k: the certifiers' reports equal the dense oracle's walk
+    over all N^k blocks."""
     scale = 1e-12 * float(N) ** -(k + 1)
-    block = LsbPovm.block
 
-    def check(certify, swap_lsb=False):
-        with monkeypatch.context() as m:
-            if swap_lsb:
-                m.setattr(LsbPovm, "block",
-                          lambda self, label: block(self, label)[::-1])
-            ensembles = _spy_certify_blocks(m)
-            orbit = certify()
-            full = _full_walk(N, k, ensembles[0], orbit.tolerance)
+    def check(orbit, ensemble):
+        full = _full_walk(N, k, ensemble, orbit.tolerance)
         assert orbit.passed == full.passed
         assert abs(orbit.hermiticity_residual
                    - full.hermiticity_residual) <= scale
         assert abs(orbit.dominance_min_eigenvalue
                    - full.dominance_min_eigenvalue) <= scale
 
-    check(lambda: certify_dihedral_pgm(N, k))
-    check(lambda: certify_dihedral_pgm(N, k, assignment_shift=1))
+    check(certify_dihedral_pgm(N, k), _pgm_ensemble(N, k))
+    check(certify_dihedral_pgm(N, k, assignment_shift=1),
+          _pgm_ensemble(N, k, 1))
     if N % 2 == 0:
-        check(lambda: lsb_povm(N, k).certify())
-        check(lambda: lsb_povm(N, k).certify(), swap_lsb=True)
+        check(lsb_povm(N, k).certify(), _lsb_ensemble(lsb_povm(N, k)))
+        with monkeypatch.context() as m:
+            _swap_lsb(m)
+            check(lsb_povm(N, k).certify(), _lsb_ensemble(lsb_povm(N, k)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_block_conditions_are_invariant_under_permuting_x(data):
+    # the dense oracle's conditions are the same on a whole S_k orbit,
+    # which is what lets the certifiers walk one representative an orbit
     N, k = data.draw(st.sampled_from(CERT_SIZES))
     x = data.draw(st.lists(st.integers(0, N - 1), min_size=k, max_size=k))
     sigma = data.draw(st.permutations(range(k)))
     shift = data.draw(st.sampled_from((0, 1)))
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(pgm, "_certify_blocks", lambda N, k, ens, tol: ens)
-        ensemble = certify_dihedral_pgm(N, k, assignment_shift=shift)
+    ensemble = _pgm_ensemble(N, k, shift)
     _, residual, dom = pgm._conditions(*ensemble(BlockLabel(x, N)))
     _, residual_p, dom_p = pgm._conditions(
         *ensemble(BlockLabel([x[i] for i in sigma], N)))
@@ -313,21 +369,67 @@ def test_block_conditions_are_invariant_under_permuting_x(data):
     assert abs(dom - dom_p) <= 1e-15
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_span_kernel_matches_dense_block_conditions(data):
+    """Per block, the span kernel's residual and its one eigensolve's
+    dominance equal the dense conditions over all N (or 2) eigensolves."""
+    N, k = data.draw(st.sampled_from(CERT_SIZES))
+    x = data.draw(st.lists(st.integers(0, N - 1), min_size=k, max_size=k))
+    shift = data.draw(st.sampled_from((0, 1, 3)))
+    label = BlockLabel(x, N)
+    eta = count_eta_batch(np.array([x]), N)
+    scale = 1e-12 * float(N) ** -(k + 1)
+    cases = [(pgm._pgm_conditions(eta, N, k, shift)[0],
+              _pgm_ensemble(N, k, shift))]
+    if N % 2 == 0:
+        cases.append((lsb_povm(N, k)._conditions(eta)[0],
+                      _lsb_ensemble(lsb_povm(N, k))))
+    for (residual, dom), ensemble in cases:
+        _, dense_residual, dense_dom = pgm._conditions(*ensemble(label))
+        assert abs(residual - dense_residual) <= scale
+        assert abs(dom - dense_dom) <= scale
+    for patch in (_swap_lsb, _split_lsb) if N % 2 == 0 else ():
+        with pytest.MonkeyPatch.context() as m:
+            patch(m)
+            residual, dom = lsb_povm(N, k)._conditions(eta)[0]
+            _, dense_residual, dense_dom = pgm._conditions(
+                *_lsb_ensemble(lsb_povm(N, k))(label))
+        assert abs(residual - dense_residual) <= scale
+        assert abs(dom - dense_dom) <= scale
+
+
+def test_span_kernel_spectrum_is_the_dense_spectrum():
+    # off-span rows add no eigenvalue: a positive definite span block
+    # keeps its own least eigenvalue ...
+    M = np.zeros((1, 3, 3))
+    M[0, :2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+    low = pgm._least_eigenvalues(M, np.array([[True, True, False]]))
+    assert np.allclose(low, [1.0])
+    # ... and the dense 2^k block adds zeros only where s < 2^k
+    occupied = np.array([[True, False], [True, True]])
+    assert pgm._with_complement(np.array([1.0, 1.0]), occupied, 1).tolist() \
+        == [0.0, 1.0]
+
+
 # (2,4) has four representatives tied at the least dominance
 @pytest.mark.parametrize("N,k", [(4, 3), (2, 4)])
-def test_worst_block_is_first_representative_of_least_dominance(N, k,
-                                                                 monkeypatch):
-    ensembles = _spy_certify_blocks(monkeypatch)
+def test_worst_block_is_first_representative_of_least_dominance(N, k):
     report = certify_dihedral_pgm(N, k, assignment_shift=1)
     x = report.worst_block
     assert len(x) == k and list(x) == sorted(x)
-    ensemble = ensembles[0]
-    assert (pgm._conditions(*ensemble(BlockLabel(x, N)))[2]
-            == report.dominance_min_eigenvalue)
-    walk = [tuple(r) for rows in _nondecreasing_blocks(N, k)
-            for r in rows.tolist()]
-    doms = [pgm._conditions(*ensemble(BlockLabel(r, N)))[2] for r in walk]
-    assert walk.index(x) == doms.index(min(doms))
+    walk = np.concatenate(list(_nondecreasing_blocks(N, k)))
+    doms = pgm._pgm_conditions(count_eta_batch(walk, N), N, k, 1)[:, 1]
+    index = [tuple(r) for r in walk.tolist()].index(x)
+    assert index == doms.tolist().index(doms.min())
+    assert doms[index] == report.dominance_min_eigenvalue
+    # the dense oracle agrees block by block, so x is a least block there too
+    ensemble = _pgm_ensemble(N, k, 1)
+    dense = np.array([pgm._conditions(*ensemble(BlockLabel(r, N)))[2]
+                      for r in walk.tolist()])
+    scale = 1e-12 * float(N) ** -(k + 1)
+    assert np.abs(dense - doms).max() <= scale
+    assert dense[index] - dense.min() <= scale
     zero = np.diag([1.0, 0.0]).astype(complex)
     assert verify_holevo([zero], [1.0], [zero]).worst_block is None
 
@@ -389,10 +491,11 @@ def test_lsb_certify():
 
 @pytest.mark.parametrize("N,k", [(N, k) for N, k in CERT_SIZES if N % 2 == 0])
 def test_lsb_certify_swapped_effects_fail(N, k, monkeypatch):
-    # assigning E- to the even shifts and E+ to the odd ones must fail
-    block = LsbPovm.block
-    monkeypatch.setattr(LsbPovm, "block",
-                        lambda self, label: block(self, label)[::-1])
+    # assigning E- to the even shifts and E+ to the odd ones must fail;
+    # the swap goes through pair_effects, the effects the kernel reads
+    pairs = LsbPovm.pair_effects
+    monkeypatch.setattr(LsbPovm, "pair_effects",
+                        lambda self, both: pairs(self, both)[::-1])
     report = lsb_povm(N, k).certify()
     assert not report.passed
     assert report.dominance_min_eigenvalue < -1e-9
@@ -409,16 +512,17 @@ def test_one_bit_dot_table_per_block(monkeypatch):
 
     for module in (dihedral, pgm, subsetsum):
         monkeypatch.setattr(module, "bit_dot_table", counted)
+    # the certifiers read eta from count_eta_batch and build no table
     lsb_povm(4, 2).certify()
-    # one label per S_k orbit representative
-    assert len(calls) == math.comb(4 + 2 - 1, 2)
+    certify_dihedral_pgm(4, 2, assignment_shift=1)
+    assert calls == []
     label = BlockLabel((1, 3), 4)
     gram_operator(4, 2).block(label)
     neumark_complete(label)
     block_state(label, 3)
     enumerate_subsets(label, 1)
     superposition_vector(label, 1)
-    assert len(calls) == math.comb(4 + 2 - 1, 2) + 1
+    assert len(calls) == 1
     assert not label.bit_dots.flags.writeable
     assert np.array_equal(label.bit_dots, table(label))
     assert not label.eta.flags.writeable

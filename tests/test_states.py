@@ -122,6 +122,29 @@ def test_bit_dot_little_endian():
     assert sums.tolist() == [0, 1, 2, 3]
 
 
+def _python_bit_dots(x, N):
+    """Independent oracle: b . x as Python integers, reduced mod N once."""
+    return [sum(v for j, v in enumerate(x) if (b >> j) & 1) % N
+            for b in range(2 ** len(x))]
+
+
+@pytest.mark.parametrize("N,x", [
+    # k N > 2^31 at a non-power-of-two N: int32 sums wrapped here
+    (500_000_003, (500_000_002,) * 8),
+    (3 * 2 ** 31 + 1, (3 * 2 ** 31, 2 ** 31 + 7, 12345, 3 * 2 ** 31 - 1)),
+    (2 ** 62 - 57, (2 ** 62 - 58, 2 ** 62 - 59, 2 ** 61 + 3)),
+])
+def test_bit_dot_table_is_exact_beyond_int32(N, x):
+    sums = bit_dot_table(BlockLabel(x, N))
+    assert sums.dtype == np.int64
+    assert sums.tolist() == _python_bit_dots(x, N)
+
+
+def test_bit_dot_table_guards_n_at_2_62():
+    with pytest.raises(ScaleLimitError, match="2\\^62"):
+        bit_dot_table(BlockLabel((1, 2), 2 ** 62))
+
+
 def test_dense_state_trivial():
     assert np.array_equal(dense_state(TRIVIAL, 1, 2), np.eye(4) / 4)
 

@@ -319,6 +319,44 @@ def test_chi_formula(N):
     assert abs(chi_single_copy(N) - (1 - 1 / N)) < 1e-9
 
 
+def _chi_all_shifts(N):
+    """The all-shifts path: N dense states, N + 1 eigensolves."""
+    states = [hidden_subgroup_state(subgroup_elements("order2", N, d=d))
+              for d in range(N)]
+    s_mix = success._entropy_bits(np.linalg.eigvalsh(sum(states) / N))
+    s_each = [success._entropy_bits(np.linalg.eigvalsh(rho)) for rho in states]
+    return s_mix - math.fsum(s_each) / N
+
+
+def test_chi_matches_the_all_shifts_path():
+    for N in range(2, 65):
+        assert abs(chi_single_copy(N) - _chi_all_shifts(N)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [5, 8, 13])
+def test_shifted_states_are_permuted_rho_0(N):
+    rho = hidden_subgroup_state(subgroup_elements("order2", N, d=0))
+    for d in range(N):
+        q = success._shift_permutation(N, d)
+        assert sorted(q.tolist()) == list(range(2 * N))
+        assert np.array_equal(
+            hidden_subgroup_state(subgroup_elements("order2", N, d=d)),
+            rho[np.ix_(q, q)])
+
+
+def test_chi_makes_two_eigensolves(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    chi_single_copy(16)
+    assert calls == [(32, 32), (32, 32)]
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 8])
 def test_single_copy_spectra(N):
     states = [hidden_subgroup_state(subgroup_elements("order2", N, d=d))
