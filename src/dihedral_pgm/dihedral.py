@@ -283,11 +283,17 @@ def bit_dot_table(label: BlockLabel) -> np.ndarray:
     if label.N >= BIT_DOT_N_LIMIT:
         raise ScaleLimitError(
             f"N = {label.N} is not below the int64 bit-dot guard 2^62")
-    sums = np.zeros(1, dtype=np.int64)
-    for xj in label.x:
-        more = sums + xj
-        more[more >= label.N] -= label.N
-        sums = np.concatenate([sums, more])
+    return _bit_dots(np.array([label.x], dtype=np.int64), label.N)[0]
+
+
+def _bit_dots(xs: np.ndarray, N: int) -> np.ndarray:
+    """bit_dot_table's doubling on every row of an (R, k) int64 array of
+    labels at once: the (R, 2^k) table of (b . x) mod N."""
+    sums = np.zeros((xs.shape[0], 1), dtype=np.int64)
+    for xj in xs.T:
+        more = sums + xj[:, None]
+        more[more >= N] -= N
+        sums = np.concatenate([sums, more], axis=1)
     return sums
 
 
@@ -371,20 +377,36 @@ def block_basis_transform(N: int, k: int) -> np.ndarray:
     return W
 
 
+def _bit_dot_rows(N: int, k: int) -> np.ndarray:
+    """(N^k, 2^k) table whose row X is the bit_dot_table of block label X
+    (BlockLabel.from_flat order).  Callers guard the size first
+    (_check_dense)."""
+    return _bit_dots(np.indices((N,) * k, dtype=np.int64).reshape(k, -1).T, N)
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """Dense (..., dim, dim) matrices with blocks[X] on the diagonal at
+    rows and columns X*b .. (X+1)*b, from an (X, ..., b, b) stack, in one
+    indexed assignment."""
+    count, lead, blk = blocks.shape[0], blocks.shape[1:-2], blocks.shape[-1]
+    dim = count * blk
+    out = np.zeros(lead + (dim, dim), dtype=blocks.dtype)
+    X = np.arange(count)
+    out.reshape(lead + (count, blk, count, blk))[..., X, :, X, :] = blocks
+    return out
+
+
 def assemble_block_density(shift, k: int, N: int) -> np.ndarray:
     """k-copy state assembled from block states, in the x-major block basis.
 
     Each block x carries weight N^-k; for the trivial subgroup the result
-    is the maximally mixed state (identical in every basis).
+    is the maximally mixed state (identical in every basis).  All N^k
+    blocks are formed at once from _bit_dot_rows, with block_state's
+    operations in block_state's order.
     """
     dim = _check_dense(N, k)
     if shift is TRIVIAL:
         return np.eye(dim, dtype=np.complex128) / dim
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    blk = 2 ** k
-    for X in range(N ** k):
-        label = BlockLabel.from_flat(X, N, k)
-        psi = block_state(label, shift).amplitudes
-        out[X * blk:(X + 1) * blk, X * blk:(X + 1) * blk] = (
-            np.outer(psi, psi.conj()) / N ** k)
-    return out
+    psi = phase_table(N)[(int(shift) * _bit_dot_rows(N, k)) % N]
+    psi = psi / np.sqrt(2.0 ** k)
+    return _block_diagonal(psi[:, :, None] * psi.conj()[:, None, :] / N ** k)

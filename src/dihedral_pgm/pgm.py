@@ -10,7 +10,14 @@ checks per block: the weighted operator L = sum_i p_i rho_i E_i is
 Hermitian and dominates every p_j rho_j.
 
 Two paths run these checks.  _conditions is the dense oracle: it takes
-explicit matrices, and verify_holevo runs it on the full space.  The
+explicit matrices, one each or stacked as diagonal blocks.  verify_holevo
+partitions the full space into the finest contiguous diagonal blocks
+that no state or effect couples (_diagonal_blocks, read from the exact
+zeros of the inputs) and runs it once per block size on the stacked
+blocks; everything it checks vanishes off those blocks, and the
+spectrum is the union of the blocks' spectra.  The dense builders
+dense_block_effects and assemble_block_density form all N^k blocks at
+once and write them onto the diagonal in one assignment.  The
 certifiers certify_dihedral_pgm and LsbPovm.certify run the span-basis
 kernel instead, which reads nothing but the counts eta of each block.
 In the orthonormal basis of the occupied |S_p> (s <= min(N, 2^k) of
@@ -42,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Unused here: perfbench/spans.py traces pgm.block_state, pgm.bit_dot_table.
-from .dihedral import (BlockLabel, ScaleLimitError, _check_dense,  # noqa: F401
+from .dihedral import (BlockLabel, ScaleLimitError,  # noqa: F401
+                       _bit_dot_rows, _block_diagonal, _check_dense,
                        bit_dot_table, block_state, phase_table)
 # Unused here: perfbench/spans.py traces pgm.iter_all_eta.
 from .subsetsum import (_nondecreasing_blocks, count_eta_batch,  # noqa: F401
@@ -77,19 +85,29 @@ class PovmBlock:
         return V.conj().T @ V
 
 
+def _phases(N: int, sums: np.ndarray) -> np.ndarray:
+    """The (..., N, 2^k) phase matrices omega^(j s_b), j = 0..N-1, of
+    (..., 2^k) bit-dot sums s_b = b.x."""
+    exps = (np.arange(N, dtype=np.int64)[:, None] * sums[..., None, :]) % N
+    return phase_table(N)[exps]
+
+
 def _block_phases(label: BlockLabel) -> tuple[np.ndarray, np.ndarray]:
-    """The block's bit-dot sums s_b = b.x and the (N, 2^k) phase matrix
-    omega^(j s_b), j = 0..N-1, shared by the effects and the shift states."""
-    N = label.N
-    sums = label.bit_dots
-    exps = np.outer(np.arange(N, dtype=np.int64), sums) % N
-    return sums, phase_table(N)[exps]
+    """The block's bit-dot sums s_b = b.x and its (N, 2^k) phase matrix,
+    shared by the effects and the shift states."""
+    return label.bit_dots, _phases(label.N, label.bit_dots)
+
+
+def _effect_vectors(phases: np.ndarray, eta_at_sums: np.ndarray) -> np.ndarray:
+    """e_j = phases_j / sqrt(N eta_(s_b)), for one block or a stack."""
+    N = phases.shape[-2]
+    return phases / np.sqrt(N * eta_at_sums)[..., None, :]
 
 
 def povm_block(label: BlockLabel) -> PovmBlock:
     """Closed-form effect vectors e_j = sum_p omega^(jp) |S_p> / sqrt(N)."""
     sums, phases = _block_phases(label)
-    vectors = phases / np.sqrt(label.N * label.eta[sums])
+    vectors = _effect_vectors(phases, label.eta[sums])
     return PovmBlock(label, vectors, int(np.count_nonzero(label.eta)))
 
 
@@ -185,15 +203,23 @@ class OptimalityReport:
                 f"tol={self.tolerance:.1e} {dom_ok}"]
 
 
+def _adjoint(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2).conj()
+
+
 def _conditions(priors, states, effects) -> tuple[np.ndarray, float, float]:
     """L = sum_i p_i rho_i E_i, max|L - L^dag| and min_j of the least
     eigenvalue of (L + L^dag)/2 - p_j rho_j, on dense matrices: the
-    oracle the span-basis kernel is tested against.  The states are
-    walked one at a time, so dense inputs are never stacked or
-    reweighted."""
+    oracle the span-basis kernel is tested against.
+
+    Each state and effect is one (n, n) matrix or a (B, n, n) stack of
+    diagonal blocks (verify_holevo's size groups); the residual and the
+    least eigenvalue are taken over all blocks.  Called on whole 2-D
+    matrices it is the unpartitioned oracle the tests compare
+    verify_holevo against."""
     L = sum(p * rho @ E for p, rho, E in zip(priors, states, effects))
-    residual = float(np.abs(L - L.conj().T).max())
-    Lh = (L + L.conj().T) / 2
+    residual = float(np.abs(L - _adjoint(L)).max())
+    Lh = (L + _adjoint(L)) / 2
     dom_min = min(float(np.linalg.eigvalsh(Lh - p * rho).min())
                   for p, rho in zip(priors, states))
     return L, residual, dom_min
@@ -220,25 +246,79 @@ def _certify_blocks(N: int, k: int, conditions, tol: float) -> OptimalityReport:
                             tol, worst_block=tuple(xs[worst].tolist()))
 
 
+def _diagonal_blocks(mats) -> list[np.ndarray]:
+    """The finest partition of the index range into contiguous diagonal
+    blocks that no matrix of mats couples, grouped by block size as
+    (B, n) arrays of row indices.
+
+    Two indices are coupled when some matrix holds an exact nonzero at
+    (i, j) or (j, i).  A block ends after index i when no row up to i is
+    coupled to a column beyond i.
+    """
+    coupled = np.zeros(mats[0].shape, dtype=bool)
+    for m in mats:
+        coupled |= m != 0
+    coupled |= coupled.T
+    dim = coupled.shape[0]
+    idx = np.arange(dim)
+    coupled[idx, idx] = True
+    last = dim - 1 - np.argmax(coupled[:, ::-1], axis=1)
+    ends = np.flatnonzero(np.maximum.accumulate(last) == idx)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    sizes = ends - starts + 1
+    return [starts[sizes == n, None] + np.arange(n)
+            for n in sorted(set(sizes.tolist()))]
+
+
 def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityReport:
     """Check both optimality conditions on explicit dense matrices.
 
-    Raises ValueError naming the violated property when the effects are
-    not positive semidefinite or do not act as the identity on the
-    support of the states.
+    The checks run block by block on the finest contiguous diagonal
+    blocks that no state or effect couples (_diagonal_blocks), one
+    batched pass per block size: L, the resolution sum_i E_i S and every
+    L_h - p rho are sums and products of matrices with that zero pattern,
+    so they vanish off the blocks, and a block-diagonal spectrum is the
+    union of its blocks' spectra.  Inputs with no split run as they are.
+    The report's operator is the dense L.
+
+    Raises ValueError on no states or on states and effects that are not
+    square of one shape ("dimension mismatch"), and names the violated
+    property when the effects are not positive semidefinite or do not act
+    as the identity on the support of the states.
     """
     priors = np.asarray(priors, dtype=np.float64)
     if not (len(states) == len(effects) == priors.size):
         raise ValueError("states, priors and effects must align")
-    for idx, E in enumerate(effects):
-        herm = (E + E.conj().T) / 2
-        if np.abs(E - herm).max() > tol or np.linalg.eigvalsh(herm).min() < -tol:
-            raise ValueError(f"effect {idx} is not positive semidefinite")
-    S = sum(p * rho for p, rho in zip(priors, states))
-    resolved = sum(effects) @ S
-    if np.abs(resolved - S).max() > tol:
-        raise ValueError("effects do not resolve the support of the states")
-    L, residual, dom_min = _conditions(priors, states, effects)
+    mats = [*states, *effects]
+    shapes = {np.shape(m) for m in mats}
+    shape = shapes.pop() if len(shapes) == 1 else ()
+    if not states or len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise ValueError("dimension mismatch")
+    groups = _diagonal_blocks(mats)
+    split = len(groups) > 1 or len(groups[0]) > 1
+    parts = [(states, effects)]
+    if split:
+        parts = [tuple([m[rows[:, :, None], rows[:, None, :]] for m in ms]
+                       for ms in (states, effects)) for rows in groups]
+    for idx in range(len(effects)):
+        for _, part_effects in parts:
+            E = part_effects[idx]
+            herm = (E + _adjoint(E)) / 2
+            if (np.abs(E - herm).max() > tol
+                    or np.linalg.eigvalsh(herm).min() < -tol):
+                raise ValueError(f"effect {idx} is not positive semidefinite")
+    for part_states, part_effects in parts:
+        S = sum(p * rho for p, rho in zip(priors, part_states))
+        if np.abs(sum(part_effects) @ S - S).max() > tol:
+            raise ValueError("effects do not resolve the support of the states")
+    checks = [_conditions(priors, *part) for part in parts]
+    residual = max(c[1] for c in checks)
+    dom_min = min(c[2] for c in checks)
+    L = checks[0][0]
+    if split:
+        L = np.zeros(shape, dtype=np.result_type(*(c[0] for c in checks)))
+        for rows, (L_blocks, _, _) in zip(groups, checks):
+            L[rows[:, :, None], rows[:, None, :]] = L_blocks
     return OptimalityReport(residual, dom_min, tol, L)
 
 
@@ -376,18 +456,18 @@ def lsb_povm(N: int, k: int) -> LsbPovm:
 # ---------------------------------------------------------------------------
 
 def dense_block_effects(N: int, k: int) -> list[np.ndarray]:
-    """All N effects assembled densely in the x-major block basis."""
+    """All N effects assembled densely in the x-major block basis: the
+    povm_block vectors of all N^k blocks formed at once from
+    _bit_dot_rows, with povm_block's operations in povm_block's order."""
     dim = _check_dense(N, k)
     if dim > PGM_DENSE_LIMIT:
         raise ScaleLimitError(f"dense dimension {dim} exceeds {PGM_DENSE_LIMIT}")
-    blk = 2 ** k
-    effects = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(N)]
-    for X in range(N ** k):
-        block = povm_block(BlockLabel.from_flat(X, N, k))
-        for j in range(N):
-            effects[j][X * blk:(X + 1) * blk, X * blk:(X + 1) * blk] = \
-                block.effect(j)
-    return effects
+    sums = _bit_dot_rows(N, k)
+    offsets = N * np.arange(N ** k)[:, None]
+    eta = np.bincount((sums + offsets).ravel(), minlength=N ** (k + 1))
+    eta_at_sums = np.take_along_axis(eta.reshape(N ** k, N), sums, axis=1)
+    e = _effect_vectors(_phases(N, sums), eta_at_sums)
+    return list(_block_diagonal(e[..., :, None] * e.conj()[..., None, :]))
 
 
 def completion_effect(N: int, k: int) -> np.ndarray:

@@ -211,8 +211,9 @@ def hidden_state_in_irrep_basis(subgroup, N: int) -> IrrepDecomposition:
 # equivalence of the two measurement procedures
 # ---------------------------------------------------------------------------
 
-def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(a - b)).sum() / 2)
+def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trace distance of each pair of a (..., n, n) stack, in one eigvalsh."""
+    return np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1) / 2
 
 
 def equivalence_check(N: int, d: int, tol: float = 1e-9) -> bool:
@@ -269,9 +270,8 @@ def equivalence_check(N: int, d: int, tol: float = 1e-9) -> bool:
     tv = float(np.abs(probs - 1.0 / N).sum() / 2)
     if tv > tol:
         return False
-    for y in range(N):
-        target = np.array([1.0, table[(y * d) % N]]) / np.sqrt(2)
-        target = np.outer(target, target.conj())
-        if _trace_distance(states[y] / probs[y], target) > tol:
-            return False
-    return True
+    target = np.stack([np.ones(N), table[(np.arange(N) * d) % N]], axis=1)
+    target = target / np.sqrt(2)
+    targets = target[:, :, None] * target.conj()[:, None, :]
+    pooled_states = np.stack(states) / probs[:, None, None]
+    return bool((_trace_distances(pooled_states, targets) <= tol).all())

@@ -339,9 +339,10 @@ def chi_single_copy(N: int) -> float:
     fixes the rotation s and sends the reflection r to r s^d carries
     {e, r} to {e, r s^d}, so each shifted state is rho_0 with its group
     basis permuted (_shift_permutation): every shift has the entropy of
-    rho_0, and the mixture is a mean of permuted copies of rho_0.  The mixture spectrum is {1/N (once), 1/2N (2N-2 times),
-    0 (once)} and each shifted state is a flat rank-N mixture, both
-    checked by the two dense eigensolves this routine performs.
+    rho_0, and the mixture is a mean of permuted copies of rho_0.  The
+    mixture spectrum is {1/N (once), 1/2N (2N-2 times), 0 (once)} and
+    each shifted state is a flat rank-N mixture, both checked by the two
+    dense eigensolves this routine performs.
     """
     if 2 * N > 512:
         raise ScaleLimitError("dense eigensolve guard is 2N <= 512")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_pgm import (BlockLabel, LsbPovm, ScaleLimitError,
+from dihedral_pgm import (TRIVIAL, BlockLabel, LsbPovm, ScaleLimitError,
                           assemble_block_density, block_state,
                           certify_dihedral_pgm, completion_effect,
                           count_eta, dense_block_effects, enumerate_subsets,
@@ -18,6 +18,9 @@ from dihedral_pgm.subsetsum import _nondecreasing_blocks, count_eta_batch
 #: Every oracle size the certifiers run at: (2N)^k <= 4096.
 CERT_SIZES = [(N, k) for N in (2, 3, 4, 5, 6, 8) for k in range(1, 13)
               if (2 * N) ** k <= 4096]
+
+#: Every size the dense builders and verify_holevo admit: (2N)^k <= 256.
+HOLEVO_SIZES = [(N, k) for N, k in CERT_SIZES if (2 * N) ** k <= 256]
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +88,46 @@ def _full_walk(N, k, ensemble, tol):
         pgm._conditions(*ensemble(BlockLabel.from_flat(X, N, k)))[1:]
         for X in range(N ** k)))
     return pgm.OptimalityReport(max(residuals), min(doms), tol)
+
+
+# ---------------------------------------------------------------------------
+# the per-block loops: the oracle of the dense builders
+# ---------------------------------------------------------------------------
+
+def _block_density_loop(shift, k, N):
+    """assemble_block_density, one block_state outer product a block."""
+    dim, blk = (2 * N) ** k, 2 ** k
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for X in range(N ** k):
+        psi = block_state(BlockLabel.from_flat(X, N, k), shift).amplitudes
+        out[X * blk:(X + 1) * blk, X * blk:(X + 1) * blk] = (
+            np.outer(psi, psi.conj()) / N ** k)
+    return out
+
+
+def _block_effects_loop(N, k):
+    """dense_block_effects, one povm_block effect a block and shift."""
+    dim, blk = (2 * N) ** k, 2 ** k
+    effects = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(N)]
+    for X in range(N ** k):
+        block = povm_block(BlockLabel.from_flat(X, N, k))
+        for j in range(N):
+            effects[j][X * blk:(X + 1) * blk, X * blk:(X + 1) * blk] = \
+                block.effect(j)
+    return effects
+
+
+@pytest.mark.parametrize("N,k", HOLEVO_SIZES)
+def test_dense_builders_equal_the_per_block_loops(N, k):
+    for shift in range(N):
+        assert np.array_equal(assemble_block_density(shift, k, N),
+                              _block_density_loop(shift, k, N))
+    built = dense_block_effects(N, k)
+    assert len(built) == N
+    assert np.array_equal(np.stack(built), np.stack(_block_effects_loop(N, k)))
+    dim = (2 * N) ** k
+    assert np.array_equal(assemble_block_density(TRIVIAL, k, N),
+                          np.eye(dim, dtype=np.complex128) / dim)
 
 
 def test_povm_block_two_point_example():
@@ -263,12 +306,104 @@ def test_verify_holevo_orthogonal_projectors():
     assert swapped.dominance_min_eigenvalue == -0.5
 
 
-@pytest.mark.parametrize("N,k", [(2, 1), (2, 2), (3, 1), (4, 1)])
-def test_verify_holevo_dihedral_dense(N, k):
+def _dihedral_cases(N, k):
+    """(priors, states, effects) of the PGM, the shifted assignment and,
+    for N even, the parity measurement, on the full dense space."""
     states = [assemble_block_density(d, k, N) for d in range(N)]
     effects = dense_block_effects(N, k)
-    report = verify_holevo(states, [1 / N] * N, effects)
-    assert report.passed
+    cases = [([1 / N] * N, states, effects),
+             ([1 / N] * N, states, effects[1:] + effects[:1])]
+    if N % 2 == 0:
+        parity = [sum(states[s::2]) * (2 / N) for s in (0, 1)]
+        cases.append(([0.5, 0.5], parity,
+                      [sum(effects[0::2]), sum(effects[1::2])]))
+    return cases
+
+
+def _assert_matches_whole_matrix(report, priors, states, effects, scale):
+    L, residual, dom = pgm._conditions(priors, states, effects)
+    assert report.passed == (residual <= report.tolerance
+                             and dom >= -report.tolerance)
+    assert abs(report.hermiticity_residual - residual) <= scale
+    assert abs(report.dominance_min_eigenvalue - dom) <= scale
+    assert report.operator.shape == L.shape
+    assert np.abs(report.operator - L).max() <= scale
+
+
+@pytest.mark.parametrize("N,k", HOLEVO_SIZES)
+def test_verify_holevo_dihedral_dense(N, k):
+    # the block-partitioned oracle against _conditions on whole matrices
+    scale = 1e-12 * float(N) ** -(k + 1)
+    # the PGM and parity pass, the shifted assignment fails
+    for (priors, states, effects), optimal in zip(_dihedral_cases(N, k),
+                                                  (True, False, True)):
+        report = verify_holevo(states, priors, effects)
+        _assert_matches_whole_matrix(report, priors, states, effects, scale)
+        assert report.passed == optimal
+
+
+def test_diagonal_blocks_of_the_dihedral_ensemble():
+    # the N^k blocks of 2^k that the construction is diagonal over
+    N, k = 3, 2
+    (_, states, effects), _ = _dihedral_cases(N, k)
+    (rows,) = pgm._diagonal_blocks(states + effects)
+    assert np.array_equal(rows, np.arange(N ** k * 2 ** k).reshape(-1, 2 ** k))
+
+
+def _random_psd(rng, n):
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return A @ A.conj().T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_holevo_on_random_block_partitions(data):
+    """Block-diagonal states and effects with random contiguous blocks:
+    verify_holevo finds the blocks (or the merge that one coupling entry
+    forces) and agrees with _conditions on the whole matrices."""
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    m = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    dim = sum(sizes)
+    starts = np.cumsum([0] + sizes[:-1])
+    states = np.zeros((m, dim, dim), dtype=np.complex128)
+    effects = np.zeros_like(states)
+    for start, n in zip(starts, sizes):
+        blk = slice(start, start + n)
+        grams = [_random_psd(rng, n) for _ in range(m)]
+        w, U = np.linalg.eigh(sum(grams))
+        R = (U / np.sqrt(w)) @ U.conj().T
+        for i in range(m):
+            states[i, blk, blk] = _random_psd(rng, n)
+            effects[i, blk, blk] = R @ grams[i] @ R
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    priors = rng.dirichlet(np.ones(m))
+    expected = list(zip(starts, sizes))
+    if len(sizes) > 1 and data.draw(st.booleans()):
+        b = data.draw(st.integers(0, len(sizes) - 2))
+        i = data.draw(st.integers(starts[b], starts[b + 1] - 1))
+        j = data.draw(st.integers(starts[b + 1], starts[b + 1] + sizes[b + 1] - 1))
+        if data.draw(st.booleans()):
+            i, j = j, i
+        states[data.draw(st.integers(0, m - 1)), i, j] = 0.01
+        expected[b:b + 2] = [(starts[b], sizes[b] + sizes[b + 1])]
+    found = sorted((int(r[0]), len(r)) for rows in
+                   pgm._diagonal_blocks([*states, *effects]) for r in rows)
+    assert found == expected
+    report = verify_holevo(list(states), priors, list(effects))
+    L = pgm._conditions(priors, states, effects)[0]
+    scale = 1e-12 * max(np.abs(L).max(), 1.0 / dim)
+    _assert_matches_whole_matrix(report, priors, states, effects, scale)
+    # a negated effect block and a halved one are still caught
+    b = data.draw(st.integers(0, len(sizes) - 1))
+    idx = data.draw(st.integers(0, m - 1))
+    blk = slice(starts[b], starts[b] + sizes[b])
+    for factor, message in ((-1.0, f"effect {idx} is not positive semidefinite"),
+                            (0.5, "resolve the support of the states")):
+        bad = effects.copy()
+        bad[idx, blk, blk] *= factor
+        with pytest.raises(ValueError, match=message):
+            verify_holevo(list(states), priors, list(bad))
 
 
 def test_verify_holevo_permuted_assignment_fails():
@@ -279,6 +414,21 @@ def test_verify_holevo_permuted_assignment_fails():
     report = verify_holevo(states, [1 / N] * N, permuted)
     assert not report.passed
     assert report.dominance_min_eigenvalue < -1e-9
+
+
+def test_verify_holevo_requires_a_state():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        verify_holevo([], [], [])
+
+
+def test_verify_holevo_requires_one_square_shape():
+    two, three = np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 3
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        verify_holevo([two, three], [0.5, 0.5], [np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        verify_holevo([two], [1.0], [np.eye(3)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        verify_holevo([np.ones((2, 3))], [1.0], [np.ones((2, 3))])
 
 
 def test_verify_holevo_rejects_bad_inputs():
@@ -294,28 +444,21 @@ def test_certify_matches_dense_verification():
     # every size verify_holevo's dense guard admits, (2N)^k <= 256: the
     # PGM, the shifted assignment and (N even) the parity measurement on
     # the full space
-    for N, k in [(N, k) for N, k in CERT_SIZES if (2 * N) ** k <= 256]:
-        states = [assemble_block_density(d, k, N) for d in range(N)]
-        effects = dense_block_effects(N, k)
-        cases = [(certify_dihedral_pgm(N, k),
-                  verify_holevo(states, [1 / N] * N, effects)),
-                 (certify_dihedral_pgm(N, k, assignment_shift=1),
-                  verify_holevo(states, [1 / N] * N,
-                                effects[1:] + effects[:1]))]
+    for N, k in HOLEVO_SIZES:
+        certs = [certify_dihedral_pgm(N, k),
+                 certify_dihedral_pgm(N, k, assignment_shift=1)]
         if N % 2 == 0:
-            parity = [sum(states[s::2]) * (2 / N) for s in (0, 1)]
-            cases.append((lsb_povm(N, k).certify(),
-                          verify_holevo(parity, [0.5, 0.5],
-                                        [sum(effects[0::2]),
-                                         sum(effects[1::2])])))
+            certs.append(lsb_povm(N, k).certify())
         scale = 1e-12 * float(N) ** -(k + 1)
-        for blockwise, dense in cases:
+        for blockwise, (priors, states, effects) in zip(
+                certs, _dihedral_cases(N, k), strict=True):
+            dense = verify_holevo(states, priors, effects)
             assert blockwise.passed == dense.passed
             assert abs(blockwise.hermiticity_residual
                        - dense.hermiticity_residual) <= scale
             assert abs(blockwise.dominance_min_eigenvalue
                        - dense.dominance_min_eigenvalue) <= scale
-        assert cases[0][0].passed and not cases[1][0].passed
+        assert certs[0].passed and not certs[1].passed
 
 
 @pytest.mark.parametrize("N,k", CERT_SIZES)

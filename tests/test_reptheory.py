@@ -181,3 +181,16 @@ def test_irrep_decomposition_probabilities_sum_to_one():
 def test_equivalence_check(N):
     for d in range(N):
         assert equivalence_check(N, d)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 8])
+def test_equivalence_check_fails_on_conjugated_targets(N, monkeypatch):
+    # conjugate the roots of unity of the block-decomposition targets only;
+    # the Fourier transform is built first and kept, since conjugating it
+    # too would relabel x -> N - x consistently on both sides
+    from dihedral_pgm import reptheory
+    Q = qft_dihedral(N)
+    monkeypatch.setattr(reptheory, "qft_dihedral", lambda n: Q)
+    monkeypatch.setattr(reptheory, "phase_table",
+                        lambda n: np.conj(phase_table(n)))
+    assert not equivalence_check(N, 1)
