@@ -319,11 +319,14 @@ def block_state(label: BlockLabel, shift) -> BlockState:
     """
     if shift is TRIVIAL:
         return BlockState(label, TRIVIAL, None)
-    N = label.N
-    table = phase_table(N)
-    amps = table[(int(shift) * label.bit_dots.astype(np.int64)) % N]
-    amps = amps / np.sqrt(2.0 ** label.k)
-    return BlockState(label, int(shift) % N, amps)
+    amps = _shift_amplitudes(label.N, shift, label.bit_dots, label.k)
+    return BlockState(label, int(shift) % label.N, amps)
+
+
+def _shift_amplitudes(N: int, shift, sums: np.ndarray, k: int) -> np.ndarray:
+    """omega^(d s_b) / 2^(k/2) for shift d on (..., 2^k) bit-dot sums
+    s_b = b.x: one block's amplitudes, or a stack of blocks'."""
+    return phase_table(N)[(int(shift) * sums) % N] / np.sqrt(2.0 ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +380,11 @@ def block_basis_transform(N: int, k: int) -> np.ndarray:
     return W
 
 
-def _bit_dot_rows(N: int, k: int) -> np.ndarray:
-    """(N^k, 2^k) table whose row X is the bit_dot_table of block label X
+def _block_labels(N: int, k: int) -> np.ndarray:
+    """(N^k, k) int64 array whose row X is block label X
     (BlockLabel.from_flat order).  Callers guard the size first
     (_check_dense)."""
-    return _bit_dots(np.indices((N,) * k, dtype=np.int64).reshape(k, -1).T, N)
+    return np.indices((N,) * k, dtype=np.int64).reshape(k, -1).T
 
 
 def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -401,12 +404,11 @@ def assemble_block_density(shift, k: int, N: int) -> np.ndarray:
 
     Each block x carries weight N^-k; for the trivial subgroup the result
     is the maximally mixed state (identical in every basis).  All N^k
-    blocks are formed at once from _bit_dot_rows, with block_state's
-    operations in block_state's order.
+    blocks' amplitudes are formed at once by block_state's
+    _shift_amplitudes on the bit-dot sums of every label.
     """
     dim = _check_dense(N, k)
     if shift is TRIVIAL:
         return np.eye(dim, dtype=np.complex128) / dim
-    psi = phase_table(N)[(int(shift) * _bit_dot_rows(N, k)) % N]
-    psi = psi / np.sqrt(2.0 ** k)
+    psi = _shift_amplitudes(N, shift, _bit_dots(_block_labels(N, k), N), k)
     return _block_diagonal(psi[:, :, None] * psi.conj()[:, None, :] / N ** k)

@@ -50,8 +50,8 @@ import numpy as np
 
 # Unused here: perfbench/spans.py traces pgm.block_state, pgm.bit_dot_table.
 from .dihedral import (BlockLabel, ScaleLimitError,  # noqa: F401
-                       _bit_dot_rows, _block_diagonal, _check_dense,
-                       bit_dot_table, block_state, phase_table)
+                       _bit_dots, _block_diagonal, _block_labels,
+                       _check_dense, bit_dot_table, block_state, phase_table)
 # Unused here: perfbench/spans.py traces pgm.iter_all_eta.
 from .subsetsum import (_nondecreasing_blocks, count_eta_batch,  # noqa: F401
                         iter_all_eta, vtilde)
@@ -92,12 +92,6 @@ def _phases(N: int, sums: np.ndarray) -> np.ndarray:
     return phase_table(N)[exps]
 
 
-def _block_phases(label: BlockLabel) -> tuple[np.ndarray, np.ndarray]:
-    """The block's bit-dot sums s_b = b.x and its (N, 2^k) phase matrix,
-    shared by the effects and the shift states."""
-    return label.bit_dots, _phases(label.N, label.bit_dots)
-
-
 def _effect_vectors(phases: np.ndarray, eta_at_sums: np.ndarray) -> np.ndarray:
     """e_j = phases_j / sqrt(N eta_(s_b)), for one block or a stack."""
     N = phases.shape[-2]
@@ -106,8 +100,8 @@ def _effect_vectors(phases: np.ndarray, eta_at_sums: np.ndarray) -> np.ndarray:
 
 def povm_block(label: BlockLabel) -> PovmBlock:
     """Closed-form effect vectors e_j = sum_p omega^(jp) |S_p> / sqrt(N)."""
-    sums, phases = _block_phases(label)
-    vectors = _effect_vectors(phases, label.eta[sums])
+    sums = label.bit_dots
+    vectors = _effect_vectors(_phases(label.N, sums), label.eta[sums])
     return PovmBlock(label, vectors, int(np.count_nonzero(label.eta)))
 
 
@@ -278,8 +272,8 @@ def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityRepor
     batched pass per block size: L, the resolution sum_i E_i S and every
     L_h - p rho are sums and products of matrices with that zero pattern,
     so they vanish off the blocks, and a block-diagonal spectrum is the
-    union of its blocks' spectra.  Inputs with no split run as they are.
-    The report's operator is the dense L.
+    union of its blocks' spectra.  The report's operator is the dense L,
+    scattered back from the blocks.
 
     Raises ValueError on no states or on states and effects that are not
     square of one shape ("dimension mismatch"), and names the violated
@@ -295,11 +289,8 @@ def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityRepor
     if not states or len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
         raise ValueError("dimension mismatch")
     groups = _diagonal_blocks(mats)
-    split = len(groups) > 1 or len(groups[0]) > 1
-    parts = [(states, effects)]
-    if split:
-        parts = [tuple([m[rows[:, :, None], rows[:, None, :]] for m in ms]
-                       for ms in (states, effects)) for rows in groups]
+    parts = [tuple([m[rows[:, :, None], rows[:, None, :]] for m in ms]
+                   for ms in (states, effects)) for rows in groups]
     for idx in range(len(effects)):
         for _, part_effects in parts:
             E = part_effects[idx]
@@ -314,11 +305,9 @@ def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityRepor
     checks = [_conditions(priors, *part) for part in parts]
     residual = max(c[1] for c in checks)
     dom_min = min(c[2] for c in checks)
-    L = checks[0][0]
-    if split:
-        L = np.zeros(shape, dtype=np.result_type(*(c[0] for c in checks)))
-        for rows, (L_blocks, _, _) in zip(groups, checks):
-            L[rows[:, :, None], rows[:, None, :]] = L_blocks
+    L = np.zeros(shape, dtype=np.result_type(*(c[0] for c in checks)))
+    for rows, (L_blocks, _, _) in zip(groups, checks):
+        L[rows[:, :, None], rows[:, None, :]] = L_blocks
     return OptimalityReport(residual, dom_min, tol, L)
 
 
@@ -457,15 +446,15 @@ def lsb_povm(N: int, k: int) -> LsbPovm:
 
 def dense_block_effects(N: int, k: int) -> list[np.ndarray]:
     """All N effects assembled densely in the x-major block basis: the
-    povm_block vectors of all N^k blocks formed at once from
-    _bit_dot_rows, with povm_block's operations in povm_block's order."""
+    povm_block vectors of all N^k blocks formed at once, with the bit-dot
+    sums of every label (_block_labels) and their counts from
+    count_eta_batch, in povm_block's operations and order."""
     dim = _check_dense(N, k)
     if dim > PGM_DENSE_LIMIT:
         raise ScaleLimitError(f"dense dimension {dim} exceeds {PGM_DENSE_LIMIT}")
-    sums = _bit_dot_rows(N, k)
-    offsets = N * np.arange(N ** k)[:, None]
-    eta = np.bincount((sums + offsets).ravel(), minlength=N ** (k + 1))
-    eta_at_sums = np.take_along_axis(eta.reshape(N ** k, N), sums, axis=1)
+    xs = _block_labels(N, k)
+    sums = _bit_dots(xs, N)
+    eta_at_sums = np.take_along_axis(count_eta_batch(xs, N), sums, axis=1)
     e = _effect_vectors(_phases(N, sums), eta_at_sums)
     return list(_block_diagonal(e[..., :, None] * e.conj()[..., None, :]))
 

@@ -33,7 +33,8 @@ def _pgm_ensemble(N, k, shift=0):
     e_(d+shift) e_(d+shift)^dag, all 2^k x 2^k."""
     def ensemble(label):
         priors = np.full(N, 1.0 / (N * float(N) ** k))
-        sums, phases = pgm._block_phases(label)
+        sums = label.bit_dots
+        phases = pgm._phases(N, sums)
         psi = phases / np.sqrt(2.0 ** k)  # rows of block_state
         # rows of povm_block, row j holding e_(j+shift)
         e = np.roll(phases, -shift, axis=0) / np.sqrt(N * label.eta[sums])
@@ -49,7 +50,7 @@ def _lsb_ensemble(povm):
 
     def ensemble(label):
         weight = 2.0 / (N * float(N) ** k)  # 2/N a shift, N^-k a block
-        psi = pgm._block_phases(label)[1] / np.sqrt(2.0 ** k)
+        psi = pgm._phases(N, label.bit_dots) / np.sqrt(2.0 ** k)
         states = [weight * s.T @ s.conj() for s in (psi[0::2], psi[1::2])]
         return (0.5, 0.5), states, povm.block(label)
     return ensemble
@@ -262,14 +263,15 @@ def test_pgm_dense_matches_closed_form_per_block():
 
 def test_block_phases_stack_block_states_bitwise():
     from dihedral_pgm import block_state
-    from dihedral_pgm.pgm import _block_phases
+    from dihedral_pgm.pgm import _phases
     rng = np.random.default_rng(67)
     for _ in range(100):
         N = int(rng.integers(2, 9))
         k = int(rng.integers(1, 7))
         label = BlockLabel(tuple(rng.integers(0, N, size=k)), N)
         slow = np.stack([block_state(label, d).amplitudes for d in range(N)])
-        assert np.array_equal(_block_phases(label)[1] / np.sqrt(2.0 ** k), slow)
+        assert np.array_equal(_phases(N, label.bit_dots) / np.sqrt(2.0 ** k),
+                              slow)
 
 
 @pytest.mark.parametrize("shift", [0, 1, 3])
