@@ -97,7 +97,7 @@ def cmd_verify(args) -> int:
         lines += [f"lsb {line}" for line in report.lines()]
         ok &= report.passed
 
-    equiv = all(reptheory.equivalence_check(args.N, d) for d in range(args.N))
+    equiv = reptheory.equivalence_check(args.N, range(args.N))
     lines.append(f"irrep-equivalence single-copy all-shifts "
                  f"{'PASS' if equiv else 'FAIL'}")
     ok &= equiv

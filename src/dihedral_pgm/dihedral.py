@@ -191,6 +191,15 @@ def hidden_subgroup_state(subgroup: frozenset[DihedralElement],
     return (order / dim) * (V @ V.conj().T)
 
 
+def _shift_permutation(N: int, d: int) -> np.ndarray:
+    """Group-basis indices q with rho_d = rho_0[q][:, q]: the automorphism
+    of the dihedral group that fixes the rotation s and sends the
+    reflection r to r s^d maps r^t s^k to r^t s^(k + t d), so it carries
+    the hidden subgroup {e, r} to {e, r s^d} and permutes the group basis."""
+    j = np.arange(N)
+    return np.concatenate([j, N + (j - d) % N])
+
+
 def tilde_basis_change(N: int) -> np.ndarray:
     """Conditional Fourier transform on the rotation register (2N x 2N).
 

@@ -34,11 +34,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dihedral import (DihedralElement, ScaleLimitError, element_from_index,
-                       hidden_subgroup_state, inverse, multiply, phase_table,
-                       subgroup_elements)
+from .dihedral import (DihedralElement, ScaleLimitError, _shift_permutation,
+                       element_from_index, hidden_subgroup_state, inverse,
+                       multiply, phase_table, subgroup_elements)
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+#: Bytes of one stack of shifted states in equivalence_check: every
+#: shift of N <= 64 is transformed at once, and N = 512 one at a time.
+STATE_STACK_BYTES = 2 ** 24
+
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
 
@@ -216,62 +219,64 @@ def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1) / 2
 
 
-def equivalence_check(N: int, d: int, tol: float = 1e-9) -> bool:
-    """Run the irrep-basis procedure on a hidden-shift state and compare
+def _label_blocks(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each label y in Z_N, the two rows of Q rho Q^dag whose 2 x 2
+    block the irrep procedure hands to y, and whether that block pools
+    two one-dimensional irreps (read in the Hadamard basis).  Row outcome
+    0 of irrep x goes to label N - x as is; row outcome 1 goes to label
+    x after the bit flip, which reverses its two rows."""
+    rows = np.zeros((N, 2), dtype=np.int64)
+    pooled = np.zeros(N, dtype=bool)
+    one_dim = {}
+    offset = 0
+    for label in irrep_labels(N):
+        if label.kind == "two_dim":
+            rows[(N - label.x) % N] = offset, offset + 1
+            rows[label.x] = offset + 3, offset + 2
+        else:
+            one_dim[label.kind] = offset
+        offset += label.dimension ** 2
+    rows[0] = one_dim["trivial"], one_dim["alternating"]
+    pooled[0] = True
+    if N % 2 == 0:
+        rows[N // 2] = one_dim["even"], one_dim["odd"]
+        pooled[N // 2] = True
+    return rows, pooled
+
+
+def equivalence_check(N: int, shifts, tol: float = 1e-9) -> bool:
+    """Run the irrep-basis procedure on hidden-shift states and compare
     its (label, column state) statistics with the conditional-Fourier
     block decomposition.
 
-    Returns True iff every label has probability 1/N and every column
-    state matches (|0> + omega^(label d) |1>)/sqrt(2), to total-variation
-    plus trace-distance tol.
+    shifts is one shift d or an iterable of them.  Returns True iff, for
+    every shift, every label has probability 1/N and every column state
+    matches (|0> + omega^(label d) |1>)/sqrt(2), to total-variation plus
+    trace-distance tol.  Only rho_0 is built; each shifted state is rho_0
+    with its group basis permuted (_shift_permutation), and the shifts
+    are transformed and compared in stacks of at most STATE_STACK_BYTES.
     """
-    rho = hidden_subgroup_state(subgroup_elements("order2", N, d=d))
+    if isinstance(shifts, (int, np.integer)):
+        shifts = [shifts]
+    shifts = np.fromiter(shifts, dtype=np.int64) % N
     Q = qft_dihedral(N)
-    M = Q @ rho @ Q.conj().T
+    rho = hidden_subgroup_state(subgroup_elements("order2", N, d=0))
+    rows, pooled = _label_blocks(N)
     table = phase_table(N)
-
-    probs = np.zeros(N)
-    states = [np.zeros((2, 2), dtype=np.complex128) for _ in range(N)]
-
-    offset = 0
-    for label in irrep_labels(N):
-        span = label.dimension ** 2
-        block = M[offset:offset + span, offset:offset + span]
-        if label.kind == "two_dim":
-            sub0 = block[:2, :2]
-            sub1 = block[2:, 2:]
-            # row outcome 0 -> label N - x, kept as is;
-            # row outcome 1 -> label x, after the bit flip.
-            y0 = (N - label.x) % N
-            probs[y0] += sub0.trace().real
-            states[y0] += sub0
-            probs[label.x] += sub1.trace().real
-            states[label.x] += _PAULI_X @ sub1 @ _PAULI_X
-        offset += span
-
-    def pooled(first_kind: str, second_kind: str) -> np.ndarray:
-        rows = []
-        off = 0
-        for label in irrep_labels(N):
-            if label.kind in (first_kind, second_kind):
-                rows.append(off)
-            off += label.dimension ** 2
-        C = M[np.ix_(rows, rows)]
-        return _HADAMARD @ C @ _HADAMARD
-
-    pair0 = pooled("trivial", "alternating")
-    probs[0] += pair0.trace().real
-    states[0] += pair0
-    if N % 2 == 0:
-        pair_half = pooled("even", "odd")
-        probs[N // 2] += pair_half.trace().real
-        states[N // 2] += pair_half
-
-    tv = float(np.abs(probs - 1.0 / N).sum() / 2)
-    if tv > tol:
-        return False
-    target = np.stack([np.ones(N), table[(np.arange(N) * d) % N]], axis=1)
-    target = target / np.sqrt(2)
-    targets = target[:, :, None] * target.conj()[:, None, :]
-    pooled_states = np.stack(states) / probs[:, None, None]
-    return bool((_trace_distances(pooled_states, targets) <= tol).all())
+    per_stack = max(1, STATE_STACK_BYTES // (16 * (2 * N) ** 2))
+    for lo in range(0, shifts.size, per_stack):
+        d = shifts[lo:lo + per_stack]
+        q = np.stack([_shift_permutation(N, s) for s in d.tolist()])
+        M = Q @ rho[q[:, :, None], q[:, None, :]] @ Q.conj().T
+        blocks = M[:, rows[:, :, None], rows[:, None, :]]  # (shifts, N, 2, 2)
+        blocks[:, pooled] = _HADAMARD @ blocks[:, pooled] @ _HADAMARD
+        probs = np.trace(blocks, axis1=-2, axis2=-1).real
+        if not (np.abs(probs - 1.0 / N).sum(axis=1) / 2 <= tol).all():
+            return False
+        phases = table[np.outer(d, np.arange(N)) % N]
+        target = np.stack([np.ones_like(phases), phases], axis=-1) / np.sqrt(2)
+        targets = target[..., :, None] * target.conj()[..., None, :]
+        states = blocks / probs[..., None, None]
+        if not (_trace_distances(states, targets) <= tol).all():
+            return False
+    return True

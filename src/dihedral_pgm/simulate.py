@@ -11,10 +11,13 @@ which depends on j only through (d - j) mod N; the trivial outcome has
 probability zero.  For the trivial subgroup every j is equally likely at
 support_dim / (N 2^k) and the leftover outcome absorbs the rest.
 
-Nothing here materializes 2^k-dimensional vectors: a length-N Fourier
-transform of sqrt(eta) per block is all it takes, which is what lets the
-simulator run at k around 20 and N around 1024.  Trials draw their labels
-in the estimators' one Monte Carlo pass, success._sharded.
+Nothing here materializes 2^k-dimensional vectors.  For a shift, one
+real Fourier transform of sqrt(eta) per block is all it takes: sqrt(eta)
+is real, so the spectrum is Hermitian and its half m = 0 .. N // 2 holds
+every |.|^2 the outcomes read.  For the trivial subgroup the support
+size of eta is all it takes.  That is what lets the simulator run at k
+around 20 and N around 1024.  Trials draw their labels in the
+estimators' one Monte Carlo pass, success._sharded.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .dihedral import TRIVIAL, BlockLabel
 from .subsetsum import CHUNK_BYTES, count_eta_batch
-from .success import _sharded
+from .success import _sharded, _support_sizes
 
 
 @dataclass(frozen=True)
@@ -39,24 +42,29 @@ class OutcomeDistribution:
     probs: np.ndarray  # length N + 1
 
 
+def _trivial_distributions(support: np.ndarray, N: int, k: int) -> np.ndarray:
+    """Trivial-subgroup outcome probabilities, one row per support size:
+    support / (N 2^k) for every j, and the trivial outcome the rest."""
+    out = np.empty((support.shape[0], N + 1))
+    out[:, :N] = (support / (N * float(2 ** k)))[:, None]
+    out[:, N] = 1.0 - support / float(2 ** k)
+    return out
+
+
 def _distributions(eta: np.ndarray, N: int, k: int, hidden) -> np.ndarray:
     """Outcome probabilities, rows = draws, columns = (j in Z_N, trivial)."""
-    S = eta.shape[0]
-    out = np.zeros((S, N + 1))
-    denom = N * float(2 ** k)
     if hidden is TRIVIAL:
-        support = np.count_nonzero(eta, axis=1)
-        out[:, :N] = (support / denom)[:, None]
-        out[:, N] = 1.0 - support / float(2 ** k)
-        return out
+        return _trivial_distributions(_support_sizes(eta), N, k)
+    out = np.zeros((eta.shape[0], N + 1))
     d = int(hidden) % N
     # W[m] = |sum_p omega^(mp) sqrt(eta_p)|^2, shared by every shift:
     # P(j) only reads it at index (d - j) mod N, so shift covariance is
-    # exact by construction.
-    amps = np.fft.ifft(np.sqrt(eta, dtype=np.float64), axis=1) * N
-    W = amps.real ** 2 + amps.imag ** 2
-    cols = (d - np.arange(N)) % N
-    out[:, :N] = W[:, cols] / denom
+    # exact by construction.  sqrt(eta) is real, so W[m] = W[N - m] and
+    # the half spectrum m = 0 .. N // 2 of one real FFT holds all of W.
+    amps = np.fft.rfft(np.sqrt(eta, dtype=np.float64), axis=1)
+    W = (amps.real ** 2 + amps.imag ** 2) / (N * float(2 ** k))
+    m = (d - np.arange(N)) % N
+    out[:, :N] = W[:, np.minimum(m, N - m)]
     return out
 
 
@@ -67,11 +75,12 @@ def _outcomes(eta: np.ndarray, N: int, k: int, hidden,
     resolve toward smaller j), capped at N, the trivial outcome.
 
     The tables are built CHUNK_BYTES // (16 N) rows at a time, so the
-    largest, the complex128 Fourier transform, takes CHUNK_BYTES whatever
-    the work dtype of eta.  With larger blocks (whole counting chunks, or
-    half of them) the allocator handed back and faulted in their pages
-    block after block: 9e4 page faults and up to 1.5x the time for the
-    10000 trials of simulate at N = 1024, k = 20, against 3e3-3e4."""
+    complex128 half spectrum and each (rows, N + 1) float64 table take
+    about CHUNK_BYTES / 2 whatever the work dtype of eta.  With larger
+    blocks (whole counting chunks, or half of them) the allocator handed
+    back and faulted in their pages block after block: 9e4 page faults
+    and up to 1.5x the time for the 10000 trials of simulate at N = 1024,
+    k = 20, against 3e3-3e4."""
     S = eta.shape[0]
     step = max(1, CHUNK_BYTES // (16 * N))
     outcomes = np.empty(S, dtype=np.int64)
@@ -79,6 +88,25 @@ def _outcomes(eta: np.ndarray, N: int, k: int, hidden,
         rows = slice(lo, lo + step)
         cdf = np.cumsum(_distributions(eta[rows], N, k, hidden), axis=1)
         outcomes[rows] = (cdf <= u[rows, None]).sum(axis=1)
+    return np.minimum(outcomes, N)
+
+
+def _trivial_outcomes(support: np.ndarray, N: int, k: int,
+                      u: np.ndarray) -> np.ndarray:
+    """The outcomes _outcomes gives for the trivial subgroup, from the
+    support sizes alone: one cumulative row per distinct support size, by
+    the same cumsum in blocks of _outcomes's size, searched for the u of
+    the rows with that size.  The row never decreases, so
+    searchsorted(side="right") is its number of entries at or below u."""
+    outcomes = np.empty(support.shape[0], dtype=np.int64)
+    sizes = np.unique(support)
+    step = max(1, CHUNK_BYTES // (16 * N))
+    for lo in range(0, sizes.size, step):
+        block = sizes[lo:lo + step]
+        cdfs = np.cumsum(_trivial_distributions(block, N, k), axis=1)
+        for size, cdf in zip(block, cdfs):
+            rows = support == size
+            outcomes[rows] = np.searchsorted(cdf, u[rows], side="right")
     return np.minimum(outcomes, N)
 
 
@@ -100,16 +128,23 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     after the shard's labels.  Trials run in the estimators' Monte Carlo
     pass, success._sharded (memory guard, success.SHARD draws a shard,
     split seeds, `threads` workers), merged in shard order.  Within a
-    shard the outcomes are count_eta_batch's reducer (_outcomes): each
-    cache-sized counting chunk is turned into its outcomes while it is
-    still in cache, so a worker holds its draws plus one chunk's tables,
-    never a (SHARD, N) table.
+    shard the outcomes for a shift are count_eta_batch's reducer
+    (_outcomes): each cache-sized counting chunk is turned into its
+    outcomes while it is still in cache, so a worker holds its draws plus
+    one chunk's tables, never a (SHARD, N) table.  For the trivial
+    subgroup the reducer keeps only the support sizes, and the shard's
+    outcomes come from one cumulative row per distinct size
+    (_trivial_outcomes), equal to _outcomes's.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
 
     def shard(rng, xs):
         u = rng.random(len(xs))
+        if hidden is TRIVIAL:
+            support = count_eta_batch(
+                xs, N, lambda rows, eta: _support_sizes(eta))
+            return xs, _trivial_outcomes(support, N, k, u)
         return xs, count_eta_batch(
             xs, N, lambda rows, eta: _outcomes(eta, N, k, hidden, u[rows]))
 

@@ -16,10 +16,12 @@ a chunk of draws whose work table fits in CHUNK_BYTES, hands the chunk
 to a row-wise reducer while it is still in cache, and moves on, so no
 (draws, N) table is ever held unless the caller asks for it (the
 default reducer).  Work tables are the narrowest exact integer type
-(int16 up to k = 14, int32 up to k = 30, int64 up to k = 62); each chunk
-starts from the histogram of the 2^m subset sums of its first m
-coordinates, built by doubling, and runs the remaining k - m steps on a
-doubled row [T | T] so that no index is ever reduced mod N.
+(int16 up to k = 14, int32 up to k = 30, int64 up to k = 62), and one
+table serves every chunk of a call.  Each chunk starts from the
+histogram of the 2^m subset sums of its first m coordinates, formed by
+one integer product with a table of bit strings, and runs the remaining
+k - m steps on a doubled row [T | T] so that no index is ever reduced
+mod N.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 # Unused here: perfbench/spans.py traces subsetsum.bit_dot_table.
 from .dihedral import (DENSE_DIM_LIMIT, BlockLabel, ScaleLimitError,  # noqa: F401
-                       bit_dot_table)
+                       _bit_dots, bit_dot_table)
 
 #: int64 counting is exact up to 2^k <= 2^62.
 BATCH_K_LIMIT = 62
@@ -55,23 +57,30 @@ CHUNK_BYTES = 2 ** 18
 
 
 def _prefix_width(N: int) -> int:
-    """Coordinates m whose 2^m subset sums seed each counting chunk:
-    the largest m with 2^m <= N / 64.  The histogram of the sums costs
-    about one dense step and saves m of them; m = 1 at N = 64 made 4096
-    draws at k = 3 1.6x slower."""
-    return max(0, N.bit_length() - 7)
+    """Coordinates m whose 2^m subset sums seed each counting chunk: the
+    largest m with 2^m <= N / 16 from N = 256 on, and with 2^m <= N / 64
+    below it.  The product and histogram of the sums cost about one dense
+    step and save m of them.  Counting 4096 draws and reducing them to
+    success values (best of 30, 2 vCPUs), N / 16 was as fast as or faster
+    than N / 32 and N / 64 at every k tried for N = 256, 1024 and 4096,
+    e.g. 70.7 against 82.9 ms (N / 64) at (1024, 20) and 3.4 against
+    4.8 ms at (256, 4).  At N = 64 no width beat m = 0 (m = 1 2.4 ms,
+    m = 0 2.5, m = 2 3.1), and a prefix there raised the peak memory of
+    small-N exact enumeration."""
+    return max(0, N.bit_length() - (5 if N >= 256 else 7))
 
 
 def _subset_sums(x: np.ndarray, N: int) -> np.ndarray:
-    """The 2^m sums b . x mod N of each row of x, an (S, m) array with
-    entries in [0, N), as an (S, 2^m) int64 array in little-endian order
-    of b, built by doubling with one conditional subtraction of N a step."""
-    sums = np.zeros((x.shape[0], 1), dtype=np.int64)
-    for j in range(x.shape[1]):
-        more = sums + x[:, j:j + 1]
-        more[more >= N] -= N
-        sums = np.concatenate([sums, more], axis=1)
-    return sums
+    """The 2^m sums b . x mod N of each row of x, an (S, m) int64 array
+    with entries in [0, N), as an (S, 2^m) int64 array in little-endian
+    order of b: one integer product with the (2^m, m) bit table, reduced
+    mod N once, while the unreduced sums m (N - 1) stay below 2^63, and
+    bit_dot_table's doubling (dihedral._bit_dots) beyond."""
+    m = x.shape[1]
+    if m * (N - 1) >= 2 ** 63:
+        return _bit_dots(x, N)
+    bits = (np.arange(2 ** m, dtype=np.int64)[:, None] >> np.arange(m)) & 1
+    return x @ bits.T % N
 
 
 def _widen(rows: slice, eta: np.ndarray) -> np.ndarray:
@@ -129,18 +138,23 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     """eta for many draws at once, reduced row-wise chunk by chunk.
 
     xs is (S, k) integers.  The rows are counted in chunks of
-    CHUNK_BYTES // (N * itemsize) draws, each on its own work table, and
-    every chunk is handed to reduce(rows, eta_chunk) while it is still
-    in cache: rows is the chunk's slice of xs and eta_chunk its
-    (len, N) counts in the work dtype.  The per-row results are
-    concatenated in row order.  The default reducer widens the chunk to
-    int64, so count_eta_batch(xs, N) is the (S, N) int64 table.
+    CHUNK_BYTES // (N * itemsize) draws on one work table, allocated once
+    per call with its window view and overwritten by every chunk, and
+    each chunk is handed to reduce(rows, eta_chunk) while it is still in
+    cache: rows is the chunk's slice of xs and eta_chunk its (len, N)
+    counts in the work dtype.  eta_chunk is a view of the work table, so
+    it is valid only during that call: a reducer may return it or a view
+    of it (the result is copied out before the next chunk), but must not
+    keep it.  The per-row results are concatenated in row order.  The
+    default reducer widens the chunk to int64, so count_eta_batch(xs, N)
+    is the (S, N) int64 table.
 
     The work tables are int16 up to k = INT16_K_LIMIT, int32 up to
     k = INT32_K_LIMIT and int64 beyond (a count is at most 2^k).  A chunk
     starts from the histogram of the 2^m subset sums of its first m
-    coordinates (m from _prefix_width(N), sums from _subset_sums), and
-    runs the remaining k - m steps of the recurrence.  It keeps each row doubled, [T | T], so
+    coordinates (m from _prefix_width(N), sums from _subset_sums as one
+    integer product), and runs the remaining k - m steps of the
+    recurrence.  It keeps each row doubled, [T | T], so
     T[(r - x_j) mod N] for every r is the contiguous slice starting at
     N - x_j, gathered with no modulo pass.
     """
@@ -154,12 +168,17 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
             np.int32 if k <= INT32_K_LIMIT else np.int64)
     rows = max(1, CHUNK_BYTES // (N * np.dtype(work).itemsize))
     m = min(k, _prefix_width(N))
+    n_max = min(rows, max(S, 1))
+    # one work table for every chunk: each chunk overwrites its rows
+    table = np.empty((n_max, 2 * N), dtype=work)
+    # windows[s, i] is the view table[s, i:i + N]
+    windows = np.lib.stride_tricks.sliding_window_view(table, N, axis=1)
     out = None
     # one pass over an empty xs still gives the reducer's output shape
     for lo in range(0, max(S, 1), rows):
         x = xs[lo:lo + rows] % N
         n = x.shape[0]
-        doubled = np.zeros((n, 2 * N), dtype=work)
+        doubled = table[:n]
         T = doubled[:, :N]
         if m:
             # one bincount over all rows: row s's sums land in s*N .. s*N+N-1
@@ -167,9 +186,8 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
             T[...] = np.bincount(flat.ravel(), minlength=n * N).reshape(n, N)
             doubled[:, N:] = T
         else:
+            doubled[...] = 0
             doubled[:, [0, N]] = 1
-        # windows[s, i] is the view doubled[s, i:i + N]
-        windows = np.lib.stride_tricks.sliding_window_view(doubled, N, axis=1)
         chunk_rows = np.arange(n)
         start = N - x  # in [1, N]
         for j in range(m, k):

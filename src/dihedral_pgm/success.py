@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dihedral import (ScaleLimitError, hidden_subgroup_state,
-                       subgroup_elements)
+from .dihedral import (ScaleLimitError, _shift_permutation,
+                       hidden_subgroup_state, subgroup_elements)
 # Unused here: perfbench/spans.py traces success.iter_all_eta.
 from .subsetsum import (_iter_orbit_eta, count_eta_batch,  # noqa: F401
                         iter_all_eta)
@@ -320,15 +320,6 @@ def lsb_counting_sums(N: int, k: int) -> tuple[int, int, int]:
 def _entropy_bits(spectrum: np.ndarray) -> float:
     lam = spectrum[spectrum > 1e-14]
     return float(-(lam * np.log2(lam)).sum())
-
-
-def _shift_permutation(N: int, d: int) -> np.ndarray:
-    """Group-basis indices q with rho_d = rho_0[q][:, q]: the automorphism
-    of the dihedral group that fixes the rotation s and sends the
-    reflection r to r s^d maps r^t s^k to r^t s^(k + t d), so it carries
-    the hidden subgroup {e, r} to {e, r s^d} and permutes the group basis."""
-    j = np.arange(N)
-    return np.concatenate([j, N + (j - d) % N])
 
 
 def chi_single_copy(N: int) -> float:

@@ -121,24 +121,44 @@ def test_monte_carlo_memory_guard_exits_3(tmp_path, capsys):
 
 
 #: sha256 of (stdout, --output file) at fixed seeds, as written before the
-#: counting kernel was chunked; any change to the Monte Carlo bytes shows.
+#: counting kernel was chunked (sweep, lsb, simulate with a shift) and
+#: before trivial outcomes were read from support sizes and shift outcomes
+#: from the half spectrum (the trivial and odd-N simulate runs); any
+#: change to the Monte Carlo bytes shows.
 GOLDEN = [
-    (["sweep", "--N", "1024", "--k", "8..12", "--samples", "5000",
-      "--seed", "7"],
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "6c052db375b728214b0e720b488b1eb8ea1fd80ad8271bc03e241db0abdd7a37"),
-    (["lsb", "--N", "256", "--k", "12", "--samples", "5000", "--seed", "7"],
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "3cf8de3256f0c7b17de12a0d0bef4db68da023195b5fa5ee9c94cd5d7ef6f476"),
-    (["simulate", "--N", "256", "--k", "12", "--hidden", "5", "--trials",
-      "5000", "--seed", "7", "--threads", "2"],
-     "8351bb2b0951fd3e442c0377325984e15cb30f67197b04429a71d05dc090f6f2",
-     "438ce4230a3f20ac3baab4ad5677a9bfd0ce24778319c3ca1fb4b5f03e256f47"),
+    pytest.param(
+        ["sweep", "--N", "1024", "--k", "8..12", "--samples", "5000",
+         "--seed", "7"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "6c052db375b728214b0e720b488b1eb8ea1fd80ad8271bc03e241db0abdd7a37",
+        id="sweep"),
+    pytest.param(
+        ["lsb", "--N", "256", "--k", "12", "--samples", "5000", "--seed", "7"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3cf8de3256f0c7b17de12a0d0bef4db68da023195b5fa5ee9c94cd5d7ef6f476",
+        id="lsb"),
+    pytest.param(
+        ["simulate", "--N", "256", "--k", "12", "--hidden", "5", "--trials",
+         "5000", "--seed", "7", "--threads", "2"],
+        "8351bb2b0951fd3e442c0377325984e15cb30f67197b04429a71d05dc090f6f2",
+        "438ce4230a3f20ac3baab4ad5677a9bfd0ce24778319c3ca1fb4b5f03e256f47",
+        id="simulate"),
+    pytest.param(
+        ["simulate", "--N", "256", "--k", "6", "--hidden", "trivial",
+         "--trials", "5000", "--seed", "7", "--threads", "2"],
+        "17d06c37fa7ef267f3b25a32f2c3be7b985fe5d0509727a39c4cd5cc2a2c85e5",
+        "3e9ad237571ca7964b90e2d7077b58b8011ee202e666ec3b852eea72f4866969",
+        id="simulate-trivial"),
+    pytest.param(
+        ["simulate", "--N", "37", "--k", "6", "--hidden", "5", "--trials",
+         "5000", "--seed", "7", "--threads", "2"],
+        "5ba909fea032b9c91a464ea17df148183fbddc2eadde120019b9b9c20f7b16e5",
+        "39b675f605233a9988609d544ccc127694802832cdbc3e8a7485792c2bdad330",
+        id="simulate-odd-n"),
 ]
 
 
-@pytest.mark.parametrize("argv, stdout_sha, output_sha", GOLDEN,
-                         ids=[argv[0] for argv, _, _ in GOLDEN])
+@pytest.mark.parametrize("argv, stdout_sha, output_sha", GOLDEN)
 def test_cli_bytes_match_golden_digests(argv, stdout_sha, output_sha,
                                         tmp_path, capsys):
     out = tmp_path / "out"

@@ -126,16 +126,24 @@ def _kernel_sizes():
                             st.integers(28, 40))))
 
 
-def _kernel_rows(size, offset, data):
-    """(N, k, pool, which, xs): S = 1 row, or a full counting chunk with
-    one row missing, none or one over, each row one of a few distinct x
-    (so the slow reference runs once per x) plus multiples of N (so
-    entries must be reduced mod N)."""
+#: Row counts as (full counting chunks, extra rows): one row, one chunk
+#: with one row missing, none or one over, and two chunks and one row,
+#: so a later chunk reuses a work table that still holds the rows of the
+#: one before.
+ROW_COUNTS = ((0, 1), (1, -1), (1, 0), (1, 1), (2, 1))
+
+
+def _kernel_rows(size, rows, data):
+    """(N, k, pool, which, xs): S = chunks * chunk + extra rows for
+    rows = (chunks, extra), each row one of a few distinct x (so the slow
+    reference runs once per x) plus multiples of N (so entries must be
+    reduced mod N)."""
     N, k = size
     itemsize = (2 if k <= INT16_K_LIMIT else
                 4 if k <= INT32_K_LIMIT else 8)
     chunk = max(1, CHUNK_BYTES // (N * itemsize))
-    S = 1 if offset is None else chunk + offset
+    chunks, extra = rows
+    S = chunks * chunk + extra
     pool = np.array(data.draw(st.lists(
         st.lists(st.integers(0, N - 1), min_size=k, max_size=k),
         min_size=1, max_size=8)), dtype=np.int64)
@@ -146,23 +154,27 @@ def _kernel_rows(size, offset, data):
 
 
 @settings(parent=core, max_examples=30)
-@given(_kernel_sizes(), st.sampled_from((None, -1, 0, 1)), st.data())
-def test_count_eta_batch_matches_dp_rows(size, offset, data):
-    N, k, pool, which, xs = _kernel_rows(size, offset, data)
+@given(_kernel_sizes(), st.sampled_from(ROW_COUNTS), st.data())
+def test_count_eta_batch_matches_dp_rows(size, rows, data):
+    N, k, pool, which, xs = _kernel_rows(size, rows, data)
     eta = count_eta_batch(xs, N)
     assert eta.dtype == np.int64 and eta.shape == (xs.shape[0], N)
     ref = np.array([_dp_rows(BlockLabel(tuple(x), N))[-1]
                     for x in pool.tolist()], dtype=np.int64)
     assert np.array_equal(eta, ref[which])
+    # a reducer may return a view of its chunk: the chunk is copied out
+    # before the work table is reused
+    assert np.array_equal(count_eta_batch(xs, N, lambda r, chunk: chunk),
+                          eta)
 
 
 @settings(parent=core, max_examples=30)
-@given(_kernel_sizes(), st.sampled_from((None, -1, 0, 1)), st.data())
-def test_chunk_reducers_match_the_int64_table(size, offset, data):
+@given(_kernel_sizes(), st.sampled_from(ROW_COUNTS), st.data())
+def test_chunk_reducers_match_the_int64_table(size, rows, data):
     # every reducer the program hands count_eta_batch sees the counts in
     # the chunk's work dtype; its per-row results must not depend on that
     # dtype or on where the chunks are cut
-    N, k, _, _, xs = _kernel_rows(size, offset, data)
+    N, k, _, _, xs = _kernel_rows(size, rows, data)
     S = xs.shape[0]
     u = np.random.default_rng(S).random(S)
     table = count_eta_batch(xs, N)

@@ -7,9 +7,52 @@ from dihedral_pgm import (DihedralElement, IrrepLabel, element_from_index,
                           equivalence_check, hidden_state_in_irrep_basis,
                           hidden_subgroup_state, irrep, irrep_labels,
                           left_regular, multiply, phase_table, qft_dihedral,
-                          right_regular, subgroup_elements)
+                          reptheory, right_regular, subgroup_elements)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
+H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+
+
+def _equivalence_one_shift(N, d, tol=1e-9):
+    """The irrep-basis procedure for one shift, label by label: the state
+    rebuilt for d, its blocks read irrep by irrep.  The slow path of
+    equivalence_check; it reads qft_dihedral and phase_table through the
+    module, so a monkeypatched control reaches both paths."""
+    rho = hidden_subgroup_state(subgroup_elements("order2", N, d=d))
+    Q = reptheory.qft_dihedral(N)
+    M = Q @ rho @ Q.conj().T
+    probs = np.zeros(N)
+    states = [np.zeros((2, 2), dtype=np.complex128) for _ in range(N)]
+    offsets, offset = {}, 0
+    for label in irrep_labels(N):
+        span = label.dimension ** 2
+        block = M[offset:offset + span, offset:offset + span]
+        if label.kind == "two_dim":
+            # row outcome 0 -> label N - x as is; 1 -> label x, bit flipped
+            y0 = (N - label.x) % N
+            probs[y0] += block[:2, :2].trace().real
+            states[y0] += block[:2, :2]
+            probs[label.x] += block[2:, 2:].trace().real
+            states[label.x] += X @ block[2:, 2:] @ X
+        offsets[label.kind] = offset
+        offset += span
+    pairs = [(0, "trivial", "alternating")]
+    if N % 2 == 0:
+        pairs.append((N // 2, "even", "odd"))
+    for y, first, second in pairs:
+        rows = [offsets[first], offsets[second]]
+        pooled = H @ M[np.ix_(rows, rows)] @ H
+        probs[y] += pooled.trace().real
+        states[y] += pooled
+    if np.abs(probs - 1.0 / N).sum() / 2 > tol:
+        return False
+    table = reptheory.phase_table(N)
+    for y in range(N):
+        target = np.array([1.0, table[(y * d) % N]]) / np.sqrt(2)
+        diff = states[y] / probs[y] - np.outer(target, target.conj())
+        if np.abs(np.linalg.eigvalsh(diff)).sum() / 2 > tol:
+            return False
+    return True
 
 
 def test_irrep_dimension_completeness():
@@ -183,14 +226,38 @@ def test_equivalence_check(N):
         assert equivalence_check(N, d)
 
 
+def test_equivalence_check_over_all_shifts_matches_one_shift_at_a_time():
+    for N in range(2, 17):
+        per_shift = [_equivalence_one_shift(N, d) for d in range(N)]
+        assert all(per_shift)
+        assert equivalence_check(N, range(N)) == all(per_shift)
+        # shifts outside [0, N) and from any iterable name the same states
+        assert equivalence_check(N, (d + 3 * N for d in range(N)))
+        assert equivalence_check(N, np.arange(-N, 0))
+
+
+def test_equivalence_check_in_stacks_of_one_shift(monkeypatch):
+    # past STATE_STACK_BYTES the shifts run in several stacks; a failure
+    # in a later stack still fails the check
+    monkeypatch.setattr(reptheory, "STATE_STACK_BYTES", 1)
+    for N in (2, 5, 8):
+        assert equivalence_check(N, range(N))
+    monkeypatch.setattr(reptheory, "phase_table",
+                        lambda n: np.conj(phase_table(n)))
+    assert not equivalence_check(5, range(5))
+
+
 @pytest.mark.parametrize("N", [3, 4, 5, 6, 8])
 def test_equivalence_check_fails_on_conjugated_targets(N, monkeypatch):
     # conjugate the roots of unity of the block-decomposition targets only;
     # the Fourier transform is built first and kept, since conjugating it
     # too would relabel x -> N - x consistently on both sides
-    from dihedral_pgm import reptheory
     Q = qft_dihedral(N)
     monkeypatch.setattr(reptheory, "qft_dihedral", lambda n: Q)
     monkeypatch.setattr(reptheory, "phase_table",
                         lambda n: np.conj(phase_table(n)))
     assert not equivalence_check(N, 1)
+    assert not equivalence_check(N, range(N))
+    assert not _equivalence_one_shift(N, 1)
+    # shift 0 has real targets, which conjugation leaves as they are
+    assert equivalence_check(N, 0) and _equivalence_one_shift(N, 0)

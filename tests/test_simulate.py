@@ -10,9 +10,37 @@ from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError, block_state,
                           count_eta, outcome_distribution, povm_block,
                           run_trials, shift_covariance_check, success_exact,
                           success_mc, trivial_success)
-from dihedral_pgm.simulate import _distributions
-from dihedral_pgm.success import MC_SHARD_BYTES, SHARD, _sharded
-from dihedral_pgm.subsetsum import CHUNK_BYTES, iter_all_eta
+from dihedral_pgm.simulate import (_distributions, _outcomes,
+                                   _trivial_outcomes)
+from dihedral_pgm.success import (MC_SHARD_BYTES, SHARD, _sharded,
+                                  _support_sizes)
+from dihedral_pgm.subsetsum import CHUNK_BYTES, count_eta_batch, iter_all_eta
+
+
+def _distributions_by_full_ifft(eta, N, k, hidden):
+    """The outcome tables from a length-N inverse FFT of sqrt(eta) per
+    block, and for the trivial subgroup from a support count per row of
+    the (rows, N + 1) table: the slow path of _distributions."""
+    S = eta.shape[0]
+    out = np.zeros((S, N + 1))
+    denom = N * float(2 ** k)
+    if hidden is TRIVIAL:
+        support = np.count_nonzero(eta, axis=1)
+        out[:, :N] = (support / denom)[:, None]
+        out[:, N] = 1.0 - support / float(2 ** k)
+        return out
+    d = int(hidden) % N
+    amps = np.fft.ifft(np.sqrt(eta, dtype=np.float64), axis=1) * N
+    W = amps.real ** 2 + amps.imag ** 2
+    cols = (d - np.arange(N)) % N
+    out[:, :N] = W[:, cols] / denom
+    return out
+
+
+def _random_draws(N, k, S, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, N, size=(S, k))
+    return count_eta_batch(xs, N), rng.random(S)
 
 
 def test_outcome_distribution_examples():
@@ -59,6 +87,37 @@ def test_outcome_distribution_normalization():
         probs = outcome_distribution(label, hidden).probs
         assert probs.min() >= -1e-15
         assert abs(probs.sum() - 1) < 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 37, 256])
+def test_half_spectrum_matches_the_full_ifft(N):
+    # W[m] = W[N - m] for the real input sqrt(eta), odd N included; the
+    # two FFTs round differently, by far less than 1e-12
+    for k in (1, 3, 9):
+        eta, _ = _random_draws(N, k, 200, N + k)
+        for hidden in sorted({0, 1 % N, N // 2, N - 1}):
+            fast = _distributions(eta, N, k, hidden)
+            slow = _distributions_by_full_ifft(eta, N, k, hidden)
+            assert np.abs(fast - slow).max() <= 1e-12
+        assert np.array_equal(_distributions(eta, N, k, TRIVIAL),
+                              _distributions_by_full_ifft(eta, N, k, TRIVIAL))
+
+
+@pytest.mark.parametrize("N, k", [(1, 4), (2, 5), (5, 2), (37, 6),
+                                  (256, 6), (1024, 10)])
+def test_trivial_outcomes_from_support_sizes_match_the_tables(N, k):
+    # one cumulative row per distinct support size, searched, against the
+    # inverse CDF over each row's own (N + 1)-column table
+    eta, u = _random_draws(N, k, 3000, 7 * N + k)
+    cdf = np.cumsum(_distributions_by_full_ifft(eta, N, k, TRIVIAL), axis=1)
+    # ties: the first rows draw a u equal to an entry of their own row
+    entries = np.random.default_rng(N).integers(0, N + 1, size=100)
+    u[:100] = cdf[np.arange(100), entries]
+    tables = np.minimum((cdf <= u[:, None]).sum(axis=1), N)
+    fast = _trivial_outcomes(_support_sizes(eta), N, k, u)
+    assert fast.dtype == tables.dtype
+    assert np.array_equal(fast, tables)
+    assert np.array_equal(_outcomes(eta, N, k, TRIVIAL, u), tables)
 
 
 def test_success_marginal_matches_exact():

@@ -82,6 +82,21 @@ def test_count_eta_batch_prefix_sums_wrap_mod_n():
                 assert np.array_equal(row_sums, bit_dot_table(label))
 
 
+def test_subset_sums_by_product_and_by_doubling():
+    # one int64 product while m (N - 1) < 2^63, doubling from there on:
+    # at N = 2^62 - 1 two coordinates take the product and three the
+    # doubling, and both equal the sums taken in Python integers
+    N = 2 ** 62 - 1
+    rng = np.random.default_rng(5)
+    for m in (2, 3):
+        xs = rng.integers(N - 2 ** 20, N, size=(4, m))
+        xs[0] = N - 1
+        for row, row_sums in zip(xs.tolist(), _subset_sums(xs, N)):
+            assert row_sums.tolist() == [
+                sum(v for j, v in enumerate(row) if b >> j & 1) % N
+                for b in range(2 ** m)]
+
+
 def test_enumerate_examples():
     assert enumerate_subsets(BlockLabel((1, 2), 4), 3).tolist() == [3]
     assert enumerate_subsets(BlockLabel((0, 0), 2), 1).tolist() == []
