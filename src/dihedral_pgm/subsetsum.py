@@ -17,11 +17,13 @@ to a row-wise reducer while it is still in cache, and moves on, so no
 (draws, N) table is ever held unless the caller asks for it (the
 default reducer).  Work tables are the narrowest exact integer type
 (int16 up to k = 14, int32 up to k = 30, int64 up to k = 62), and one
-table serves every chunk of a call.  Each chunk starts from the
-histogram of the 2^m subset sums of its first m coordinates, formed by
-one integer product with a table of bit strings, and runs the remaining
-k - m steps on a doubled row [T | T] so that no index is ever reduced
-mod N.
+table serves every chunk of a call.  Each row of the table is doubled,
+[T | T], so that no index is ever reduced mod N.  A chunk starts by
+writing the histogram of the 2^m subset sums of its first m coordinates
+into both halves at once; the sums are one float64 product with a table
+of bit strings, exact while (m + 1) N <= 2^53.  Each of the remaining
+k - m steps is then one broadcast add of the gathered window to both
+halves, so the halves never need to be copied into each other.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ INT16_K_LIMIT = 14
 #: peaked at 158 MB.
 DP_TABLE_LIMIT = 2 ** 20
 
-#: Bytes of one chunk's T in count_eta_batch.  The chunk's tables
-#: (doubled row plus gathered row, 3x this) then stay cache-sized: at
+#: Bytes of one chunk's T in count_eta_batch.  The chunk's rows [T | T]
+#: and the window gathered each step, 3x this, then stay cache-sized: at
 #: N = 1024 a 4096-draw shard runs in 128-row int16 or 64-row int32
 #: chunks.  Halving or doubling it was slower on a 2-vCPU machine, and
 #: larger chunks raise the peak memory of small-N exact enumeration.
@@ -61,26 +63,42 @@ def _prefix_width(N: int) -> int:
     largest m with 2^m <= N / 16 from N = 256 on, and with 2^m <= N / 64
     below it.  The product and histogram of the sums cost about one dense
     step and save m of them.  Counting 4096 draws and reducing them to
-    success values (best of 30, 2 vCPUs), N / 16 was as fast as or faster
-    than N / 32 and N / 64 at every k tried for N = 256, 1024 and 4096,
-    e.g. 70.7 against 82.9 ms (N / 64) at (1024, 20) and 3.4 against
-    4.8 ms at (256, 4).  At N = 64 no width beat m = 0 (m = 1 2.4 ms,
-    m = 0 2.5, m = 2 3.1), and a prefix there raised the peak memory of
-    small-N exact enumeration."""
+    success values (best of 20, 2 vCPUs), no other width was faster at
+    every k tried for N = 256, 1024 and 4096: N / 16 took 54.0 ms at
+    (1024, 20) against 59.9 (N / 32) and 55.8 (N / 8), and 80.2 ms at
+    (4096, 14) against 83.1 and 84.5, while N / 8 won by 0.6 ms at
+    (256, 12) and by 2.1 ms at (4096, 20).  At N = 64 no width beat
+    m = 0 by more than the noise (k = 8: m = 0 2.76 ms, m = 1 2.98,
+    m = 2 2.79), and a prefix there raised the peak memory of small-N
+    exact enumeration."""
     return max(0, N.bit_length() - (5 if N >= 256 else 7))
 
 
-def _subset_sums(x: np.ndarray, N: int) -> np.ndarray:
+def _bit_table(m: int) -> np.ndarray:
+    """The (m, 2^m) float64 table of bit strings b, column b holding the
+    bits of b in little-endian order."""
+    bits = (np.arange(2 ** m)[:, None] >> np.arange(m)) & 1
+    return bits.T.astype(np.float64)
+
+
+def _subset_sums(x: np.ndarray, N: int, bits: np.ndarray | None = None
+                 ) -> np.ndarray:
     """The 2^m sums b . x mod N of each row of x, an (S, m) int64 array
     with entries in [0, N), as an (S, 2^m) int64 array in little-endian
-    order of b: one integer product with the (2^m, m) bit table, reduced
-    mod N once, while the unreduced sums m (N - 1) stay below 2^63, and
-    bit_dot_table's doubling (dihedral._bit_dots) beyond."""
+    order of b.  While (m + 1) N <= 2^53 they are one float64 product s
+    with bits (_bit_table(m), built here when None), reduced as
+    s - N floor(s / N): the sums are integers below 2^53 - N, so s is
+    exact, and fl(s / N) could round up to the next integer only if
+    s + N > 2^53.  Beyond that bound, bit_dot_table's doubling
+    (dihedral._bit_dots)."""
     m = x.shape[1]
-    if m * (N - 1) >= 2 ** 63:
+    if (m + 1) * N > 2 ** 53:
         return _bit_dots(x, N)
-    bits = (np.arange(2 ** m, dtype=np.int64)[:, None] >> np.arange(m)) & 1
-    return x @ bits.T % N
+    if bits is None:
+        bits = _bit_table(m)
+    s = x.astype(np.float64) @ bits
+    s -= N * np.floor(s / N)
+    return s.astype(np.int64)
 
 
 def _widen(rows: slice, eta: np.ndarray) -> np.ndarray:
@@ -150,13 +168,16 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     is the (S, N) int64 table.
 
     The work tables are int16 up to k = INT16_K_LIMIT, int32 up to
-    k = INT32_K_LIMIT and int64 beyond (a count is at most 2^k).  A chunk
-    starts from the histogram of the 2^m subset sums of its first m
-    coordinates (m from _prefix_width(N), sums from _subset_sums as one
-    integer product), and runs the remaining k - m steps of the
-    recurrence.  It keeps each row doubled, [T | T], so
-    T[(r - x_j) mod N] for every r is the contiguous slice starting at
-    N - x_j, gathered with no modulo pass.
+    k = INT32_K_LIMIT and int64 beyond (a count is at most 2^k).  Each
+    row is kept doubled, [T | T], so T[(r - x_j) mod N] for every r is
+    the contiguous slice starting at N - x_j, gathered with no modulo
+    pass.  The table is viewed as (rows, 2, N), the two halves of each
+    row.  A chunk starts from the histogram of the 2^m subset sums of its
+    first m coordinates (m from _prefix_width(N), sums from _subset_sums
+    as one float64 product with a bit table built once per call), written
+    into both halves in one assignment.  Each of the remaining k - m
+    steps of the recurrence gathers the windows and adds them to both
+    halves in one broadcast add, which keeps them equal with no copy.
     """
     xs = np.asarray(xs)
     S, k = xs.shape
@@ -169,6 +190,7 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     rows = max(1, CHUNK_BYTES // (N * np.dtype(work).itemsize))
     m = min(k, _prefix_width(N))
     n_max = min(rows, max(S, 1))
+    bits = _bit_table(m)
     # one work table for every chunk: each chunk overwrites its rows
     table = np.empty((n_max, 2 * N), dtype=work)
     # windows[s, i] is the view table[s, i:i + N]
@@ -178,22 +200,22 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     for lo in range(0, max(S, 1), rows):
         x = xs[lo:lo + rows] % N
         n = x.shape[0]
-        doubled = table[:n]
-        T = doubled[:, :N]
+        # the chunk's rows [T | T] as their two halves
+        halves = table[:n].reshape(n, 2, N)
         if m:
             # one bincount over all rows: row s's sums land in s*N .. s*N+N-1
-            flat = _subset_sums(x[:, :m], N) + np.arange(0, n * N, N)[:, None]
-            T[...] = np.bincount(flat.ravel(), minlength=n * N).reshape(n, N)
-            doubled[:, N:] = T
+            flat = (_subset_sums(x[:, :m], N, bits)
+                    + np.arange(0, n * N, N)[:, None])
+            halves[...] = np.bincount(flat.ravel(),
+                                      minlength=n * N).reshape(n, 1, N)
         else:
-            doubled[...] = 0
-            doubled[:, [0, N]] = 1
+            halves[...] = 0
+            halves[:, :, 0] = 1
         chunk_rows = np.arange(n)
         start = N - x  # in [1, N]
         for j in range(m, k):
-            T += windows[chunk_rows, start[:, j]]
-            doubled[:, N:] = T
-        result = reduce(slice(lo, lo + n), T)
+            halves += windows[chunk_rows, start[:, j]][:, None, :]
+        result = reduce(slice(lo, lo + n), halves[:, 0])
         if out is None:
             out = np.empty((S,) + result.shape[1:], dtype=result.dtype)
         out[lo:lo + n] = result

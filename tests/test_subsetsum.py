@@ -82,19 +82,38 @@ def test_count_eta_batch_prefix_sums_wrap_mod_n():
                 assert np.array_equal(row_sums, bit_dot_table(label))
 
 
+def _python_subset_sums(row, N):
+    return [sum(v for j, v in enumerate(row) if b >> j & 1) % N
+            for b in range(2 ** len(row))]
+
+
+def test_subset_sums_on_both_sides_of_the_float_bound():
+    # one float64 product while (m + 1) N <= 2^53, doubling beyond: at
+    # each m the largest N of the product and the smallest of the
+    # doubling, with a row of all N - 1, whose sums m (N - 1) are the
+    # largest there are
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 3, 5):
+        edge = 2 ** 53 // (m + 1)
+        for N in (edge, edge + 1):
+            xs = rng.integers(N - 2 ** 20, N, size=(4, m))
+            xs[0] = N - 1
+            for row, row_sums in zip(xs.tolist(), _subset_sums(xs, N)):
+                assert row_sums.tolist() == _python_subset_sums(row, N)
+
+
 def test_subset_sums_by_product_and_by_doubling():
-    # one int64 product while m (N - 1) < 2^63, doubling from there on:
-    # at N = 2^62 - 1 two coordinates take the product and three the
-    # doubling, and both equal the sums taken in Python integers
+    # far past the float64 bound the doubling still gives exact sums: at
+    # N = 2^62 - 1 a float64 holds neither the entries nor their sums;
+    # one coordinate keeps (m + 1) N below 2^63, where an int64 product
+    # would still be exact, and two or three pass it
     N = 2 ** 62 - 1
     rng = np.random.default_rng(5)
-    for m in (2, 3):
+    for m in (1, 2, 3):
         xs = rng.integers(N - 2 ** 20, N, size=(4, m))
         xs[0] = N - 1
         for row, row_sums in zip(xs.tolist(), _subset_sums(xs, N)):
-            assert row_sums.tolist() == [
-                sum(v for j, v in enumerate(row) if b >> j & 1) % N
-                for b in range(2 ** m)]
+            assert row_sums.tolist() == _python_subset_sums(row, N)
 
 
 def test_enumerate_examples():
