@@ -124,7 +124,10 @@ def test_monte_carlo_memory_guard_exits_3(tmp_path, capsys):
 #: counting kernel was chunked (sweep, lsb, simulate with a shift) and
 #: before trivial outcomes were read from support sizes and shift outcomes
 #: from the half spectrum (the trivial and odd-N simulate runs); any
-#: change to the Monte Carlo bytes shows.
+#: change to the Monte Carlo bytes shows.  The exact sweep and lsb runs
+#: were recorded before the orbit walk shared its prefixes' counts; they
+#: cover int16 and int32 tables, N = 64 and the deepest walk (N = 2,
+#: k = 26).
 GOLDEN = [
     pytest.param(
         ["sweep", "--N", "1024", "--k", "8..12", "--samples", "5000",
@@ -155,6 +158,31 @@ GOLDEN = [
         "5ba909fea032b9c91a464ea17df148183fbddc2eadde120019b9b9c20f7b16e5",
         "39b675f605233a9988609d544ccc127694802832cdbc3e8a7485792c2bdad330",
         id="simulate-odd-n"),
+    pytest.param(
+        ["sweep", "--exact", "--N", "8", "--k", "1..7"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9ac93da1085ddfaa9a5b0d6e39412f933b5cb290c7fe1ec74d406f1071ab8364",
+        id="sweep-exact-n8"),
+    pytest.param(
+        ["sweep", "--exact", "--N", "64", "--k", "1..3"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f5901b1a3276ec2e43b7b72838bcb3718b4f9e77815c26cf76ad611843b0288f",
+        id="sweep-exact-n64"),
+    pytest.param(
+        ["sweep", "--exact", "--N", "2", "--k", "20..26"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1de85acf9c5f1f6c05165e96f70ca3e3c8afa8337b933d71f20e5a565654f4f1",
+        id="sweep-exact-n2"),
+    pytest.param(
+        ["lsb", "--exact", "--N", "8", "--k", "7"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "0009992698a6e047365400e16cc785a4e89221978751583217d82de6a510e31f",
+        id="lsb-exact-n8"),
+    pytest.param(
+        ["lsb", "--exact", "--N", "4", "--k", "13"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "09a1a6c9130df218659f5c3a247c8fba7212ff99e4cdd020c4d20b9433c2d942",
+        id="lsb-exact-n4"),
 ]
 
 
