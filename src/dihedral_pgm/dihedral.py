@@ -174,21 +174,22 @@ def hidden_subgroup_state(subgroup: frozenset[DihedralElement],
     if dim > DENSE_DIM_LIMIT:
         raise ScaleLimitError(f"dense dimension {dim} exceeds {DENSE_DIM_LIMIT}")
     order = len(elems)
-    # column c of V is the c-th coset state; the cosets partition the group,
-    # so each entry of V V^dag has exactly one nonzero term
-    V = np.zeros((dim, dim), dtype=np.complex128)
-    seen = np.zeros(dim, dtype=bool)
-    cosets = 0
-    for idx in range(dim):
-        if seen[idx]:
-            continue
-        g = element_from_index(idx, N)
-        coset = [multiply(g, h).index for h in elems]
-        seen[coset] = True
-        V[coset, cosets] = 1 / np.sqrt(order)
-        cosets += 1
-    V = V[:, :cosets]
-    return (order / dim) * (V @ V.conj().T)
+    # g h for every g = r^t s^k (rows) and h in H (columns), by multiply's
+    # rule r^(t + t_h) s^(k_h + (-1)^(t_h) k); a coset is named by its
+    # least index
+    idx = np.arange(dim)
+    t, k = idx[:, None] // N, idx[:, None] % N
+    h_t = np.array([h.t for h in elems])
+    h_k = np.array([h.k for h in elems])
+    products = ((t + h_t) % 2) * N + (h_k + np.where(h_t, -k, k)) % N
+    coset = products.min(axis=1)
+    # the cosets partition the group, so each entry of V V^dag, with the
+    # coset states 1/sqrt(|H|) as the columns of V, has one nonzero term
+    # a a; scaled, it is (|H|/|G|) fl(a a) where g and g' share a coset
+    a = 1 / np.sqrt(order)
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    rho[coset[:, None] == coset[None, :]] = (order / dim) * (a * a)
+    return rho
 
 
 def _shift_permutation(N: int, d: int) -> np.ndarray:

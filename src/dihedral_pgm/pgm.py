@@ -31,12 +31,13 @@ with p + N/2.  The dense 2^k block is V L V^dag with V the isometry of
 the |S_p>, so its entrywise residual is the compressed one scaled by
 1/sqrt(eta_p eta_q), and its spectrum is the compressed spectrum plus
 2^k - s zeros.  _certify_blocks feeds the kernel one block per S_k orbit
-of Z_N^k (the nondecreasing x, C(N+k-1, k) of them), batched through
-count_eta_batch: permuting the coordinates of x permutes the bits of b,
-a relabelling of the 2^k block basis, so every block on an orbit has the
-same residual and spectrum.  The Gram rank, the number of occupied
-(x, p) pairs, is an orbit-weighted sum of support sizes over the one
-guarded orbit walk of the exact means (success._all_eta).
+of Z_N^k (the nondecreasing x, C(N+k-1, k) of them), counted by the one
+guarded orbit walk of the exact means (success._all_eta), which extends
+each prefix's counts to its children: permuting the coordinates of x
+permutes the bits of b, a relabelling of the 2^k block basis, so every
+block on an orbit has the same residual and spectrum.  The Gram rank,
+the number of occupied (x, p) pairs, is an orbit-weighted sum of support
+sizes over the same walk.
 
 The parity (least-significant-bit) measurement lives here too: its two
 effects per block pair each |S_r> with |S_(r+N/2)>, and aggregate the
@@ -53,7 +54,7 @@ from .dihedral import (BlockLabel, ScaleLimitError,  # noqa: F401
                        _bit_dots, _block_diagonal, _block_labels,
                        _check_dense, bit_dot_table, block_state, phase_table)
 # Unused here: perfbench/spans.py traces pgm.iter_all_eta.
-from .subsetsum import (_nondecreasing_blocks, count_eta_batch,  # noqa: F401
+from .subsetsum import (_unrank_nondecreasing, count_eta_batch,  # noqa: F401
                         iter_all_eta, vtilde)
 from .success import _all_eta, _support_sizes
 
@@ -221,23 +222,24 @@ def _conditions(priors, states, effects) -> tuple[np.ndarray, float, float]:
 
 def _certify_blocks(N: int, k: int, conditions, tol: float) -> OptimalityReport:
     """Worst residual and dominance over Z_N^k, read from one nondecreasing x
-    per S_k orbit.  count_eta_batch counts the representatives and hands
-    each chunk's (rows, N) counts to conditions(eta), which returns the
-    chunk's (rows, 2) per-block residuals and least dominance eigenvalues;
-    nothing is built before the guard.
+    per S_k orbit.  The orbit walk of the exact means (success._all_eta)
+    counts the representatives and hands each block's (rows, N) counts to
+    conditions(eta), which returns the block's (rows, 2) per-block
+    residuals and least dominance eigenvalues; nothing is built before
+    the guard.
 
     A permutation of x permutes the bits of every b, which relabels the
     block basis and so conjugates the block's states, effects and L by one
     permutation matrix: residual and spectrum are the same on the orbit.
     worst_block is the first representative, in walk order, of the least
-    dominance eigenvalue.
+    dominance eigenvalue, unranked from its walk position.
     """
     _check_dense(N, k)
-    xs = np.concatenate(list(_nondecreasing_blocks(N, k)))
-    checks = count_eta_batch(xs, N, lambda rows, eta: conditions(eta))
+    checks = np.concatenate([c for _, c in _all_eta(
+        N, k, lambda rows, eta: conditions(eta))])
     worst = int(np.argmin(checks[:, 1]))
     return OptimalityReport(float(checks[:, 0].max()), float(checks[worst, 1]),
-                            tol, worst_block=tuple(xs[worst].tolist()))
+                            tol, worst_block=_unrank_nondecreasing(worst, N, k))
 
 
 def _diagonal_blocks(mats) -> list[np.ndarray]:

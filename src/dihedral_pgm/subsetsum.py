@@ -24,10 +24,19 @@ into both halves at once; the sums are one float64 product with a table
 of bit strings, exact while (m + 1) N <= 2^53.  Each of the remaining
 k - m steps is then one broadcast add of the gathered window to both
 halves, so the halves never need to be copied into each other.
+
+Exact enumeration does not go through that counter.  It walks the
+nondecreasing x (one per orbit of coordinate permutations) level by
+level in lexicographic order: level j holds the doubled tables of a
+cache-sized block of prefixes x_1 .. x_j, and each child's table is its
+parent's plus one window of it, so the representatives that share a
+prefix share all of its steps.  The orbit weights ride down the same
+walk, and only the last level, undoubled, reaches the reducer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +108,20 @@ def _subset_sums(x: np.ndarray, N: int, bits: np.ndarray | None = None
     s = x.astype(np.float64) @ bits
     s -= N * np.floor(s / N)
     return s.astype(np.int64)
+
+
+def _work_dtype(k: int):
+    """The narrowest integer type that holds every count of k coordinates
+    (a count is at most 2^k)."""
+    if k > BATCH_K_LIMIT:
+        raise ScaleLimitError(f"int64 counting overflows beyond k = {BATCH_K_LIMIT}")
+    return (np.int16 if k <= INT16_K_LIMIT else
+            np.int32 if k <= INT32_K_LIMIT else np.int64)
+
+
+def _chunk_rows(N: int, work) -> int:
+    """Rows of N counts in the work dtype that fill CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // (N * np.dtype(work).itemsize))
 
 
 def _widen(rows: slice, eta: np.ndarray) -> np.ndarray:
@@ -181,13 +204,10 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     """
     xs = np.asarray(xs)
     S, k = xs.shape
-    if k > BATCH_K_LIMIT:
-        raise ScaleLimitError(f"int64 counting overflows beyond k = {BATCH_K_LIMIT}")
+    work = _work_dtype(k)
     if reduce is None:
         reduce = _widen
-    work = (np.int16 if k <= INT16_K_LIMIT else
-            np.int32 if k <= INT32_K_LIMIT else np.int64)
-    rows = max(1, CHUNK_BYTES // (N * np.dtype(work).itemsize))
+    rows = _chunk_rows(N, work)
     m = min(k, _prefix_width(N))
     n_max = min(rows, max(S, 1))
     bits = _bit_table(m)
@@ -234,55 +254,124 @@ def iter_all_eta(N: int, k: int, batch: int = 4096):
         yield digits, count_eta_batch(digits, N)
 
 
-def _nondecreasing_blocks(N: int, k: int):
-    """The nondecreasing x in Z_N^k in lexicographic order, one (S, k)
-    block per leading digit."""
-    for lead in range(N):
-        rows = np.full((1, 1), lead, dtype=np.int64)
-        for _ in range(k - 1):
-            # append a column, each digit at least the one before it
-            last = rows[:, -1]
-            reps = N - last
-            first = np.repeat(np.cumsum(reps) - reps, reps)
-            digit = np.repeat(last, reps) + np.arange(first.size) - first
-            rows = np.column_stack([np.repeat(rows, reps, axis=0), digit])
-        yield rows
+def _orbit_walk(N: int, k: int, rows: int, work):
+    """Yield (weights, eta) blocks over the nondecreasing x in Z_N^k, in
+    lexicographic order, at most `rows` rows a block: weights are the
+    int64 orbit sizes and eta the (rows, N) counts in the work dtype, a
+    view of a work table that is valid only until the next block.
 
+    The walk goes depth first, level j holding a block of nondecreasing
+    prefixes (x_1 .. x_j) with their doubled tables [T_j | T_j].  The
+    children of a prefix ending in v append v .. N - 1, and
+    T_(j+1)[r] = T_j[r] + T_j[r - x_(j+1)] is the prefix's half plus its
+    window at N - x_(j+1), so every child costs one gather and one add
+    (both halves at once) and shares its prefix's first j steps.  A
+    child's orbit weight is its parent's times (j + 1) over the run of
+    its last digit (how many of x_1 .. x_(j+1) equal it), exact in int64
+    since the weight is an integer at every prefix.  Only the last level
+    is undoubled; each level's table holds min(rows, its number of
+    prefixes) rows."""
+    # level j's table, j = 0 .. k: the root (the empty prefix) is one row
+    tables = [np.empty((min(rows, math.comb(N + j - 1, j)),
+                        (2 if j < k else 1) * N), dtype=work)
+              for j in range(k + 1)]
+    tables[0][0] = 0
+    tables[0][0, [0, N]] = 1
+    halves = [t.reshape(-1, 2, N) for t in tables[:k]]
+    # windows[j][s, i] is the view tables[j][s, i:i + N]
+    windows = [np.lib.stride_tricks.sliding_window_view(t, N, axis=1)
+               for t in tables[:k]]
+    # one frame per open level: its prefixes' last digits, runs of the
+    # last digit and weights, the end of each prefix's range of children,
+    # and the next child to make
+    frames = []
 
-def _orbit_weights(xs: np.ndarray) -> np.ndarray:
-    """Orbit sizes k!/prod_v m_v! of nondecreasing rows, built position by
-    position as i!/prod c, so no factorial is ever formed."""
-    w = np.ones(xs.shape[0], dtype=np.int64)
-    run = np.ones(xs.shape[0], dtype=np.int64)
-    for i in range(1, xs.shape[1]):
-        # run: how many of x_1 .. x_(i+1) equal x_(i+1)
-        run = np.where(xs[:, i] == xs[:, i - 1], run + 1, 1)
-        w = w * (i + 1) // run
-    return w
+    def push(last, run, weight):
+        ends = np.cumsum(N - last)
+        frames.append([last, run, weight, ends, ends - (N - last), 0])
+
+    push(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+         np.ones(1, dtype=np.int64))
+    while frames:
+        last, run, weight, ends, starts, lo = frames[-1]
+        total = int(ends[-1])
+        if lo == total:
+            frames.pop()
+            continue
+        hi = frames[-1][-1] = min(lo + rows, total)
+        level = len(frames)  # of the children, 1 .. k
+        child = np.arange(lo, hi)
+        parent = np.searchsorted(ends, child, side="right")
+        digit = last[parent] + (child - starts[parent])
+        run_c = np.where(digit == last[parent], run[parent] + 1, 1)
+        weight_c = weight[parent] * level // run_c
+        # T_j[(r - x) mod N] for every r is the window starting at N - x
+        window = windows[level - 1][parent, N - digit]
+        if level == k:
+            out = tables[k][:hi - lo]
+            np.take(halves[k - 1][:, 0], parent, axis=0, out=out)
+            out += window
+            yield weight_c, out
+        else:
+            out = halves[level][:hi - lo]
+            np.take(halves[level - 1], parent, axis=0, out=out)
+            out += window[:, None, :]
+            push(digit, run_c, weight_c)
 
 
 def _iter_orbit_eta(N: int, k: int, batch: int = 4096, reduce=None):
     """Yield (weights, reduced_chunk) over one x per orbit of Z_N^k under
     permutations of the coordinates (the nondecreasing x, in
-    lexicographic order), at most `batch` rows a chunk; weights are the
-    exact int64 orbit sizes, summing to N^k, and reduced_chunk is
-    count_eta_batch(chunk, N, reduce), the (rows, N) int64 counts by
-    default.  Permuting x leaves eta unchanged, so a weighted sum over
-    these rows equals the sum over all of Z_N^k."""
-    parts, held = [], 0
-    for block in _nondecreasing_blocks(N, k):
-        parts.append(block)
-        held += block.shape[0]
-        if held >= batch:
-            rows = np.concatenate(parts)
-            cut = held - held % batch
-            parts, held = [rows[cut:]], held - cut
-            for lo in range(0, cut, batch):
-                chunk = rows[lo:lo + batch]
-                yield _orbit_weights(chunk), count_eta_batch(chunk, N, reduce)
-    if held:
-        rows = np.concatenate(parts)
-        yield _orbit_weights(rows), count_eta_batch(rows, N, reduce)
+    lexicographic order), `batch` rows a chunk and the rest in the last;
+    weights are the exact int64 orbit sizes, summing to N^k, and
+    reduced_chunk holds reduce(rows, eta) per row, the (rows, N) int64
+    counts by default.  Permuting x leaves eta unchanged, so a weighted
+    sum over these rows equals the sum over all of Z_N^k.
+
+    The counts come from the prefix-sharing walk (_orbit_walk) in the
+    work dtype of count_eta_batch, in blocks of as many rows as fill
+    CHUNK_BYTES with doubled tables, and each block goes to reduce while
+    it is still in cache, rows being its slice of walk positions; like
+    count_eta_batch's, eta is valid only during that call."""
+    if reduce is None:
+        reduce = _widen
+    work = _work_dtype(k)
+    remaining = math.comb(N + k - 1, k)
+    pos = held = 0
+    weights = out = None
+    # a level's doubled tables [T | T] fill CHUNK_BYTES
+    for w, eta in _orbit_walk(N, k, _chunk_rows(2 * N, work), work):
+        n = w.shape[0]
+        result = reduce(slice(pos, pos + n), eta)
+        pos += n
+        done = 0
+        while done < n:
+            if out is None:
+                size = min(batch, remaining)
+                weights = np.empty(size, dtype=np.int64)
+                out = np.empty((size,) + result.shape[1:], dtype=result.dtype)
+            take = min(n - done, out.shape[0] - held)
+            weights[held:held + take] = w[done:done + take]
+            out[held:held + take] = result[done:done + take]
+            held += take
+            done += take
+            if held == out.shape[0]:
+                yield weights, out
+                remaining -= held
+                held, out = 0, None
+
+
+def _unrank_nondecreasing(index: int, N: int, k: int) -> tuple[int, ...]:
+    """The nondecreasing x in Z_N^k at position `index` of the walk's
+    lexicographic order: digit by digit, each smaller digit d skips its
+    C(N - d + rest - 1, rest) completions of the rest positions."""
+    x, d = [], 0
+    for rest in range(k - 1, -1, -1):
+        while index >= (skip := math.comb(N - d + rest - 1, rest)):
+            index -= skip
+            d += 1
+        x.append(d)
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@ Everything here reduces to statistics of the solution counts eta_r^x:
   1 - rank(G) / (2N)^k where rank(G) counts occupied (x, p) pairs;
 * the parity success probability pairs counts half a period apart,
   p_lsb = 1/2 + (1 / (2 (2N)^k)) sum_x sum_r sqrt(eta_r^x eta_(r+N/2)^x);
-* the single-copy accessible-information bound 1 - 1/N comes from dense
-  2N-dimensional spectra, and the resulting copy lower bound from the
-  displayed entropy inequality.
+* the single-copy accessible-information bound 1 - 1/N comes from the
+  spectra of the N 2 x 2 blocks of the single-copy states, and the
+  resulting copy lower bound from the displayed entropy inequality.
 
 Each of these is a mean over x of a per-draw value kernel of eta^x, and
 every one goes through the single reducer _mean.  Its exact branch, under
 EXACT_ENUM_LIMIT, uses that permuting the coordinates of x leaves eta^x
 unchanged: it evaluates the kernel once per multiset of coordinates (the
 nondecreasing x, C(N+k-1, k) of them in place of N^k) and weights each
-value by the exact size of its orbit.  Its Monte Carlo branch averages
+value by the exact size of its orbit.  Their counts come from the orbit
+walk of subsetsum, which extends each shared prefix's counts to its
+children by one step of the recurrence.  Its Monte Carlo branch averages
 the seeded shards of SHARD uniform draws of _sharded, the one Monte Carlo
 pass (simulate's trials run it too), merged in shard order, so Monte
 Carlo results are byte-identical for a given seed whatever the worker count.
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dihedral import (ScaleLimitError, _shift_permutation,
-                       hidden_subgroup_state, subgroup_elements)
+from .dihedral import (ScaleLimitError, _bit_dots, _block_labels,
+                       _shift_amplitudes)
 # Unused here: perfbench/spans.py traces success.iter_all_eta.
 from .subsetsum import (_iter_orbit_eta, count_eta_batch,  # noqa: F401
                         iter_all_eta)
@@ -98,7 +100,8 @@ def _all_eta(N: int, k: int, reduce):
     orbit of Z_N^k under coordinate permutations, each weighted by its
     exact orbit size, behind the enumeration guard (checked on the call,
     not on the first chunk); reduced holds reduce(rows, eta) per row,
-    applied by count_eta_batch to each cache-sized counting chunk."""
+    applied to each cache-sized block of the prefix-sharing walk
+    (subsetsum._iter_orbit_eta)."""
     if N ** k > EXACT_ENUM_LIMIT:
         raise ScaleLimitError(
             f"N^k = {N ** k} exceeds the enumeration guard; use success_mc, "
@@ -132,9 +135,10 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
           threads: int = 1) -> tuple[float, float]:
     """Mean over x in Z_N^k of the kernel values(eta, N, k), which maps
     (S, N) counts to S per-draw values, and its standard error.  The
-    kernel is row-wise, so it runs as count_eta_batch's reducer on each
-    cache-sized counting chunk, on counts in the chunk's work dtype, and
-    no (SHARD, N) table is held.
+    kernel is row-wise, so it runs as the reducer of each cache-sized
+    counting block (the orbit walk's when exact, count_eta_batch's
+    otherwise), on counts in the work dtype, and no (SHARD, N) table is
+    held.
 
     With samples None the mean is exact (stderr 0): one x per orbit of
     Z_N^k under coordinate permutations is enumerated in SHARD chunks
@@ -326,22 +330,26 @@ def chi_single_copy(N: int) -> float:
     """Accessible-information ceiling S(mean) - mean(S) of the single-copy
     ensemble over all N shifts; equals 1 - 1/N.
 
-    Only rho_0 is built.  The automorphism of the dihedral group that
-    fixes the rotation s and sends the reflection r to r s^d carries
-    {e, r} to {e, r s^d}, so each shifted state is rho_0 with its group
-    basis permuted (_shift_permutation): every shift has the entropy of
-    rho_0, and the mixture is a mean of permuted copies of rho_0.  The
-    mixture spectrum is {1/N (once), 1/2N (2N-2 times), 0 (once)} and
-    each shifted state is a flat rank-N mixture, both checked by the two
-    dense eigensolves this routine performs.
+    Both spectra are read from the N 2 x 2 blocks of the conditional
+    Fourier transform: the state for shift d is (1/N) times the direct
+    sum over x in Z_N of |phi_(x,d)><phi_(x,d)|, with amplitudes
+    omega^(d b x) / sqrt(2) for b in {0, 1} (block_state's amplitudes at
+    k = 1).  Every shift has the entropy of shift 0, since the
+    automorphism that fixes s and sends r to r s^d carries one state to
+    the other, and the mixture's block x is the mean of the shifts'
+    blocks.  The mixture spectrum is {1/N (once), 1/2N (2N-2 times),
+    0 (once)} and each shifted state is a flat rank-N mixture, both
+    checked by the two batched (N, 2, 2) eigensolves this routine
+    performs.
     """
     if 2 * N > 512:
         raise ScaleLimitError("dense eigensolve guard is 2N <= 512")
-    rho = hidden_subgroup_state(subgroup_elements("order2", N, d=0))
-    mixture = sum(rho[np.ix_(q, q)] for q in
-                  (_shift_permutation(N, d) for d in range(N))) / N
-    s_mix = _entropy_bits(np.linalg.eigvalsh(mixture))
-    return s_mix - _entropy_bits(np.linalg.eigvalsh(rho))
+    sums = _bit_dots(_block_labels(N, 1), N)
+    # psi[d, x] is block x of the state for shift d
+    psi = np.stack([_shift_amplitudes(N, d, sums, 1) for d in range(N)])
+    blocks = psi[..., :, None] * psi.conj()[..., None, :] / N
+    s_mix = _entropy_bits(np.linalg.eigvalsh(blocks.mean(axis=0)))
+    return s_mix - _entropy_bits(np.linalg.eigvalsh(blocks[0]))
 
 
 def _binary_entropy(p: float) -> float:

@@ -13,7 +13,8 @@ from dihedral_pgm import (TRIVIAL, BlockLabel, LsbPovm, ScaleLimitError,
                           pgm_dense, povm_block, success_exact,
                           superposition_vector, verify_holevo, vtilde)
 from dihedral_pgm.cli import main
-from dihedral_pgm.subsetsum import _nondecreasing_blocks, count_eta_batch
+from dihedral_pgm.subsetsum import _unrank_nondecreasing, count_eta_batch
+from orbit_reference import _nondecreasing_blocks
 
 #: Every oracle size the certifiers run at: (2N)^k <= 4096.
 CERT_SIZES = [(N, k) for N in (2, 3, 4, 5, 6, 8) for k in range(1, 13)
@@ -555,6 +556,15 @@ def test_span_kernel_spectrum_is_the_dense_spectrum():
     occupied = np.array([[True, False], [True, True]])
     assert pgm._with_complement(np.array([1.0, 1.0]), occupied, 1).tolist() \
         == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("N,k", [(1, 3), (2, 1), (2, 11), (3, 7), (5, 4),
+                                 (8, 3), (64, 2)])
+def test_unrank_gives_the_reference_row_at_every_position(N, k):
+    # worst_block is unranked from the position of the least dominance
+    reps = np.concatenate(list(_nondecreasing_blocks(N, k)))
+    assert [_unrank_nondecreasing(i, N, k) for i in range(reps.shape[0])] \
+        == [tuple(x) for x in reps.tolist()]
 
 
 # (2,4) has four representatives tied at the least dominance

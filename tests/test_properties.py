@@ -3,9 +3,11 @@
 * Exact statistics equal a slow per-label reference built from
   BlockLabel.from_flat and the Python-integer count_eta, which shares no
   code with count_eta_batch or the orbit enumerator.
-* The orbit enumerator behind every exact mean visits each multiset of
+* The orbit walk behind every exact mean visits each multiset of
   coordinates once, in chunks of at most `batch` rows, with a weight
-  equal to the number of labels that sort to it.
+  equal to the number of labels that sort to it; its weights and counts
+  equal, shard by shard and in the work dtype, those of the reference
+  enumerator it replaced (orbit_reference) counted by count_eta_batch.
 * count_eta_batch, which counts in byte-budgeted chunks on int16, int32
   or int64 work tables seeded from the subset sums of the first m
   coordinates, is bitwise equal to the Python-integer _dp_rows at row
@@ -20,6 +22,7 @@
 
 import math
 from collections import Counter
+from itertools import islice, zip_longest
 
 import numpy as np
 import pytest
@@ -32,12 +35,12 @@ from dihedral_pgm import (TRIVIAL, BlockLabel, count_eta, lsb_success_exact,
 from dihedral_pgm.simulate import _outcomes
 from dihedral_pgm.subsetsum import (CHUNK_BYTES, INT16_K_LIMIT,
                                     INT32_K_LIMIT, _dp_rows,
-                                    _iter_orbit_eta, _nondecreasing_blocks,
-                                    _orbit_weights, _prefix_width,
+                                    _iter_orbit_eta, _prefix_width,
                                     count_eta_batch)
 from dihedral_pgm.success import (SHARD, _counting_terms, _lsb_values,
                                   _mean, _success_values, _support_sizes,
                                   _support_values)
+from orbit_reference import _nondecreasing_blocks, _orbit_weights
 
 ORACLE_ENUM = 4096
 THREADS = (1, 2, 3)
@@ -108,6 +111,49 @@ def test_orbit_weights_count_sorted_labels(size, batch):
     eta = np.concatenate([eta for _, eta in chunks])
     assert eta.tolist() == [list(count_eta(BlockLabel(tuple(x), N)).eta)
                             for x in reps.tolist()]
+
+
+def _reference_shards(N: int, k: int, batch: int):
+    """The reference's nondecreasing rows in chunks of `batch`, built
+    lazily, one leading digit at a time."""
+    held = np.empty((0, k), dtype=np.int64)
+    for block in _nondecreasing_blocks(N, k):
+        held = np.concatenate([held, block])
+        while held.shape[0] >= batch:
+            yield held[:batch]
+            held = held[batch:]
+    if held.shape[0]:
+        yield held
+
+
+# (2, 14) and (2, 15) count on int16 and int32 tables, (2, 26) is the
+# deepest walk, and at (300, 2) and (2048, 2) the children of one prefix
+# span several level blocks; (2048, 2) is compared on its first shards
+# only, which cover the first prefixes whole
+@pytest.mark.parametrize("N,k,shards", [(2, 14, None), (2, 15, None),
+                                        (2, 26, None), (300, 2, None),
+                                        (2048, 2, 3)])
+def test_orbit_walk_matches_reference_and_count_eta_batch(N, k, shards):
+    seen = []
+
+    def keep(rows, eta):
+        seen.append(rows)
+        return eta
+
+    walk = islice(_iter_orbit_eta(N, k, SHARD, keep), shards)
+    pairs = list(zip_longest(walk, islice(_reference_shards(N, k, SHARD),
+                                          shards)))
+    # as many shards on both sides
+    assert all(item is not None for pair in pairs for item in pair)
+    for (weights, eta), xs in pairs:
+        assert np.array_equal(weights, _orbit_weights(xs))
+        expect = count_eta_batch(xs, N, lambda rows, chunk: chunk)
+        assert eta.dtype == expect.dtype
+        assert np.array_equal(eta, expect)
+    # the reducer saw the walk positions in order, each once
+    assert seen[0].start == 0
+    assert all(a.stop == b.start for a, b in zip(seen, seen[1:]))
+    assert seen[-1].stop >= sum(xs.shape[0] for _, xs in pairs)
 
 
 def _kernel_sizes():

@@ -16,6 +16,7 @@ from dihedral_pgm import (ScaleLimitError, assemble_block_density,
                           success_single_copy, threshold_sweep,
                           trivial_success)
 from dihedral_pgm import success
+from dihedral_pgm.dihedral import _shift_permutation
 from dihedral_pgm.subsetsum import CHUNK_BYTES, iter_all_eta
 from dihedral_pgm.success import (SHARD, _lsb_values, _mean,
                                   _success_values, _support_values)
@@ -337,7 +338,7 @@ def test_chi_matches_the_all_shifts_path():
 def test_shifted_states_are_permuted_rho_0(N):
     rho = hidden_subgroup_state(subgroup_elements("order2", N, d=0))
     for d in range(N):
-        q = success._shift_permutation(N, d)
+        q = _shift_permutation(N, d)
         assert sorted(q.tolist()) == list(range(2 * N))
         assert np.array_equal(
             hidden_subgroup_state(subgroup_elements("order2", N, d=d)),
@@ -354,7 +355,8 @@ def test_chi_makes_two_eigensolves(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     chi_single_copy(16)
-    assert calls == [(32, 32), (32, 32)]
+    # the mixture's and shift 0's N 2 x 2 blocks, one batched call each
+    assert calls == [(16, 2, 2), (16, 2, 2)]
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 8])
