@@ -63,7 +63,8 @@ DP_TABLE_LIMIT = 2 ** 20
 #: and the window gathered each step, 3x this, then stay cache-sized: at
 #: N = 1024 a 4096-draw shard runs in 128-row int16 or 64-row int32
 #: chunks.  Halving or doubling it was slower on a 2-vCPU machine, and
-#: larger chunks raise the peak memory of small-N exact enumeration.
+#: larger chunks raise the peak memory of small-N exact enumeration,
+#: whose walk sizes each level's doubled tables to CHUNK_BYTES.
 CHUNK_BYTES = 2 ** 18
 
 
@@ -78,8 +79,7 @@ def _prefix_width(N: int) -> int:
     (4096, 14) against 83.1 and 84.5, while N / 8 won by 0.6 ms at
     (256, 12) and by 2.1 ms at (4096, 20).  At N = 64 no width beat
     m = 0 by more than the noise (k = 8: m = 0 2.76 ms, m = 1 2.98,
-    m = 2 2.79), and a prefix there raised the peak memory of small-N
-    exact enumeration."""
+    m = 2 2.79)."""
     return max(0, N.bit_length() - (5 if N >= 256 else 7))
 
 
