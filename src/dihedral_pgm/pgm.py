@@ -18,19 +18,21 @@ blocks; everything it checks vanishes off those blocks, and the
 spectrum is the union of the blocks' spectra.  The dense builders
 dense_block_effects and assemble_block_density form all N^k blocks at
 once and write them onto the diagonal in one assignment.  The
-certifiers certify_dihedral_pgm and LsbPovm.certify run the span-basis
-kernel instead, which reads nothing but the counts eta of each block.
-In the orthonormal basis of the occupied |S_p> (s <= min(N, 2^k) of
-them) the state for shift d has coordinates omega^(dp) a_p with
-a_p = sqrt(eta_p / 2^k), and <psi_d|e_(d+shift)> does not depend on d,
-so L is diagonal.  The N dominance operators are conjugates of one
-another by diag(omega^(jp)), so one real symmetric s x s eigensolve
-decides them all; for parity, sum_(d even) omega^(d(p-q)) vanishes
-unless p = q mod N/2, so everything splits into 2 x 2 blocks pairing p
-with p + N/2.  The dense 2^k block is V L V^dag with V the isometry of
-the |S_p>, so its entrywise residual is the compressed one scaled by
-1/sqrt(eta_p eta_q), and its spectrum is the compressed spectrum plus
-2^k - s zeros.  _certify_blocks feeds the kernel one block per S_k orbit
+certifiers certify_dihedral_pgm and LsbPovm.certify run one span-basis
+kernel instead (_span_conditions), which reads nothing but the counts
+eta of each block.  In the orthonormal basis of the occupied |S_p>
+(s <= min(N, 2^k) of them) the state for shift d has coordinates
+omega^(dp) a_p with a_p = sqrt(eta_p / 2^k), and <psi_d|e_(d+shift)>
+does not depend on d, so L is diagonal.  The N dominance operators are
+conjugates of one another by diag(omega^(jp)), so one real symmetric
+s x s eigensolve decides them all.  The dense 2^k block is V L V^dag
+with V the isometry of the |S_p>, so its residual is the compressed one
+over eta_p, and its spectrum is the compressed spectrum plus 2^k - s
+zeros.  The parity (least-significant-bit) measurement sums the effects
+over even and odd shifts, and sum_(d even) omega^(d(p-q)) vanishes
+unless p = q mod N/2: on each pair (|S_h>, |S_(h+N/2)>) it is the
+N-outcome measurement at N = 2, and it runs the same kernel on the
+pairs.  _certify_blocks feeds the kernel one block per S_k orbit
 of Z_N^k (the nondecreasing x, C(N+k-1, k) of them), counted by the one
 guarded orbit walk of the exact means (success._all_eta), which extends
 each prefix's counts to its children: permuting the coordinates of x
@@ -38,10 +40,6 @@ permutes the bits of b, a relabelling of the 2^k block basis, so every
 block on an orbit has the same residual and spectrum.  The Gram rank,
 the number of occupied (x, p) pairs, is an orbit-weighted sum of support
 sizes over the same walk.
-
-The parity (least-significant-bit) measurement lives here too: its two
-effects per block pair each |S_r> with |S_(r+N/2)>, and aggregate the
-per-shift effects over even and odd j.
 """
 from __future__ import annotations
 
@@ -56,7 +54,7 @@ from .dihedral import (BlockLabel, ScaleLimitError,  # noqa: F401
 # Unused here: perfbench/spans.py traces pgm.iter_all_eta.
 from .subsetsum import (_unrank_nondecreasing, count_eta_batch,  # noqa: F401
                         iter_all_eta, vtilde)
-from .success import _all_eta, _support_sizes
+from .success import _all_eta, _check_size, _support_sizes
 
 #: Eigenvalues below this relative threshold count as zero in G^(-1/2).
 PSEUDO_INVERSE_CUTOFF = 1e-10
@@ -234,6 +232,7 @@ def _certify_blocks(N: int, k: int, conditions, tol: float) -> OptimalityReport:
     worst_block is the first representative, in walk order, of the least
     dominance eigenvalue, unranked from its walk position.
     """
+    _check_size(N, k)
     _check_dense(N, k)
     checks = np.concatenate([c for _, c in _all_eta(
         N, k, lambda rows, eta: conditions(eta))])
@@ -313,12 +312,6 @@ def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityRepor
     return OptimalityReport(residual, dom_min, tol, L)
 
 
-def _span_first(occupied: np.ndarray, m: int) -> np.ndarray:
-    """Per row, the indices of the occupied columns in increasing order,
-    then of the empty ones, cut to the first m (m >= the most occupied)."""
-    return np.argsort(~occupied, axis=1, kind="stable")[:, :m]
-
-
 def _least_eigenvalues(M: np.ndarray, occupied: np.ndarray) -> np.ndarray:
     """Least eigenvalue of each real symmetric block of M, whose rows and
     columns off the span (occupied False) are zero: a diagonal 1, far
@@ -334,30 +327,38 @@ def _with_complement(low: np.ndarray, occupied: np.ndarray, k: int) -> np.ndarra
     return np.where(s < 2 ** k, np.minimum(low, 0.0), low)
 
 
-def _pgm_conditions(eta: np.ndarray, N: int, k: int, shift: int) -> np.ndarray:
-    """(residual, dominance) per block of the N-outcome certificate, where
-    state d (prior N^-(k+1)) is paired with effect e_(d+shift).
+def _span_conditions(n: np.ndarray, k: int, prior: float,
+                     phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of (rows, s) span-basis counts n, the residual
+    max_p 2 |Im L_pp| / n_p and the least eigenvalue of
+    diag(Re L) - prior a a^T on the occupied positions (n_p > 0).
 
-    In the span basis psi_d = D_d a and e_j = D_j 1 / sqrt(N), with
-    D_j = diag(omega^(jp)), so L is diagonal,
-    L_pp = N^-(k+1) a_p omega^(-shift p) sum_q a_q omega^(shift q), and
-    (L + L^dag)/2 - p rho_j = D_j (diag(Re L) - N^-(k+1) a a^T) D_j^dag
-    for every j: one real eigensolve a block.  The dense residual is
-    max_p 2 |Im L_pp| / eta_p.
+    State d (weight `prior`) is psi_d = D_d a, a_p = sqrt(n_p / 2^k), and
+    is paired with e_(d+shift) = D_(d+shift) 1 / sqrt(N), where
+    D_j = diag(omega^(jp)) and phase_p = omega^(shift p).  So L is
+    diagonal, L_pp = prior a_p conj(phase_p) sum_q a_q phase_q, and
+    (L + L^dag)/2 - prior rho_j = D_j (diag(Re L) - prior a a^T) D_j^dag.
     """
-    p = _span_first(eta > 0, min(N, 2 ** k))
-    n = np.take_along_axis(eta, p, axis=1).astype(np.float64)
     occupied = n > 0
     a = np.sqrt(n / 2.0 ** k)
-    prior = 1.0 / (N * float(N) ** k)
-    phase = phase_table(N)[(shift * p) % N]
     L = prior * a * phase.conj() * (a * phase).sum(axis=1, keepdims=True)
     residual = np.divide(2 * np.abs(L.imag), n, out=np.zeros_like(n),
                          where=occupied).max(axis=1)
     M = -prior * a[:, :, None] * a[:, None, :]
-    M += L.real[:, :, None] * np.eye(p.shape[1])
-    low = _least_eigenvalues(M, occupied)
-    return np.column_stack([residual, _with_complement(low, occupied, k)])
+    M += L.real[:, :, None] * np.eye(n.shape[1])
+    return residual, _least_eigenvalues(M, occupied)
+
+
+def _pgm_conditions(eta: np.ndarray, N: int, k: int, shift: int) -> np.ndarray:
+    """(residual, dominance) per block of the N-outcome certificate, where
+    state d (prior N^-(k+1)) is paired with effect e_(d+shift): the span
+    kernel on the residues p, occupied ones first in increasing order, cut
+    to min(N, 2^k) columns, with phases omega^(shift p)."""
+    p = np.argsort(eta == 0, axis=1, kind="stable")[:, :min(N, 2 ** k)]
+    n = np.take_along_axis(eta, p, axis=1).astype(np.float64)
+    residual, low = _span_conditions(n, k, 1.0 / (N * float(N) ** k),
+                                     phase_table(N)[(shift * p) % N])
+    return np.column_stack([residual, _with_complement(low, n > 0, k)])
 
 
 def certify_dihedral_pgm(N: int, k: int, tol: float = 1e-9,
@@ -381,7 +382,10 @@ class LsbPovm:
 
     Per block, E_+/- = (1/2) sum_r (|S_r><S_r| +/- |S_r><S_(r+N/2)|); the
     two effects aggregate the N-outcome effects over even and odd shifts
-    and sum to the block support projector.
+    and sum to the block support projector.  On each pair
+    (|S_h>, |S_(h+N/2)>) of the span basis this is the N-outcome
+    measurement at N = 2, so certify runs the N-outcome span kernel on
+    the pairs; block is the dense per-block oracle.
     """
 
     def __init__(self, N: int, k: int):
@@ -397,40 +401,25 @@ class LsbPovm:
         K = V.T @ V[half].conj()
         return (P + K) / 2, (P - K) / 2
 
-    def pair_effects(self, both: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """E_+ and E_- on each pair (|S_h>, |S_(h+N/2)>) of the span basis,
-        (..., 2, 2) each: (1/2)(I +/- J), with J swapping the pair where
-        both is True (both residues occupied) and zero elsewhere."""
-        J = both[..., None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
-        return (np.eye(2) + J) / 2, (np.eye(2) - J) / 2
-
-    def _conditions(self, eta: np.ndarray) -> np.ndarray:
-        """(residual, dominance) per block of the two-state parity
-        certificate, priors 1/2, in 2 x 2 blocks pairing h with h + N/2.
-
-        On pair a = (a_h, a_(h+N/2)) the states are rho_+ = N^-k a a^T and
-        rho_- = N^-k (Z a)(Z a)^T with Z = diag(1, -1), since
-        sum_(d even) omega^(d(p-q)) = (N/2) [p = q mod N/2].  The dense
-        residual entry is |L_01 - L_10| / sqrt(eta_h eta_(h+N/2)).
+    def _conditions(self, eta: np.ndarray, shift: int = 0) -> np.ndarray:
+        """(residual, dominance) per block of the parity certificate,
+        priors 1/2, with E_(j+shift) assigned to parity j (shift 1, E_-
+        to the even shifts, is a control that must fail): the span kernel
+        at N = 2, weight (1/2) N^-k, on the (rows N/2, 2) pairs
+        (eta_h, eta_(h+N/2)), reduced by the max residual and the least
+        eigenvalue over each block's pairs (an empty pair reads the
+        decoupling 1, above every occupied one).  The N = 2 phases are
+        taken real, exactly +/-1, so L is real.
         """
         N, k = self.N, self.k
         pairs = np.stack([eta[:, :N // 2], eta[:, N // 2:]], axis=2)
-        h = _span_first((pairs > 0).any(axis=2), min(N // 2, 2 ** k))
-        n = np.take_along_axis(pairs, h[:, :, None], axis=1).astype(np.float64)
-        occupied = n > 0
-        a = np.sqrt(n / 2.0 ** k)
-        states = [u[..., :, None] * u[..., None, :] / float(N) ** k
-                  for u in (a, a * [1.0, -1.0])]
-        effects = self.pair_effects(occupied.all(axis=2))
-        L = sum(0.5 * rho @ E for rho, E in zip(states, effects))
-        skew = np.abs(L[..., 0, 1] - L[..., 1, 0])
-        scale = np.sqrt(n[..., 0] * n[..., 1])
-        residual = np.divide(skew, scale, out=np.zeros_like(skew),
-                             where=scale > 0).max(axis=1)
-        Lh = (L + np.swapaxes(L, -1, -2)) / 2
-        low = np.minimum(*(_least_eigenvalues(Lh - 0.5 * rho, occupied)
-                           for rho in states)).min(axis=1)
-        return np.column_stack([residual, _with_complement(low, occupied, k)])
+        residual, low = _span_conditions(
+            pairs.reshape(-1, 2).astype(np.float64), k, 0.5 / float(N) ** k,
+            phase_table(2)[[0, shift % 2]].real)
+        rows = eta.shape[0]
+        low = low.reshape(rows, -1).min(axis=1)
+        return np.column_stack([residual.reshape(rows, -1).max(axis=1),
+                                _with_complement(low, pairs > 0, k)])
 
     def certify(self, tol: float = 1e-9) -> OptimalityReport:
         """Blockwise optimality check for the two parity states (even and

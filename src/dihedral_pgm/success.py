@@ -95,13 +95,20 @@ def _density(N: int, k: int) -> float:
 # the reducer: one mean over x in Z_N^k, exact or Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _check_size(N: int, k: int) -> None:
+    """Reject sizes with no block to walk or draw: N < 1 or k < 1."""
+    if N < 1 or k < 1:
+        raise ValueError(f"need N >= 1 and k >= 1, got N = {N}, k = {k}")
+
+
 def _all_eta(N: int, k: int, reduce):
     """(weights, reduced) chunks of at most SHARD rows over one x per
     orbit of Z_N^k under coordinate permutations, each weighted by its
-    exact orbit size, behind the enumeration guard (checked on the call,
-    not on the first chunk); reduced holds reduce(rows, eta) per row,
-    applied to each cache-sized block of the prefix-sharing walk
-    (subsetsum._iter_orbit_eta)."""
+    exact orbit size, behind the size check and the enumeration guard
+    (checked on the call, not on the first chunk); reduced holds
+    reduce(rows, eta) per row, applied to each cache-sized block of the
+    prefix-sharing walk (subsetsum._iter_orbit_eta)."""
+    _check_size(N, k)
     if N ** k > EXACT_ENUM_LIMIT:
         raise ScaleLimitError(
             f"N^k = {N ** k} exceeds the enumeration guard; use success_mc, "
@@ -110,10 +117,11 @@ def _all_eta(N: int, k: int, reduce):
 
 
 def _sharded(N: int, k: int, samples: int, seed, threads: int, work) -> list:
-    """The one Monte Carlo pass: the memory guard, before any draw, then
-    [work(rng, xs) per shard of SHARD draws, the last partial] in shard
-    order on `threads` workers.  Each shard's rng is its own child of seed
-    and first draws xs, its (n, k) labels uniform on Z_N^k."""
+    """The one Monte Carlo pass: the size check and memory guard before
+    any draw, then [work(rng, xs) per shard of SHARD draws, the last
+    partial] in shard order on `threads` workers.  Each shard's rng is its
+    own child of seed and first draws xs, its (n, k) labels uniform."""
+    _check_size(N, k)
     rows = min(samples, SHARD)
     if N * rows * 8 > MC_SHARD_BYTES:
         raise ScaleLimitError(

@@ -106,6 +106,24 @@ def test_verify_pass_and_guard_and_perturb(capsys):
     assert "dominance" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--N", "0", "--k", "1"],
+    ["verify", "--N", "2", "--k", "0"],
+    ["verify", "--N", "-2", "--k", "1"],
+    ["verify", "--N", "-100", "--k", "2"],
+    ["simulate", "--N", "4", "--k", "0", "--hidden", "0"],
+    ["simulate", "--N", "0", "--k", "2", "--hidden", "0"],
+    ["simulate", "--N", "0", "--k", "2", "--hidden", "trivial"],
+])
+def test_sizes_without_a_block_exit_2(argv, tmp_path, capsys):
+    # a usage error, not a failed certificate (1) or a guard (3)
+    out = tmp_path / "out.txt"
+    code, stdout, err = run_cli(argv + ["--output", str(out)], capsys)
+    assert code == 2
+    assert stdout == "" and err.startswith("error: need N >= 1 and k >= 1")
+    assert not out.exists()
+
+
 def test_monte_carlo_memory_guard_exits_3(tmp_path, capsys):
     # At N = 2^20 one shard of the default 10000 draws would need a 32 GiB
     # count table; the guard refuses it before any output is written.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_pgm import (TRIVIAL, BlockLabel, LsbPovm, ScaleLimitError,
+from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError,
                           assemble_block_density, block_state,
                           certify_dihedral_pgm, completion_effect,
                           count_eta, dense_block_effects, enumerate_subsets,
@@ -44,44 +44,27 @@ def _pgm_ensemble(N, k, shift=0):
     return ensemble
 
 
-def _lsb_ensemble(povm):
+def _lsb_ensemble(povm, shift=0):
     """Dense (priors, states, effects) of one block of the parity
-    certificate: the even and odd shift mixtures and povm.block."""
+    certificate: the even and odd shift mixtures and povm.block, with the
+    effects swapped (E- for the even shifts) when shift is odd."""
     N, k = povm.N, povm.k
 
     def ensemble(label):
         weight = 2.0 / (N * float(N) ** k)  # 2/N a shift, N^-k a block
         psi = pgm._phases(N, label.bit_dots) / np.sqrt(2.0 ** k)
         states = [weight * s.T @ s.conj() for s in (psi[0::2], psi[1::2])]
-        return (0.5, 0.5), states, povm.block(label)
+        effects = povm.block(label)
+        return (0.5, 0.5), states, effects[::-1] if shift % 2 else effects
     return ensemble
 
 
-def _swap_lsb(patch):
-    """Assign E- to the even shifts and E+ to the odd ones, in the span
-    kernel (pair_effects) and in the dense oracle (block) alike."""
-    block, pairs = LsbPovm.block, LsbPovm.pair_effects
-    patch.setattr(LsbPovm, "block", lambda self, label: block(self, label)[::-1])
-    patch.setattr(LsbPovm, "pair_effects",
-                  lambda self, both: pairs(self, both)[::-1])
-
-
-def _split_lsb(patch):
-    """Replace E_+/- by the projectors onto the residues below N/2 and from
-    N/2 up: L is then not Hermitian, so the kernel's residual scaling by
-    1/sqrt(eta_h eta_(h+N/2)) is exercised."""
-    def block(self, label):
-        V = vtilde(label).rows
-        low, high = V[:self.N // 2], V[self.N // 2:]
-        return low.T @ low.conj(), high.T @ high.conj()
-
-    def pairs(self, both):
-        shape = both.shape + (2, 2)
-        return (np.broadcast_to(np.diag([1.0, 0.0]), shape),
-                np.broadcast_to(np.diag([0.0, 1.0]), shape))
-
-    patch.setattr(LsbPovm, "block", block)
-    patch.setattr(LsbPovm, "pair_effects", pairs)
+def _lsb_certify(N, k, shift):
+    """The parity certificate with E_(j+shift) assigned to parity j, by
+    the kernel LsbPovm.certify runs at shift 0."""
+    povm = lsb_povm(N, k)
+    return pgm._certify_blocks(
+        N, k, lambda eta: povm._conditions(eta, shift), 1e-9)
 
 
 def _full_walk(N, k, ensemble, tol):
@@ -474,7 +457,7 @@ def test_certify_perturbed_fails_dominance(N, k):
 
 
 @pytest.mark.parametrize("N,k", CERT_SIZES)
-def test_orbit_walk_matches_full_walk(N, k, monkeypatch):
+def test_orbit_walk_matches_full_walk(N, k):
     """One block per S_k orbit, through the span-basis kernel, certifies
     all of Z_N^k: the certifiers' reports equal the dense oracle's walk
     over all N^k blocks."""
@@ -493,9 +476,7 @@ def test_orbit_walk_matches_full_walk(N, k, monkeypatch):
           _pgm_ensemble(N, k, 1))
     if N % 2 == 0:
         check(lsb_povm(N, k).certify(), _lsb_ensemble(lsb_povm(N, k)))
-        with monkeypatch.context() as m:
-            _swap_lsb(m)
-            check(lsb_povm(N, k).certify(), _lsb_ensemble(lsb_povm(N, k)))
+        check(_lsb_certify(N, k, 1), _lsb_ensemble(lsb_povm(N, k), 1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -519,7 +500,8 @@ def test_block_conditions_are_invariant_under_permuting_x(data):
 @given(data=st.data())
 def test_span_kernel_matches_dense_block_conditions(data):
     """Per block, the span kernel's residual and its one eigensolve's
-    dominance equal the dense conditions over all N (or 2) eigensolves."""
+    dominance equal the dense conditions over all N (or 2) eigensolves;
+    parity runs it at both shifts, against povm.block and its swap."""
     N, k = data.draw(st.sampled_from(CERT_SIZES))
     x = data.draw(st.lists(st.integers(0, N - 1), min_size=k, max_size=k))
     shift = data.draw(st.sampled_from((0, 1, 3)))
@@ -528,19 +510,11 @@ def test_span_kernel_matches_dense_block_conditions(data):
     scale = 1e-12 * float(N) ** -(k + 1)
     cases = [(pgm._pgm_conditions(eta, N, k, shift)[0],
               _pgm_ensemble(N, k, shift))]
-    if N % 2 == 0:
-        cases.append((lsb_povm(N, k)._conditions(eta)[0],
-                      _lsb_ensemble(lsb_povm(N, k))))
+    for lsb_shift in (0, 1) if N % 2 == 0 else ():
+        cases.append((lsb_povm(N, k)._conditions(eta, lsb_shift)[0],
+                      _lsb_ensemble(lsb_povm(N, k), lsb_shift)))
     for (residual, dom), ensemble in cases:
         _, dense_residual, dense_dom = pgm._conditions(*ensemble(label))
-        assert abs(residual - dense_residual) <= scale
-        assert abs(dom - dense_dom) <= scale
-    for patch in (_swap_lsb, _split_lsb) if N % 2 == 0 else ():
-        with pytest.MonkeyPatch.context() as m:
-            patch(m)
-            residual, dom = lsb_povm(N, k)._conditions(eta)[0]
-            _, dense_residual, dense_dom = pgm._conditions(
-                *_lsb_ensemble(lsb_povm(N, k))(label))
         assert abs(residual - dense_residual) <= scale
         assert abs(dom - dense_dom) <= scale
 
@@ -567,26 +541,52 @@ def test_unrank_gives_the_reference_row_at_every_position(N, k):
         == [tuple(x) for x in reps.tolist()]
 
 
-# (2,4) has four representatives tied at the least dominance
-@pytest.mark.parametrize("N,k", [(4, 3), (2, 4)])
-def test_worst_block_is_first_representative_of_least_dominance(N, k):
-    report = certify_dihedral_pgm(N, k, assignment_shift=1)
+def _check_worst_block(N, k, report, conditions, ensemble):
+    """report.worst_block is the first representative, in walk order, of
+    the least per-block dominance of conditions(eta), and the dense
+    oracle of ensemble agrees block by block."""
     x = report.worst_block
     assert len(x) == k and list(x) == sorted(x)
     walk = np.concatenate(list(_nondecreasing_blocks(N, k)))
-    doms = pgm._pgm_conditions(count_eta_batch(walk, N), N, k, 1)[:, 1]
+    doms = conditions(count_eta_batch(walk, N))[:, 1]
     index = [tuple(r) for r in walk.tolist()].index(x)
     assert index == doms.tolist().index(doms.min())
     assert doms[index] == report.dominance_min_eigenvalue
-    # the dense oracle agrees block by block, so x is a least block there too
-    ensemble = _pgm_ensemble(N, k, 1)
+    # so x is a least block of the dense oracle too
     dense = np.array([pgm._conditions(*ensemble(BlockLabel(r, N)))[2]
                       for r in walk.tolist()])
     scale = 1e-12 * float(N) ** -(k + 1)
     assert np.abs(dense - doms).max() <= scale
     assert dense[index] - dense.min() <= scale
+
+
+# (2,4) has four representatives tied at the least dominance
+@pytest.mark.parametrize("N,k", [(4, 3), (2, 4)])
+def test_worst_block_is_first_representative_of_least_dominance(N, k):
+    _check_worst_block(N, k, certify_dihedral_pgm(N, k, assignment_shift=1),
+                       lambda eta: pgm._pgm_conditions(eta, N, k, 1),
+                       _pgm_ensemble(N, k, 1))
     zero = np.diag([1.0, 0.0]).astype(complex)
     assert verify_holevo([zero], [1.0], [zero]).worst_block is None
+
+
+@pytest.mark.parametrize("N,k", [(4, 3), (2, 4)])
+def test_parity_worst_block_is_first_representative_of_least_dominance(N, k):
+    # the swapped parity control, through the same orbit walk and unranking
+    povm = lsb_povm(N, k)
+    _check_worst_block(N, k, _lsb_certify(N, k, 1),
+                       lambda eta: povm._conditions(eta, 1),
+                       _lsb_ensemble(povm, 1))
+
+
+@pytest.mark.parametrize("N,k", [(N, k) for N, k in CERT_SIZES if N % 2 == 0])
+def test_parity_residual_is_exactly_zero(N, k):
+    # L is real on every pair at both shifts, which fixes verify's
+    # "lsb lagrangian-hermiticity residual=0.000e+00" bytes
+    for shift in (0, 1):
+        assert _lsb_certify(N, k, shift).hermiticity_residual == 0.0
+    assert lsb_povm(N, k).certify().lines()[0].startswith(
+        "lagrangian-hermiticity residual=0.000e+00 ")
 
 
 def test_certify_guard():
@@ -645,13 +645,10 @@ def test_lsb_certify():
 
 
 @pytest.mark.parametrize("N,k", [(N, k) for N, k in CERT_SIZES if N % 2 == 0])
-def test_lsb_certify_swapped_effects_fail(N, k, monkeypatch):
-    # assigning E- to the even shifts and E+ to the odd ones must fail;
-    # the swap goes through pair_effects, the effects the kernel reads
-    pairs = LsbPovm.pair_effects
-    monkeypatch.setattr(LsbPovm, "pair_effects",
-                        lambda self, both: pairs(self, both)[::-1])
-    report = lsb_povm(N, k).certify()
+def test_lsb_certify_swapped_effects_fail(N, k):
+    # assigning E- to the even shifts and E+ to the odd ones must fail:
+    # the span kernel at shift 1, as certify_dihedral_pgm's control
+    report = _lsb_certify(N, k, 1)
     assert not report.passed
     assert report.dominance_min_eigenvalue < -1e-9
 

@@ -232,6 +232,18 @@ def test_sweep_rejects_bad_domain():
         threshold_sweep(64, [0, 1], samples=100, seed=1)
 
 
+@pytest.mark.parametrize("N,k", [(0, 1), (2, 0), (-2, 1), (-100, 2)])
+def test_walk_and_draws_reject_sizes_without_a_block(N, k):
+    # both passes over Z_N^k, and the Gram rank that runs the walk, refuse
+    # N < 1 or k < 1 before their guards or any table
+    calls = [lambda: success._all_eta(N, k, lambda rows, eta: eta),
+             lambda: success._sharded(N, k, 10, 1, 1, lambda rng, xs: xs),
+             lambda: gram_operator(N, k).rank()]
+    for call in calls:
+        with pytest.raises(ValueError, match="need N >= 1 and k >= 1"):
+            call()
+
+
 def test_bound_sandwich():
     for point in threshold_sweep(32, [2, 4, 6, 9], samples=3000, seed=13):
         assert point.p <= min(1.0, 2 ** point.k / 32) + 4 * point.stderr
