@@ -214,6 +214,32 @@ def test_cli_bytes_match_golden_digests(argv, stdout_sha, output_sha,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == output_sha
 
 
+#: Instances whose sampled solutions are pinned by SUBSETSUM_SHA: a unique
+#: solution, the int64 edge (k = 62, counts up to 2^61), and three random
+#: draws at N = 1000, 37 (odd) and 4096.
+SUBSETSUM_LINES = [
+    "4 2 3 1 2",
+    "2 62 0 " + " ".join(["1"] * 62),
+    "1000 12 17 48 159 344 603 936 343 824 379 8 711 488 339",
+    "37 20 5 1 4 9 16 25 36 12 27 7 26 10 33 21 11 3 34 30 28 28 30",
+    "4096 16 0 102 199 296 393 490 587 684 781 878 975 1072 1169 1266 1363 "
+    "1460 1557",
+]
+SUBSETSUM_SHA = "cbb5f289e3f7dd2106e27171a7defa4a0a8cf6a2f70cc2f89ddc07c5418aaa30"
+
+
+def test_subsetsum_bytes_match_golden_digest(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("\n".join(SUBSETSUM_LINES) + "\n")
+    out = tmp_path / "out"
+    code, stdout, _ = run_cli(["subsetsum", "--file", str(inst), "--samples",
+                               "200", "--seed", "3", "--output", str(out)],
+                              capsys)
+    assert code == 0
+    assert stdout == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SUBSETSUM_SHA
+
+
 def test_simulate_summary_and_log(tmp_path, capsys):
     log = tmp_path / "trials.csv"
     code, out, _ = run_cli(["simulate", "--N", "2", "--k", "1", "--hidden",
