@@ -27,7 +27,7 @@ from .simulate import (OutcomeDistribution, outcome_distribution,
 from .subsetsum import (PartialIsometry, SubsetProfile, SubsetSumInstance,
                         count_eta, count_eta_batch, enumerate_subsets,
                         format_solution, neumark_complete, parse_instance,
-                        qsample, sample_solution, sample_solutions,
+                        qsample, sample_solutions,
                         superposition_vector, vtilde)
 from .success import (InfoBoundResult, ThresholdPoint, chi_single_copy,
                       info_lower_bound, lsb_counting_sums, lsb_success_exact,

@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subsetsum", help="sample subset-sum solutions")
     p.add_argument("--file", required=True,
                    help="instances, one 'N k t x_1 ... x_k' per line")
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--qsample", action="store_true",
                    help="emit the quantum-sample amplitudes instead")
     common(p, threads=False, fmt=False)

@@ -368,23 +368,15 @@ def block_basis_transform(N: int, k: int) -> np.ndarray:
     tensor factors so the row index is X * 2^k + B with X the flattened
     block label and B the little-endian bit integer.
     """
-    dim = _check_dense(N, k)
+    _check_dense(N, k)
     U = tilde_basis_change(N)
     T = reduce(np.kron, [U] * k)
-    rows = np.empty(dim, dtype=np.int64)
-    for J in range(dim):
-        rem = J
-        digits = []
-        for _ in range(k):
-            rem, i = divmod(rem, 2 * N)
-            digits.append(i)
-        digits.reverse()  # kron puts copy 1 in the most significant digit
-        B = 0
-        X = 0
-        for copy, i in enumerate(digits):
-            B |= (i // N) << copy  # copy 1 -> least significant bit
-            X = X * N + (i % N)    # copy 1 -> most significant digit
-        rows[J] = X * 2 ** k + B
+    # row J's base-2N digits i, copy 1 in the most significant digit (kron
+    # order): X takes i mod N with copy 1 most significant, B takes i // N
+    # with copy 1 in the least significant bit
+    d = _block_labels(2 * N, k)
+    rows = ((d % N) @ N ** np.arange(k - 1, -1, -1) * 2 ** k
+            + ((d // N) << np.arange(k)).sum(1))
     W = np.empty_like(T)
     W[rows] = T
     return W

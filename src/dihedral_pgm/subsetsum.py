@@ -9,11 +9,14 @@ unitary completion -- is exactly the per-block measurement primitive:
 running the completed unitary backwards quantum-samples from subset-sum
 solutions.
 
-Counting is exact integer dynamic programming; sampling walks the same
-table backwards, so it is exactly uniform over solutions without ever
-enumerating them.  The batched counter is one chunk pipeline: it counts
-a chunk of draws whose work table fits in CHUNK_BYTES, hands the chunk
-to a row-wise reducer while it is still in cache, and moves on, so no
+Counting is exact integer dynamic programming.  For one x, count_eta
+and the sampler share one (k+1, N) numpy table T_0 .. T_k, int64 up to
+k = 62 and Python integers (dtype object) beyond; sample_solutions walks
+it backwards for a whole batch of draws at once, so every draw is
+exactly uniform over solutions, at any k, without ever enumerating
+them.  The batched counter is one chunk pipeline: it counts a chunk of
+draws whose work table fits in CHUNK_BYTES, hands the chunk to a
+row-wise reducer while it is still in cache, and moves on, so no
 (draws, N) table is ever held unless the caller asks for it (the
 default reducer).  Work tables are the narrowest exact integer type
 (int16 up to k = 14, int32 up to k = 30, int64 up to k = 62), and one
@@ -54,9 +57,11 @@ INT32_K_LIMIT = 30
 #: int16 work tables are exact up to 2^k <= 2^14.
 INT16_K_LIMIT = 14
 
-#: Cells (k+1) * N of the Python-integer counting table behind count_eta
-#: and the samplers; one run at N = 2 * 10^6, k = 3 (8 * 10^6 cells)
-#: peaked at 158 MB.
+#: Cells (k+1) * N of the counting table behind count_eta and
+#: sample_solutions (_dp_rows).  At the guard an int64 table is 8 MB, and
+#: count_eta peaked at 12.6 MB (tracemalloc, N = 2^18, k = 3) with the
+#: Python integers of its last row; on the object table of k = 63
+#: (N = 2^14) it peaked at 31.6 MB.
 DP_TABLE_LIMIT = 2 ** 20
 
 #: Bytes of one chunk's T in count_eta_batch.  The chunk's rows [T | T]
@@ -167,11 +172,11 @@ class PartialIsometry:
 
 def count_eta(label: BlockLabel) -> SubsetProfile:
     """Exact solution counts by the O(kN) table recurrence
-    T_j[r] = T_{j-1}[r] + T_{j-1}[r - x_j].
+    T_j[r] = T_{j-1}[r] + T_{j-1}[r - x_j] (the last row of _dp_rows).
 
     Counts are Python integers, so there is no overflow for any k.
     """
-    counts = _dp_rows(label)[-1]
+    counts = _dp_rows(label)[-1].tolist()
     return SubsetProfile(label, tuple(counts), sum(c > 0 for c in counts))
 
 
@@ -405,20 +410,23 @@ def vtilde(label: BlockLabel) -> PartialIsometry:
 # uniform sampling of solutions
 # ---------------------------------------------------------------------------
 
-def _dp_rows(label: BlockLabel) -> list[list[int]]:
-    """Every row T_0 .. T_k of the counting table, as Python integers,
-    guarded at DP_TABLE_LIMIT cells before any row is built."""
-    N = label.N
-    if (label.k + 1) * N > DP_TABLE_LIMIT:
+def _dp_rows(label: BlockLabel) -> np.ndarray:
+    """The counting table T_0 .. T_k as one (k+1, N) array, by
+    T_j[r] = T_{j-1}[r] + T_{j-1}[r - x_j]: int64 while k <= BATCH_K_LIMIT
+    and Python integers (dtype object) beyond, so every count is exact.
+    Guarded at DP_TABLE_LIMIT cells before it is allocated."""
+    N, k = label.N, label.k
+    if (k + 1) * N > DP_TABLE_LIMIT:
         raise ScaleLimitError(
-            f"counting table (k+1) * N = {(label.k + 1) * N} cells exceeds "
+            f"counting table (k+1) * N = {(k + 1) * N} cells exceeds "
             f"the guard of {DP_TABLE_LIMIT}")
-    rows = [[0] * N]
-    rows[0][0] = 1
-    for xj in label.x:
-        prev = rows[-1]
-        rows.append([prev[r] + prev[(r - xj) % N] for r in range(N)])
-    return rows
+    table = np.zeros((k + 1, N),
+                     dtype=np.int64 if k <= BATCH_K_LIMIT else object)
+    table[0, 0] = 1
+    for j, xj in enumerate(label.x, start=1):
+        # np.roll(T, x)[r] = T[(r - x) mod N]
+        table[j] = table[j - 1] + np.roll(table[j - 1], xj)
+    return table
 
 
 def _randbelow(rng: np.random.Generator, n: int) -> int:
@@ -433,43 +441,32 @@ def _randbelow(rng: np.random.Generator, n: int) -> int:
             return v
 
 
-def sample_solution(inst: SubsetSumInstance, rng: np.random.Generator) -> int:
-    """One exactly-uniform solution of a legal instance, by backtracking
-    the counting table; O(kN) time, no enumeration.
+def sample_solutions(inst: SubsetSumInstance, count: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """`count` exactly-uniform solutions of a legal instance, by
+    backtracking the counting table; O(kN + k count) time, no enumeration.
+    Solutions are bit integers b (b_1 the least significant bit): int64
+    while k <= BATCH_K_LIMIT, and Python integers (dtype object) beyond,
+    drawn with _randbelow from the exact counts.
 
     Raises ValueError("no solution") on illegal instances.
     """
     label = inst.label
-    rows = _dp_rows(label)
-    if rows[-1][inst.t] == 0:
-        raise ValueError("no solution")
-    b = 0
-    r = inst.t
-    for j in range(label.k, 0, -1):
-        take = rows[j - 1][(r - label.x[j - 1]) % label.N]
-        if _randbelow(rng, rows[j][r]) < take:
-            b |= 1 << (j - 1)
-            r = (r - label.x[j - 1]) % label.N
-    return b
-
-
-def sample_solutions(inst: SubsetSumInstance, count: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Vectorized batch of exactly-uniform solutions (int64 bit integers)."""
-    label = inst.label
-    if label.k > BATCH_K_LIMIT:
-        raise ScaleLimitError(f"batched sampling needs k <= {BATCH_K_LIMIT}")
-    table = np.array(_dp_rows(label), dtype=np.int64)  # (k+1, N)
+    table = _dp_rows(label)  # (k+1, N)
     if table[-1][inst.t] == 0:
         raise ValueError("no solution")
-    b = np.zeros(count, dtype=np.int64)
+    b = np.zeros(count, dtype=table.dtype)
     r = np.full(count, inst.t, dtype=np.int64)
     for j in range(label.k, 0, -1):
         shifted = (r - label.x[j - 1]) % label.N
         take = table[j - 1][shifted]
-        u = rng.integers(0, table[j][r])
+        if table.dtype == object:
+            u = np.array([_randbelow(rng, n) for n in table[j][r]],
+                         dtype=object)
+        else:
+            u = rng.integers(0, table[j][r])
         hit = u < take
-        b |= hit.astype(np.int64) << (j - 1)
+        b |= hit.astype(table.dtype) << (j - 1)
         r = np.where(hit, shifted, r)
     return b
 

@@ -275,6 +275,19 @@ def test_subsetsum_unique_solution(tmp_path, capsys):
     assert set(lines) == {"11"}
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_subsetsum_samples_below_one_exit_2_at_parse_time(samples, tmp_path,
+                                                          capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("4 2 3 1 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["subsetsum", "--file", str(inst), "--samples", samples])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in captured.err
+
+
 def test_subsetsum_malformed_line(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     inst.write_text("4 2 3 1 2\n4 2 3 1\n")

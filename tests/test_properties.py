@@ -1,8 +1,9 @@
 """Properties of the estimator core, checked with hypothesis.
 
 * Exact statistics equal a slow per-label reference built from
-  BlockLabel.from_flat and the Python-integer count_eta, which shares no
-  code with count_eta_batch or the orbit enumerator.
+  BlockLabel.from_flat and count_eta (the last row of the np.roll table
+  _dp_rows), which shares no code with count_eta_batch or the orbit
+  enumerator.
 * The orbit walk behind every exact mean visits each multiset of
   coordinates once, in chunks of at most `batch` rows, with a weight
   equal to the number of labels that sort to it; its weights and counts
@@ -10,7 +11,7 @@
   enumerator it replaced (orbit_reference) counted by count_eta_batch.
 * count_eta_batch, which counts in byte-budgeted chunks on int16, int32
   or int64 work tables seeded from the subset sums of the first m
-  coordinates, is bitwise equal to the Python-integer _dp_rows at row
+  coordinates, is bitwise equal to the last row of _dp_rows at row
   counts on both sides of one chunk, for every work dtype and for k on
   both sides of m; and every reducer the program hands it gives, chunk
   by chunk, per-row results bitwise equal to the same function applied

@@ -1,15 +1,20 @@
 """Counting, enumeration, uniform sampling, and the unitary completion."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dihedral_pgm import (BlockLabel, SubsetSumInstance, bit_dot_table,
                           count_eta, count_eta_batch, enumerate_subsets,
                           format_solution, neumark_complete, parse_instance,
-                          qsample, sample_solution, sample_solutions,
+                          qsample, sample_solutions,
                           superposition_vector, vtilde)
-from dihedral_pgm.subsetsum import _prefix_width, _subset_sums
+from dihedral_pgm.subsetsum import (BATCH_K_LIMIT, _dp_rows, _prefix_width,
+                                    _subset_sums)
 
 
 def brute_counts(label):
@@ -136,13 +141,13 @@ def test_superposition_examples():
 def test_sample_solution_unique():
     inst = SubsetSumInstance(BlockLabel((1, 2), 4), 3)
     rng = np.random.default_rng(0)
-    assert [sample_solution(inst, rng) for _ in range(20)] == [3] * 20
+    assert sample_solutions(inst, 20, rng).tolist() == [3] * 20
 
 
 def test_sample_solution_validity_and_balance():
     inst = SubsetSumInstance(BlockLabel((1, 1), 2), 0)
     rng = np.random.default_rng(1)
-    draws = [sample_solution(inst, rng) for _ in range(10000)]
+    draws = sample_solutions(inst, 10000, rng).tolist()
     assert set(draws) <= {0, 3}
     freq = draws.count(0) / len(draws)
     assert abs(freq - 0.5) <= 0.02
@@ -152,20 +157,56 @@ def test_sample_solution_illegal():
     inst = SubsetSumInstance(BlockLabel((0, 0), 2), 1)
     assert not inst.is_legal
     with pytest.raises(ValueError, match="no solution"):
-        sample_solution(inst, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="no solution"):
         sample_solutions(inst, 5, np.random.default_rng(0))
 
 
 def test_sample_solution_big_k():
-    # DP counts exceed int64; the scalar sampler must still be exact.
+    # counts exceed int64: the table holds Python integers, and so do the
+    # drawn solutions, whose bit 64 no int64 could hold
     label = BlockLabel((0,) * 64 + (1,), 2)
     inst = SubsetSumInstance(label, 1)
     rng = np.random.default_rng(3)
-    b = sample_solution(inst, rng)
-    assert (b >> 64) & 1 == 1
-    total = sum(x for j, x in enumerate(label.x) if (b >> j) & 1)
-    assert total % 2 == 1
+    for b in sample_solutions(inst, 20, rng):
+        assert (b >> 64) & 1 == 1
+        total = sum(x for j, x in enumerate(label.x) if (b >> j) & 1)
+        assert total % 2 == 1
+
+
+@st.composite
+def _instances(draw):
+    """A label with N <= 64, k <= 10 and a target among its occupied
+    residues."""
+    N = draw(st.integers(1, 64))
+    k = draw(st.integers(1, 10))
+    x = draw(st.lists(st.integers(0, N - 1), min_size=k, max_size=k))
+    label = BlockLabel(tuple(x), N)
+    occupied = [r for r, c in enumerate(brute_counts(label)) if c]
+    return label, draw(st.sampled_from(occupied))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_instances(), st.integers(0, 2 ** 32 - 1))
+def test_dp_table_and_sampler_match_brute_force(instance, seed):
+    label, t = instance
+    table = _dp_rows(label)
+    assert table.shape == (label.k + 1, label.N)
+    assert table[-1].tolist() == brute_counts(label)
+    draws = sample_solutions(SubsetSumInstance(label, t), 50,
+                             np.random.default_rng(seed))
+    assert draws.dtype == np.int64
+    assert np.all(bit_dot_table(label)[draws] == t)
+
+
+@pytest.mark.parametrize("k", [BATCH_K_LIMIT, BATCH_K_LIMIT + 1])
+def test_count_eta_exact_across_the_dtype_switch(k):
+    # x = (1,) * k mod 3: eta_r counts the subsets whose size is r mod 3
+    label = BlockLabel((1,) * k, 3)
+    assert _dp_rows(label).dtype == (np.int64 if k <= BATCH_K_LIMIT
+                                     else object)
+    eta = count_eta(label).eta
+    assert all(type(c) is int for c in eta)
+    assert list(eta) == [sum(math.comb(k, i) for i in range(r, k + 1, 3))
+                         for r in range(3)]
 
 
 def test_batch_sampler_uniformity_chi_square():
