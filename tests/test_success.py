@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from dihedral_pgm import (ScaleLimitError, assemble_block_density,
-                          chi_single_copy, count_eta_batch,
-                          dense_block_effects, gram_operator,
-                          hidden_subgroup_state, info_lower_bound,
-                          lsb_counting_sums, lsb_success_exact,
-                          lsb_threshold_check, lsb_upper_bound,
-                          subgroup_elements, success_exact, success_mc,
-                          success_single_copy, threshold_sweep,
+                          certify_dihedral_pgm, chi_single_copy,
+                          count_eta_batch, dense_block_effects,
+                          gram_operator, hidden_subgroup_state,
+                          info_lower_bound, lsb_counting_sums, lsb_povm,
+                          lsb_success_exact, lsb_threshold_check,
+                          lsb_upper_bound, subgroup_elements, success_exact,
+                          success_mc, success_single_copy, threshold_sweep,
                           trivial_success)
-from dihedral_pgm import success
+from dihedral_pgm import pgm, subsetsum, success
 from dihedral_pgm.dihedral import _shift_permutation
 from dihedral_pgm.subsetsum import CHUNK_BYTES, iter_all_eta
 from dihedral_pgm.success import (SHARD, _lsb_values, _mean,
@@ -449,3 +449,40 @@ def test_orbit_enumeration_matches_full(N, k):
     if N % 2 == 0:
         assert _close(lsb_success_exact(N, k), means[2])
         assert lsb_counting_sums(N, k) == counts
+
+
+#: Exact-mean sizes whose walks cross several SHARD boundaries (15,504
+#: and 45,760 representatives), and certifier sizes, odd N and N = 2.
+BLOCK_MEAN_SIZES = [(16, 5), (64, 3)]
+BLOCK_CERT_SIZES = [(8, 3), (2, 6)]
+
+
+def _exact_results():
+    """reprs of every exact pass at BLOCK_MEAN_SIZES and of both
+    certifiers' reports, shift 0 and 1, at BLOCK_CERT_SIZES."""
+    out = []
+    for N, k in BLOCK_MEAN_SIZES:
+        out += [success_exact(N, k).p, trivial_success(N, k),
+                gram_operator(N, k).rank(), lsb_success_exact(N, k),
+                lsb_counting_sums(N, k)]
+    for N, k in BLOCK_CERT_SIZES:
+        povm = lsb_povm(N, k)
+        for shift in (0, 1):
+            for report in (certify_dihedral_pgm(N, k, assignment_shift=shift),
+                           pgm._certify_blocks(
+                               N, k, lambda eta: povm._conditions(eta, shift),
+                               1e-9)):
+                out.append((report.hermiticity_residual,
+                            report.dominance_min_eigenvalue,
+                            report.worst_block))
+    return [repr(v) for v in out]
+
+
+@pytest.mark.parametrize("chunk_bytes", [2 ** 9, 2 ** 13])
+def test_exact_results_do_not_depend_on_the_walk_block_size(chunk_bytes,
+                                                             monkeypatch):
+    # the walk's blocks are sized from CHUNK_BYTES; every exact result,
+    # the fsum-merged means included, is bitwise the same at any size
+    expect = _exact_results()
+    monkeypatch.setattr(subsetsum, "CHUNK_BYTES", chunk_bytes)
+    assert _exact_results() == expect
