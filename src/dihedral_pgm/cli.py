@@ -84,6 +84,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.perturb and args.N < 2:
+        # a control that cannot fail shows nothing
+        raise ValueError("--perturb needs N >= 2: with one shift there is "
+                         "no wrong assignment")
     shift = 1 if args.perturb else 0
     lines = []
     ok = True

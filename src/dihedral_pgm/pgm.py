@@ -32,12 +32,13 @@ zeros.  The parity (least-significant-bit) measurement sums the effects
 over even and odd shifts, and sum_(d even) omega^(d(p-q)) vanishes
 unless p = q mod N/2: on each pair (|S_h>, |S_(h+N/2)>) it is the
 N-outcome measurement at N = 2, and it runs the same kernel on the
-pairs.  _certify_blocks feeds the kernel one block per S_k orbit
-of Z_N^k (the nondecreasing x, C(N+k-1, k) of them), counted by the one
-guarded orbit walk of the exact means (success._all_eta), which extends
-each prefix's counts to its children: permuting the coordinates of x
-permutes the bits of b, a relabelling of the 2^k block basis, so every
-block on an orbit has the same residual and spectrum.  The Gram rank,
+pairs.  _certify_blocks feeds the kernel one block per S_k orbit of
+Z_N^k (the nondecreasing x, C(N+k-1, k) of them), reading the counts
+block by block from the one guarded orbit walk of the exact means
+(success._all_eta), which extends each prefix's counts to its children:
+permuting the coordinates of x permutes the bits of b, a relabelling of
+the 2^k block basis, so every block on an orbit has the same residual
+and spectrum.  The Gram rank,
 the number of occupied (x, p) pairs, is an orbit-weighted sum of support
 sizes over the same walk.
 """
@@ -124,8 +125,8 @@ class GramOperator:
 
     def rank(self) -> int:
         """Number of occupied (x, p) pairs; equals the support dimension."""
-        return sum(int(w @ sizes) for w, sizes in _all_eta(
-            self.N, self.k, lambda rows, eta: _support_sizes(eta)))
+        return sum(int(w @ _support_sizes(eta))
+                   for w, eta in _all_eta(self.N, self.k))
 
     def trace(self) -> float:
         """tr G = N exactly (each of the N summands has unit trace)."""
@@ -220,11 +221,11 @@ def _conditions(priors, states, effects) -> tuple[np.ndarray, float, float]:
 
 def _certify_blocks(N: int, k: int, conditions, tol: float) -> OptimalityReport:
     """Worst residual and dominance over Z_N^k, read from one nondecreasing x
-    per S_k orbit.  The orbit walk of the exact means (success._all_eta)
-    counts the representatives and hands each block's (rows, N) counts to
-    conditions(eta), which returns the block's (rows, 2) per-block
-    residuals and least dominance eigenvalues; nothing is built before
-    the guard.
+    per S_k orbit.  Each block of the orbit walk of the exact means
+    (success._all_eta) goes, as its (rows, N) counts, to conditions(eta)
+    before the walk moves on; conditions returns the block's (rows, 2)
+    per-block residuals and least dominance eigenvalues, concatenated in
+    walk order.  Nothing is built before the guard.
 
     A permutation of x permutes the bits of every b, which relabels the
     block basis and so conjugates the block's states, effects and L by one
@@ -234,8 +235,7 @@ def _certify_blocks(N: int, k: int, conditions, tol: float) -> OptimalityReport:
     """
     _check_size(N, k)
     _check_dense(N, k)
-    checks = np.concatenate([c for _, c in _all_eta(
-        N, k, lambda rows, eta: conditions(eta))])
+    checks = np.concatenate([conditions(eta) for _, eta in _all_eta(N, k)])
     worst = int(np.argmin(checks[:, 1]))
     return OptimalityReport(float(checks[:, 0].max()), float(checks[worst, 1]),
                             tol, worst_block=_unrank_nondecreasing(worst, N, k))

@@ -34,7 +34,9 @@ level in lexicographic order: level j holds the doubled tables of a
 cache-sized block of prefixes x_1 .. x_j, and each child's table is its
 parent's plus one window of it, so the representatives that share a
 prefix share all of its steps.  The orbit weights ride down the same
-walk, and only the last level, undoubled, reaches the reducer.
+walk, and only the last level, undoubled, leaves it: the walk yields
+(weights, counts) blocks, and each exact pass reduces every block
+itself while it is still in cache.
 """
 
 from __future__ import annotations
@@ -259,11 +261,15 @@ def iter_all_eta(N: int, k: int, batch: int = 4096):
         yield digits, count_eta_batch(digits, N)
 
 
-def _orbit_walk(N: int, k: int, rows: int, work):
-    """Yield (weights, eta) blocks over the nondecreasing x in Z_N^k, in
-    lexicographic order, at most `rows` rows a block: weights are the
-    int64 orbit sizes and eta the (rows, N) counts in the work dtype, a
-    view of a work table that is valid only until the next block.
+def _orbit_walk(N: int, k: int):
+    """Yield (weights, eta) blocks over one x per orbit of Z_N^k under
+    permutations of the coordinates (the nondecreasing x, in
+    lexicographic order): weights are the exact int64 orbit sizes,
+    summing to N^k, and eta the (rows, N) counts in the work dtype of
+    count_eta_batch, a view of a work table that is valid only until the
+    next block.  Permuting x leaves eta unchanged, so a weighted sum over
+    these rows equals the sum over all of Z_N^k.  A block has at most as
+    many rows as fill CHUNK_BYTES with doubled tables [T | T].
 
     The walk goes depth first, level j holding a block of nondecreasing
     prefixes (x_1 .. x_j) with their doubled tables [T_j | T_j].  The
@@ -276,6 +282,8 @@ def _orbit_walk(N: int, k: int, rows: int, work):
     since the weight is an integer at every prefix.  Only the last level
     is undoubled; each level's table holds min(rows, its number of
     prefixes) rows."""
+    work = _work_dtype(k)
+    rows = _chunk_rows(2 * N, work)
     # level j's table, j = 0 .. k: the root (the empty prefix) is one row
     tables = [np.empty((min(rows, math.comb(N + j - 1, j)),
                         (2 if j < k else 1) * N), dtype=work)
@@ -322,48 +330,6 @@ def _orbit_walk(N: int, k: int, rows: int, work):
             np.take(halves[level - 1], parent, axis=0, out=out)
             out += window[:, None, :]
             push(digit, run_c, weight_c)
-
-
-def _iter_orbit_eta(N: int, k: int, batch: int = 4096, reduce=None):
-    """Yield (weights, reduced_chunk) over one x per orbit of Z_N^k under
-    permutations of the coordinates (the nondecreasing x, in
-    lexicographic order), `batch` rows a chunk and the rest in the last;
-    weights are the exact int64 orbit sizes, summing to N^k, and
-    reduced_chunk holds reduce(rows, eta) per row, the (rows, N) int64
-    counts by default.  Permuting x leaves eta unchanged, so a weighted
-    sum over these rows equals the sum over all of Z_N^k.
-
-    The counts come from the prefix-sharing walk (_orbit_walk) in the
-    work dtype of count_eta_batch, in blocks of as many rows as fill
-    CHUNK_BYTES with doubled tables, and each block goes to reduce while
-    it is still in cache, rows being its slice of walk positions; like
-    count_eta_batch's, eta is valid only during that call."""
-    if reduce is None:
-        reduce = _widen
-    work = _work_dtype(k)
-    remaining = math.comb(N + k - 1, k)
-    pos = held = 0
-    weights = out = None
-    # a level's doubled tables [T | T] fill CHUNK_BYTES
-    for w, eta in _orbit_walk(N, k, _chunk_rows(2 * N, work), work):
-        n = w.shape[0]
-        result = reduce(slice(pos, pos + n), eta)
-        pos += n
-        done = 0
-        while done < n:
-            if out is None:
-                size = min(batch, remaining)
-                weights = np.empty(size, dtype=np.int64)
-                out = np.empty((size,) + result.shape[1:], dtype=result.dtype)
-            take = min(n - done, out.shape[0] - held)
-            weights[held:held + take] = w[done:done + take]
-            out[held:held + take] = result[done:done + take]
-            held += take
-            done += take
-            if held == out.shape[0]:
-                yield weights, out
-                remaining -= held
-                held, out = 0, None
 
 
 def _unrank_nondecreasing(index: int, N: int, k: int) -> tuple[int, ...]:

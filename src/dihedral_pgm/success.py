@@ -19,9 +19,12 @@ every one goes through the single reducer _mean.  Its exact branch, under
 EXACT_ENUM_LIMIT, uses that permuting the coordinates of x leaves eta^x
 unchanged: it evaluates the kernel once per multiset of coordinates (the
 nondecreasing x, C(N+k-1, k) of them in place of N^k) and weights each
-value by the exact size of its orbit.  Their counts come from the orbit
-walk of subsetsum, which extends each shared prefix's counts to its
-children by one step of the recurrence.  Its Monte Carlo branch averages
+value by the exact size of its orbit.  It reads the counts block by
+block from the orbit walk of subsetsum, which extends each shared
+prefix's counts to its children by one step of the recurrence, and sums
+the weighted values SHARD at a time, in walk order, merged by fsum; the
+Gram rank, the parity counting sums and the certifiers read the same
+blocks.  Its Monte Carlo branch averages
 the seeded shards of SHARD uniform draws of _sharded, the one Monte Carlo
 pass (simulate's trials run it too), merged in shard order, so Monte
 Carlo results are byte-identical for a given seed whatever the worker count.
@@ -38,7 +41,7 @@ import numpy as np
 from .dihedral import (ScaleLimitError, _bit_dots, _block_labels,
                        _shift_amplitudes)
 # Unused here: perfbench/spans.py traces success.iter_all_eta.
-from .subsetsum import (_iter_orbit_eta, count_eta_batch,  # noqa: F401
+from .subsetsum import (_orbit_walk, count_eta_batch,  # noqa: F401
                         iter_all_eta)
 
 #: Shard size shared by the exact enumerator, the MC estimators and the
@@ -101,19 +104,19 @@ def _check_size(N: int, k: int) -> None:
         raise ValueError(f"need N >= 1 and k >= 1, got N = {N}, k = {k}")
 
 
-def _all_eta(N: int, k: int, reduce):
-    """(weights, reduced) chunks of at most SHARD rows over one x per
-    orbit of Z_N^k under coordinate permutations, each weighted by its
-    exact orbit size, behind the size check and the enumeration guard
-    (checked on the call, not on the first chunk); reduced holds
-    reduce(rows, eta) per row, applied to each cache-sized block of the
-    prefix-sharing walk (subsetsum._iter_orbit_eta)."""
+def _all_eta(N: int, k: int):
+    """The (weights, eta) blocks of the prefix-sharing walk
+    (subsetsum._orbit_walk) over one x per orbit of Z_N^k under
+    coordinate permutations, each weighted by its exact orbit size,
+    behind the size check and the enumeration guard (checked on the
+    call, not on the first block).  eta is valid only until the next
+    block, so each consumer reduces a block before it asks for the next."""
     _check_size(N, k)
     if N ** k > EXACT_ENUM_LIMIT:
         raise ScaleLimitError(
             f"N^k = {N ** k} exceeds the enumeration guard; use success_mc, "
             "lsb_threshold_check or trivial_success with samples")
-    return _iter_orbit_eta(N, k, SHARD, reduce)
+    return _orbit_walk(N, k)
 
 
 def _sharded(N: int, k: int, samples: int, seed, threads: int, work) -> list:
@@ -143,36 +146,42 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
           threads: int = 1) -> tuple[float, float]:
     """Mean over x in Z_N^k of the kernel values(eta, N, k), which maps
     (S, N) counts to S per-draw values, and its standard error.  The
-    kernel is row-wise, so it runs as the reducer of each cache-sized
-    counting block (the orbit walk's when exact, count_eta_batch's
-    otherwise), on counts in the work dtype, and no (SHARD, N) table is
-    held.
+    kernel is row-wise, so it runs on each cache-sized counting block
+    (the orbit walk's when exact, count_eta_batch's otherwise), on counts
+    in the work dtype, and no (SHARD, N) table is held.
 
     With samples None the mean is exact (stderr 0): one x per orbit of
-    Z_N^k under coordinate permutations is enumerated in SHARD chunks
-    (_all_eta), each chunk's values are summed weighted by their orbit
-    sizes, and the chunk sums are merged by fsum and divided by N^k.
+    Z_N^k under coordinate permutations is walked (_all_eta), each value
+    is weighted by its orbit size, the weighted values are summed SHARD
+    at a time in walk order through one buffer, and those sums are
+    merged by fsum and divided by N^k.
     Otherwise x is drawn uniformly by the one Monte Carlo pass _sharded
     (memory guard, seeded shards, `threads` workers), and the shard
     results are merged in shard order: the mean from the fsum of the
     shard sums, the variance from each shard's squared deviations about
     its own mean, combined by the pairwise update.
     """
-    def reduce(rows, eta):
-        return values(eta, N, k)
-
     if samples is None:
-        def chunk_sum(chunk):
-            w, v = chunk
-            return float(np.sum(w * v))
-
-        # map holds no chunk while the next one is counted
-        return math.fsum(map(chunk_sum, _all_eta(N, k, reduce))) / N ** k, 0.0
+        buf = np.empty(SHARD)
+        sums, held = [], 0
+        for w, eta in _all_eta(N, k):
+            v = w * values(eta, N, k)
+            while v.size:
+                take = min(v.size, SHARD - held)
+                buf[held:held + take] = v[:take]
+                v = v[take:]
+                held += take
+                if held == SHARD:
+                    sums.append(float(np.sum(buf)))
+                    held = 0
+        if held:
+            sums.append(float(np.sum(buf[:held])))
+        return math.fsum(sums) / N ** k, 0.0
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
     def shard(rng, xs):
-        v = count_eta_batch(xs, N, reduce)
+        v = count_eta_batch(xs, N, lambda rows, eta: values(eta, N, k))
         total = float(np.sum(v))
         dev = v - total / len(v)
         return total, float(np.sum(dev * dev)), len(v)
@@ -301,12 +310,14 @@ def lsb_threshold_check(N: int, k: int, samples: int, seed,
 
 def _counting_terms(eta: np.ndarray, N: int) -> np.ndarray:
     """Per-draw (eta_0, eta_(N/2), sum_(r != 0, N/2) eta_r eta_(-r)) as an
-    (S, 3) int64 table; the counts are widened before the products, which
-    overflow the int16 work tables from k = 8 on."""
+    (S, 3) int64 table, N even; the counts are widened before the
+    products, which overflow the int16 work tables from k = 8 on.  The
+    residues 0 and N/2 are their own negatives, so the cross sum is the
+    sum over every r less eta_0^2 and eta_(N/2)^2."""
     eta = eta.astype(np.int64)
     half = N // 2
-    keep = np.setdiff1d(np.arange(N, dtype=np.int64), (0, half))
-    cross = (eta[:, keep] * eta[:, (-keep) % N]).sum(axis=1)
+    cross = ((eta * eta[:, -np.arange(N) % N]).sum(axis=1)
+             - eta[:, 0] ** 2 - eta[:, half] ** 2)
     return np.column_stack((eta[:, 0], eta[:, half], cross))
 
 
@@ -318,7 +329,8 @@ def lsb_counting_sums(N: int, k: int) -> tuple[int, int, int]:
     if N % 2 != 0:
         raise ValueError("N must be even")
     sum0 = sum_half = cross = 0
-    for w, terms in _all_eta(N, k, lambda rows, eta: _counting_terms(eta, N)):
+    for w, eta in _all_eta(N, k):
+        terms = _counting_terms(eta, N)
         sum0 += int(w @ terms[:, 0])
         sum_half += int(w @ terms[:, 1])
         cross += int(w @ terms[:, 2])

@@ -106,6 +106,20 @@ def test_verify_pass_and_guard_and_perturb(capsys):
     assert "dominance" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("k", [1, 2, 12])
+def test_verify_perturb_needs_two_shifts(k, tmp_path, capsys):
+    # at N = 1 every assignment is the right one, so the negative control
+    # is a usage error; the certificate itself still passes
+    out = tmp_path / "out.txt"
+    code, stdout, err = run_cli(["verify", "--N", "1", "--k", str(k),
+                                 "--perturb", "--output", str(out)], capsys)
+    assert code == 2
+    assert stdout == "" and not out.exists() and "--perturb" in err
+    code, stdout, _ = run_cli(["verify", "--N", "1", "--k", str(k)], capsys)
+    assert code == 0
+    assert stdout.count("PASS") == 3 and "FAIL" not in stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--N", "0", "--k", "1"],
     ["verify", "--N", "2", "--k", "0"],

@@ -113,12 +113,10 @@ def test_mc_kernel_reproduces_exact_bitwise(N, k, monkeypatch):
     p = math.fsum(sums) / xs.shape[0]
     # the orbit-weighted sum runs in another order
     assert _close(success_exact(N, k).p, p)
-    # fed every label with weight 1, each chunk through the reducer the
-    # exact branch passes, that branch is that reduction to the last
-    # bit: one kernel serves both
-    monkeypatch.setattr(success, "_all_eta", lambda N, k, reduce: (
-        (np.ones(eta.shape[0], dtype=np.int64),
-         reduce(slice(0, eta.shape[0]), eta))
+    # fed every label with weight 1, the exact branch is that reduction
+    # to the last bit: one kernel serves both
+    monkeypatch.setattr(success, "_all_eta", lambda N, k: (
+        (np.ones(eta.shape[0], dtype=np.int64), eta)
         for _, eta in iter_all_eta(N, k, batch=SHARD)))
     assert _mean(N, k, _success_values)[0] == p
 
@@ -180,6 +178,26 @@ def test_mc_shard_peak_memory_is_chunk_sized():
         assert peak < 16 * CHUNK_BYTES + draws
 
 
+def test_exact_pass_peak_memory_is_block_sized(monkeypatch):
+    # Every exact pass reduces each walk block as it comes: with 16 KB
+    # blocks it holds the walk's level tables, one block's kernel tables
+    # and _mean's one SHARD buffer, below the 366 KB that the 45,760
+    # weighted values of (64, 3) would take as one float64 array.
+    monkeypatch.setattr(subsetsum, "CHUNK_BYTES", 2 ** 14)
+    N, k = 64, 3
+    calls = {"success_exact": lambda: success_exact(N, k),
+             "lsb_success_exact": lambda: lsb_success_exact(N, k),
+             "trivial_success": lambda: trivial_success(N, k),
+             "lsb_counting_sums": lambda: lsb_counting_sums(N, k),
+             "rank": lambda: gram_operator(N, k).rank()}
+    for name, call in calls.items():
+        tracemalloc.start()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 320 * 1024, (name, peak)
+
+
 def test_eta_row_sums():
     for _, eta in iter_all_eta(5, 4):
         assert np.all(eta.sum(axis=1) == 2 ** 4)
@@ -236,7 +254,7 @@ def test_sweep_rejects_bad_domain():
 def test_walk_and_draws_reject_sizes_without_a_block(N, k):
     # both passes over Z_N^k, and the Gram rank that runs the walk, refuse
     # N < 1 or k < 1 before their guards or any table
-    calls = [lambda: success._all_eta(N, k, lambda rows, eta: eta),
+    calls = [lambda: success._all_eta(N, k),
              lambda: success._sharded(N, k, 10, 1, 1, lambda rng, xs: xs),
              lambda: gram_operator(N, k).rank()]
     for call in calls:
