@@ -34,13 +34,16 @@ unless p = q mod N/2: on each pair (|S_h>, |S_(h+N/2)>) it is the
 N-outcome measurement at N = 2, and it runs the same kernel on the
 pairs.  _certify_blocks feeds the kernel one block per S_k orbit of
 Z_N^k (the nondecreasing x, C(N+k-1, k) of them), reading the counts
-block by block from the one guarded orbit walk of the exact means
-(success._all_eta), which extends each prefix's counts to its children:
+block by block from the orbit walk of subsetsum (_orbit_walk from its
+empty prefix), which extends each prefix's counts to its children:
 permuting the coordinates of x permutes the bits of b, a relabelling of
 the 2^k block basis, so every block on an orbit has the same residual
-and spectrum.  The Gram rank,
-the number of occupied (x, p) pairs, is an orbit-weighted sum of support
-sizes over the same walk.
+and spectrum.  The certifiers keep these orbits, not the exact means'
+finer quotient by the units of Z_N: the shifted assignment of the
+negative control is not unit-invariant, and worst_block is unranked from
+a position of this walk.  The Gram rank, the number of occupied (x, p)
+pairs, is an exact sum of support sizes over the exact means' walk
+(success._exact_sums).
 """
 from __future__ import annotations
 
@@ -53,9 +56,9 @@ from .dihedral import (BlockLabel, ScaleLimitError,  # noqa: F401
                        _bit_dots, _block_diagonal, _block_labels,
                        _check_dense, bit_dot_table, block_state, phase_table)
 # Unused here: perfbench/spans.py traces pgm.iter_all_eta.
-from .subsetsum import (_unrank_nondecreasing, count_eta_batch,  # noqa: F401
-                        iter_all_eta, vtilde)
-from .success import _all_eta, _check_size, _support_sizes
+from .subsetsum import (_orbit_walk, _unrank_nondecreasing,  # noqa: F401
+                        count_eta_batch, iter_all_eta, vtilde)
+from .success import _check_size, _gram_rank
 
 #: Eigenvalues below this relative threshold count as zero in G^(-1/2).
 PSEUDO_INVERSE_CUTOFF = 1e-10
@@ -110,8 +113,10 @@ class GramOperator:
     """Block description of G = sum_j rho_j^(x k copies).
 
     Blocks are produced lazily from the closed form; the exact rank (the
-    number of occupied (x, p) pairs) is summed over one x per S_k orbit
-    of Z_N^k behind the enumeration guard of the exact means.
+    number of occupied (x, p) pairs) is summed in exact integers over one
+    x per orbit of Z_N^k under coordinate permutations and the units of
+    Z_N, which permute the residues and so keep every support size,
+    behind the enumeration guard of the exact means.
     """
 
     N: int
@@ -125,8 +130,7 @@ class GramOperator:
 
     def rank(self) -> int:
         """Number of occupied (x, p) pairs; equals the support dimension."""
-        return sum(int(w @ _support_sizes(eta))
-                   for w, eta in _all_eta(self.N, self.k))
+        return _gram_rank(self.N, self.k)
 
     def trace(self) -> float:
         """tr G = N exactly (each of the N summands has unit trace)."""
@@ -221,11 +225,12 @@ def _conditions(priors, states, effects) -> tuple[np.ndarray, float, float]:
 
 def _certify_blocks(N: int, k: int, conditions, tol: float) -> OptimalityReport:
     """Worst residual and dominance over Z_N^k, read from one nondecreasing x
-    per S_k orbit.  Each block of the orbit walk of the exact means
-    (success._all_eta) goes, as its (rows, N) counts, to conditions(eta)
-    before the walk moves on; conditions returns the block's (rows, 2)
-    per-block residuals and least dominance eigenvalues, concatenated in
-    walk order.  Nothing is built before the guard.
+    per S_k orbit.  Each block of the orbit walk (subsetsum._orbit_walk,
+    behind the dense guard, which is tighter than the enumeration guard)
+    goes, as its (rows, N) counts, to conditions(eta) before the walk
+    moves on; conditions returns the block's (rows, 2) per-block
+    residuals and least dominance eigenvalues, concatenated in walk
+    order.  Nothing is built before the guard.
 
     A permutation of x permutes the bits of every b, which relabels the
     block basis and so conjugates the block's states, effects and L by one
@@ -235,7 +240,8 @@ def _certify_blocks(N: int, k: int, conditions, tol: float) -> OptimalityReport:
     """
     _check_size(N, k)
     _check_dense(N, k)
-    checks = np.concatenate([conditions(eta) for _, eta in _all_eta(N, k)])
+    checks = np.concatenate([conditions(eta)
+                             for _, _, eta in _orbit_walk(N, k)])
     worst = int(np.argmin(checks[:, 1]))
     return OptimalityReport(float(checks[:, 0].max()), float(checks[worst, 1]),
                             tol, worst_block=_unrank_nondecreasing(worst, N, k))

@@ -16,15 +16,19 @@ Everything here reduces to statistics of the solution counts eta_r^x:
 
 Each of these is a mean over x of a per-draw value kernel of eta^x, and
 every one goes through the single reducer _mean.  Its exact branch, under
-EXACT_ENUM_LIMIT, uses that permuting the coordinates of x leaves eta^x
-unchanged: it evaluates the kernel once per multiset of coordinates (the
-nondecreasing x, C(N+k-1, k) of them in place of N^k) and weights each
-value by the exact size of its orbit.  It reads the counts block by
+EXACT_ENUM_LIMIT, uses two symmetries.  Permuting the coordinates of x
+leaves eta^x unchanged, and multiplying x by a unit u of Z_N permutes
+its residues r -> u r, which changes none of these statistics (for even
+N, u is odd and u N/2 = N/2, so the parity pairs are kept too).  So it
+evaluates the kernel once per orbit of both (2,794 representatives in
+place of 64^3 labels at N = 64, k = 3) and weights each value by the
+number of labels its row stands for.  It reads the counts block by
 block from the orbit walk of subsetsum, which extends each shared
 prefix's counts to its children by one step of the recurrence, and sums
-the weighted values SHARD at a time, in walk order, merged by fsum; the
-Gram rank, the parity counting sums and the certifiers read the same
-blocks.  Its Monte Carlo branch averages
+the weighted values SHARD at a time, in walk order, merged by fsum.  The
+Gram rank, the exact trivial success and the parity counting sums read
+the same blocks as exact integers (_exact_sums); the certifiers read the
+walk over coordinate permutations alone.  Its Monte Carlo branch averages
 the seeded shards of SHARD uniform draws of _sharded, the one Monte Carlo
 pass (simulate's trials run it too), merged in shard order, so Monte
 Carlo results are byte-identical for a given seed whatever the worker count.
@@ -35,14 +39,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .dihedral import (ScaleLimitError, _bit_dots, _block_labels,
                        _shift_amplitudes)
 # Unused here: perfbench/spans.py traces success.iter_all_eta.
-from .subsetsum import (_orbit_walk, count_eta_batch,  # noqa: F401
-                        iter_all_eta)
+from .subsetsum import (_orbit_walk, _unit_roots,  # noqa: F401
+                        count_eta_batch, iter_all_eta)
 
 #: Shard size shared by the exact enumerator, the MC estimators and the
 #: trial simulator; the fsum merge over shards makes totals independent
@@ -105,18 +110,50 @@ def _check_size(N: int, k: int) -> None:
 
 
 def _all_eta(N: int, k: int):
-    """The (weights, eta) blocks of the prefix-sharing walk
+    """The (weights, distinct, eta) blocks of the prefix-sharing walk
     (subsetsum._orbit_walk) over one x per orbit of Z_N^k under
-    coordinate permutations, each weighted by its exact orbit size,
-    behind the size check and the enumeration guard (checked on the
-    call, not on the first block).  eta is valid only until the next
-    block, so each consumer reduces a block before it asks for the next."""
+    coordinate permutations and the units of Z_N (subsetsum._unit_roots),
+    a row standing for weights / distinct labels, behind the size check
+    and the enumeration guard (checked on the call, not on the first
+    block).  Every exact mean and integer sum here is of a statistic the
+    units leave unchanged.  eta is valid only until the next block, so
+    each consumer reduces a block before it asks for the next."""
     _check_size(N, k)
     if N ** k > EXACT_ENUM_LIMIT:
         raise ScaleLimitError(
             f"N^k = {N ** k} exceeds the enumeration guard; use success_mc, "
             "lsb_threshold_check or trivial_success with samples")
-    return _orbit_walk(N, k)
+    return _orbit_walk(N, k, _unit_roots(N, k))
+
+
+def _exact_sums(N: int, k: int, terms) -> list[int]:
+    """Exact integer sums over x in Z_N^k of the columns of terms(eta), an
+    (S,) or (S, m) int64 table of per-draw integers, one per column.  A
+    row of the walk stands for weights / distinct labels, so each block
+    adds one int64 dot of weights and terms per value of distinct, summed
+    across blocks in Python integers, and the totals are combined as
+    sum_D S_D / D at the end; a total that is not an integer raises."""
+    by_distinct = {}
+    for w, distinct, eta in _all_eta(N, k):
+        t = terms(eta)
+        for d in range(1, int(distinct.max()) + 1):
+            sel = distinct == d
+            if not sel.any():
+                continue
+            part = np.atleast_1d(w[sel] @ t[sel]).tolist()
+            held = by_distinct.setdefault(d, [0] * len(part))
+            by_distinct[d] = [a + b for a, b in zip(held, part)]
+    sums = [sum(Fraction(s, d) for d, s in zip(by_distinct, column))
+            for column in zip(*by_distinct.values())]
+    if any(s.denominator != 1 for s in sums):
+        raise ArithmeticError(f"orbit-weighted sums {sums} are not integers")
+    return [int(s) for s in sums]
+
+
+def _gram_rank(N: int, k: int) -> int:
+    """The number of occupied (x, p) pairs: the support sizes summed over
+    Z_N^k."""
+    return _exact_sums(N, k, _support_sizes)[0]
 
 
 def _sharded(N: int, k: int, samples: int, seed, threads: int, work) -> list:
@@ -151,10 +188,11 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
     in the work dtype, and no (SHARD, N) table is held.
 
     With samples None the mean is exact (stderr 0): one x per orbit of
-    Z_N^k under coordinate permutations is walked (_all_eta), each value
-    is weighted by its orbit size, the weighted values are summed SHARD
-    at a time in walk order through one buffer, and those sums are
-    merged by fsum and divided by N^k.
+    Z_N^k under coordinate permutations and the units of Z_N is walked
+    (_all_eta), so values must be unchanged by both; each value is
+    weighted by weights / distinct, the labels its row stands for, the
+    weighted values are summed SHARD at a time in walk order through one
+    buffer, and those sums are merged by fsum and divided by N^k.
     Otherwise x is drawn uniformly by the one Monte Carlo pass _sharded
     (memory guard, seeded shards, `threads` workers), and the shard
     results are merged in shard order: the mean from the fsum of the
@@ -164,8 +202,8 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
     if samples is None:
         buf = np.empty(SHARD)
         sums, held = [], 0
-        for w, eta in _all_eta(N, k):
-            v = w * values(eta, N, k)
+        for w, distinct, eta in _all_eta(N, k):
+            v = (w / distinct) * values(eta, N, k)
             while v.size:
                 take = min(v.size, SHARD - held)
                 buf[held:held + take] = v[:take]
@@ -249,10 +287,13 @@ def trivial_success(N: int, k: int, samples: int | None = None,
     """Probability that k copies of the maximally mixed state land on the
     leftover outcome: 1 - rank(G)/(2N)^k.
 
-    Exact by enumeration when samples is None (guarded); otherwise a
-    Monte Carlo estimate of E_x[support_dim] / 2^k.
+    Exact when samples is None (guarded): the exact rational from the
+    integer Gram rank, rounded once.  Otherwise a Monte Carlo estimate of
+    E_x[support_dim] / 2^k.
     """
     _density(N, k)
+    if samples is None:
+        return float(1 - Fraction(_gram_rank(N, k), (2 * N) ** k))
     return 1.0 - _mean(N, k, _support_values, samples, seed)[0]
 
 
@@ -328,13 +369,7 @@ def lsb_counting_sums(N: int, k: int) -> tuple[int, int, int]:
     """
     if N % 2 != 0:
         raise ValueError("N must be even")
-    sum0 = sum_half = cross = 0
-    for w, eta in _all_eta(N, k):
-        terms = _counting_terms(eta, N)
-        sum0 += int(w @ terms[:, 0])
-        sum_half += int(w @ terms[:, 1])
-        cross += int(w @ terms[:, 2])
-    return sum0, sum_half, cross
+    return tuple(_exact_sums(N, k, lambda eta: _counting_terms(eta, N)))
 
 
 # ---------------------------------------------------------------------------

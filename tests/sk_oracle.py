@@ -13,13 +13,14 @@ the tests run it at oracle sizes, and CI at sizes tier-1 skips for time:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from dihedral_pgm import (gram_operator, lsb_counting_sums,
-                          lsb_success_exact, success_exact)
+                          lsb_success_exact, success_exact, trivial_success)
 from dihedral_pgm.subsetsum import _orbit_walk
-from dihedral_pgm.success import (_counting_terms, _lsb_values,
+from dihedral_pgm.success import (_counting_terms, _exact_sums, _lsb_values,
                                   _success_values, _support_sizes)
 
 #: Float means may differ from the oracle's fsum by this many ulp: they
@@ -33,7 +34,7 @@ def sk_sums(N: int, k: int, stats: dict) -> dict:
     per-row values, from one pass over the S_k walk."""
     ints = {name: None for name in stats}
     floats = {name: [] for name in stats}
-    for w, eta in _orbit_walk(N, k):
+    for w, _, eta in _orbit_walk(N, k):
         for name, stat in stats.items():
             v = np.asarray(stat(eta)).reshape(w.shape[0], -1)
             if v.dtype.kind == "f":
@@ -59,11 +60,14 @@ def _close(value: float, exact: float) -> bool:
 
 def check_against_sk(N: int, k: int) -> None:
     """Assert that the exact passes at (N, k) agree with the S_k walk:
-    the orbit weights sum to N^k, the Gram rank and the parity counting
-    sums are bitwise equal, and the success and parity means lie within
-    MEAN_ULPS of the oracle's."""
-    stats = {"count": lambda eta: np.ones(eta.shape[0], dtype=np.int64),
-             "rank": _support_sizes}
+    the orbit weights of both walks sum to N^k, the Gram rank and the
+    parity counting sums are bitwise equal, the trivial success is the
+    oracle's rank as an exact rational rounded once, and the success and
+    parity means lie within MEAN_ULPS of the oracle's."""
+    def ones(eta):
+        return np.ones(eta.shape[0], dtype=np.int64)
+
+    stats = {"count": ones, "rank": _support_sizes}
     if N >= 2:
         stats["success"] = lambda eta: _success_values(eta, N, k)
     if N % 2 == 0:
@@ -71,10 +75,13 @@ def check_against_sk(N: int, k: int) -> None:
         stats["counting"] = lambda eta: _counting_terms(eta, N)
     ref = sk_sums(N, k, stats)
     assert ref["count"] == [N ** k], (N, k, ref["count"])
+    assert _exact_sums(N, k, ones) == [N ** k], (N, k)
     assert gram_operator(N, k).rank() == ref["rank"][0], (N, k)
     if N >= 2:
         p = success_exact(N, k).p
         assert _close(p, ref["success"][0] / N ** k), (N, k, p)
+        assert trivial_success(N, k) == float(
+            1 - Fraction(ref["rank"][0], (2 * N) ** k)), (N, k)
     if N % 2 == 0:
         assert list(lsb_counting_sums(N, k)) == ref["counting"], (N, k)
         p = lsb_success_exact(N, k)

@@ -1,14 +1,28 @@
-"""Every exact pass against the S_k walk oracle (sk_oracle): the orbit
-weights, the Gram rank and the parity counting sums bitwise, and the
-success and parity means within a few ulp, as a hypothesis property over
-N^k <= 2^16 and at the dtype and guard edges."""
+"""The S_k x Z_N^* quotient behind every exact pass.
+
+* Every exact pass against the S_k walk oracle (sk_oracle): the orbit
+  weights, the Gram rank and the parity counting sums bitwise, and the
+  success and parity means within a few ulp, as a hypothesis property
+  over N^k <= 2^16 and at the dtype and guard edges.
+* The quotient walk's rows against an itertools reference, and its
+  weights against orbits enumerated label by label.
+* Two closed-form sums that involve no sqrt, bitwise through the
+  quotient: sum_x sum_r eta_r^2 = 2^k N^k + (4^k - 2^k) N^(k-1) and, for
+  even N, sum_x sum_r eta_r eta_(r+N/2) = (4^k - 2^k) N^(k-1).
+"""
 
 import math
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedral_pgm import BlockLabel, count_eta, success
+from dihedral_pgm.subsetsum import _orbit_walk, _unit_roots
 from sk_oracle import check_against_sk
 
 #: N at which the exact passes are compared: primes, prime powers and N
@@ -20,12 +34,12 @@ COMPOSITES = (6, 10, 12, 18, 24, 30, 36, 60, 90, 120, 210)
 ORACLE_LOG2 = 16
 
 
-def _sizes():
-    """(N, k) with N^k <= 2^ORACLE_LOG2."""
+def _sizes(log2: int = ORACLE_LOG2):
+    """(N, k) with N^k <= 2^log2."""
     Ns = st.one_of(st.sampled_from(PRIMES + PRIME_POWERS + COMPOSITES),
                    st.integers(2, 256))
     return Ns.flatmap(lambda N: st.tuples(
-        st.just(N), st.integers(1, int(ORACLE_LOG2 / math.log2(N) + 1e-9))))
+        st.just(N), st.integers(1, max(1, int(log2 / math.log2(N) + 1e-9)))))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -41,3 +55,100 @@ def test_exact_passes_match_the_sk_walk(size):
                                  (30, 3), (60, 2), (256, 2)])
 def test_exact_passes_match_the_sk_walk_at_the_edges(N, k):
     check_against_sk(N, k)
+
+
+# ---------------------------------------------------------------------------
+# the quotient walk's rows, weights and closed-form sums
+# ---------------------------------------------------------------------------
+
+def _quotient_reference(N, k):
+    """(x, weight, distinct) of the S_k x Z_N^* quotient in walk order,
+    from itertools: for each divisor g of N, ascending, the multisets
+    (g mod N) + rest with rest nondecreasing in the order g mod N, then
+    the other x with gcd(x, N) >= g ascending; weight k! / prod m_v! *
+    phi(N/g) and distinct the number of distinct elements with
+    gcd(x, N) = g."""
+    gcd = [math.gcd(x, N) for x in range(N)]
+    for g in (g for g in range(1, N + 1) if N % g == 0):
+        phi = sum(1 for x in range(N) if gcd[x] == g)
+        order = [g % N] + [x for x in range(N) if gcd[x] >= g and x != g % N]
+        for rest in combinations_with_replacement(order, k - 1):
+            x = (g % N,) + rest
+            orbit = math.factorial(k)
+            for m in Counter(x).values():
+                orbit //= math.factorial(m)
+            yield x, orbit * phi, len({v for v in x if gcd[v] == g})
+
+
+def _canonical(x, N):
+    """The least sorted u x over the units u of Z_N: one label per orbit
+    of Z_N^k under coordinate permutations and the units."""
+    units = [u for u in range(1, N + 1) if math.gcd(u, N) == 1]
+    return min(tuple(sorted(u * v % N for v in x)) for u in units)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_sizes(log2=12))
+def test_quotient_rows_match_the_reference_and_cover_each_orbit(size):
+    # row by row: the walk's weights, distinct counts and counts are the
+    # reference's; orbit by orbit: the rows of an orbit stand for, in sum
+    # of weight / distinct, exactly as many labels as it holds
+    N, k = size
+    blocks = [(w, d, eta.copy())
+              for w, d, eta in _orbit_walk(N, k, _unit_roots(N, k))]
+    rows = list(_quotient_reference(N, k))
+    assert np.concatenate([w for w, _, _ in blocks]).tolist() == \
+        [w for _, w, _ in rows]
+    assert np.concatenate([d for _, d, _ in blocks]).tolist() == \
+        [d for _, _, d in rows]
+    assert np.concatenate([eta for _, _, eta in blocks]).tolist() == \
+        [list(count_eta(BlockLabel(x, N)).eta) for x, _, _ in rows]
+    covered = Counter()
+    for x, w, d in rows:
+        covered[_canonical(x, N)] += Fraction(w, d)
+    assert covered == Counter(_canonical(x, N)
+                              for x in product(range(N), repeat=k))
+
+
+def _quotient_sum(N, k, stat):
+    """sum over x in Z_N^k of the int64 per-row stat(eta), through the
+    quotient walk, in Python integers: w * stat overflows int64 at
+    (2, 26)."""
+    by_distinct = Counter()
+    for w, distinct, eta in success._all_eta(N, k):
+        for a, d, v in zip(w.tolist(), distinct.tolist(),
+                           stat(eta.astype(np.int64)).tolist()):
+            by_distinct[d] += a * v
+    total = sum(Fraction(s, d) for d, s in by_distinct.items())
+    assert total.denominator == 1
+    return int(total)
+
+
+def _collisions(eta):
+    """c(x) = sum_r eta_r^2."""
+    return (eta * eta).sum(axis=1)
+
+
+def _half_collisions(eta):
+    """d(x) = sum_r eta_r eta_(r + N/2)."""
+    return (eta * np.roll(eta, -(eta.shape[1] // 2), axis=1)).sum(axis=1)
+
+
+def _check_collision_sums(N, k):
+    # pairs (b, b') with (b - b') . x = 0: b = b' for every x, and each
+    # b != b' has an entry +-1, so (b - b') . x is uniform on Z_N
+    pairs = (4 ** k - 2 ** k) * N ** (k - 1)
+    assert _quotient_sum(N, k, _collisions) == 2 ** k * N ** k + pairs
+    if N % 2 == 0:
+        assert _quotient_sum(N, k, _half_collisions) == pairs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_sizes())
+def test_collision_sums_hold_through_the_quotient(size):
+    _check_collision_sums(*size)
+
+
+@pytest.mark.parametrize("N,k", [(4, 13), (2, 26), (1, 26)])
+def test_collision_sums_hold_at_the_edges(N, k):
+    _check_collision_sums(N, k)

@@ -4,11 +4,13 @@
   BlockLabel.from_flat and count_eta (the last row of the np.roll table
   _dp_rows), which shares no code with count_eta_batch or the orbit
   enumerator.
-* The orbit walk behind every exact mean visits each multiset of
-  coordinates once, with a weight equal to the number of labels that
-  sort to it; its weights and counts, regrouped into shards, equal shard
-  by shard and in the work dtype those of the reference enumerator it
-  replaced (orbit_reference) counted by count_eta_batch.
+* The orbit walk from its empty prefix (the S_k walk behind the
+  certifiers, and the oracle of the exact means' finer walk in
+  test_exact_oracle) visits each multiset of coordinates once, with a
+  weight equal to the number of labels that sort to it; its weights and
+  counts, regrouped into shards, equal shard by shard and in the work
+  dtype those of the reference enumerator it replaced (orbit_reference)
+  counted by count_eta_batch.
 * count_eta_batch, which counts in byte-budgeted chunks on int16, int32
   or int64 work tables seeded from the subset sums of the first m
   coordinates, is bitwise equal to the last row of _dp_rows at row
@@ -105,7 +107,7 @@ def test_orbit_weights_count_sorted_labels(size):
     assert weights.tolist() == [orbits[tuple(x)] for x in reps.tolist()]
     assert int(weights.sum()) == N ** k
     # the walk's blocks are views valid until the next one: copy each
-    blocks = [(w, eta.copy()) for w, eta in _orbit_walk(N, k)]
+    blocks = [(w, eta.copy()) for w, _, eta in _orbit_walk(N, k)]
     assert np.array_equal(np.concatenate([w for w, _ in blocks]), weights)
     eta = np.concatenate([eta for _, eta in blocks])
     assert eta.tolist() == [list(count_eta(BlockLabel(tuple(x), N)).eta)
@@ -130,7 +132,7 @@ def _walk_shards(N: int, k: int, batch: int):
     rows, the rest in the last; each block is copied before the walk
     overwrites its tables."""
     ws, etas, held = [], [], 0
-    for w, eta in _orbit_walk(N, k):
+    for w, _, eta in _orbit_walk(N, k):
         ws.append(w)
         etas.append(eta.copy())
         held += w.shape[0]

@@ -113,10 +113,11 @@ def test_mc_kernel_reproduces_exact_bitwise(N, k, monkeypatch):
     p = math.fsum(sums) / xs.shape[0]
     # the orbit-weighted sum runs in another order
     assert _close(success_exact(N, k).p, p)
-    # fed every label with weight 1, the exact branch is that reduction
-    # to the last bit: one kernel serves both
+    # fed every label with weight 1 and distinct count 1, the exact
+    # branch is that reduction to the last bit: one kernel serves both
     monkeypatch.setattr(success, "_all_eta", lambda N, k: (
-        (np.ones(eta.shape[0], dtype=np.int64), eta)
+        (np.ones(eta.shape[0], dtype=np.int64),
+         np.ones(eta.shape[0], dtype=np.int64), eta)
         for _, eta in iter_all_eta(N, k, batch=SHARD)))
     assert _mean(N, k, _success_values)[0] == p
 
@@ -182,7 +183,7 @@ def test_exact_pass_peak_memory_is_block_sized(monkeypatch):
     # Every exact pass reduces each walk block as it comes: with 16 KB
     # blocks it holds the walk's level tables, one block's kernel tables
     # and _mean's one SHARD buffer, below the 366 KB that the 45,760
-    # weighted values of (64, 3) would take as one float64 array.
+    # S_k-weighted values of (64, 3) would take as one float64 array.
     monkeypatch.setattr(subsetsum, "CHUNK_BYTES", 2 ** 14)
     N, k = 64, 3
     calls = {"success_exact": lambda: success_exact(N, k),
@@ -469,9 +470,11 @@ def test_orbit_enumeration_matches_full(N, k):
         assert lsb_counting_sums(N, k) == counts
 
 
-#: Exact-mean sizes whose walks cross several SHARD boundaries (15,504
-#: and 45,760 representatives), and certifier sizes, odd N and N = 2.
-BLOCK_MEAN_SIZES = [(16, 5), (64, 3)]
+#: Exact-mean sizes whose walks cross SHARD boundaries (4,247 and 16,359
+#: representatives) or, at CHUNK_BYTES = 2^9, have blocks of 2 rows and
+#: fewer block rows than roots (N = 64 has 7 divisors), and certifier
+#: sizes, odd N and N = 2.
+BLOCK_MEAN_SIZES = [(16, 5), (16, 6), (64, 3)]
 BLOCK_CERT_SIZES = [(8, 3), (2, 6)]
 
 
