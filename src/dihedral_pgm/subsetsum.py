@@ -432,7 +432,7 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None):
         same = at_c == at_p
         run_c = np.where(same, run[parent] + 1, 1)
         weight_c = weight[parent] * (depth + level) // run_c
-        distinct_c = distinct[parent] + (fresh[at_c] > same)
+        distinct_c = distinct[parent] + (fresh[at_c] & ~same)
         window = windows[level - 1][parent, shifts[at_c]]
         if level == steps:
             out = tables[steps][:hi - lo]

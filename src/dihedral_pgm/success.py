@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -132,7 +131,8 @@ def _exact_sums(N: int, k: int, terms) -> list[int]:
     row of the walk stands for weights / distinct labels, so each block
     adds one int64 dot of weights and terms per value of distinct, summed
     across blocks in Python integers, and the totals are combined as
-    sum_D S_D / D at the end; a total that is not an integer raises."""
+    sum_D S_D / D at the end, over the lcm of the D in Python integers;
+    a total that is not an integer raises."""
     by_distinct = {}
     for w, distinct, eta in _all_eta(N, k):
         t = terms(eta)
@@ -143,11 +143,13 @@ def _exact_sums(N: int, k: int, terms) -> list[int]:
             part = np.atleast_1d(w[sel] @ t[sel]).tolist()
             held = by_distinct.setdefault(d, [0] * len(part))
             by_distinct[d] = [a + b for a, b in zip(held, part)]
-    sums = [sum(Fraction(s, d) for d, s in zip(by_distinct, column))
+    lcm = math.lcm(*by_distinct)
+    sums = [sum(s * (lcm // d) for d, s in zip(by_distinct, column))
             for column in zip(*by_distinct.values())]
-    if any(s.denominator != 1 for s in sums):
-        raise ArithmeticError(f"orbit-weighted sums {sums} are not integers")
-    return [int(s) for s in sums]
+    if any(s % lcm for s in sums):
+        raise ArithmeticError(
+            f"orbit-weighted sums {sums} / {lcm} are not integers")
+    return [s // lcm for s in sums]
 
 
 def _gram_rank(N: int, k: int) -> int:
@@ -287,13 +289,15 @@ def trivial_success(N: int, k: int, samples: int | None = None,
     """Probability that k copies of the maximally mixed state land on the
     leftover outcome: 1 - rank(G)/(2N)^k.
 
-    Exact when samples is None (guarded): the exact rational from the
-    integer Gram rank, rounded once.  Otherwise a Monte Carlo estimate of
+    Exact when samples is None (guarded): the exact rational
+    ((2N)^k - rank) / (2N)^k from the integer Gram rank, rounded once by
+    Python's integer division.  Otherwise a Monte Carlo estimate of
     E_x[support_dim] / 2^k.
     """
     _density(N, k)
     if samples is None:
-        return float(1 - Fraction(_gram_rank(N, k), (2 * N) ** k))
+        dim = (2 * N) ** k
+        return (dim - _gram_rank(N, k)) / dim
     return 1.0 - _mean(N, k, _support_values, samples, seed)[0]
 
 
