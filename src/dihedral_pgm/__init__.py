@@ -30,9 +30,9 @@ from .subsetsum import (PartialIsometry, SubsetProfile, SubsetSumInstance,
                         qsample, sample_solutions,
                         superposition_vector, vtilde)
 from .success import (InfoBoundResult, ThresholdPoint, chi_single_copy,
-                      info_lower_bound, lsb_counting_sums, lsb_success_exact,
-                      lsb_threshold_check, lsb_upper_bound, success_exact,
-                      success_mc, success_single_copy, threshold_sweep,
-                      trivial_success)
+                      exact_sweep, info_lower_bound, lsb_counting_sums,
+                      lsb_success_exact, lsb_threshold_check,
+                      lsb_upper_bound, success_exact, success_mc,
+                      success_single_copy, threshold_sweep, trivial_success)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -72,7 +72,7 @@ def _rows_to_text(header: list[str], rows: list[list[str]], fmt: str) -> str:
 def cmd_sweep(args) -> int:
     k_list = _parse_k_range(args.k)
     if args.exact:
-        points = [success.success_exact(args.N, k) for k in k_list]
+        points = success.exact_sweep(args.N, k_list)
     else:
         points = success.threshold_sweep(args.N, k_list, args.samples,
                                          args.seed, threads=args.threads)

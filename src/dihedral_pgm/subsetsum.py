@@ -41,7 +41,10 @@ k = 3, and as many at N = 2, which has no unit but 1.
 The weights and distinct counts ride down the same walk, and only the
 last level, undoubled, leaves it: the walk yields (weights, distinct,
 counts) blocks, and each exact pass reduces every block itself while it
-is still in cache.
+is still in cache.  A walk to depth k passes through every shallower
+depth with that depth's own rows, weights and distinct counts, in the
+same order, so on request it yields every depth's blocks as well: one
+walk serves every k of an exact sweep.
 """
 
 from __future__ import annotations
@@ -278,6 +281,13 @@ class _Roots(NamedTuple):
     sizes: np.ndarray    # (C,) int64 lengths of the digit sets
     fresh: np.ndarray    # (C, A) bool: a first use adds a distinct element
 
+    def prefixes(self, k: int) -> int:
+        """The number of prefixes of k digits the walk visits: each root
+        extends by k - depth nondecreasing digits of its set."""
+        steps = k - self.depth
+        return sum(math.comb(a + steps - 1, steps)
+                   for a in self.sizes.tolist())
+
 
 def _symmetric_roots(N: int) -> _Roots:
     """The S_k walk's one root: the empty prefix, with the digits
@@ -337,7 +347,8 @@ def _unit_roots(N: int, k: int) -> _Roots:
     return _Roots(1, weight, digits, sizes, fresh)
 
 
-def _orbit_walk(N: int, k: int, roots: _Roots | None = None):
+def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
+                shallowest: int | None = None):
     """Yield (weights, distinct, eta) blocks over one x per orbit of Z_N^k
     under permutations of the coordinates (the nondecreasing x, in
     lexicographic order), or under those and the units of Z_N when roots
@@ -349,6 +360,14 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None):
     view of a work table that is valid only until the next block.  A
     block has at most as many rows as fill CHUNK_BYTES with doubled
     tables [T | T].
+
+    The walk to depth k passes through every shallower depth j with the
+    representatives, weights and distinct counts of the walk to depth j,
+    in the same order.  With shallowest set, it yields those too: every
+    block of each depth j from shallowest to k, as (j, weights, distinct,
+    eta), in walk order, so one walk serves every k of a sweep.  All
+    depths share the work dtype of k, and the eta of a depth below k is
+    the first half of its level's doubled table, a strided view.
 
     The walk goes depth first from the roots (_Roots), level j holding a
     block of prefixes with their doubled tables [T_j | T_j]; the root
@@ -365,11 +384,14 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None):
     plus one when the digit is fresh and starts a run.  Only the last
     level is undoubled; each level's table holds min(rows, its number of
     prefixes) rows."""
-    depth, root_weight, digits, sizes, fresh = (
-        _symmetric_roots(N) if roots is None else roots)
+    if roots is None:
+        roots = _symmetric_roots(N)
+    depth, root_weight, digits, sizes, fresh = roots
     work = _work_dtype(k)
     rows = _chunk_rows(2 * N, work)
     steps, C = k - depth, sizes.shape[0]
+    # the shallowest depth below k to yield (k + 1 for none)
+    lowest = k + 1 if shallowest is None else shallowest
 
     def seed(out, lead):
         # the counts of each root prefix, in each N-wide half of out
@@ -384,15 +406,21 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None):
         for lo in range(0, C, rows):
             hi = min(lo + rows, C)
             seed(out[:hi - lo], digits[lo:hi, 0])
-            yield (root_weight[lo:hi], np.ones(hi - lo, dtype=np.int64),
-                   out[:hi - lo])
+            block = (root_weight[lo:hi], np.ones(hi - lo, dtype=np.int64),
+                     out[:hi - lo])
+            yield block if shallowest is None else (k, *block)
         return
     # level j's table, j = 0 .. steps, sized by its number of prefixes
-    tables = [np.empty((C if j == 0 else min(rows, sum(
-        math.comb(a + j - 1, j) for a in sizes.tolist())),
-        (2 if j < steps else 1) * N), dtype=work) for j in range(steps + 1)]
+    tables = [np.empty((C if j == 0 else min(rows, roots.prefixes(depth + j)),
+                        (2 if j < steps else 1) * N), dtype=work)
+              for j in range(steps + 1)]
     seed(tables[0], digits[:, 0])
     halves = [t.reshape(-1, 2, N) for t in tables[:steps]]
+    if depth >= lowest:
+        for lo in range(0, C, rows):
+            hi = min(lo + rows, C)
+            yield (depth, root_weight[lo:hi], np.ones(hi - lo, dtype=np.int64),
+                   halves[0][lo:hi, 0])
     # windows[j][s, i] is the view tables[j][s, i:i + N], made without
     # sliding_window_view's checks, which cost more than a small level
     windows = [np.lib.stride_tricks.as_strided(
@@ -438,11 +466,14 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None):
             out = tables[steps][:hi - lo]
             np.take(halves[steps - 1][:, 0], parent, axis=0, out=out)
             out += window
-            yield weight_c, distinct_c, out
+            block = (weight_c, distinct_c, out)
+            yield block if shallowest is None else (k, *block)
         else:
             out = halves[level][:hi - lo]
             np.take(halves[level - 1], parent, axis=0, out=out)
             out += window[:, None, :]
+            if depth + level >= lowest:
+                yield depth + level, weight_c, distinct_c, out[:, 0]
             push(at_c, stop[parent], run_c, weight_c, distinct_c)
 
 

@@ -25,7 +25,10 @@ place of 64^3 labels at N = 64, k = 3) and weights each value by the
 number of labels its row stands for.  It reads the counts block by
 block from the orbit walk of subsetsum, which extends each shared
 prefix's counts to its children by one step of the recurrence, and sums
-the weighted values SHARD at a time, in walk order, merged by fsum.  The
+the weighted values SHARD at a time, in walk order, merged by fsum.  A
+walk to depth K passes through every shallower depth, so an exact sweep
+(exact_sweep, and the exact rows of threshold_sweep) reads every k from
+one walk to the largest, bitwise as the walk to that k alone.  The
 Gram rank, the exact trivial success and the parity counting sums read
 the same blocks as exact integers (_exact_sums); the certifiers read the
 walk over coordinate permutations alone.  Its Monte Carlo branch averages
@@ -45,7 +48,7 @@ import numpy as np
 from .dihedral import (ScaleLimitError, _bit_dots, _block_labels,
                        _shift_amplitudes)
 # Unused here: perfbench/spans.py traces success.iter_all_eta.
-from .subsetsum import (_orbit_walk, _unit_roots,  # noqa: F401
+from .subsetsum import (_orbit_walk, _Roots, _unit_roots,  # noqa: F401
                         count_eta_batch, iter_all_eta)
 
 #: Shard size shared by the exact enumerator, the MC estimators and the
@@ -108,21 +111,26 @@ def _check_size(N: int, k: int) -> None:
         raise ValueError(f"need N >= 1 and k >= 1, got N = {N}, k = {k}")
 
 
-def _all_eta(N: int, k: int):
-    """The (weights, distinct, eta) blocks of the prefix-sharing walk
-    (subsetsum._orbit_walk) over one x per orbit of Z_N^k under
+def _exact_roots(N: int, k: int) -> _Roots:
+    """The roots of the walk over one x per orbit of Z_N^k under
     coordinate permutations and the units of Z_N (subsetsum._unit_roots),
-    a row standing for weights / distinct labels, behind the size check
-    and the enumeration guard (checked on the call, not on the first
-    block).  Every exact mean and integer sum here is of a statistic the
-    units leave unchanged.  eta is valid only until the next block, so
-    each consumer reduces a block before it asks for the next."""
+    behind the size check and the enumeration guard.  Every exact mean and
+    integer sum here is of a statistic the units leave unchanged."""
     _check_size(N, k)
     if N ** k > EXACT_ENUM_LIMIT:
         raise ScaleLimitError(
             f"N^k = {N ** k} exceeds the enumeration guard; use success_mc, "
             "lsb_threshold_check or trivial_success with samples")
-    return _orbit_walk(N, k, _unit_roots(N, k))
+    return _unit_roots(N, k)
+
+
+def _all_eta(N: int, k: int):
+    """The (weights, distinct, eta) blocks of the prefix-sharing walk
+    (subsetsum._orbit_walk) from _exact_roots(N, k), a row standing for
+    weights / distinct labels, guarded on the call, not on the first
+    block.  eta is valid only until the next block, so each consumer
+    reduces a block before it asks for the next."""
+    return _orbit_walk(N, k, _exact_roots(N, k))
 
 
 def _exact_sums(N: int, k: int, terms) -> list[int]:
@@ -158,6 +166,56 @@ def _gram_rank(N: int, k: int) -> int:
     return _exact_sums(N, k, _support_sizes)[0]
 
 
+class _ShardSum:
+    """The float sum of a stream of values, as exact enumeration takes it:
+    the values are buffered SHARD at a time in stream order, each full
+    buffer and the last partial one are summed by np.sum, and those sums
+    are merged by fsum.  The buffer holds size values, which must be
+    SHARD unless the whole stream fits."""
+
+    def __init__(self, size: int):
+        self.buf, self.held, self.sums = np.empty(size), 0, []
+
+    def add(self, v: np.ndarray) -> None:
+        while v.size:
+            take = min(v.size, SHARD - self.held)
+            self.buf[self.held:self.held + take] = v[:take]
+            v = v[take:]
+            self.held += take
+            if self.held == SHARD:
+                self.sums.append(float(np.sum(self.buf)))
+                self.held = 0
+
+    def total(self) -> float:
+        if self.held:
+            self.sums.append(float(np.sum(self.buf[:self.held])))
+            self.held = 0
+        return math.fsum(self.sums)
+
+
+def _exact_means(N: int, k_list, values) -> dict[int, float]:
+    """Exact means over x in Z_N^k of the kernel values(eta, N, k), for
+    every k in k_list, from one walk to the largest k (_orbit_walk with
+    shallowest the smallest), guarded on the largest before any block.
+
+    One x per orbit of Z_N^k under coordinate permutations and the units
+    of Z_N is walked, so values must be unchanged by both.  The walk to
+    depth K passes through every shallower depth with the rows of that
+    depth's own walk, in the same order, so each k reads its blocks from
+    the one walk: each value is weighted by weights / distinct, the labels
+    its row stands for, and summed by its depth's _ShardSum, whose buffer
+    holds min(SHARD, rows of that depth) values; the sum is divided by
+    N^k.  The depths between those asked for are walked, not reduced."""
+    depths = sorted(set(k_list))
+    _check_size(N, depths[0])
+    roots = _exact_roots(N, depths[-1])
+    sums = {k: _ShardSum(min(SHARD, roots.prefixes(k))) for k in depths}
+    for k, w, distinct, eta in _orbit_walk(N, depths[-1], roots, depths[0]):
+        if k in sums:
+            sums[k].add((w / distinct) * values(eta, N, k))
+    return {k: s.total() / N ** k for k, s in sums.items()}
+
+
 def _sharded(N: int, k: int, samples: int, seed, threads: int, work) -> list:
     """The one Monte Carlo pass: the size check and memory guard before
     any draw, then [work(rng, xs) per shard of SHARD draws, the last
@@ -189,12 +247,10 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
     (the orbit walk's when exact, count_eta_batch's otherwise), on counts
     in the work dtype, and no (SHARD, N) table is held.
 
-    With samples None the mean is exact (stderr 0): one x per orbit of
-    Z_N^k under coordinate permutations and the units of Z_N is walked
-    (_all_eta), so values must be unchanged by both; each value is
-    weighted by weights / distinct, the labels its row stands for, the
-    weighted values are summed SHARD at a time in walk order through one
-    buffer, and those sums are merged by fsum and divided by N^k.
+    With samples None the mean is exact (stderr 0): it is _exact_means at
+    the one k, so values must be unchanged by coordinate permutations and
+    the units of Z_N, and a k read from a sweep's walk (exact_sweep) is
+    bitwise the same.
     Otherwise x is drawn uniformly by the one Monte Carlo pass _sharded
     (memory guard, seeded shards, `threads` workers), and the shard
     results are merged in shard order: the mean from the fsum of the
@@ -202,21 +258,7 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
     its own mean, combined by the pairwise update.
     """
     if samples is None:
-        buf = np.empty(SHARD)
-        sums, held = [], 0
-        for w, distinct, eta in _all_eta(N, k):
-            v = (w / distinct) * values(eta, N, k)
-            while v.size:
-                take = min(v.size, SHARD - held)
-                buf[held:held + take] = v[:take]
-                v = v[take:]
-                held += take
-                if held == SHARD:
-                    sums.append(float(np.sum(buf)))
-                    held = 0
-        if held:
-            sums.append(float(np.sum(buf[:held])))
-        return math.fsum(sums) / N ** k, 0.0
+        return _exact_means(N, [k], values)[k], 0.0
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
@@ -249,11 +291,24 @@ def _success_values(eta: np.ndarray, N: int, k: int) -> np.ndarray:
     return np.minimum(root_sums ** 2 / (N * float(2 ** k)), 1.0)
 
 
+def exact_sweep(N: int, k_list) -> list[ThresholdPoint]:
+    """Exact success probabilities at every k of k_list, in its order, by
+    orbit-weighted enumeration: one walk of Z_N^max(k_list) reads every k
+    (_exact_means), and each point is bitwise success_exact(N, k).  The
+    enumeration guard is checked on the largest k before any walk."""
+    k_list = list(k_list)
+    nus = [_density(N, k) for k in k_list]
+    if not k_list:
+        return []
+    p = _exact_means(N, k_list, _success_values)
+    return [ThresholdPoint(N, k, nu, p[k], 0.0, "EXACT")
+            for k, nu in zip(k_list, nus)]
+
+
 def success_exact(N: int, k: int) -> ThresholdPoint:
-    """Exact success probability by orbit-weighted enumeration of Z_N^k."""
-    nu = _density(N, k)
-    p, _ = _mean(N, k, _success_values)
-    return ThresholdPoint(N, k, nu, p, 0.0, "EXACT")
+    """Exact success probability by orbit-weighted enumeration of Z_N^k:
+    the one-k exact_sweep."""
+    return exact_sweep(N, [k])[0]
 
 
 def success_single_copy(N: int) -> ThresholdPoint:
@@ -304,16 +359,15 @@ def trivial_success(N: int, k: int, samples: int | None = None,
 def threshold_sweep(N: int, k_list, samples: int, seed,
                     threads: int = 1) -> list[ThresholdPoint]:
     """One success-probability point per k: exact when N^k is small
-    enough, Monte Carlo (with a per-k child seed) otherwise."""
+    enough, all such k read from one walk (exact_sweep), and Monte Carlo
+    (with a per-k child seed) otherwise."""
     k_list = list(k_list)
     children = np.random.SeedSequence(seed).spawn(len(k_list))
-    points = []
-    for k, child in zip(k_list, children):
-        if N ** k <= SWEEP_EXACT_LIMIT:
-            points.append(success_exact(N, k))
-        else:
-            points.append(success_mc(N, k, samples, child, threads))
-    return points
+    exact = [k for k in k_list if N ** k <= SWEEP_EXACT_LIMIT]
+    points = dict(zip(exact, exact_sweep(N, exact)))
+    return [points[k] if k in points
+            else success_mc(N, k, samples, child, threads)
+            for k, child in zip(k_list, children)]
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,18 @@ def test_monte_carlo_memory_guard_exits_3(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("N,k", [(2, "1..27"), (8, "1..9")])
+def test_exact_sweep_past_the_enumeration_guard_exits_3(N, k, tmp_path,
+                                                        capsys):
+    # the guard reads the largest k of the range, so no row is written
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(["sweep", "--exact", "--N", str(N), "--k", k,
+                                 "--output", str(out)], capsys)
+    assert code == 3
+    assert stdout == "" and "enumeration guard" in err
+    assert not out.exists()
+
+
 #: sha256 of (stdout, --output file) at fixed seeds, as written before the
 #: counting kernel was chunked (sweep, lsb, simulate with a shift) and
 #: before trivial outcomes were read from support sizes and shift outcomes

@@ -5,7 +5,8 @@
   success and parity means within a few ulp, as a hypothesis property
   over N^k <= 2^16 and at the dtype and guard edges.
 * The quotient walk's rows against an itertools reference, and its
-  weights against orbits enumerated label by label.
+  weights against orbits enumerated label by label; every depth of one
+  walk, from either set of roots, against the walk to that depth.
 * Two closed-form sums that involve no sqrt, bitwise through the
   quotient: sum_x sum_r eta_r^2 = 2^k N^k + (4^k - 2^k) N^(k-1) and, for
   even N, sum_x sum_r eta_r eta_(r+N/2) = (4^k - 2^k) N^(k-1).
@@ -108,6 +109,34 @@ def test_quotient_rows_match_the_reference_and_cover_each_orbit(size):
         covered[_canonical(x, N)] += Fraction(w, d)
     assert covered == Counter(_canonical(x, N)
                               for x in product(range(N), repeat=k))
+
+
+def _rows_by_depth(blocks):
+    """{depth: (weights, distinct, eta)} concatenated over a tagged walk's
+    blocks, the counts widened to int64."""
+    out = {}
+    for j, w, d, eta in blocks:
+        held = out.setdefault(j, ([], [], []))
+        for column, part in zip(held, (w, d, eta.astype(np.int64))):
+            column.append(part)
+    return {j: tuple(np.concatenate(c).tolist() for c in held)
+            for j, held in out.items()}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_sizes(log2=12), st.data())
+def test_a_deep_walk_yields_each_depth_as_its_own_walk(size, data):
+    # from the S_k x Z_N^* roots and from the S_k root: every depth j of
+    # one walk to k holds the rows of the walk to j, in its order
+    N, k = size
+    lo = data.draw(st.integers(1, k))
+    for roots in (_unit_roots, lambda N, k: None):
+        deep = _rows_by_depth(_orbit_walk(N, k, roots(N, k), lo))
+        assert sorted(deep) == list(range(lo, k + 1))
+        for j in range(lo, k + 1):
+            own = _rows_by_depth((j, *block)
+                                 for block in _orbit_walk(N, j, roots(N, j)))
+            assert deep[j] == own[j]
 
 
 def _quotient_sum(N, k, stat):

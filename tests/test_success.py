@@ -2,13 +2,16 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_pgm import (ScaleLimitError, assemble_block_density,
                           certify_dihedral_pgm, chi_single_copy,
-                          count_eta_batch, dense_block_effects,
+                          count_eta_batch, dense_block_effects, exact_sweep,
                           gram_operator, hidden_subgroup_state,
                           info_lower_bound, lsb_counting_sums, lsb_povm,
                           lsb_success_exact, lsb_threshold_check,
@@ -115,8 +118,10 @@ def test_mc_kernel_reproduces_exact_bitwise(N, k, monkeypatch):
     assert _close(success_exact(N, k).p, p)
     # fed every label with weight 1 and distinct count 1, the exact
     # branch is that reduction to the last bit: one kernel serves both
-    monkeypatch.setattr(success, "_all_eta", lambda N, k: (
-        (np.ones(eta.shape[0], dtype=np.int64),
+    monkeypatch.setattr(success, "_exact_roots", lambda N, k: SimpleNamespace(
+        prefixes=lambda j: N ** j))
+    monkeypatch.setattr(success, "_orbit_walk", lambda N, k, roots, lo: (
+        (k, np.ones(eta.shape[0], dtype=np.int64),
          np.ones(eta.shape[0], dtype=np.int64), eta)
         for _, eta in iter_all_eta(N, k, batch=SHARD)))
     assert _mean(N, k, _success_values)[0] == p
@@ -182,16 +187,20 @@ def test_mc_shard_peak_memory_is_chunk_sized():
 def test_exact_pass_peak_memory_is_block_sized(monkeypatch):
     # Every exact pass reduces each walk block as it comes: with 16 KB
     # blocks it holds the walk's level tables, one block's kernel tables
-    # and _mean's one SHARD buffer, below the 366 KB that the 45,760
-    # S_k-weighted values of (64, 3) would take as one float64 array.
+    # and one buffer of at most SHARD values per depth, below the 366 KB
+    # that the 45,760 S_k-weighted values of (64, 3) would take as one
+    # float64 array.  One call before the measured one keeps one-time
+    # lazy imports out of the peak, whatever ran before.
     monkeypatch.setattr(subsetsum, "CHUNK_BYTES", 2 ** 14)
     N, k = 64, 3
     calls = {"success_exact": lambda: success_exact(N, k),
+             "exact_sweep": lambda: exact_sweep(N, range(1, k + 1)),
              "lsb_success_exact": lambda: lsb_success_exact(N, k),
              "trivial_success": lambda: trivial_success(N, k),
              "lsb_counting_sums": lambda: lsb_counting_sums(N, k),
              "rank": lambda: gram_operator(N, k).rank()}
     for name, call in calls.items():
+        call()
         tracemalloc.start()
         call()
         peak = tracemalloc.get_traced_memory()[1]
@@ -244,6 +253,14 @@ def test_threshold_sweep_mixed_methods():
     for k in range(3, 13):
         assert by_k[k].p >= by_k[k - 1].p - 4 * (by_k[k].stderr
                                                  + by_k[k - 1].stderr + 1e-9)
+
+
+def test_threshold_sweep_exact_rows_are_success_exact():
+    # 16^k <= SWEEP_EXACT_LIMIT for k <= 3
+    points = threshold_sweep(16, [4, 1, 3, 2, 3], samples=500, seed=7)
+    assert [p.method for p in points] == ["MC"] + ["EXACT"] * 4
+    for point in points[1:]:
+        assert point == success_exact(16, point.k)
 
 
 def test_sweep_rejects_bad_domain():
@@ -479,13 +496,14 @@ BLOCK_CERT_SIZES = [(8, 3), (2, 6)]
 
 
 def _exact_results():
-    """reprs of every exact pass at BLOCK_MEAN_SIZES and of both
-    certifiers' reports, shift 0 and 1, at BLOCK_CERT_SIZES."""
+    """reprs of every exact pass at BLOCK_MEAN_SIZES, of the one-walk
+    sweep to each of them, and of both certifiers' reports, shift 0 and
+    1, at BLOCK_CERT_SIZES."""
     out = []
     for N, k in BLOCK_MEAN_SIZES:
         out += [success_exact(N, k).p, trivial_success(N, k),
                 gram_operator(N, k).rank(), lsb_success_exact(N, k),
-                lsb_counting_sums(N, k)]
+                lsb_counting_sums(N, k), exact_sweep(N, range(1, k + 1))]
     for N, k in BLOCK_CERT_SIZES:
         povm = lsb_povm(N, k)
         for shift in (0, 1):
@@ -507,3 +525,55 @@ def test_exact_results_do_not_depend_on_the_walk_block_size(chunk_bytes,
     expect = _exact_results()
     monkeypatch.setattr(subsetsum, "CHUNK_BYTES", chunk_bytes)
     assert _exact_results() == expect
+
+
+# ---------------------------------------------------------------------------
+# one walk per exact sweep
+# ---------------------------------------------------------------------------
+
+def _sweep_sizes(log2: int = 16):
+    """(N, lo, hi) with 1 <= lo <= hi and N^hi <= 2^log2."""
+    return st.integers(2, 256).flatmap(lambda N: st.integers(
+        1, max(1, int(log2 / math.log2(N) + 1e-9))).flatmap(
+            lambda hi: st.tuples(st.just(N), st.integers(1, hi),
+                                 st.just(hi))))
+
+
+def _check_sweep(N, lo, hi):
+    # every point of the one walk is the one-k walk's, to the last bit
+    points = exact_sweep(N, range(lo, hi + 1))
+    assert [p.k for p in points] == list(range(lo, hi + 1))
+    for point in points:
+        assert point == success_exact(N, point.k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_sweep_sizes())
+def test_exact_sweep_matches_success_exact_bitwise(size):
+    _check_sweep(*size)
+
+
+# depth 5 of (16, 6) holds 4,247 rows and crosses a SHARD boundary before
+# the deepest level; (2, 14..15) walks the int16 depth 14 in int32
+@pytest.mark.parametrize("N,lo,hi", [(16, 1, 6), (2, 14, 15)])
+def test_exact_sweep_matches_success_exact_at_the_edges(N, lo, hi):
+    _check_sweep(N, lo, hi)
+
+
+def test_exact_sweep_keeps_the_order_of_k():
+    points = exact_sweep(8, [3, 1, 3, 2])
+    assert [p.k for p in points] == [3, 1, 3, 2]
+    assert points[0] == points[2] == success_exact(8, 3)
+    assert exact_sweep(8, []) == []
+
+
+@pytest.mark.parametrize("N,hi", [(2, 27), (8, 9)])
+def test_exact_sweep_guards_the_largest_k_before_any_walk(N, hi, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked before the guard")
+
+    monkeypatch.setattr(success, "_orbit_walk", no_walk)
+    with pytest.raises(ScaleLimitError, match="enumeration guard"):
+        exact_sweep(N, range(1, hi + 1))
+    with pytest.raises(ValueError, match="need N >= 2 and k >= 1"):
+        exact_sweep(N, [0, 2])
