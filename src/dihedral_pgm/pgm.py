@@ -39,11 +39,11 @@ empty prefix), which extends each prefix's counts to its children:
 permuting the coordinates of x permutes the bits of b, a relabelling of
 the 2^k block basis, so every block on an orbit has the same residual
 and spectrum.  The certifiers keep these orbits, not the exact means'
-finer quotient by the units of Z_N: the shifted assignment of the
-negative control is not unit-invariant, and worst_block is unranked from
-a position of this walk.  The Gram rank, the number of occupied (x, p)
-pairs, is an exact sum of support sizes over the exact means' walk
-(success._exact_sums).
+finer quotient by the units of Z_N and coordinate negations: the shifted
+assignment of the negative control is not unit-invariant, and
+worst_block is unranked from a position of this walk.  The Gram rank,
+the number of occupied (x, p) pairs, is an exact sum of support sizes
+over the exact means' walk (success._exact_sums).
 """
 from __future__ import annotations
 

@@ -16,22 +16,27 @@ Everything here reduces to statistics of the solution counts eta_r^x:
 
 Each of these is a mean over x of a per-draw value kernel of eta^x, and
 every one goes through the single reducer _mean.  Its exact branch, under
-EXACT_ENUM_LIMIT, uses two symmetries.  Permuting the coordinates of x
-leaves eta^x unchanged, and multiplying x by a unit u of Z_N permutes
-its residues r -> u r, which changes none of these statistics (for even
-N, u is odd and u N/2 = N/2, so the parity pairs are kept too).  So it
-evaluates the kernel once per orbit of both (2,794 representatives in
-place of 64^3 labels at N = 64, k = 3) and weights each value by the
-number of labels its row stands for.  It reads the counts block by
-block from the orbit walk of subsetsum, which extends each shared
-prefix's counts to its children by one step of the recurrence, and sums
-the weighted values SHARD at a time, in walk order, merged by fsum.  A
+EXACT_ENUM_LIMIT, uses three symmetries.  Permuting the coordinates of x
+leaves eta^x unchanged; multiplying x by a unit u of Z_N permutes its
+residues r -> u r (for even N, u is odd and u N/2 = N/2, so the parity
+pairs are kept too); and negating one coordinate x_i shifts eta^x
+cyclically by x_i, since complementing bit i maps the solutions of
+b . x = r onto those of b . x' = r - x_i.  None of them changes these
+statistics.  So it evaluates the kernel once per orbit of all three
+(784 representatives in place of 64^3 labels at N = 64, k = 3, 246 in
+place of 8^7 at N = 8, k = 7) and weights each value by the number of
+labels its row stands for.  It reads the counts block by block from
+the orbit walk of subsetsum, which extends each shared prefix's counts
+to its children by one step of the recurrence, and sums the weighted
+values SHARD at a time, in walk order, merged by fsum.  A
 walk to depth K passes through every shallower depth, so an exact sweep
 (exact_sweep, and the exact rows of threshold_sweep) reads every k from
 one walk to the largest, bitwise as the walk to that k alone.  The
-Gram rank, the exact trivial success and the parity counting sums read
-the same blocks as exact integers (_exact_sums); the certifiers read the
-walk over coordinate permutations alone.  Its Monte Carlo branch averages
+Gram rank and the exact trivial success read the same blocks as exact
+integers (_exact_sums).  The parity counting sums read the walk over
+coordinate permutations and units alone, since a shift moves eta_0 and
+eta_(N/2); the certifiers read the walk over coordinate permutations
+alone (pgm).  Its Monte Carlo branch averages
 the seeded shards of SHARD uniform draws of _sharded, the one Monte Carlo
 pass (simulate's trials run it too), merged in shard order, so Monte
 Carlo results are byte-identical for a given seed whatever the worker count.
@@ -111,38 +116,41 @@ def _check_size(N: int, k: int) -> None:
         raise ValueError(f"need N >= 1 and k >= 1, got N = {N}, k = {k}")
 
 
-def _exact_roots(N: int, k: int) -> _Roots:
+def _exact_roots(N: int, k: int, signed: bool = True) -> _Roots:
     """The roots of the walk over one x per orbit of Z_N^k under
-    coordinate permutations and the units of Z_N (subsetsum._unit_roots),
-    behind the size check and the enumeration guard.  Every exact mean and
-    integer sum here is of a statistic the units leave unchanged."""
+    coordinate permutations, the units of Z_N and, with signed, coordinate
+    negations (subsetsum._unit_roots), behind the size check and the
+    enumeration guard.  Every exact mean and integer sum here is of a
+    statistic the units leave unchanged, and all but the parity counting
+    sums of one that cyclic shifts of eta leave unchanged too."""
     _check_size(N, k)
     if N ** k > EXACT_ENUM_LIMIT:
         raise ScaleLimitError(
             f"N^k = {N ** k} exceeds the enumeration guard; use success_mc, "
             "lsb_threshold_check or trivial_success with samples")
-    return _unit_roots(N, k)
+    return _unit_roots(N, k, signed)
 
 
-def _all_eta(N: int, k: int):
+def _all_eta(N: int, k: int, signed: bool = True):
     """The (weights, distinct, eta) blocks of the prefix-sharing walk
-    (subsetsum._orbit_walk) from _exact_roots(N, k), a row standing for
-    weights / distinct labels, guarded on the call, not on the first
-    block.  eta is valid only until the next block, so each consumer
-    reduces a block before it asks for the next."""
-    return _orbit_walk(N, k, _exact_roots(N, k))
+    (subsetsum._orbit_walk) from _exact_roots(N, k, signed), a row
+    standing for weights / distinct labels, guarded on the call, not on
+    the first block.  eta is valid only until the next block, so each
+    consumer reduces a block before it asks for the next."""
+    return _orbit_walk(N, k, _exact_roots(N, k, signed))
 
 
-def _exact_sums(N: int, k: int, terms) -> list[int]:
+def _exact_sums(N: int, k: int, terms, signed: bool = True) -> list[int]:
     """Exact integer sums over x in Z_N^k of the columns of terms(eta), an
-    (S,) or (S, m) int64 table of per-draw integers, one per column.  A
-    row of the walk stands for weights / distinct labels, so each block
-    adds one int64 dot of weights and terms per value of distinct, summed
-    across blocks in Python integers, and the totals are combined as
-    sum_D S_D / D at the end, over the lcm of the D in Python integers;
-    a total that is not an integer raises."""
+    (S,) or (S, m) int64 table of per-draw integers, one per column, read
+    from _all_eta(N, k, signed): with signed, terms must be unchanged by
+    cyclic shifts of eta.  A row of the walk stands for weights / distinct
+    labels, so each block adds one int64 dot of weights and terms per
+    value of distinct, summed across blocks in Python integers, and the
+    totals are combined as sum_D S_D / D at the end, over the lcm of the
+    D in Python integers; a total that is not an integer raises."""
     by_distinct = {}
-    for w, distinct, eta in _all_eta(N, k):
+    for w, distinct, eta in _all_eta(N, k, signed):
         t = terms(eta)
         for d in range(1, int(distinct.max()) + 1):
             sel = distinct == d
@@ -161,8 +169,8 @@ def _exact_sums(N: int, k: int, terms) -> list[int]:
 
 
 def _gram_rank(N: int, k: int) -> int:
-    """The number of occupied (x, p) pairs: the support sizes summed over
-    Z_N^k."""
+    """The number of occupied (x, p) pairs: the support sizes, which a
+    cyclic shift of eta keeps, summed over Z_N^k."""
     return _exact_sums(N, k, _support_sizes)[0]
 
 
@@ -198,14 +206,16 @@ def _exact_means(N: int, k_list, values) -> dict[int, float]:
     every k in k_list, from one walk to the largest k (_orbit_walk with
     shallowest the smallest), guarded on the largest before any block.
 
-    One x per orbit of Z_N^k under coordinate permutations and the units
-    of Z_N is walked, so values must be unchanged by both.  The walk to
-    depth K passes through every shallower depth with the rows of that
-    depth's own walk, in the same order, so each k reads its blocks from
-    the one walk: each value is weighted by weights / distinct, the labels
-    its row stands for, and summed by its depth's _ShardSum, whose buffer
-    holds min(SHARD, rows of that depth) values; the sum is divided by
-    N^k.  The depths between those asked for are walked, not reduced."""
+    One x per orbit of Z_N^k under coordinate permutations, the units of
+    Z_N and coordinate negations is walked, so values must be unchanged by
+    all three: by permutations of the residues r -> u r and by cyclic
+    shifts of eta.  The walk to depth K passes through every shallower
+    depth with the rows of that depth's own walk, in the same order, so
+    each k reads its blocks from the one walk: each value is weighted by
+    weights / distinct, the labels its row stands for, and summed by its
+    depth's _ShardSum, whose buffer holds min(SHARD, rows of that depth)
+    values; the sum is divided by N^k.  The depths between those asked
+    for are walked, not reduced."""
     depths = sorted(set(k_list))
     _check_size(N, depths[0])
     roots = _exact_roots(N, depths[-1])
@@ -248,9 +258,9 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
     in the work dtype, and no (SHARD, N) table is held.
 
     With samples None the mean is exact (stderr 0): it is _exact_means at
-    the one k, so values must be unchanged by coordinate permutations and
-    the units of Z_N, and a k read from a sweep's walk (exact_sweep) is
-    bitwise the same.
+    the one k, so values must be unchanged by coordinate permutations, the
+    units of Z_N and cyclic shifts of eta, and a k read from a sweep's
+    walk (exact_sweep) is bitwise the same.
     Otherwise x is drawn uniformly by the one Monte Carlo pass _sharded
     (memory guard, seeded shards, `threads` workers), and the shard
     results are merged in shard order: the mean from the fsum of the
@@ -424,10 +434,15 @@ def lsb_counting_sums(N: int, k: int) -> tuple[int, int, int]:
     """Exact integer sums behind the parity bound, by orbit-weighted
     enumeration: sum_x eta_0, sum_x eta_(N/2), and
     sum_x sum_(r != 0, N/2) eta_r eta_(-r).
+
+    These walk the quotient by coordinate permutations and the units
+    alone: negating x_i shifts eta by x_i, which moves eta_0 and
+    eta_(N/2) (and eta_r eta_(-r) with them).
     """
     if N % 2 != 0:
         raise ValueError("N must be even")
-    return tuple(_exact_sums(N, k, lambda eta: _counting_terms(eta, N)))
+    return tuple(_exact_sums(N, k, lambda eta: _counting_terms(eta, N),
+                             signed=False))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,17 @@ orbit of Z_N^k under coordinate permutations) by its int64 orbit size and
 sums per-row statistics over all of Z_N^k: integer columns exactly, in
 Python integers, and float columns by one fsum of the weighted values.
 check_against_sk compares the program's exact passes with it at one size;
-the tests run it at oracle sizes, and CI at sizes tier-1 skips for time:
+the tests run it at oracle sizes, and CI at sizes tier-1 skips for time.
+decimal_means gives the success and parity means themselves in 50-digit
+decimal, the reference the printed exact rows are held to:
 
     PYTHONPATH=src:tests python3 -c \
         "from sk_oracle import check_against_sk; check_against_sk(64, 4)"
 """
 
 import math
+from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +56,42 @@ def sk_sums(N: int, k: int, stats: dict) -> dict:
             out[name] = [math.fsum(columns[:, c])
                          for c in range(columns.shape[1])]
     return out
+
+
+def decimal_means(N: int, k: int, digits: int = 50) -> tuple:
+    """(success, parity) means over Z_N^k as Decimals of `digits` digits,
+    parity None for odd N, from the S_k walk with no float step.  Both
+    are sums of square roots of integers: sum_x (sum_r sqrt(eta_r))^2 is
+    sum_(v, v') A_(v v') sqrt(v v'), A the orbit-weighted sum of the outer
+    products of each row's histogram of count values, and
+    sum_x sum_r sqrt(eta_r eta_(r+N/2)) groups by the product.  The
+    integer coefficients are exact in int64 (at most N^(k+2)), and each
+    root is rounded once, to `digits` digits."""
+    pairs, halves = Counter(), Counter()
+    for w, _, eta in _orbit_walk(N, k):
+        eta = eta.astype(np.int64)
+        rows = np.arange(eta.shape[0])[:, None]
+        values, at = np.unique(eta, return_inverse=True)
+        hist = np.zeros((eta.shape[0], values.size), dtype=np.int64)
+        np.add.at(hist, (rows, at.reshape(eta.shape)), 1)
+        coeff = hist.T @ (w[:, None] * hist)
+        for i, j in zip(*np.nonzero(coeff)):
+            pairs[int(values[i]) * int(values[j])] += int(coeff[i, j])
+        if N % 2 == 0:
+            prods = eta * np.roll(eta, -(N // 2), axis=1)
+            values, at = np.unique(prods, return_inverse=True)
+            weight = np.zeros(values.size, dtype=np.int64)
+            np.add.at(weight, at.reshape(eta.shape), w[:, None])
+            for v, c in zip(values.tolist(), weight.tolist()):
+                halves[v] += c
+    with localcontext() as ctx:
+        ctx.prec = digits
+        success = (sum(c * Decimal(v).sqrt() for v, c in pairs.items())
+                   / (2 ** k * N ** (k + 1)))
+        parity = (Decimal(1) / 2
+                  + sum(c * Decimal(v).sqrt() for v, c in halves.items())
+                  / (2 ** (k + 1) * N ** k)) if N % 2 == 0 else None
+    return success, parity
 
 
 def _close(value: float, exact: float) -> bool:

@@ -4,9 +4,14 @@
   weights, the Gram rank and the parity counting sums bitwise, and the
   success and parity means within a few ulp, as a hypothesis property
   over N^k <= 2^16 and at the dtype and guard edges.
-* The quotient walk's rows against an itertools reference, and its
-  weights against orbits enumerated label by label; every depth of one
-  walk, from either set of roots, against the walk to that depth.
+* Negating one coordinate x_i shifts eta cyclically by x_i, which keeps
+  every statistic the signed quotient walks (success, support size,
+  parity).
+* The quotient walk's rows, and the signed one's (one multiset of classes
+  {c, -c} per orbit of S_k x Z_N^* x coordinate negations), against an
+  itertools reference, and their weights against orbits enumerated label
+  by label; every depth of one walk, from either set of roots, against
+  the walk to that depth.
 * Two closed-form sums that involve no sqrt, bitwise through the
   quotient: sum_x sum_r eta_r^2 = 2^k N^k + (4^k - 2^k) N^(k-1) and, for
   even N, sum_x sum_r eta_r eta_(r+N/2) = (4^k - 2^k) N^(k-1).
@@ -23,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_pgm import BlockLabel, count_eta, success
-from dihedral_pgm.subsetsum import _orbit_walk, _unit_roots
+from dihedral_pgm.subsetsum import _orbit_walk, _unit_roots, count_eta_batch
+from dihedral_pgm.success import _lsb_values, _success_values, _support_sizes
 from sk_oracle import check_against_sk
 
 #: N at which the exact passes are compared: primes, prime powers and N
@@ -59,45 +65,81 @@ def test_exact_passes_match_the_sk_walk_at_the_edges(N, k):
 
 
 # ---------------------------------------------------------------------------
+# coordinate negations
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 256).flatmap(lambda N: st.tuples(
+    st.just(N), st.lists(st.integers(0, N - 1), min_size=1, max_size=12))),
+    st.data())
+def test_negating_a_coordinate_shifts_eta_and_keeps_its_statistics(case,
+                                                                   data):
+    # complementing bit i maps the solutions of b . x = r onto those of
+    # b . x' = r - x_i, so eta^x' is eta^x rolled by -x_i, bitwise; the
+    # success and parity values are then equal as real numbers, and the
+    # kernels, which sum the same terms in rotated order, agree to
+    # rounding (up to 11 ulp seen at N <= 256)
+    N, x = case
+    i = data.draw(st.integers(0, len(x) - 1))
+    negated = list(x)
+    negated[i] = -x[i] % N
+    eta = count_eta_batch(np.array([x, negated]), N)
+    assert eta[1].tolist() == np.roll(eta[0], -x[i]).tolist()
+    sizes = _support_sizes(eta)
+    assert sizes[0] == sizes[1]
+    kernels = [_success_values] + ([_lsb_values] if N % 2 == 0 else [])
+    for values in kernels:
+        v = values(eta, N, len(x))
+        assert v[1] == pytest.approx(v[0], rel=64 * np.finfo(float).eps,
+                                     abs=0)
+
+
+# ---------------------------------------------------------------------------
 # the quotient walk's rows, weights and closed-form sums
 # ---------------------------------------------------------------------------
 
-def _quotient_reference(N, k):
+def _quotient_reference(N, k, signed=False):
     """(x, weight, distinct) of the S_k x Z_N^* quotient in walk order,
-    from itertools: for each divisor g of N, ascending, the multisets
+    with signed of S_k x Z_N^* x coordinate negations, from itertools.
+    The alphabet is 0 .. N - 1, or with signed the least elements
+    c = 0 .. N // 2 of the classes {c, -c}, a use of c standing for
+    |{c, -c}| labels.  For each divisor g of N, ascending, the multisets
     (g mod N) + rest with rest nondecreasing in the order g mod N, then
-    the other x with gcd(x, N) >= g ascending; weight k! / prod m_v! *
-    phi(N/g) and distinct the number of distinct elements with
-    gcd(x, N) = g."""
+    the other digits with gcd(., N) >= g ascending; weight k! / prod m_v!
+    times the labels of its elements' uses times the number of digits
+    with gcd(., N) = g, and distinct the number of distinct such
+    elements."""
     gcd = [math.gcd(x, N) for x in range(N)]
+    alphabet = range(N // 2 + 1 if signed else N)
+    uses = [2 if signed and 2 * x % N else 1 for x in range(N)]
     for g in (g for g in range(1, N + 1) if N % g == 0):
-        phi = sum(1 for x in range(N) if gcd[x] == g)
-        order = [g % N] + [x for x in range(N) if gcd[x] >= g and x != g % N]
+        classes = sum(1 for x in alphabet if gcd[x] == g)
+        order = [g % N] + [x for x in alphabet if gcd[x] >= g and x != g % N]
         for rest in combinations_with_replacement(order, k - 1):
             x = (g % N,) + rest
-            orbit = math.factorial(k)
+            orbit = math.factorial(k) * math.prod(uses[v] for v in x)
             for m in Counter(x).values():
                 orbit //= math.factorial(m)
-            yield x, orbit * phi, len({v for v in x if gcd[v] == g})
+            yield x, orbit * classes, len({v for v in x if gcd[v] == g})
 
 
-def _canonical(x, N):
-    """The least sorted u x over the units u of Z_N: one label per orbit
-    of Z_N^k under coordinate permutations and the units."""
+def _canonical(x, N, signed=False):
+    """The least sorted u x over the units u of Z_N, each element taken
+    as min(v, -v) with signed: one label per orbit of Z_N^k under
+    coordinate permutations and the units (and coordinate negations)."""
     units = [u for u in range(1, N + 1) if math.gcd(u, N) == 1]
-    return min(tuple(sorted(u * v % N for v in x)) for u in units)
+    least = (lambda v: min(v, -v % N)) if signed else (lambda v: v)
+    return min(tuple(sorted(least(u * v % N) for v in x)) for u in units)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(_sizes(log2=12))
-def test_quotient_rows_match_the_reference_and_cover_each_orbit(size):
+def _check_quotient_rows(N, k, signed):
     # row by row: the walk's weights, distinct counts and counts are the
     # reference's; orbit by orbit: the rows of an orbit stand for, in sum
-    # of weight / distinct, exactly as many labels as it holds
-    N, k = size
+    # of weight / distinct, exactly as many labels as it holds; depth by
+    # depth of one walk to k: the rows stand for N^j labels
     blocks = [(w, d, eta.copy())
-              for w, d, eta in _orbit_walk(N, k, _unit_roots(N, k))]
-    rows = list(_quotient_reference(N, k))
+              for w, d, eta in _orbit_walk(N, k, _unit_roots(N, k, signed))]
+    rows = list(_quotient_reference(N, k, signed))
     assert np.concatenate([w for w, _, _ in blocks]).tolist() == \
         [w for _, w, _ in rows]
     assert np.concatenate([d for _, d, _ in blocks]).tolist() == \
@@ -106,9 +148,33 @@ def test_quotient_rows_match_the_reference_and_cover_each_orbit(size):
         [list(count_eta(BlockLabel(x, N)).eta) for x, _, _ in rows]
     covered = Counter()
     for x, w, d in rows:
-        covered[_canonical(x, N)] += Fraction(w, d)
-    assert covered == Counter(_canonical(x, N)
+        covered[_canonical(x, N, signed)] += Fraction(w, d)
+    assert covered == Counter(_canonical(x, N, signed)
                               for x in product(range(N), repeat=k))
+    labels = Counter()
+    for j, w, d, _ in _orbit_walk(N, k, _unit_roots(N, k, signed), 1):
+        labels[j] += sum(map(Fraction, w.tolist(), d.tolist()))
+    assert labels == {j: N ** j for j in range(1, k + 1)}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_sizes(log2=12))
+def test_quotient_rows_match_the_reference_and_cover_each_orbit(size):
+    _check_quotient_rows(*size, signed=False)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_sizes(log2=12))
+def test_signed_quotient_rows_match_the_reference_and_cover_each_orbit(size):
+    _check_quotient_rows(*size, signed=True)
+
+
+# odd N, N = 1 and 2 (no two-element class), and N whose class N/2 has
+# one element (6, 12, 64)
+@pytest.mark.parametrize("N,k", [(1, 6), (2, 8), (5, 4), (27, 2), (6, 4),
+                                 (12, 3), (64, 2)])
+def test_signed_quotient_rows_at_the_edges(N, k):
+    _check_quotient_rows(N, k, signed=True)
 
 
 def _rows_by_depth(blocks):
@@ -126,11 +192,13 @@ def _rows_by_depth(blocks):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_sizes(log2=12), st.data())
 def test_a_deep_walk_yields_each_depth_as_its_own_walk(size, data):
-    # from the S_k x Z_N^* roots and from the S_k root: every depth j of
-    # one walk to k holds the rows of the walk to j, in its order
+    # from the S_k x Z_N^* roots, signed or not, and from the S_k root:
+    # every depth j of one walk to k holds the rows of the walk to j, in
+    # its order
     N, k = size
     lo = data.draw(st.integers(1, k))
-    for roots in (_unit_roots, lambda N, k: None):
+    for roots in (_unit_roots, lambda N, k: _unit_roots(N, k, True),
+                  lambda N, k: None):
         deep = _rows_by_depth(_orbit_walk(N, k, roots(N, k), lo))
         assert sorted(deep) == list(range(lo, k + 1))
         for j in range(lo, k + 1):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,12 +188,24 @@ def test_mc_shard_peak_memory_is_chunk_sized():
 def test_exact_pass_peak_memory_is_block_sized(monkeypatch):
     # Every exact pass reduces each walk block as it comes: with 16 KB
     # blocks it holds the walk's level tables, one block's kernel tables
-    # and one buffer of at most SHARD values per depth, below the 366 KB
-    # that the 45,760 S_k-weighted values of (64, 3) would take as one
-    # float64 array.  One call before the measured one keeps one-time
-    # lazy imports out of the peak, whatever ran before.
+    # and one buffer per depth of min(SHARD, that depth's rows) values,
+    # below the 366 KB that the 45,760 S_k-weighted values of (64, 3)
+    # would take as one float64 array.  One call before the measured one
+    # keeps one-time lazy imports out of the peak, whatever ran before.
     monkeypatch.setattr(subsetsum, "CHUNK_BYTES", 2 ** 14)
     N, k = 64, 3
+    # the buffer sizes are checked directly: with a full SHARD buffer per
+    # depth exact_sweep peaks at 217 KB against 128 KB, and the unit walk
+    # of lsb_counting_sums at 191 KB, so no one bound tells them apart
+    rows = Counter()
+    for j, w, _, _ in success._orbit_walk(N, k, success._exact_roots(N, k),
+                                          1):
+        rows[j] += w.size
+    sizes, shard_sum = [], success._ShardSum
+    monkeypatch.setattr(success, "_ShardSum",
+                        lambda size: sizes.append(size) or shard_sum(size))
+    exact_sweep(N, range(1, k + 1))
+    assert sizes == [min(SHARD, rows[j]) for j in range(1, k + 1)]
     calls = {"success_exact": lambda: success_exact(N, k),
              "exact_sweep": lambda: exact_sweep(N, range(1, k + 1)),
              "lsb_success_exact": lambda: lsb_success_exact(N, k),
