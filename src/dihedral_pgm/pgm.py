@@ -42,8 +42,9 @@ and spectrum.  The certifiers keep these orbits, not the exact means'
 finer quotient by the units of Z_N and coordinate negations: the shifted
 assignment of the negative control is not unit-invariant, and
 worst_block is unranked from a position of this walk.  The Gram rank,
-the number of occupied (x, p) pairs, is an exact sum of support sizes
-over the exact means' walk (success._exact_sums).
+the number of occupied (x, p) pairs, is the one exact integer sum over
+the exact means' walk: support sizes, weighted exactly
+(success._exact_sums).
 """
 from __future__ import annotations
 

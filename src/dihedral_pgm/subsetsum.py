@@ -35,14 +35,11 @@ cache-sized block of prefixes, and each child's table is its parent's
 plus one window of it, so the representatives that share a prefix share
 all of its steps.  From the empty prefix it walks the nondecreasing x,
 one per orbit of coordinate permutations (S_k); from the roots of
-_unit_roots, one per divisor g of N, it walks one x per orbit of S_k and
-the units of Z_N: 2,794 representatives in place of 45,760 at N = 64,
-k = 3, and as many at N = 2, which has no unit but 1.  With signed roots
-the digits are the classes {c, -c}, c = 0 .. N // 2, each use of a
-two-element class standing for 2 labels, so the walk also takes one x
-per orbit of coordinate negations, which shift eta cyclically: 784
-representatives at N = 64, k = 3, and 246 in place of 1,808 (units
-alone) and 3,432 (S_k) at N = 8, k = 7.
+_unit_roots, one per divisor g of N, it walks one x per orbit of S_k,
+the units of Z_N and coordinate negations, which shift eta cyclically.
+Its digits are the classes {c, -c}, c = 0 .. N // 2, each use of a
+two-element class standing for 2 labels: 784 representatives in place
+of 45,760 at N = 64, k = 3, and 246 in place of 3,432 at N = 8, k = 7.
 The weights and distinct counts ride down the same walk, and only the
 last level, undoubled, leaves it: the walk yields (weights, distinct,
 counts) blocks, and each exact pass reduces every block itself while it
@@ -317,37 +314,36 @@ def _totient(m: int) -> int:
     return out - out // m if m > 1 else out
 
 
-def _unit_roots(N: int, k: int, signed: bool = False) -> _Roots:
+def _unit_roots(N: int, k: int) -> _Roots:
     """Roots of the walk over one x per orbit of Z_N^k under coordinate
-    permutations and multiplication by the units u of Z_N, which permutes
-    the residues r -> u r and so leaves every unit-invariant statistic of
-    eta unchanged.  With signed, also under negating any one coordinate
-    x_i, which shifts eta cyclically by x_i (complementing bit i maps the
-    solutions of b . x = r onto those of b . x' = r - x_i), so it leaves
-    every shift-invariant statistic unchanged too.
+    permutations, multiplication by the units u of Z_N, which permutes
+    the residues r -> u r, and negating any one coordinate x_i, which
+    shifts eta cyclically by x_i (complementing bit i maps the solutions
+    of b . x = r onto those of b . x' = r - x_i).  So its weighted rows
+    sum every statistic of eta that both of those keep over all of Z_N^k.
 
-    The digits are the alphabet 0 .. N - 1, or with signed the classes
-    {c, -c} as their least elements c = 0 .. N // 2, a use of class c
-    standing for |{c, -c}| labels (2 unless 2c = 0 mod N).  A multiset M
-    of digits falls in the class of the least divisor g of N that is
-    gcd(x_i, N) for some element (gcd(0, N) = N; negation keeps it).  The
-    units permute the class-g digits transitively, so the pairs (M, c)
-    with c a class-g digit of M map one to one onto the pairs (u_c^-1 M, c)
-    for any fixed u_c with u_c g = c, and u_c^-1 M contains g.  Hence the
-    sum over Z_N^k is the sum over the multisets M that contain g and
-    whose elements all have gcd(., N) >= g of n_g w(M) / D(M), where n_g
-    is the number of class-g digits, w the labels M stands for (its S_k
-    orbit size times the uses of its elements) and D the number of
-    distinct class-g digits of M.  There is one root per divisor g,
-    ascending: the prefix (g mod N), weight n_g times the uses of g,
-    which is phi(N/g) in either alphabet, and the digit set g mod N
-    followed by the other digits with gcd(., N) >= g, ascending, of which
-    the class-g ones are fresh.  Beyond the root's own digit the sets are
-    built only when k > 1, where the enumeration guard keeps N <= 2^13."""
+    The digits are the classes {c, -c} as their least elements
+    c = 0 .. N // 2, a use of class c standing for |{c, -c}| labels (2
+    unless 2c = 0 mod N).  A multiset M of digits falls in the class of
+    the least divisor g of N that is gcd(x_i, N) for some element
+    (gcd(0, N) = N; negation keeps it).  The units permute the class-g
+    digits transitively, so the pairs (M, c) with c a class-g digit of M
+    map one to one onto the pairs (u_c^-1 M, c) for any fixed u_c with
+    u_c g = c, and u_c^-1 M contains g.  Hence the sum over Z_N^k is the
+    sum over the multisets M that contain g and whose elements all have
+    gcd(., N) >= g of n_g w(M) / D(M), where n_g is the number of class-g
+    digits, w the labels M stands for (its S_k orbit size times the uses
+    of its elements) and D the number of distinct class-g digits of M.
+    There is one root per divisor g, ascending: the prefix (g mod N),
+    weight n_g times the uses of g, which is phi(N/g), and the digit set
+    g mod N followed by the other digits with gcd(., N) >= g, ascending,
+    of which the class-g ones are fresh.  Beyond the root's own digit the
+    sets are built only when k > 1, where the enumeration guard keeps
+    N <= 2^13."""
     divisors = sorted({d for i in range(1, math.isqrt(N) + 1) if N % i == 0
                        for d in (i, N // i)})
     C = len(divisors)
-    A = N // 2 + 1 if signed else N
+    A = N // 2 + 1
     weight = np.array([_totient(N // g) for g in divisors], dtype=np.int64)
     digits = np.zeros((C, A if k > 1 else 1), dtype=np.int64)
     fresh = np.zeros(digits.shape, dtype=bool)
@@ -361,8 +357,7 @@ def _unit_roots(N: int, k: int, signed: bool = False) -> _Roots:
             sizes[c] += others.size
             digits[c, 1:sizes[c]] = others
             fresh[c, 1:sizes[c]] = gcds[others] == g
-    uses = (np.where(2 * digits % N != 0, 2, 1) if signed
-            else np.ones_like(digits))
+    uses = np.where(2 * digits % N != 0, 2, 1)
     return _Roots(1, weight, digits, sizes, fresh, uses)
 
 
@@ -370,16 +365,15 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
                 shallowest: int | None = None):
     """Yield (weights, distinct, eta) blocks over one x per orbit of Z_N^k
     under permutations of the coordinates (the nondecreasing x, in
-    lexicographic order), or under those and the units of Z_N when roots
-    is _unit_roots(N, k), and coordinate negations too when it is
-    _unit_roots(N, k, signed=True).  A row stands for weights / distinct
-    labels, so a weighted sum over the rows of a statistic the group
-    leaves unchanged equals the sum over all of Z_N^k.  weights are exact
-    int64 (with roots None, the S_k orbit sizes, summing to N^k, and
-    distinct all 1), and eta the (rows, N) counts in the work dtype of
-    count_eta_batch, a view of a work table that is valid only until the
-    next block.  A block has at most as many rows as fill CHUNK_BYTES with
-    doubled tables [T | T].
+    lexicographic order), or under those, the units of Z_N and coordinate
+    negations when roots is _unit_roots(N, k).  A row stands for
+    weights / distinct labels, so a weighted sum over the rows of a
+    statistic the group leaves unchanged equals the sum over all of
+    Z_N^k.  weights are exact int64 (with roots None, the S_k orbit
+    sizes, summing to N^k, and distinct all 1), and eta the (rows, N)
+    counts in the work dtype of count_eta_batch, a view of a work table
+    that is valid only until the next block.  A block has at most as many
+    rows as fill CHUNK_BYTES with doubled tables [T | T].
 
     The walk to depth k passes through every shallower depth j with the
     representatives, weights and distinct counts of the walk to depth j,

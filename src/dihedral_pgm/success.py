@@ -33,13 +33,13 @@ walk to depth K passes through every shallower depth, so an exact sweep
 (exact_sweep, and the exact rows of threshold_sweep) reads every k from
 one walk to the largest, bitwise as the walk to that k alone.  The
 Gram rank and the exact trivial success read the same blocks as exact
-integers (_exact_sums).  The parity counting sums read the walk over
-coordinate permutations and units alone, since a shift moves eta_0 and
-eta_(N/2); the certifiers read the walk over coordinate permutations
-alone (pgm).  Its Monte Carlo branch averages
-the seeded shards of SHARD uniform draws of _sharded, the one Monte Carlo
-pass (simulate's trials run it too), merged in shard order, so Monte
-Carlo results are byte-identical for a given seed whatever the worker count.
+integers (_exact_sums); the certifiers read the walk over coordinate
+permutations alone (pgm).  The parity counting sums walk nothing: they
+are closed forms in N and k (lsb_counting_sums).  Its Monte Carlo
+branch averages the seeded shards of SHARD uniform draws of _sharded,
+the one Monte Carlo pass (simulate's trials run it too), merged in shard
+order, so Monte Carlo results are byte-identical for a given seed
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -116,62 +116,49 @@ def _check_size(N: int, k: int) -> None:
         raise ValueError(f"need N >= 1 and k >= 1, got N = {N}, k = {k}")
 
 
-def _exact_roots(N: int, k: int, signed: bool = True) -> _Roots:
+def _exact_roots(N: int, k: int) -> _Roots:
     """The roots of the walk over one x per orbit of Z_N^k under
-    coordinate permutations, the units of Z_N and, with signed, coordinate
-    negations (subsetsum._unit_roots), behind the size check and the
-    enumeration guard.  Every exact mean and integer sum here is of a
-    statistic the units leave unchanged, and all but the parity counting
-    sums of one that cyclic shifts of eta leave unchanged too."""
+    coordinate permutations, the units of Z_N and coordinate negations
+    (subsetsum._unit_roots), behind the size check and the enumeration
+    guard.  Every exact mean and integer sum here is of a statistic that
+    the units and cyclic shifts of eta leave unchanged."""
     _check_size(N, k)
     if N ** k > EXACT_ENUM_LIMIT:
         raise ScaleLimitError(
             f"N^k = {N ** k} exceeds the enumeration guard; use success_mc, "
             "lsb_threshold_check or trivial_success with samples")
-    return _unit_roots(N, k, signed)
+    return _unit_roots(N, k)
 
 
-def _all_eta(N: int, k: int, signed: bool = True):
-    """The (weights, distinct, eta) blocks of the prefix-sharing walk
-    (subsetsum._orbit_walk) from _exact_roots(N, k, signed), a row
-    standing for weights / distinct labels, guarded on the call, not on
-    the first block.  eta is valid only until the next block, so each
-    consumer reduces a block before it asks for the next."""
-    return _orbit_walk(N, k, _exact_roots(N, k, signed))
-
-
-def _exact_sums(N: int, k: int, terms, signed: bool = True) -> list[int]:
-    """Exact integer sums over x in Z_N^k of the columns of terms(eta), an
-    (S,) or (S, m) int64 table of per-draw integers, one per column, read
-    from _all_eta(N, k, signed): with signed, terms must be unchanged by
-    cyclic shifts of eta.  A row of the walk stands for weights / distinct
-    labels, so each block adds one int64 dot of weights and terms per
-    value of distinct, summed across blocks in Python integers, and the
-    totals are combined as sum_D S_D / D at the end, over the lcm of the
-    D in Python integers; a total that is not an integer raises."""
+def _exact_sums(N: int, k: int, terms) -> int:
+    """The exact integer sum over x in Z_N^k of terms(eta), an (S,) int64
+    array of per-draw integers that the units and cyclic shifts of eta
+    leave unchanged, read from the prefix-sharing walk
+    (subsetsum._orbit_walk) from _exact_roots(N, k).  A row of the walk
+    stands for weights / distinct labels, so each block adds one int64
+    dot of weights and terms per value of distinct, summed across blocks
+    in Python integers, and the totals are combined as sum_D S_D / D at
+    the end, over the lcm of the D in Python integers; a total that is
+    not an integer raises."""
     by_distinct = {}
-    for w, distinct, eta in _all_eta(N, k, signed):
+    for w, distinct, eta in _orbit_walk(N, k, _exact_roots(N, k)):
         t = terms(eta)
         for d in range(1, int(distinct.max()) + 1):
             sel = distinct == d
-            if not sel.any():
-                continue
-            part = np.atleast_1d(w[sel] @ t[sel]).tolist()
-            held = by_distinct.setdefault(d, [0] * len(part))
-            by_distinct[d] = [a + b for a, b in zip(held, part)]
+            if sel.any():
+                by_distinct[d] = by_distinct.get(d, 0) + int(w[sel] @ t[sel])
     lcm = math.lcm(*by_distinct)
-    sums = [sum(s * (lcm // d) for d, s in zip(by_distinct, column))
-            for column in zip(*by_distinct.values())]
-    if any(s % lcm for s in sums):
+    total = sum(s * (lcm // d) for d, s in by_distinct.items())
+    if total % lcm:
         raise ArithmeticError(
-            f"orbit-weighted sums {sums} / {lcm} are not integers")
-    return [s // lcm for s in sums]
+            f"orbit-weighted sum {total} / {lcm} is not an integer")
+    return total // lcm
 
 
 def _gram_rank(N: int, k: int) -> int:
     """The number of occupied (x, p) pairs: the support sizes, which a
     cyclic shift of eta keeps, summed over Z_N^k."""
-    return _exact_sums(N, k, _support_sizes)[0]
+    return _exact_sums(N, k, _support_sizes)
 
 
 class _ShardSum:
@@ -417,32 +404,32 @@ def lsb_threshold_check(N: int, k: int, samples: int, seed,
     return ThresholdPoint(N, k, nu, p, stderr, "MC"), lsb_upper_bound(N, k)
 
 
-def _counting_terms(eta: np.ndarray, N: int) -> np.ndarray:
-    """Per-draw (eta_0, eta_(N/2), sum_(r != 0, N/2) eta_r eta_(-r)) as an
-    (S, 3) int64 table, N even; the counts are widened before the
-    products, which overflow the int16 work tables from k = 8 on.  The
-    residues 0 and N/2 are their own negatives, so the cross sum is the
-    sum over every r less eta_0^2 and eta_(N/2)^2."""
-    eta = eta.astype(np.int64)
-    half = N // 2
-    cross = ((eta * eta[:, -np.arange(N) % N]).sum(axis=1)
-             - eta[:, 0] ** 2 - eta[:, half] ** 2)
-    return np.column_stack((eta[:, 0], eta[:, half], cross))
-
-
 def lsb_counting_sums(N: int, k: int) -> tuple[int, int, int]:
-    """Exact integer sums behind the parity bound, by orbit-weighted
-    enumeration: sum_x eta_0, sum_x eta_(N/2), and
-    sum_x sum_(r != 0, N/2) eta_r eta_(-r).
+    """Exact integer sums behind the parity bound, N even, in closed form:
+    sum_x eta_0 = N^k + (2^k - 1) N^(k-1), sum_x eta_(N/2) =
+    (2^k - 1) N^(k-1) and sum_x sum_(r != 0, N/2) eta_r eta_(-r) =
+    (N - 2)(2^k - 1)(2^k - 2) N^(k-2), in Python integers, with no walk.
 
-    These walk the quotient by coordinate permutations and the units
-    alone: negating x_i shifts eta by x_i, which moves eta_0 and
-    eta_(N/2) (and eta_r eta_(-r) with them).
+    They count solutions x in Z_N^k: sum_x eta_s is the number of pairs
+    (x, b) with b . x = s, sum_x eta_s^2 that of triples (x, b, b') with
+    b . x = b' . x = s, and sum_x sum_r eta_r eta_(-r) that of triples
+    with (b + b') . x = 0.  One congruence b . x = s with b != 0 has
+    N^(k-1) solutions, since some coefficient is 1, and two with
+    b != b', both nonzero, have N^(k-2), since some x_i is in one and not
+    the other.  So the triples over every r number N^k (b = b' = 0)
+    + (4^k - 2^k) N^(k-1) (b != b') + 2 (2^k - 1) N^(k-1) (b = b' != 0,
+    where 2 b . x = 0 holds for b . x = 0 and N/2), sum_x eta_0^2 is
+    N^k + 3 (2^k - 1) N^(k-1) + (2^k - 1)(2^k - 2) N^(k-2) and
+    sum_x eta_(N/2)^2 is (2^k - 1) N^(k-1) + (2^k - 1)(2^k - 2) N^(k-2);
+    the first less the other two is the cross sum, 0 at k = 1 and at
+    N = 2.
     """
     if N % 2 != 0:
         raise ValueError("N must be even")
-    return tuple(_exact_sums(N, k, lambda eta: _counting_terms(eta, N),
-                             signed=False))
+    _check_size(N, k)
+    others = (2 ** k - 1) * N ** (k - 1)
+    cross = (N - 2) * (2 ** k - 1) * (2 ** k - 2) * N ** max(k - 2, 0)
+    return N ** k + others, others, cross
 
 
 # ---------------------------------------------------------------------------

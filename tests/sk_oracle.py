@@ -7,6 +7,8 @@ sums per-row statistics over all of Z_N^k: integer columns exactly, in
 Python integers, and float columns by one fsum of the weighted values.
 check_against_sk compares the program's exact passes with it at one size;
 the tests run it at oracle sizes, and CI at sizes tier-1 skips for time.
+counting_sums gives the parity counting sums from the same walk, the
+enumeration their closed forms are held to.
 decimal_means gives the success and parity means themselves in 50-digit
 decimal, the reference the printed exact rows are held to:
 
@@ -24,8 +26,8 @@ import numpy as np
 from dihedral_pgm import (gram_operator, lsb_counting_sums,
                           lsb_success_exact, success_exact, trivial_success)
 from dihedral_pgm.subsetsum import _orbit_walk
-from dihedral_pgm.success import (_counting_terms, _exact_sums, _lsb_values,
-                                  _success_values, _support_sizes)
+from dihedral_pgm.success import (_exact_sums, _lsb_values, _success_values,
+                                  _support_sizes)
 
 #: Float means may differ from the oracle's fsum by this many ulp: they
 #: are summed in another order, SHARD values at a time.
@@ -56,6 +58,26 @@ def sk_sums(N: int, k: int, stats: dict) -> dict:
             out[name] = [math.fsum(columns[:, c])
                          for c in range(columns.shape[1])]
     return out
+
+
+def _counting_terms(eta: np.ndarray, N: int) -> np.ndarray:
+    """Per-draw (eta_0, eta_(N/2), sum_(r != 0, N/2) eta_r eta_(-r)) as an
+    (S, 3) int64 table, N even; the counts are widened before the
+    products, which overflow the int16 work tables from k = 8 on.  The
+    residues 0 and N/2 are their own negatives, so the cross sum is the
+    sum over every r less eta_0^2 and eta_(N/2)^2."""
+    eta = eta.astype(np.int64)
+    half = N // 2
+    cross = ((eta * eta[:, -np.arange(N) % N]).sum(axis=1)
+             - eta[:, 0] ** 2 - eta[:, half] ** 2)
+    return np.column_stack((eta[:, 0], eta[:, half], cross))
+
+
+def counting_sums(N: int, k: int) -> tuple:
+    """(sum_x eta_0, sum_x eta_(N/2), sum_x sum_(r != 0, N/2) eta_r eta_(-r))
+    over Z_N^k, N even, summed over the S_k walk in Python integers."""
+    terms = {"counting": lambda eta: _counting_terms(eta, N)}
+    return tuple(sk_sums(N, k, terms)["counting"])
 
 
 def decimal_means(N: int, k: int, digits: int = 50) -> tuple:
@@ -115,7 +137,7 @@ def check_against_sk(N: int, k: int) -> None:
         stats["counting"] = lambda eta: _counting_terms(eta, N)
     ref = sk_sums(N, k, stats)
     assert ref["count"] == [N ** k], (N, k, ref["count"])
-    assert _exact_sums(N, k, ones) == [N ** k], (N, k)
+    assert _exact_sums(N, k, ones) == N ** k, (N, k)
     assert gram_operator(N, k).rank() == ref["rank"][0], (N, k)
     if N >= 2:
         p = success_exact(N, k).p

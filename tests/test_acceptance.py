@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 
 import dihedral_pgm as dp
+from sk_oracle import counting_sums
 
 TOL_CERT = 1e-9
 TOL_MATCH = 1e-10
@@ -121,15 +122,19 @@ def test_criterion_06_trivial_subgroup():
 
 
 def test_criterion_07_counting_identities():
+    # the sums enumerated over the S_k walk hit the closed forms, and
+    # lsb_counting_sums returns them
     ok = True
     for N in (4, 6, 8):
         for k in range(1, 7):
-            sum0, sum_half, cross = dp.lsb_counting_sums(N, k)
+            counts = counting_sums(N, k)
+            sum0, sum_half, cross = counts
             ok &= sum0 == N ** (k - 1) * (2 ** k - 1) + N ** k
             ok &= sum_half == N ** (k - 1) * (2 ** k - 1)
             ok &= cross == (N - 2) * (2 ** k - 1) * (2 ** k - 2) * N ** (k - 2)
+            ok &= dp.lsb_counting_sums(N, k) == counts
     _report("criterion 7: exact integer counting identities", ok,
-            "N in {4,6,8}, k <= 6")
+            "N in {4,6,8}, k <= 6, enumerated")
 
 
 def test_criterion_08_lsb_bound_and_dense_oracle():

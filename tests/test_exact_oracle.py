@@ -1,17 +1,16 @@
-"""The S_k x Z_N^* quotient behind every exact pass.
+"""The S_k x Z_N^* x coordinate-negation quotient behind the exact passes.
 
 * Every exact pass against the S_k walk oracle (sk_oracle): the orbit
   weights, the Gram rank and the parity counting sums bitwise, and the
   success and parity means within a few ulp, as a hypothesis property
   over N^k <= 2^16 and at the dtype and guard edges.
 * Negating one coordinate x_i shifts eta cyclically by x_i, which keeps
-  every statistic the signed quotient walks (success, support size,
-  parity).
-* The quotient walk's rows, and the signed one's (one multiset of classes
-  {c, -c} per orbit of S_k x Z_N^* x coordinate negations), against an
-  itertools reference, and their weights against orbits enumerated label
-  by label; every depth of one walk, from either set of roots, against
-  the walk to that depth.
+  every statistic the quotient walks (success, support size, parity).
+* The quotient walk's rows (one multiset of classes {c, -c} per orbit of
+  S_k x Z_N^* x coordinate negations) against an itertools reference,
+  and their weights against orbits enumerated label by label; every
+  depth of one walk, from either set of roots, against the walk to that
+  depth.
 * Two closed-form sums that involve no sqrt, bitwise through the
   quotient: sum_x sum_r eta_r^2 = 2^k N^k + (4^k - 2^k) N^(k-1) and, for
   even N, sum_x sum_r eta_r eta_(r+N/2) = (4^k - 2^k) N^(k-1).
@@ -98,20 +97,19 @@ def test_negating_a_coordinate_shifts_eta_and_keeps_its_statistics(case,
 # the quotient walk's rows, weights and closed-form sums
 # ---------------------------------------------------------------------------
 
-def _quotient_reference(N, k, signed=False):
-    """(x, weight, distinct) of the S_k x Z_N^* quotient in walk order,
-    with signed of S_k x Z_N^* x coordinate negations, from itertools.
-    The alphabet is 0 .. N - 1, or with signed the least elements
-    c = 0 .. N // 2 of the classes {c, -c}, a use of c standing for
-    |{c, -c}| labels.  For each divisor g of N, ascending, the multisets
+def _quotient_reference(N, k):
+    """(x, weight, distinct) of the S_k x Z_N^* x coordinate-negation
+    quotient in walk order, from itertools.  The alphabet is the least
+    elements c = 0 .. N // 2 of the classes {c, -c}, a use of c standing
+    for |{c, -c}| labels.  For each divisor g of N, ascending, the multisets
     (g mod N) + rest with rest nondecreasing in the order g mod N, then
     the other digits with gcd(., N) >= g ascending; weight k! / prod m_v!
     times the labels of its elements' uses times the number of digits
     with gcd(., N) = g, and distinct the number of distinct such
     elements."""
     gcd = [math.gcd(x, N) for x in range(N)]
-    alphabet = range(N // 2 + 1 if signed else N)
-    uses = [2 if signed and 2 * x % N else 1 for x in range(N)]
+    alphabet = range(N // 2 + 1)
+    uses = [2 if 2 * x % N else 1 for x in range(N)]
     for g in (g for g in range(1, N + 1) if N % g == 0):
         classes = sum(1 for x in alphabet if gcd[x] == g)
         order = [g % N] + [x for x in alphabet if gcd[x] >= g and x != g % N]
@@ -123,23 +121,23 @@ def _quotient_reference(N, k, signed=False):
             yield x, orbit * classes, len({v for v in x if gcd[v] == g})
 
 
-def _canonical(x, N, signed=False):
+def _canonical(x, N):
     """The least sorted u x over the units u of Z_N, each element taken
-    as min(v, -v) with signed: one label per orbit of Z_N^k under
-    coordinate permutations and the units (and coordinate negations)."""
+    as min(v, -v): one label per orbit of Z_N^k under coordinate
+    permutations, the units and coordinate negations."""
     units = [u for u in range(1, N + 1) if math.gcd(u, N) == 1]
-    least = (lambda v: min(v, -v % N)) if signed else (lambda v: v)
-    return min(tuple(sorted(least(u * v % N) for v in x)) for u in units)
+    return min(tuple(sorted(min(u * v % N, -u * v % N) for v in x))
+               for u in units)
 
 
-def _check_quotient_rows(N, k, signed):
+def _check_quotient_rows(N, k):
     # row by row: the walk's weights, distinct counts and counts are the
     # reference's; orbit by orbit: the rows of an orbit stand for, in sum
     # of weight / distinct, exactly as many labels as it holds; depth by
     # depth of one walk to k: the rows stand for N^j labels
     blocks = [(w, d, eta.copy())
-              for w, d, eta in _orbit_walk(N, k, _unit_roots(N, k, signed))]
-    rows = list(_quotient_reference(N, k, signed))
+              for w, d, eta in _orbit_walk(N, k, _unit_roots(N, k))]
+    rows = list(_quotient_reference(N, k))
     assert np.concatenate([w for w, _, _ in blocks]).tolist() == \
         [w for _, w, _ in rows]
     assert np.concatenate([d for _, d, _ in blocks]).tolist() == \
@@ -148,25 +146,19 @@ def _check_quotient_rows(N, k, signed):
         [list(count_eta(BlockLabel(x, N)).eta) for x, _, _ in rows]
     covered = Counter()
     for x, w, d in rows:
-        covered[_canonical(x, N, signed)] += Fraction(w, d)
-    assert covered == Counter(_canonical(x, N, signed)
+        covered[_canonical(x, N)] += Fraction(w, d)
+    assert covered == Counter(_canonical(x, N)
                               for x in product(range(N), repeat=k))
     labels = Counter()
-    for j, w, d, _ in _orbit_walk(N, k, _unit_roots(N, k, signed), 1):
+    for j, w, d, _ in _orbit_walk(N, k, _unit_roots(N, k), 1):
         labels[j] += sum(map(Fraction, w.tolist(), d.tolist()))
     assert labels == {j: N ** j for j in range(1, k + 1)}
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_sizes(log2=12))
-def test_quotient_rows_match_the_reference_and_cover_each_orbit(size):
-    _check_quotient_rows(*size, signed=False)
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(_sizes(log2=12))
 def test_signed_quotient_rows_match_the_reference_and_cover_each_orbit(size):
-    _check_quotient_rows(*size, signed=True)
+    _check_quotient_rows(*size)
 
 
 # odd N, N = 1 and 2 (no two-element class), and N whose class N/2 has
@@ -174,7 +166,7 @@ def test_signed_quotient_rows_match_the_reference_and_cover_each_orbit(size):
 @pytest.mark.parametrize("N,k", [(1, 6), (2, 8), (5, 4), (27, 2), (6, 4),
                                  (12, 3), (64, 2)])
 def test_signed_quotient_rows_at_the_edges(N, k):
-    _check_quotient_rows(N, k, signed=True)
+    _check_quotient_rows(N, k)
 
 
 def _rows_by_depth(blocks):
@@ -192,13 +184,11 @@ def _rows_by_depth(blocks):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_sizes(log2=12), st.data())
 def test_a_deep_walk_yields_each_depth_as_its_own_walk(size, data):
-    # from the S_k x Z_N^* roots, signed or not, and from the S_k root:
-    # every depth j of one walk to k holds the rows of the walk to j, in
-    # its order
+    # from the quotient's roots and from the S_k root: every depth j of
+    # one walk to k holds the rows of the walk to j, in its order
     N, k = size
     lo = data.draw(st.integers(1, k))
-    for roots in (_unit_roots, lambda N, k: _unit_roots(N, k, True),
-                  lambda N, k: None):
+    for roots in (_unit_roots, lambda N, k: None):
         deep = _rows_by_depth(_orbit_walk(N, k, roots(N, k), lo))
         assert sorted(deep) == list(range(lo, k + 1))
         for j in range(lo, k + 1):
@@ -212,7 +202,7 @@ def _quotient_sum(N, k, stat):
     quotient walk, in Python integers: w * stat overflows int64 at
     (2, 26)."""
     by_distinct = Counter()
-    for w, distinct, eta in success._all_eta(N, k):
+    for w, distinct, eta in _orbit_walk(N, k, success._exact_roots(N, k)):
         for a, d, v in zip(w.tolist(), distinct.tolist(),
                            stat(eta.astype(np.int64)).tolist()):
             by_distinct[d] += a * v

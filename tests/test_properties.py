@@ -39,8 +39,8 @@ from dihedral_pgm.simulate import _outcomes
 from dihedral_pgm.subsetsum import (CHUNK_BYTES, INT16_K_LIMIT,
                                     INT32_K_LIMIT, _dp_rows, _orbit_walk,
                                     _prefix_width, count_eta_batch)
-from dihedral_pgm.success import (SHARD, _counting_terms, _lsb_values,
-                                  _mean, _success_values, _support_sizes,
+from dihedral_pgm.success import (SHARD, _lsb_values, _mean,
+                                  _success_values, _support_sizes,
                                   _support_values)
 from orbit_reference import _nondecreasing_blocks, _orbit_weights
 
@@ -236,7 +236,6 @@ def test_chunk_reducers_match_the_int64_table(size, rows, data):
         lambda rows, eta: _lsb_values(eta, N, k),
         lambda rows, eta: _support_values(eta, N, k),
         lambda rows, eta: _support_sizes(eta),
-        lambda rows, eta: _counting_terms(eta, N),
         lambda rows, eta: _outcomes(eta, N, k, N // 2, u[rows]),
         lambda rows, eta: _outcomes(eta, N, k, TRIVIAL, u[rows]),
     ]

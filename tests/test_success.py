@@ -24,6 +24,7 @@ from dihedral_pgm.dihedral import _shift_permutation
 from dihedral_pgm.subsetsum import CHUNK_BYTES, iter_all_eta
 from dihedral_pgm.success import (SHARD, _lsb_values, _mean,
                                   _success_values, _support_values)
+from sk_oracle import counting_sums
 
 #: Every (N, k) the certifiers check, the same set as in test_pgm.py.
 CERT_SIZES = [(N, k) for N in (2, 3, 4, 5, 6, 8) for k in range(1, 13)
@@ -192,11 +193,11 @@ def test_exact_pass_peak_memory_is_block_sized(monkeypatch):
     # below the 366 KB that the 45,760 S_k-weighted values of (64, 3)
     # would take as one float64 array.  One call before the measured one
     # keeps one-time lazy imports out of the peak, whatever ran before.
+    # The passes peak at 93-169 KB; exact_sweep with a full SHARD buffer
+    # per depth would peak at 217 KB, above the bound.
     monkeypatch.setattr(subsetsum, "CHUNK_BYTES", 2 ** 14)
     N, k = 64, 3
-    # the buffer sizes are checked directly: with a full SHARD buffer per
-    # depth exact_sweep peaks at 217 KB against 128 KB, and the unit walk
-    # of lsb_counting_sums at 191 KB, so no one bound tells them apart
+    # the buffer sizes are checked directly too
     rows = Counter()
     for j, w, _, _ in success._orbit_walk(N, k, success._exact_roots(N, k),
                                           1):
@@ -210,7 +211,6 @@ def test_exact_pass_peak_memory_is_block_sized(monkeypatch):
              "exact_sweep": lambda: exact_sweep(N, range(1, k + 1)),
              "lsb_success_exact": lambda: lsb_success_exact(N, k),
              "trivial_success": lambda: trivial_success(N, k),
-             "lsb_counting_sums": lambda: lsb_counting_sums(N, k),
              "rank": lambda: gram_operator(N, k).rank()}
     for name, call in calls.items():
         call()
@@ -218,7 +218,7 @@ def test_exact_pass_peak_memory_is_block_sized(monkeypatch):
         call()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 320 * 1024, (name, peak)
+        assert peak < 200 * 1024, (name, peak)
 
 
 def test_eta_row_sums():
@@ -283,11 +283,13 @@ def test_sweep_rejects_bad_domain():
 
 @pytest.mark.parametrize("N,k", [(0, 1), (2, 0), (-2, 1), (-100, 2)])
 def test_walk_and_draws_reject_sizes_without_a_block(N, k):
-    # both passes over Z_N^k, and the Gram rank that runs the walk, refuse
-    # N < 1 or k < 1 before their guards or any table
-    calls = [lambda: success._all_eta(N, k),
+    # both passes over Z_N^k, the Gram rank that runs the walk and the
+    # counting sums that run none refuse N < 1 or k < 1 before their
+    # guards or any table
+    calls = [lambda: success._exact_roots(N, k),
              lambda: success._sharded(N, k, 10, 1, 1, lambda rng, xs: xs),
-             lambda: gram_operator(N, k).rank()]
+             lambda: gram_operator(N, k).rank(),
+             lambda: lsb_counting_sums(N, k)]
     for call in calls:
         with pytest.raises(ValueError, match="need N >= 1 and k >= 1"):
             call()
@@ -309,6 +311,8 @@ def test_lsb_exact_requires_even():
         lsb_success_exact(3, 2)
     with pytest.raises(ValueError, match="N must be even"):
         lsb_threshold_check(3, 2, 100, seed=1)
+    with pytest.raises(ValueError, match="N must be even"):
+        lsb_counting_sums(3, 2)
 
 
 @pytest.mark.parametrize("N,k", [(2, 1), (2, 2), (4, 1), (4, 2), (6, 1), (8, 1)])
@@ -349,22 +353,43 @@ def test_lsb_threshold_check_small_case_matches_exact():
 
 @pytest.mark.parametrize("N,k", [(4, 13), (8, 8), (16, 6), (2, 26)])
 def test_counting_sums_at_the_guard(N, k):
-    # N^k up to the enumeration guard: the orbit-weighted int64 sums
-    # still hit the closed forms exactly
+    # N^k up to the enumeration guard: the sums enumerated over the S_k
+    # walk in Python integers hit the closed forms exactly
     assert N ** k <= success.EXACT_ENUM_LIMIT
-    sum0, sum_half, cross = lsb_counting_sums(N, k)
+    counts = counting_sums(N, k)
+    sum0, sum_half, cross = counts
     assert sum0 == N ** k + (2 ** k - 1) * N ** (k - 1)
     assert sum_half == (2 ** k - 1) * N ** (k - 1)
     assert cross == (N - 2) * (2 ** k - 1) * (2 ** k - 2) * N ** (k - 2)
+    assert lsb_counting_sums(N, k) == counts
 
 
 def test_counting_identities_exact():
     for N in (4, 6):
         for k in (1, 2, 3, 4):
-            sum0, sum_half, cross = lsb_counting_sums(N, k)
+            counts = counting_sums(N, k)
+            sum0, sum_half, cross = counts
             assert sum0 == N ** (k - 1) * (2 ** k - 1) + N ** k
             assert sum_half == N ** (k - 1) * (2 ** k - 1)
             assert cross == (N - 2) * (2 ** k - 1) * (2 ** k - 2) * N ** (k - 2)
+            assert lsb_counting_sums(N, k) == counts
+
+
+@pytest.mark.parametrize("N,k", [(4, 5), (8, 20), (2, 100)])
+def test_counting_sums_walk_nothing(N, k, monkeypatch):
+    # the closed forms need no walk, so no enumeration guard: past it,
+    # at (8, 20) and (2, 100), the sums exceed 2^63 and stay exact
+    # Python integers
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked for the counting sums")
+
+    monkeypatch.setattr(success, "_orbit_walk", no_walk)
+    sums = lsb_counting_sums(N, k)
+    assert all(type(s) is int for s in sums)
+    assert sums[0] - sums[1] == N ** k
+    if N ** k > success.EXACT_ENUM_LIMIT:
+        assert max(sums) > 2 ** 63
+        assert sums[2] == (N - 2) * (2 ** k - 1) * (2 ** k - 2) * N ** (k - 2)
 
 
 # ---------------------------------------------------------------------------
