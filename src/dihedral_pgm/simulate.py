@@ -51,21 +51,50 @@ def _trivial_distributions(support: np.ndarray, N: int, k: int) -> np.ndarray:
     return out
 
 
+def _shift_spectrum(eta: np.ndarray, N: int, k: int) -> np.ndarray:
+    """W[m] = |sum_p omega^(mp) sqrt(eta_p)|^2 / (N 2^k) for m = 0 .. N // 2,
+    one row per draw, shared by every shift: P(j) only reads it at index
+    (d - j) mod N, so shift covariance is exact by construction.
+    sqrt(eta) is real, so W[m] = W[N - m] and the half spectrum of one
+    real FFT holds all of W.  W is built in place, so beside the complex
+    spectrum it holds one float64 table of half the width."""
+    amps = np.fft.rfft(np.sqrt(eta, dtype=np.float64), axis=1)
+    W = amps.real ** 2
+    W += amps.imag ** 2
+    W /= N * float(2 ** k)
+    return W
+
+
+def _shift_columns(N: int, d: int) -> np.ndarray:
+    """The column of W that P(j) reads for a shift d, for j in Z_N:
+    min(m, N - m) for m = (d - j) mod N."""
+    m = (d - np.arange(N)) % N
+    return np.minimum(m, N - m)
+
+
 def _distributions(eta: np.ndarray, N: int, k: int, hidden) -> np.ndarray:
     """Outcome probabilities, rows = draws, columns = (j in Z_N, trivial)."""
     if hidden is TRIVIAL:
         return _trivial_distributions(_support_sizes(eta), N, k)
     out = np.zeros((eta.shape[0], N + 1))
-    d = int(hidden) % N
-    # W[m] = |sum_p omega^(mp) sqrt(eta_p)|^2, shared by every shift:
-    # P(j) only reads it at index (d - j) mod N, so shift covariance is
-    # exact by construction.  sqrt(eta) is real, so W[m] = W[N - m] and
-    # the half spectrum m = 0 .. N // 2 of one real FFT holds all of W.
-    amps = np.fft.rfft(np.sqrt(eta, dtype=np.float64), axis=1)
-    W = (amps.real ** 2 + amps.imag ** 2) / (N * float(2 ** k))
-    m = (d - np.arange(N)) % N
-    out[:, :N] = W[:, np.minimum(m, N - m)]
+    cols = _shift_columns(N, int(hidden) % N)
+    out[:, :N] = _shift_spectrum(eta, N, k)[:, cols]
     return out
+
+
+def _outcome_rows(N: int) -> int:
+    """Rows of the (rows, N + 1) float64 tables _outcomes and
+    _trivial_outcomes build at once: about CHUNK_BYTES / 2 a table."""
+    return max(1, CHUNK_BYTES // (16 * N))
+
+
+def _outcome_bytes(N: int) -> int:
+    """The bytes the outcome reducers hold at once beyond a value
+    kernel's one float64 block: two (rows, N + 1) float64 tables of
+    _outcome_rows(N) rows (the complex half spectrum and the table built
+    from it, or a table and its cumulative sums) and the column index of
+    a shift."""
+    return (2 * _outcome_rows(N) + 1) * (N + 1) * 8
 
 
 def _outcomes(eta: np.ndarray, N: int, k: int, hidden,
@@ -74,20 +103,28 @@ def _outcomes(eta: np.ndarray, N: int, k: int, hidden,
     row: the number of cumulative probabilities at or below u (ties
     resolve toward smaller j), capped at N, the trivial outcome.
 
-    The tables are built CHUNK_BYTES // (16 N) rows at a time, so the
-    complex128 half spectrum and each (rows, N + 1) float64 table take
-    about CHUNK_BYTES / 2 whatever the work dtype of eta.  With larger
-    blocks (whole counting chunks, or half of them) the allocator handed
-    back and faulted in their pages block after block: 9e4 page faults
-    and up to 1.5x the time for the 10000 trials of simulate at N = 1024,
-    k = 20, against 3e3-3e4."""
+    count_eta_batch hands the reducer blocks of CHUNK_BYTES // (8 N)
+    rows; the tables are built _outcome_rows(N) = CHUNK_BYTES // (16 N)
+    rows at a time, half such a block, so the complex128 half spectrum
+    and each float64 table take about CHUNK_BYTES / 2 whatever the work
+    dtype of eta.  With larger blocks (whole counting chunks, or half of
+    them) the allocator handed back and faulted in their pages block
+    after block: 9e4 page faults and up to 1.5x the time for the 10000
+    trials of simulate at N = 1024, k = 20, against 3e3-3e4.  For a shift
+    the trivial column of _distributions, always 0, is left out: its
+    cumulative probability equals the last one, so it changes no count
+    once capped at N."""
     S = eta.shape[0]
-    step = max(1, CHUNK_BYTES // (16 * N))
+    step = _outcome_rows(N)
     outcomes = np.empty(S, dtype=np.int64)
+    cols = None if hidden is TRIVIAL else _shift_columns(N, int(hidden) % N)
     for lo in range(0, S, step):
         rows = slice(lo, lo + step)
-        cdf = np.cumsum(_distributions(eta[rows], N, k, hidden), axis=1)
-        outcomes[rows] = (cdf <= u[rows, None]).sum(axis=1)
+        if cols is None:
+            cdf = np.cumsum(_distributions(eta[rows], N, k, hidden), axis=1)
+        else:
+            cdf = np.cumsum(_shift_spectrum(eta[rows], N, k)[:, cols], axis=1)
+        outcomes[rows] = np.count_nonzero(cdf <= u[rows, None], axis=1)
     return np.minimum(outcomes, N)
 
 
@@ -100,7 +137,7 @@ def _trivial_outcomes(support: np.ndarray, N: int, k: int,
     searchsorted(side="right") is its number of entries at or below u."""
     outcomes = np.empty(support.shape[0], dtype=np.int64)
     sizes = np.unique(support)
-    step = max(1, CHUNK_BYTES // (16 * N))
+    step = _outcome_rows(N)
     for lo in range(0, sizes.size, step):
         block = sizes[lo:lo + step]
         cdfs = np.cumsum(_trivial_distributions(block, N, k), axis=1)
@@ -130,8 +167,10 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     split seeds, `threads` workers), merged in shard order.  Within a
     shard the outcomes for a shift are count_eta_batch's reducer
     (_outcomes): each cache-sized counting chunk is turned into its
-    outcomes while it is still in cache, so a worker holds its draws plus
-    one chunk's tables, never a (SHARD, N) table.  For the trivial
+    outcomes block by block while it is still in cache, so a worker holds
+    its draws plus one chunk's tables and one block's outcome tables,
+    which the memory guard counts (_outcome_bytes), never a (SHARD, N)
+    table.  For the trivial
     subgroup the reducer keeps only the support sizes, and the shard's
     outcomes come from one cumulative row per distinct size
     (_trivial_outcomes), equal to _outcomes's.
@@ -148,7 +187,8 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
         return xs, count_eta_batch(
             xs, N, lambda rows, eta: _outcomes(eta, N, k, hidden, u[rows]))
 
-    parts = _sharded(N, k, trials, seed, threads, shard)
+    parts = list(_sharded(N, k, trials, seed, threads, shard,
+                          _outcome_bytes))
     labels = np.concatenate([xs for xs, _ in parts])
     outcomes = np.concatenate([out for _, out in parts])
     want = N if hidden is TRIVIAL else int(hidden) % N

@@ -16,8 +16,8 @@ it backwards for a whole batch of draws at once, so every draw is
 exactly uniform over solutions, at any k, without ever enumerating
 them.  The batched counter is one chunk pipeline: it counts a chunk of
 draws whose work table fits in CHUNK_BYTES, hands the chunk to a
-row-wise reducer while it is still in cache, and moves on, so no
-(draws, N) table is ever held unless the caller asks for it (the
+row-wise reducer in blocks while it is still in cache, and moves on, so
+no (draws, N) table is ever held unless the caller asks for it (the
 default reducer).  Work tables are the narrowest exact integer type
 (int16 up to k = 14, int32 up to k = 30, int64 up to k = 62), and one
 table serves every chunk of a call.  Each row of the table is doubled,
@@ -26,7 +26,13 @@ writing the histogram of the 2^m subset sums of its first m coordinates
 into both halves at once; the sums are one float64 product with a table
 of bit strings, exact while (m + 1) N <= 2^53.  Each of the remaining
 k - m steps is then one broadcast add of the gathered window to both
-halves, so the halves never need to be copied into each other.
+halves, so the halves never need to be copied into each other.  Every
+temporary is sized by its own dtype: the int64 histograms and the
+blocks handed to the reducer, which a value kernel copies to float64,
+are CHUNK_BYTES // (8 N) rows (_block_rows), and m is capped so that
+the bit table fits CHUNK_BYTES.  So the bytes a call holds do not grow
+with the number of draws, and _count_bytes adds them up for the Monte
+Carlo memory guard.
 
 Exact enumeration does not go through that counter.  One walk,
 _orbit_walk, visits one x per orbit of a symmetry of Z_N^k level by
@@ -77,28 +83,36 @@ INT16_K_LIMIT = 14
 #: (N = 2^14) it peaked at 31.6 MB.
 DP_TABLE_LIMIT = 2 ** 20
 
-#: Bytes of one chunk's T in count_eta_batch.  The chunk's rows [T | T]
-#: and the window gathered each step, 3x this, then stay cache-sized: at
-#: N = 1024 a 4096-draw shard runs in 128-row int16 or 64-row int32
-#: chunks.  Halving or doubling it was slower on a 2-vCPU machine, and
-#: larger chunks raise the peak memory of small-N exact enumeration,
-#: whose walk sizes each level's doubled tables to CHUNK_BYTES.
+#: Bytes of one chunk's T in count_eta_batch, and of each of its other
+#: temporaries.  The chunk's rows [T | T] and the window gathered each
+#: step, 3x this, then stay cache-sized, and so do the int64 histogram
+#: that seeds a block of rows and the float64 copy of a block that a
+#: value kernel makes, each at most this (_block_rows): at N = 1024 a
+#: 4096-draw shard runs in 128-row int16 or 64-row int32 chunks, each
+#: handed to its reducer in 32-row blocks.  Halving or doubling it was
+#: slower on a 2-vCPU machine, and larger chunks raise the peak memory of
+#: small-N exact enumeration, whose walk sizes each level's doubled
+#: tables to CHUNK_BYTES.
 CHUNK_BYTES = 2 ** 18
 
 
 def _prefix_width(N: int) -> int:
     """Coordinates m whose 2^m subset sums seed each counting chunk: the
     largest m with 2^m <= N / 16 from N = 256 on, and with 2^m <= N / 64
-    below it.  The product and histogram of the sums cost about one dense
-    step and save m of them.  Counting 4096 draws and reducing them to
-    success values (best of 20, 2 vCPUs), no other width was faster at
-    every k tried for N = 256, 1024 and 4096: N / 16 took 54.0 ms at
-    (1024, 20) against 59.9 (N / 32) and 55.8 (N / 8), and 80.2 ms at
-    (4096, 14) against 83.1 and 84.5, while N / 8 won by 0.6 ms at
-    (256, 12) and by 2.1 ms at (4096, 20).  At N = 64 no width beat
-    m = 0 by more than the noise (k = 8: m = 0 2.76 ms, m = 1 2.98,
-    m = 2 2.79)."""
-    return max(0, N.bit_length() - (5 if N >= 256 else 7))
+    below it, capped so that the bit table, m 2^m float64s, fits
+    CHUNK_BYTES (m <= 11 at the default, from N = 2^16 on).  The product
+    and histogram of the sums cost about one dense step and save m of
+    them.  Counting 4096 draws and reducing them to success values (best
+    of 20, 2 vCPUs), no other width was faster at every k tried for
+    N = 256, 1024 and 4096: N / 16 took 54.0 ms at (1024, 20) against
+    59.9 (N / 32) and 55.8 (N / 8), and 80.2 ms at (4096, 14) against
+    83.1 and 84.5, while N / 8 won by 0.6 ms at (256, 12) and by 2.1 ms
+    at (4096, 20).  At N = 64 no width beat m = 0 by more than the noise
+    (k = 8: m = 0 2.76 ms, m = 1 2.98, m = 2 2.79)."""
+    m = max(0, N.bit_length() - (5 if N >= 256 else 7))
+    while m and m * 2 ** m * 8 > CHUNK_BYTES:
+        m -= 1
+    return m
 
 
 def _bit_table(m: int) -> np.ndarray:
@@ -140,6 +154,32 @@ def _work_dtype(k: int):
 def _chunk_rows(N: int, work) -> int:
     """Rows of N counts in the work dtype that fill CHUNK_BYTES."""
     return max(1, CHUNK_BYTES // (N * np.dtype(work).itemsize))
+
+
+def _block_rows(N: int) -> int:
+    """Rows of N int64 or float64 values that fill CHUNK_BYTES: the rows
+    of one prefix histogram and of one block handed to a reducer."""
+    return max(1, CHUNK_BYTES // (8 * N))
+
+
+def _count_bytes(S: int, N: int, k: int) -> int:
+    """The bytes count_eta_batch holds for S rows of k coordinates mod N,
+    beyond xs and its output: a chunk's reduced and negated coordinates,
+    int64; its doubled work table and the window gathered each step, both
+    of min(S, chunk) rows in the work dtype; the int64 histogram of a
+    block, which also bounds the float64 copy a value kernel makes of its
+    block; the bit table, and a chunk's subset sums with the two
+    temporaries _subset_sums makes of them; and three numpy casting
+    buffers of np.getbufsize() float64 values, which a cast of a large
+    operand holds.  Raises ScaleLimitError beyond k = BATCH_K_LIMIT, as
+    the call would."""
+    work = _work_dtype(k)
+    n = min(_chunk_rows(N, work), max(S, 1))
+    block = min(_block_rows(N), n)
+    m = min(k, _prefix_width(N))
+    return (2 * n * k * 8 + 3 * n * N * np.dtype(work).itemsize
+            + block * N * 8 + (m + 3 * n) * 2 ** m * 8
+            + 3 * np.getbufsize() * 8)
 
 
 def _widen(rows: slice, eta: np.ndarray) -> np.ndarray:
@@ -194,19 +234,22 @@ def count_eta(label: BlockLabel) -> SubsetProfile:
 
 
 def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
-    """eta for many draws at once, reduced row-wise chunk by chunk.
+    """eta for many draws at once, reduced row-wise block by block.
 
     xs is (S, k) integers.  The rows are counted in chunks of
     CHUNK_BYTES // (N * itemsize) draws on one work table, allocated once
     per call with its window view and overwritten by every chunk, and
-    each chunk is handed to reduce(rows, eta_chunk) while it is still in
-    cache: rows is the chunk's slice of xs and eta_chunk its (len, N)
-    counts in the work dtype.  eta_chunk is a view of the work table, so
+    each chunk is handed to reduce(rows, eta_block) in blocks of
+    _block_rows(N) = CHUNK_BYTES // (8 N) rows while it is still in
+    cache: rows is the block's slice of xs and eta_block its (len, N)
+    counts in the work dtype.  eta_block is a view of the work table, so
     it is valid only during that call: a reducer may return it or a view
-    of it (the result is copied out before the next chunk), but must not
-    keep it.  The per-row results are concatenated in row order.  The
-    default reducer widens the chunk to int64, so count_eta_batch(xs, N)
-    is the (S, N) int64 table.
+    of it (the result is copied out before the next block), but must not
+    keep it.  The per-row results are concatenated in row order; the
+    reducer must be row-wise, so they do not depend on where the blocks
+    are cut.  An empty xs still makes one call, on no rows, which gives
+    the output's shape and dtype.  The default reducer widens the block
+    to int64, so count_eta_batch(xs, N) is the (S, N) int64 table.
 
     The work tables are int16 up to k = INT16_K_LIMIT, int32 up to
     k = INT32_K_LIMIT and int64 beyond (a count is at most 2^k).  Each
@@ -215,17 +258,23 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     pass.  The table is viewed as (rows, 2, N), the two halves of each
     row.  A chunk starts from the histogram of the 2^m subset sums of its
     first m coordinates (m from _prefix_width(N), sums from _subset_sums
-    as one float64 product with a bit table built once per call), written
-    into both halves in one assignment.  Each of the remaining k - m
-    steps of the recurrence gathers the windows and adds them to both
-    halves in one broadcast add, which keeps them equal with no copy.
+    as one float64 product with a bit table built once per call), one
+    int64 bincount per block, written into both halves in one
+    assignment.  Each of the remaining k - m steps of the recurrence
+    gathers the windows and adds them to both halves in one broadcast
+    add, which keeps them equal with no copy.  So each temporary is
+    sized by its own dtype: the table is 2 CHUNK_BYTES, the gathered
+    window CHUNK_BYTES, the int64 histogram, the bit table and the
+    float64 copy a value kernel makes of its block are each at most
+    CHUNK_BYTES, and a chunk's subset sums, 2^m <= N / 16 of them a row,
+    at most CHUNK_BYTES / 4 (_count_bytes adds them up).
     """
     xs = np.asarray(xs)
     S, k = xs.shape
     work = _work_dtype(k)
     if reduce is None:
         reduce = _widen
-    rows = _chunk_rows(N, work)
+    rows, block = _chunk_rows(N, work), _block_rows(N)
     m = min(k, _prefix_width(N))
     n_max = min(rows, max(S, 1))
     bits = _bit_table(m)
@@ -241,11 +290,15 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
         # the chunk's rows [T | T] as their two halves
         halves = table[:n].reshape(n, 2, N)
         if m:
-            # one bincount over all rows: row s's sums land in s*N .. s*N+N-1
+            # one bincount a block: the sums of row a + s of a block land
+            # in s*N .. s*N+N-1
             flat = (_subset_sums(x[:, :m], N, bits)
-                    + np.arange(0, n * N, N)[:, None])
-            halves[...] = np.bincount(flat.ravel(),
-                                      minlength=n * N).reshape(n, 1, N)
+                    + (np.arange(n) % block * N)[:, None])
+            for a in range(0, n, block):
+                b = min(a + block, n)
+                halves[a:b] = np.bincount(
+                    flat[a:b].ravel(), minlength=(b - a) * N
+                ).reshape(b - a, 1, N)
         else:
             halves[...] = 0
             halves[:, :, 0] = 1
@@ -253,10 +306,12 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
         start = N - x  # in [1, N]
         for j in range(m, k):
             halves += windows[chunk_rows, start[:, j]][:, None, :]
-        result = reduce(slice(lo, lo + n), halves[:, 0])
-        if out is None:
-            out = np.empty((S,) + result.shape[1:], dtype=result.dtype)
-        out[lo:lo + n] = result
+        for a in range(0, max(n, 1), block):
+            b = min(a + block, n)
+            result = reduce(slice(lo + a, lo + b), halves[a:b, 0])
+            if out is None:
+                out = np.empty((S,) + result.shape[1:], dtype=result.dtype)
+            out[lo + a:lo + b] = result
     return out
 
 

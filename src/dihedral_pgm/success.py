@@ -39,12 +39,15 @@ are closed forms in N and k (lsb_counting_sums).  Its Monte Carlo
 branch averages the seeded shards of SHARD uniform draws of _sharded,
 the one Monte Carlo pass (simulate's trials run it too), merged in shard
 order, so Monte Carlo results are byte-identical for a given seed
-whatever the worker count.
+whatever the worker count.  It checks the bytes one worker would hold
+(_mc_guard) before any draw, and keeps at most 2 shards a worker in
+flight, so its memory does not grow with the number of draws.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -53,8 +56,8 @@ import numpy as np
 from .dihedral import (ScaleLimitError, _bit_dots, _block_labels,
                        _shift_amplitudes)
 # Unused here: perfbench/spans.py traces success.iter_all_eta.
-from .subsetsum import (_orbit_walk, _Roots, _unit_roots,  # noqa: F401
-                        count_eta_batch, iter_all_eta)
+from .subsetsum import (_count_bytes, _orbit_walk, _Roots,  # noqa: F401
+                        _unit_roots, count_eta_batch, iter_all_eta)
 
 #: Shard size shared by the exact enumerator, the MC estimators and the
 #: trial simulator; the fsum merge over shards makes totals independent
@@ -68,12 +71,17 @@ EXACT_ENUM_LIMIT = 2 ** 26
 SWEEP_EXACT_LIMIT = 2 ** 14
 
 #: Memory guard on Monte Carlo, the scale limit of the Monte Carlo
-#: commands: N * min(samples, SHARD) * 8 may be at most this many bytes,
-#: so N <= 4096 at SHARD draws.  It bounds no table actually held: the
-#: value kernels run on each cache-sized counting chunk, so at the limit
-#: a worker peaks at 2.3-3.3 MB for success and parity (tracemalloc,
-#: N = 4096, k = 10..30), and `--threads T` needs a few MB a worker.
-MC_SHARD_BYTES = 2 ** 27
+#: commands: the bytes one worker holds (_worker_bytes: a shard's draws
+#: and per-draw results, count_eta_batch's temporaries and the
+#: simulator's outcome tables) may be at most this many, checked before
+#: any draw.  At SHARD draws the estimators reach every k <= 62 up to
+#: N = 2^15, k <= 46 at N = 2^16 and k <= 30 at N = 2^17, and the
+#: simulator k <= 22 at N = 2^16.  Measured peaks of one worker
+#: (tracemalloc, SHARD draws, success, parity and both outcome paths)
+#: were 1.4-1.5 MB at N = 1024, k = 12, 1.9-2.9 MB at N = 2^16, k = 16,
+#: and 3.4-4.0 MB for the estimators at N = 2^17, k = 30, each below the
+#: guard's own estimate; `--threads T` needs T times that.
+MC_SHARD_BYTES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -213,27 +221,63 @@ def _exact_means(N: int, k_list, values) -> dict[int, float]:
     return {k: s.total() / N ** k for k, s in sums.items()}
 
 
-def _sharded(N: int, k: int, samples: int, seed, threads: int, work) -> list:
-    """The one Monte Carlo pass: the size check and memory guard before
-    any draw, then [work(rng, xs) per shard of SHARD draws, the last
-    partial] in shard order on `threads` workers.  Each shard's rng is its
-    own child of seed and first draws xs, its (n, k) labels uniform."""
-    _check_size(N, k)
+def _worker_bytes(N: int, k: int, samples: int, held: int = 0) -> int:
+    """The bytes one Monte Carlo worker holds for a shard of
+    min(samples, SHARD) draws of Z_N^k: the (rows, k) int64 draws and four
+    float64 or int64 values a draw (a uniform, the values, their
+    deviations and the result), count_eta_batch's temporaries
+    (subsetsum._count_bytes, which include one float64 block of the
+    reducer), and `held` more bytes that the caller's reducer holds at
+    once.  Raises ScaleLimitError beyond k = BATCH_K_LIMIT."""
     rows = min(samples, SHARD)
-    if N * rows * 8 > MC_SHARD_BYTES:
+    return rows * (k + 4) * 8 + _count_bytes(rows, N, k) + held
+
+
+def _mc_guard(N: int, k: int, samples: int, held=None) -> None:
+    """The size check and the memory guard of one Monte Carlo pass, on
+    nothing drawn: ScaleLimitError when a worker would hold more than
+    MC_SHARD_BYTES (_worker_bytes, with held(N) more bytes when held is
+    given), or when k is past int64 counting."""
+    _check_size(N, k)
+    worker = _worker_bytes(N, k, samples, 0 if held is None else held(N))
+    if worker > MC_SHARD_BYTES:
         raise ScaleLimitError(
-            f"N * min(samples, SHARD) * 8 = {N * rows * 8} bytes (N = {N}) "
-            f"exceeds the Monte Carlo memory guard of {MC_SHARD_BYTES} bytes")
+            f"a Monte Carlo worker would hold {worker} bytes (N = {N}, "
+            f"k = {k}), past the memory guard of {MC_SHARD_BYTES} bytes")
+
+
+def _sharded(N: int, k: int, samples: int, seed, threads: int, work,
+             held=None):
+    """The one Monte Carlo pass: the size check and memory guard
+    (_mc_guard, with held(N) the bytes work's reducer holds beyond one
+    float64 block) before any draw, then an iterator over work(rng, xs)
+    per shard of SHARD draws, the last partial, in shard order, on
+    `threads` workers.  Each shard's rng is its own child of seed,
+    spawned when the shard is submitted, and first draws xs, its (n, k)
+    labels uniform.  At most 2 threads shards are in flight (submitted
+    and not yet yielded), so the pass holds no more shards, seeds or
+    results than that whatever the sample count."""
+    _mc_guard(N, k, samples, held)
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
-    counts = [min(SHARD, samples - lo) for lo in range(0, samples, SHARD)]
 
     def shard(ss, n):
         rng = np.random.default_rng(ss)
         return work(rng, rng.integers(0, N, size=(n, k)))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(shard, root.spawn(len(counts)), counts))
+    def results():
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pending = deque()
+            for lo in range(0, samples, SHARD):
+                if len(pending) == 2 * threads:
+                    yield pending.popleft().result()
+                # spawn(1) n times gives the children of spawn(n)
+                pending.append(pool.submit(shard, root.spawn(1)[0],
+                                           min(SHARD, samples - lo)))
+            while pending:
+                yield pending.popleft().result()
+
+    return results()
 
 
 def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
@@ -265,16 +309,17 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
         dev = v - total / len(v)
         return total, float(np.sum(dev * dev)), len(v)
 
-    parts = _sharded(N, k, samples, seed, threads, shard)
-    mean = math.fsum(total for total, _, _ in parts) / samples
-    # Chan et al.'s pairwise merge of (count, mean, squared deviations)
-    seen, run_mean, sq_dev = 0, 0.0, 0.0
-    for total, sq, n in parts:
+    # Chan et al.'s pairwise merge of (count, mean, squared deviations),
+    # shard by shard as the pass yields them
+    totals, seen, run_mean, sq_dev = [], 0, 0.0, 0.0
+    for total, sq, n in _sharded(N, k, samples, seed, threads, shard):
+        totals.append(total)
         delta = total / n - run_mean
         seen += n
         run_mean += delta * n / seen
         sq_dev += sq + delta * delta * (seen - n) * n / seen
-    return mean, math.sqrt(sq_dev / (samples - 1) / samples)
+    return math.fsum(totals) / samples, math.sqrt(sq_dev / (samples - 1)
+                                                   / samples)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +402,15 @@ def threshold_sweep(N: int, k_list, samples: int, seed,
                     threads: int = 1) -> list[ThresholdPoint]:
     """One success-probability point per k: exact when N^k is small
     enough, all such k read from one walk (exact_sweep), and Monte Carlo
-    (with a per-k child seed) otherwise."""
+    (with a per-k child seed) otherwise.  Every Monte Carlo k passes the
+    memory guard (_mc_guard) before the walk or any draw, so a k past the
+    guard fails the sweep before the others are computed."""
     k_list = list(k_list)
     children = np.random.SeedSequence(seed).spawn(len(k_list))
     exact = [k for k in k_list if N ** k <= SWEEP_EXACT_LIMIT]
+    for k in k_list:
+        if k not in exact:
+            _mc_guard(N, k, samples)
     points = dict(zip(exact, exact_sweep(N, exact)))
     return [points[k] if k in points
             else success_mc(N, k, samples, child, threads)

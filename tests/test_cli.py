@@ -9,6 +9,7 @@ from decimal import Decimal
 
 import pytest
 
+from dihedral_pgm import success_mc
 from dihedral_pgm.cli import main
 from sk_oracle import decimal_means
 
@@ -150,6 +151,29 @@ def test_monte_carlo_memory_guard_exits_3(tmp_path, capsys):
     for argv in (["sweep", "--N", N, "--k", "8..12"],
                  ["lsb", "--N", N, "--k", "12"],
                  ["simulate", "--N", N, "--k", "12", "--hidden", "5"]):
+        code, stdout, err = run_cli(argv + ["--output", str(out)], capsys)
+        assert code == 3
+        assert stdout == "" and "memory guard" in err
+        assert not out.exists()
+
+
+def test_monte_carlo_runs_past_n_4096(tmp_path, capsys):
+    # the guard reads the bytes a worker holds, so N = 2^16 runs; its p
+    # agrees with another seed's estimate within 5 combined standard
+    # errors, while one size up the guard refuses the sweep and the
+    # simulator before any output
+    out = tmp_path / "out.csv"
+    code, _, _ = run_cli(["sweep", "--N", "65536", "--k", "16", "--samples",
+                          "1000", "--output", str(out)], capsys)
+    assert code == 0
+    row, = csv.DictReader(out.read_text().splitlines())
+    other = success_mc(65536, 16, 1000, seed=7)
+    assert row["method"] == "MC"
+    assert (abs(float(row["p"]) - other.p)
+            <= 5 * math.hypot(float(row["stderr"]), other.stderr))
+    out.unlink()
+    for argv in (["sweep", "--N", "262144", "--k", "16"],
+                 ["simulate", "--N", "131072", "--k", "14", "--hidden", "5"]):
         code, stdout, err = run_cli(argv + ["--output", str(out)], capsys)
         assert code == 3
         assert stdout == "" and "memory guard" in err

@@ -15,9 +15,10 @@
   or int64 work tables seeded from the subset sums of the first m
   coordinates, is bitwise equal to the last row of _dp_rows at row
   counts on both sides of one chunk, for every work dtype and for k on
-  both sides of m; and every reducer the program hands it gives, chunk
-  by chunk, per-row results bitwise equal to the same function applied
-  to the whole int64 table.
+  both sides of m; and every reducer the program hands it gives, block
+  by block, per-row results bitwise equal to the same function applied
+  to the whole int64 table, under three byte budgets that cut the
+  chunks and blocks at different rows, and on no rows at all.
 * Monte Carlo statistics and trial columns are bitwise independent of
   the thread count, at sample counts on both sides of one shard, and on
   shards that span several chunks.
@@ -35,6 +36,7 @@ from hypothesis import strategies as st
 from dihedral_pgm import (TRIVIAL, BlockLabel, count_eta, lsb_success_exact,
                           lsb_threshold_check, run_trials, success_exact,
                           success_mc, trivial_success)
+from dihedral_pgm import subsetsum
 from dihedral_pgm.simulate import _outcomes
 from dihedral_pgm.subsetsum import (CHUNK_BYTES, INT16_K_LIMIT,
                                     INT32_K_LIMIT, _dp_rows, _orbit_walk,
@@ -194,7 +196,8 @@ def _kernel_rows(size, rows, data):
     N, k = size
     itemsize = (2 if k <= INT16_K_LIMIT else
                 4 if k <= INT32_K_LIMIT else 8)
-    chunk = max(1, CHUNK_BYTES // (N * itemsize))
+    # read at call time: a test may set CHUNK_BYTES
+    chunk = max(1, subsetsum.CHUNK_BYTES // (N * itemsize))
     chunks, extra = rows
     S = chunks * chunk + extra
     pool = np.array(data.draw(st.lists(
@@ -225,9 +228,17 @@ def test_count_eta_batch_matches_dp_rows(size, rows, data):
 @given(_kernel_sizes(), st.sampled_from(ROW_COUNTS), st.data())
 def test_chunk_reducers_match_the_int64_table(size, rows, data):
     # every reducer the program hands count_eta_batch sees the counts in
-    # the chunk's work dtype; its per-row results must not depend on that
-    # dtype or on where the chunks are cut
-    N, k, _, _, xs = _kernel_rows(size, rows, data)
+    # the work dtype, in blocks of a counting chunk; its per-row results
+    # must not depend on that dtype or on where the chunks, the prefix
+    # histograms' blocks and the reducer's blocks are cut, which the
+    # byte budgets 2^9 and 2^13 cut at other rows than the default
+    for chunk_bytes in (2 ** 9, 2 ** 13, CHUNK_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsetsum, "CHUNK_BYTES", chunk_bytes)
+            _assert_reducers_match(*_kernel_rows(size, rows, data))
+
+
+def _assert_reducers_match(N, k, pool, which, xs):
     S = xs.shape[0]
     u = np.random.default_rng(S).random(S)
     table = count_eta_batch(xs, N)
@@ -244,6 +255,18 @@ def test_chunk_reducers_match_the_int64_table(size, rows, data):
         whole = reduce(slice(0, S), table)
         assert fused.dtype == whole.dtype and fused.shape == whole.shape
         assert np.array_equal(fused, whole)
+        # S = 0 still makes one call, on no rows, which gives the
+        # reducer's shape and dtype
+        calls = []
+
+        def counted(rows, eta):
+            calls.append(eta.shape)
+            return reduce(rows, eta)
+
+        empty = count_eta_batch(xs[:0], N, counted)
+        assert calls == [(0, N)]
+        none = reduce(slice(0, 0), table[:0])
+        assert empty.dtype == none.dtype and empty.shape == none.shape
 
 
 def _mc_cases(Ns=st.integers(2, 16).map(lambda h: 2 * h)):

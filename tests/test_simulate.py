@@ -1,19 +1,20 @@
 """Protocol simulation: outcome distributions, trials, shift covariance."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError, block_state,
-                          count_eta, outcome_distribution, povm_block,
-                          run_trials, shift_covariance_check, success_exact,
-                          success_mc, trivial_success)
-from dihedral_pgm.simulate import (_distributions, _outcomes,
+                          count_eta, lsb_threshold_check, outcome_distribution,
+                          povm_block, run_trials, shift_covariance_check,
+                          success_exact, success_mc, trivial_success)
+from dihedral_pgm.simulate import (_distributions, _outcome_bytes, _outcomes,
                                    _trivial_outcomes)
 from dihedral_pgm.success import (MC_SHARD_BYTES, SHARD, _sharded,
-                                  _support_sizes)
+                                  _support_sizes, _worker_bytes)
 from dihedral_pgm.subsetsum import CHUNK_BYTES, count_eta_batch, iter_all_eta
 
 
@@ -172,24 +173,29 @@ def test_run_trials_deterministic_and_thread_invariant():
 
 def test_run_trials_peak_memory_is_chunk_sized():
     # A shard holds its (SHARD, k) draws and uniforms, and one counting
-    # chunk of the byte budget CHUNK_BYTES with its block of outcome
-    # tables: no (SHARD, N) count table, which would be 8 MB at N = 256
-    # and 32 MB at N = 1024.  The bound does not grow with N, so a worker
-    # pool's peak hardly depends on N or on how the workers interleave.
+    # chunk of the byte budget CHUNK_BYTES, handed to the outcome reducer
+    # in blocks of CHUNK_BYTES // (8 N) rows: no (SHARD, N) count table,
+    # which would be 8 MB at N = 256 and 32 MB at N = 1024.  The bound
+    # does not grow with N, so a worker pool's peak hardly depends on N
+    # or on how the workers interleave.  The runs peak at 3.4-4.2
+    # CHUNK_BYTES beyond the draws; one call before the measured one
+    # keeps one-time lazy imports out of the peak.
     k = 12
     draws = SHARD * (k + 1) * 8
     for N in (256, 1024):
         for hidden in (3, TRIVIAL):
+            run_trials(N, k, hidden, 64, seed=4)
             tracemalloc.start()
             run_trials(N, k, hidden, SHARD, seed=4)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            assert peak < 20 * CHUNK_BYTES + draws
+            assert peak < 5 * CHUNK_BYTES + draws
 
 
 def test_monte_carlo_guard_allocates_nothing_sized_by_n():
-    # One (SHARD, 2^20) count table would be 32 GiB: the guard raises
-    # before any draw or table, in the estimators and the simulator alike.
+    # One (SHARD, 2^20) count table would be 32 GiB, and even one
+    # counting row with its histogram 14 MB: the guard raises before any
+    # draw or table, in the estimators and the simulator alike.
     N = 2 ** 20
     for call in (lambda: success_mc(N, 12, 10000, seed=1),
                  lambda: run_trials(N, 12, 5, 10000, seed=1)):
@@ -201,18 +207,96 @@ def test_monte_carlo_guard_allocates_nothing_sized_by_n():
         assert peak < 2 ** 20
 
 
+def _never(rng, xs):
+    raise AssertionError("a shard ran past the memory guard")
+
+
 def test_monte_carlo_guard_bounds_the_largest_shard():
-    # the limit is N * min(samples, SHARD) * 8 <= MC_SHARD_BYTES
-    assert MC_SHARD_BYTES == SHARD * 4096 * 8
-
-    def never(rng, xs):
-        raise AssertionError("a shard ran past the memory guard")
-
-    assert len(_sharded(4096, 1, 10000, 1, 1, lambda rng, xs: None)) == 3
-    assert len(_sharded(2 ** 20, 1, 16, 1, 1, lambda rng, xs: None)) == 1
-    for N, samples in ((4097, 10000), (4097, SHARD), (2 ** 20, 17)):
+    # the limit is _worker_bytes(N, k, samples, held) <= MC_SHARD_BYTES,
+    # checked before any draw: at SHARD draws the estimators reach
+    # N = 2^15 at every k <= 62, 2^16 up to k = 46 and 2^17 up to k = 30,
+    # and the simulator, whose outcome tables are held too, 2^16 up to
+    # k = 22
+    assert MC_SHARD_BYTES == 2 ** 22
+    for N, k, held in ((2 ** 15, 62, 0), (2 ** 16, 46, 0), (2 ** 17, 30, 0),
+                       (2 ** 16, 22, _outcome_bytes(2 ** 16))):
+        assert _worker_bytes(N, k, SHARD, held) <= MC_SHARD_BYTES
+    assert len(list(_sharded(4096, 1, 10000, 1, 1, lambda rng, xs: None))) == 3
+    assert len(list(_sharded(2 ** 17, 1, 16, 1, 1, lambda rng, xs: None))) == 1
+    for N, k, samples, held in ((2 ** 16, 47, SHARD, None),
+                                (2 ** 17, 31, 10000, None),
+                                (2 ** 16, 23, SHARD, _outcome_bytes),
+                                (2 ** 18, 14, SHARD, None),
+                                (2 ** 20, 1, 16, None)):
+        assert (_worker_bytes(N, k, samples, held(N) if held else 0)
+                > MC_SHARD_BYTES)
         with pytest.raises(ScaleLimitError, match="memory guard"):
-            _sharded(N, 1, samples, 1, 1, never)
+            _sharded(N, k, samples, 1, 1, _never, held)
+    # past int64 counting the guard raises before any draw, too
+    with pytest.raises(ScaleLimitError, match="beyond k = 62"):
+        _sharded(64, 63, 100, 1, 1, _never)
+
+
+# (N, k) on int16 and int32 work tables, from histogram blocks of 128
+# rows at N = 256 down to one row at N = 2^16
+WORKER_SIZES = [(256, 8), (1024, 12), (4096, 20), (2 ** 14, 14),
+                (2 ** 16, 16)]
+
+
+@pytest.mark.parametrize("N,k", WORKER_SIZES)
+def test_one_worker_peaks_within_the_guard_estimate(N, k):
+    # the guard's estimate is an upper bound on what one worker holds,
+    # for each value kernel and both outcome reducers; one call before
+    # the measured one keeps one-time lazy imports out of the peak
+    samples = 64
+    for call, held in (
+            (lambda: success_mc(N, k, samples, seed=2), 0),
+            (lambda: lsb_threshold_check(N, k, samples, seed=2), 0),
+            (lambda: run_trials(N, k, 3, samples, seed=2), _outcome_bytes(N)),
+            (lambda: run_trials(N, k, TRIVIAL, samples, seed=2),
+             _outcome_bytes(N))):
+        call()
+        tracemalloc.start()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= _worker_bytes(N, k, samples, held)
+
+
+def test_mc_peak_memory_does_not_grow_with_samples():
+    # the pass keeps at most 2 threads shards in flight and spawns their
+    # seeds as it submits them, so 40x the draws is no more memory
+    def peak(samples):
+        tracemalloc.start()
+        success_mc(16, 4, samples, seed=3)
+        out = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return out
+
+    peak(SHARD)
+    assert peak(4 * 10 ** 6) <= 1.2 * peak(10 ** 5)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_at_most_two_shards_a_thread_are_in_flight(threads):
+    # a shard is in flight from its submission (its rng is spawned and
+    # its labels drawn on a worker) until the pass yields its result
+    lock = threading.Lock()
+    state = {"started": 0, "yielded": 0, "most": 0}
+
+    def work(rng, xs):
+        with lock:
+            state["started"] += 1
+            state["most"] = max(state["most"],
+                                state["started"] - state["yielded"])
+        return len(xs)
+
+    sizes = []
+    for n in _sharded(16, 3, 40 * SHARD + 7, 5, threads, work):
+        sizes.append(n)
+        state["yielded"] += 1
+    assert sizes == [SHARD] * 40 + [7]
+    assert state["most"] <= 2 * threads
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -221,7 +305,7 @@ def test_run_trials_labels_are_the_estimators_draws(threads):
     # simulator and _mean see the same x for a given seed
     N, k, trials = 64, 6, SHARD + 5
     labels = np.concatenate(
-        _sharded(N, k, trials, 11, 1, lambda rng, xs: xs))
+        list(_sharded(N, k, trials, 11, 1, lambda rng, xs: xs)))
     _, columns = run_trials(N, k, 3, trials, seed=11, threads=threads)
     assert np.array_equal(columns["labels"], labels)
 

@@ -276,6 +276,23 @@ def test_threshold_sweep_exact_rows_are_success_exact():
         assert point == success_exact(16, point.k)
 
 
+@pytest.mark.parametrize("N,k_list,match", [
+    (1024, [61, 62, 63], "beyond k = 62"),
+    (2 ** 18, [2, 3, 14], "memory guard")])
+def test_sweep_guards_every_monte_carlo_k_before_any_draw(N, k_list, match,
+                                                          monkeypatch):
+    # the guard reads every Monte Carlo k of the sweep first, so no k
+    # before the one past it is walked, drawn or counted
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran before its guard")
+
+    for name in ("count_eta_batch", "_orbit_walk", "ThreadPoolExecutor"):
+        monkeypatch.setattr(success, name, never)
+    monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(ScaleLimitError, match=match):
+        threshold_sweep(N, k_list, samples=3000, seed=1)
+
+
 def test_sweep_rejects_bad_domain():
     with pytest.raises(ValueError):
         threshold_sweep(64, [0, 1], samples=100, seed=1)
