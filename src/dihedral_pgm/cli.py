@@ -9,6 +9,7 @@ error, 3 a resource guard refused the requested scale.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -112,15 +113,31 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     hidden = TRIVIAL if args.hidden == "trivial" else int(args.hidden)
-    rate, columns = simulate.run_trials(args.N, args.k, hidden, args.trials,
-                                        args.seed, threads=args.threads)
     # index N names the trivial outcome, and the trivial hidden subgroup
     names = [str(j) for j in range(args.N)] + ["trivial"]
-    want = args.N if hidden is TRIVIAL else hidden % args.N
-    lines = ["trial,hidden,outcome,correct"]
-    lines += [f"{i},{names[want]},{names[out]},{int(out == want)}"
-              for i, out in enumerate(columns["outcomes"].tolist())]
-    _write(args.output, "\n".join(lines) + "\n")
+    with contextlib.ExitStack() as stack:
+        out, done = None, 0
+
+        def sink(labels, outcomes):
+            # one shard's CSV rows; the output is opened at the first
+            # shard, so a run the guard refuses writes no file, and N has
+            # passed run_trials's size check by then
+            nonlocal out, done
+            want = args.N if hidden is TRIVIAL else hidden % args.N
+            if out is None:
+                out = (sys.stdout if args.output is None else
+                       stack.enter_context(open(args.output, "w",
+                                                encoding="utf-8",
+                                                newline="\n")))
+                out.write("trial,hidden,outcome,correct\n")
+            out.writelines(
+                f"{i},{names[want]},{names[o]},{int(o == want)}\n"
+                for i, o in enumerate(outcomes.tolist(), done))
+            done += len(outcomes)
+
+        rate, _ = simulate.run_trials(args.N, args.k, hidden, args.trials,
+                                      args.seed, threads=args.threads,
+                                      sink=sink)
     stderr = math.sqrt(max(rate * (1 - rate), 0.0) / args.trials)
     summary = {"rate": rate, "stderr": stderr, "trials": args.trials}
     sys.stdout.write(json.dumps(summary) + "\n")

@@ -155,25 +155,30 @@ def outcome_distribution(label: BlockLabel, hidden) -> OutcomeDistribution:
 
 
 def run_trials(N: int, k: int, hidden, trials: int, seed,
-               threads: int = 1) -> tuple[float, dict[str, np.ndarray]]:
+               threads: int = 1, sink=None
+               ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Simulate full measurement trials and return (success rate, columns).
 
-    The columns are "labels", the (trials, k) block labels x, and
+    The columns are "labels", the (trials, k) int64 block labels x, and
     "outcomes", the (trials,) outcomes j with N standing for the trivial
-    outcome.  Outcomes are drawn by inverse CDF on the N+1 probabilities
-    with one uniform per trial (ties resolve toward smaller j), drawn
-    after the shard's labels.  Trials run in the estimators' Monte Carlo
-    pass, success._sharded (memory guard, success.SHARD draws a shard,
-    split seeds, `threads` workers), merged in shard order.  Within a
-    shard the outcomes for a shift are count_eta_batch's reducer
+    outcome.  Given a sink, no columns are kept and None stands in their
+    place: sink(labels, outcomes) is called once a shard, in shard order,
+    with the shard's labels at the width they were drawn
+    (success._label_dtype(N)) and its outcomes, as the pass yields them,
+    so a caller that streams them holds nothing that grows with the
+    trial count.  Outcomes are drawn by inverse CDF on the N+1
+    probabilities with one uniform per trial (ties resolve toward smaller
+    j), drawn after the shard's labels.  Trials run in the estimators'
+    Monte Carlo pass, success._sharded (memory guard, success.SHARD draws
+    a shard, split seeds, `threads` workers), merged in shard order.
+    Within a shard the outcomes for a shift are count_eta_batch's reducer
     (_outcomes): each cache-sized counting chunk is turned into its
     outcomes block by block while it is still in cache, so a worker holds
     its draws plus one chunk's tables and one block's outcome tables,
     which the memory guard counts (_outcome_bytes), never a (SHARD, N)
-    table.  For the trivial
-    subgroup the reducer keeps only the support sizes, and the shard's
-    outcomes come from one cumulative row per distinct size
-    (_trivial_outcomes), equal to _outcomes's.
+    table.  For the trivial subgroup the reducer keeps only the support
+    sizes, and the shard's outcomes come from one cumulative row per
+    distinct size (_trivial_outcomes), equal to _outcomes's.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -187,13 +192,22 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
         return xs, count_eta_batch(
             xs, N, lambda rows, eta: _outcomes(eta, N, k, hidden, u[rows]))
 
-    parts = list(_sharded(N, k, trials, seed, threads, shard,
-                          _outcome_bytes))
-    labels = np.concatenate([xs for xs, _ in parts])
-    outcomes = np.concatenate([out for _, out in parts])
+    shards = _sharded(N, k, trials, seed, threads, shard, _outcome_bytes)
+    columns = None
+    if sink is None:
+        columns = {"labels": np.empty((trials, k), dtype=np.int64),
+                   "outcomes": np.empty(trials, dtype=np.int64)}
     want = N if hidden is TRIVIAL else int(hidden) % N
-    rate = int(np.count_nonzero(outcomes == want)) / trials
-    return rate, {"labels": labels, "outcomes": outcomes}
+    hits, lo = 0, 0
+    for xs, outcomes in shards:
+        hits += int(np.count_nonzero(outcomes == want))
+        if columns is None:
+            sink(xs, outcomes)
+        else:
+            columns["labels"][lo:lo + len(xs)] = xs
+            columns["outcomes"][lo:lo + len(xs)] = outcomes
+        lo += len(xs)
+    return hits / trials, columns
 
 
 def shift_covariance_check(N: int, k: int, samples: int, seed) -> bool:

@@ -10,8 +10,9 @@ running the completed unitary backwards quantum-samples from subset-sum
 solutions.
 
 Counting is exact integer dynamic programming.  For one x, count_eta
-and the sampler share one (k+1, N) numpy table T_0 .. T_k, int64 up to
-k = 62 and Python integers (dtype object) beyond; sample_solutions walks
+and the sampler share the rows T_0 .. T_k of one counting table, int64
+through row 62 and Python integers (dtype object) in the rows beyond
+(a count after j coordinates is at most 2^j); sample_solutions walks
 it backwards for a whole batch of draws at once, so every draw is
 exactly uniform over solutions, at any k, without ever enumerating
 them.  The batched counter is one chunk pipeline: it counts a chunk of
@@ -78,9 +79,9 @@ INT16_K_LIMIT = 14
 
 #: Cells (k+1) * N of the counting table behind count_eta and
 #: sample_solutions (_dp_rows).  At the guard an int64 table is 8 MB, and
-#: count_eta peaked at 12.6 MB (tracemalloc, N = 2^18, k = 3) with the
-#: Python integers of its last row; on the object table of k = 63
-#: (N = 2^14) it peaked at 31.6 MB.
+#: count_eta peaked at 12.0 MB (tracemalloc, N = 2^18, k = 3) with the
+#: Python integers of its last row; at k = 63 (N = 2^14), whose last row
+#: alone holds Python integers, it peaked at 9.3 MB.
 DP_TABLE_LIMIT = 2 ** 20
 
 #: Bytes of one chunk's T in count_eta_batch, and of each of its other
@@ -591,23 +592,28 @@ def vtilde(label: BlockLabel) -> PartialIsometry:
 # uniform sampling of solutions
 # ---------------------------------------------------------------------------
 
-def _dp_rows(label: BlockLabel) -> np.ndarray:
-    """The counting table T_0 .. T_k as one (k+1, N) array, by
-    T_j[r] = T_{j-1}[r] + T_{j-1}[r - x_j]: int64 while k <= BATCH_K_LIMIT
-    and Python integers (dtype object) beyond, so every count is exact.
+def _dp_rows(label: BlockLabel) -> list[np.ndarray]:
+    """The counting table T_0 .. T_k as a list of k+1 rows of N counts,
+    by T_j[r] = T_{j-1}[r] + T_{j-1}[r - x_j].  A count after j
+    coordinates is at most 2^j, so rows 0 .. min(k, BATCH_K_LIMIT) are
+    int64, views of one table filled in native code, and only the deeper
+    rows hold Python integers (dtype object), so every count is exact.
     Guarded at DP_TABLE_LIMIT cells before it is allocated."""
     N, k = label.N, label.k
     if (k + 1) * N > DP_TABLE_LIMIT:
         raise ScaleLimitError(
             f"counting table (k+1) * N = {(k + 1) * N} cells exceeds "
             f"the guard of {DP_TABLE_LIMIT}")
-    table = np.zeros((k + 1, N),
-                     dtype=np.int64 if k <= BATCH_K_LIMIT else object)
+    table = np.zeros((min(k, BATCH_K_LIMIT) + 1, N), dtype=np.int64)
     table[0, 0] = 1
-    for j, xj in enumerate(label.x, start=1):
+    for j in range(1, len(table)):
         # np.roll(T, x)[r] = T[(r - x) mod N]
-        table[j] = table[j - 1] + np.roll(table[j - 1], xj)
-    return table
+        table[j] = table[j - 1] + np.roll(table[j - 1], label.x[j - 1])
+    rows = list(table)
+    for xj in label.x[BATCH_K_LIMIT:]:
+        prev = rows[-1].astype(object)
+        rows.append(prev + np.roll(prev, xj))
+    return rows
 
 
 def _randbelow(rng: np.random.Generator, n: int) -> int:
@@ -628,26 +634,28 @@ def sample_solutions(inst: SubsetSumInstance, count: int,
     backtracking the counting table; O(kN + k count) time, no enumeration.
     Solutions are bit integers b (b_1 the least significant bit): int64
     while k <= BATCH_K_LIMIT, and Python integers (dtype object) beyond,
-    drawn with _randbelow from the exact counts.
+    where every row, the int64 ones too, is drawn with _randbelow from
+    the exact counts.
 
     Raises ValueError("no solution") on illegal instances.
     """
     label = inst.label
-    table = _dp_rows(label)  # (k+1, N)
+    table = _dp_rows(label)
     if table[-1][inst.t] == 0:
         raise ValueError("no solution")
-    b = np.zeros(count, dtype=table.dtype)
+    big = label.k > BATCH_K_LIMIT
+    b = np.zeros(count, dtype=object if big else np.int64)
     r = np.full(count, inst.t, dtype=np.int64)
     for j in range(label.k, 0, -1):
         shifted = (r - label.x[j - 1]) % label.N
         take = table[j - 1][shifted]
-        if table.dtype == object:
-            u = np.array([_randbelow(rng, n) for n in table[j][r]],
+        if big:
+            u = np.array([_randbelow(rng, n) for n in table[j][r].tolist()],
                          dtype=object)
         else:
             u = rng.integers(0, table[j][r])
         hit = u < take
-        b |= hit.astype(table.dtype) << (j - 1)
+        b |= hit.astype(b.dtype) << (j - 1)
         r = np.where(hit, shifted, r)
     return b
 

@@ -40,8 +40,9 @@ branch averages the seeded shards of SHARD uniform draws of _sharded,
 the one Monte Carlo pass (simulate's trials run it too), merged in shard
 order, so Monte Carlo results are byte-identical for a given seed
 whatever the worker count.  It checks the bytes one worker would hold
-(_mc_guard) before any draw, and keeps at most 2 shards a worker in
-flight, so its memory does not grow with the number of draws.
+(_mc_guard) before any draw, holds each shard's labels at the width of
+N (_draw_labels), and keeps at most 2 shards a worker in flight, so its
+memory does not grow with the number of draws.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ import numpy as np
 from .dihedral import (ScaleLimitError, _bit_dots, _block_labels,
                        _shift_amplitudes)
 # Unused here: perfbench/spans.py traces success.iter_all_eta.
-from .subsetsum import (_count_bytes, _orbit_walk, _Roots,  # noqa: F401
-                        _unit_roots, count_eta_batch, iter_all_eta)
+from .subsetsum import (CHUNK_BYTES, _count_bytes, _orbit_walk,  # noqa: F401
+                        _Roots, _unit_roots, count_eta_batch, iter_all_eta)
 
 #: Shard size shared by the exact enumerator, the MC estimators and the
 #: trial simulator; the fsum merge over shards makes totals independent
@@ -72,15 +73,17 @@ SWEEP_EXACT_LIMIT = 2 ** 14
 
 #: Memory guard on Monte Carlo, the scale limit of the Monte Carlo
 #: commands: the bytes one worker holds (_worker_bytes: a shard's draws
-#: and per-draw results, count_eta_batch's temporaries and the
-#: simulator's outcome tables) may be at most this many, checked before
-#: any draw.  At SHARD draws the estimators reach every k <= 62 up to
-#: N = 2^15, k <= 46 at N = 2^16 and k <= 30 at N = 2^17, and the
-#: simulator k <= 22 at N = 2^16.  Measured peaks of one worker
-#: (tracemalloc, SHARD draws, success, parity and both outcome paths)
-#: were 1.4-1.5 MB at N = 1024, k = 12, 1.9-2.9 MB at N = 2^16, k = 16,
-#: and 3.4-4.0 MB for the estimators at N = 2^17, k = 30, each below the
-#: guard's own estimate; `--threads T` needs T times that.
+#: at the width of N with one int64 chunk of them, its per-draw results,
+#: count_eta_batch's temporaries and the simulator's outcome tables) may
+#: be at most this many, checked before any draw.  At SHARD draws the
+#: estimators reach every k <= 62 up to N = 2^16, k <= 30 at N = 2^17
+#: and k <= 5 at N = 2^18, and the simulator every k <= 62 up to
+#: N = 2^15 and k <= 29 at N = 2^16.  Measured peaks of one worker
+#: (tracemalloc, SHARD draws, success, parity and both outcome paths,
+#: trials streamed to a sink) were 1.0-1.2 MB at N = 1024, k = 12,
+#: 1.5-2.5 MB at N = 2^16, k = 16, and 2.8-3.3 MB for the estimators at
+#: N = 2^17, k = 30, each below the guard's own estimate; `--threads T`
+#: needs T times that.
 MC_SHARD_BYTES = 2 ** 22
 
 
@@ -221,16 +224,49 @@ def _exact_means(N: int, k_list, values) -> dict[int, float]:
     return {k: s.total() / N ** k for k, s in sums.items()}
 
 
+def _label_dtype(N: int):
+    """The narrowest signed integer type that holds N itself (int8 up to
+    N = 127, int16 up to 32767), so that count_eta_batch's N - x of a
+    label x in [0, N) stays in range."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if N <= np.iinfo(t).max)
+
+
+def _draw_rows(k: int) -> int:
+    """Rows of k int64 draws that fill CHUNK_BYTES, and at most half a
+    shard: a shard's labels at a width of 4 bytes or less and one int64
+    chunk of them then hold no more than the shard's int64 labels did."""
+    return max(1, min(SHARD // 2, CHUNK_BYTES // (8 * k)))
+
+
+def _draw_labels(rng: np.random.Generator, N: int, n: int,
+                 k: int) -> np.ndarray:
+    """n labels uniform on Z_N^k, as an (n, k) array of _label_dtype(N).
+    They are drawn _draw_rows(k) rows at a time by int64
+    rng.integers(0, N, ...) calls, each copied into the narrow array.
+    Consecutive int64 draws continue one stream, so the labels, and the
+    generator's state after them, are those of one
+    rng.integers(0, N, size=(n, k))."""
+    xs = np.empty((n, k), dtype=_label_dtype(N))
+    step = _draw_rows(k)
+    for lo in range(0, n, step):
+        xs[lo:lo + step] = rng.integers(0, N, size=(min(step, n - lo), k))
+    return xs
+
+
 def _worker_bytes(N: int, k: int, samples: int, held: int = 0) -> int:
     """The bytes one Monte Carlo worker holds for a shard of
-    min(samples, SHARD) draws of Z_N^k: the (rows, k) int64 draws and four
-    float64 or int64 values a draw (a uniform, the values, their
-    deviations and the result), count_eta_batch's temporaries
-    (subsetsum._count_bytes, which include one float64 block of the
-    reducer), and `held` more bytes that the caller's reducer holds at
-    once.  Raises ScaleLimitError beyond k = BATCH_K_LIMIT."""
+    min(samples, SHARD) draws of Z_N^k: the (rows, k) draws at their
+    width (_label_dtype(N)) and one int64 chunk of them as drawn
+    (_draw_labels), four float64 or int64 values a draw (a uniform, the
+    values, their deviations and the result), count_eta_batch's
+    temporaries (subsetsum._count_bytes, which include one float64 block
+    of the reducer), and `held` more bytes that the caller's reducer
+    holds at once.  Raises ScaleLimitError beyond k = BATCH_K_LIMIT."""
     rows = min(samples, SHARD)
-    return rows * (k + 4) * 8 + _count_bytes(rows, N, k) + held
+    width = np.dtype(_label_dtype(N)).itemsize
+    return (rows * (k * width + 4 * 8) + min(rows, _draw_rows(k)) * k * 8
+            + _count_bytes(rows, N, k) + held)
 
 
 def _mc_guard(N: int, k: int, samples: int, held=None) -> None:
@@ -254,16 +290,18 @@ def _sharded(N: int, k: int, samples: int, seed, threads: int, work,
     per shard of SHARD draws, the last partial, in shard order, on
     `threads` workers.  Each shard's rng is its own child of seed,
     spawned when the shard is submitted, and first draws xs, its (n, k)
-    labels uniform.  At most 2 threads shards are in flight (submitted
-    and not yet yielded), so the pass holds no more shards, seeds or
-    results than that whatever the sample count."""
+    labels uniform, held at the width of N (_draw_labels: the values and
+    the rng's state are those of one int64 rng.integers call).  At most
+    2 threads shards are in flight (submitted and not yet yielded), so
+    the pass holds no more shards, seeds or results than that whatever
+    the sample count."""
     _mc_guard(N, k, samples, held)
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
 
     def shard(ss, n):
         rng = np.random.default_rng(ss)
-        return work(rng, rng.integers(0, N, size=(n, k)))
+        return work(rng, _draw_labels(rng, N, n, k))
 
     def results():
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -178,6 +179,47 @@ def test_monte_carlo_runs_past_n_4096(tmp_path, capsys):
         assert code == 3
         assert stdout == "" and "memory guard" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--N", "131072", "--k", "31"],
+    ["sweep", "--N", "262144", "--k", "6"],
+    ["lsb", "--N", "131072", "--k", "31"],
+    ["simulate", "--N", "65536", "--k", "30", "--hidden", "5"],
+    ["simulate", "--N", "65536", "--k", "30", "--hidden", "trivial"],
+])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_one_past_the_memory_guard_exits_3(argv, to_file, tmp_path, capsys):
+    # one k past the guard's reach, with the draws held at the width of
+    # N: refused before any draw, with no file and nothing on stdout
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(
+        argv + (["--output", str(out)] if to_file else []), capsys)
+    assert code == 3
+    assert stdout == "" and "memory guard" in err
+    assert not out.exists()
+
+
+def test_simulate_memory_does_not_grow_with_trials(tmp_path, capsys):
+    # the CLI streams each shard's CSV rows as the pass yields it, so
+    # 10x the trials is no more memory; one run before the measured ones
+    # keeps one-time lazy imports out of the peaks
+    out = tmp_path / "trials.csv"
+
+    def peak(trials):
+        argv = ["simulate", "--N", "16", "--k", "4", "--hidden", "3",
+                "--trials", str(trials), "--output", str(out)]
+        tracemalloc.start()
+        code = main(argv)
+        high = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 0
+        assert len(out.read_text().splitlines()) == trials + 1
+        capsys.readouterr()
+        return high
+
+    peak(100)
+    assert peak(4 * 10 ** 5) <= 1.2 * peak(4 * 10 ** 4)
 
 
 @pytest.mark.parametrize("N,k", [(2, "1..27"), (8, "1..9")])

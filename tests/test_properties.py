@@ -19,6 +19,10 @@
   by block, per-row results bitwise equal to the same function applied
   to the whole int64 table, under three byte budgets that cut the
   chunks and blocks at different rows, and on no rows at all.
+  It reads labels of any integer width bitwise alike.
+* The Monte Carlo labels, drawn as int64 a chunk at a time and held at
+  the width of N, equal one int64 draw of the whole shard and leave the
+  generator where that draw leaves it.
 * Monte Carlo statistics and trial columns are bitwise independent of
   the thread count, at sample counts on both sides of one shard, and on
   shards that span several chunks.
@@ -41,9 +45,9 @@ from dihedral_pgm.simulate import _outcomes
 from dihedral_pgm.subsetsum import (CHUNK_BYTES, INT16_K_LIMIT,
                                     INT32_K_LIMIT, _dp_rows, _orbit_walk,
                                     _prefix_width, count_eta_batch)
-from dihedral_pgm.success import (SHARD, _lsb_values, _mean,
-                                  _success_values, _support_sizes,
-                                  _support_values)
+from dihedral_pgm.success import (SHARD, _draw_labels, _label_dtype,
+                                  _lsb_values, _mean, _success_values,
+                                  _support_sizes, _support_values)
 from orbit_reference import _nondecreasing_blocks, _orbit_weights
 
 ORACLE_ENUM = 4096
@@ -222,6 +226,54 @@ def test_count_eta_batch_matches_dp_rows(size, rows, data):
     # before the work table is reused
     assert np.array_equal(count_eta_batch(xs, N, lambda r, chunk: chunk),
                           eta)
+
+
+@settings(parent=core, max_examples=30)
+@given(_kernel_sizes(), st.sampled_from(ROW_COUNTS), st.data())
+def test_count_eta_batch_reads_every_label_width(size, rows, data):
+    # the Monte Carlo pass hands count_eta_batch labels in [0, N) at the
+    # width of N (_label_dtype); counts and values must not depend on it
+    N, k, _, _, xs = _kernel_rows(size, rows, data)
+    labels = xs % N
+
+    def value(rows, chunk):
+        return _success_values(chunk, N, k)
+
+    eta, values = count_eta_batch(labels, N), count_eta_batch(labels, N, value)
+    for width in (np.int8, np.int16, np.int32):
+        if N <= np.iinfo(width).max:
+            narrow = labels.astype(width)
+            assert np.array_equal(count_eta_batch(narrow, N), eta)
+            assert np.array_equal(count_eta_batch(narrow, N, value), values)
+
+
+@pytest.mark.parametrize("N", [127, 128, 32767, 32768, 65535, 65536])
+def test_count_eta_batch_at_the_label_width_edges(N):
+    # N - x must stay in range at the width _label_dtype picks for N
+    rng = np.random.default_rng(N)
+    labels = rng.integers(0, N, size=(3, 3))
+    labels[0] = N - 1
+    labels[1] = 0
+    narrow = labels.astype(_label_dtype(N))
+    assert np.array_equal(narrow, labels)
+    assert np.array_equal(count_eta_batch(narrow, N),
+                          count_eta_batch(labels, N))
+
+
+@settings(parent=core, max_examples=40)
+@given(st.one_of(st.sampled_from((32767, 32768, 65535, 65536)),
+                 st.integers(1, 2 ** 20)),
+       st.one_of(st.sampled_from((1, 8, 20, 61, 62)), st.integers(1, 62)),
+       st.one_of(st.sampled_from((1, SHARD - 1, SHARD)),
+                 st.integers(1, SHARD)),
+       st.integers(0, 2 ** 32 - 1))
+def test_chunked_narrow_draws_are_one_int64_draw(N, k, n, seed):
+    chunked, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+    xs = _draw_labels(chunked, N, n, k)
+    assert xs.dtype == _label_dtype(N) and xs.shape == (n, k)
+    assert np.array_equal(xs, whole.integers(0, N, size=(n, k)))
+    assert chunked.bit_generator.state == whole.bit_generator.state
+    assert chunked.random() == whole.random()
 
 
 @settings(parent=core, max_examples=30)

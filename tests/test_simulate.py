@@ -213,19 +213,20 @@ def _never(rng, xs):
 
 def test_monte_carlo_guard_bounds_the_largest_shard():
     # the limit is _worker_bytes(N, k, samples, held) <= MC_SHARD_BYTES,
-    # checked before any draw: at SHARD draws the estimators reach
-    # N = 2^15 at every k <= 62, 2^16 up to k = 46 and 2^17 up to k = 30,
-    # and the simulator, whose outcome tables are held too, 2^16 up to
-    # k = 22
+    # checked before any draw: at SHARD draws, held at the width of N,
+    # the estimators reach N = 2^16 at every k <= 62, 2^17 up to k = 30
+    # and 2^18 up to k = 5, and the simulator, whose outcome tables are
+    # held too, 2^15 at every k <= 62 and 2^16 up to k = 29
     assert MC_SHARD_BYTES == 2 ** 22
-    for N, k, held in ((2 ** 15, 62, 0), (2 ** 16, 46, 0), (2 ** 17, 30, 0),
-                       (2 ** 16, 22, _outcome_bytes(2 ** 16))):
+    for N, k, held in ((2 ** 16, 62, 0), (2 ** 17, 30, 0), (2 ** 18, 5, 0),
+                       (2 ** 15, 62, _outcome_bytes(2 ** 15)),
+                       (2 ** 16, 29, _outcome_bytes(2 ** 16))):
         assert _worker_bytes(N, k, SHARD, held) <= MC_SHARD_BYTES
     assert len(list(_sharded(4096, 1, 10000, 1, 1, lambda rng, xs: None))) == 3
     assert len(list(_sharded(2 ** 17, 1, 16, 1, 1, lambda rng, xs: None))) == 1
-    for N, k, samples, held in ((2 ** 16, 47, SHARD, None),
-                                (2 ** 17, 31, 10000, None),
-                                (2 ** 16, 23, SHARD, _outcome_bytes),
+    for N, k, samples, held in ((2 ** 17, 31, 10000, None),
+                                (2 ** 18, 6, SHARD, None),
+                                (2 ** 16, 30, SHARD, _outcome_bytes),
                                 (2 ** 18, 14, SHARD, None),
                                 (2 ** 20, 1, 16, None)):
         assert (_worker_bytes(N, k, samples, held(N) if held else 0)
@@ -238,9 +239,12 @@ def test_monte_carlo_guard_bounds_the_largest_shard():
 
 
 # (N, k) on int16 and int32 work tables, from histogram blocks of 128
-# rows at N = 256 down to one row at N = 2^16
-WORKER_SIZES = [(256, 8), (1024, 12), (4096, 20), (2 ** 14, 14),
-                (2 ** 16, 16)]
+# rows at N = 256 down to one row at N = 2^16, on int8, int16 and int32
+# labels, and at the guard's edges at SHARD draws: the simulator's at
+# N = 2^16, k = 29, and the estimators' at N = 2^16, k = 62, on int64
+# work tables
+WORKER_SIZES = [(64, 6), (256, 8), (1024, 12), (4096, 20), (2 ** 14, 14),
+                (2 ** 16, 16), (2 ** 16, 29), (2 ** 16, 62)]
 
 
 @pytest.mark.parametrize("N,k", WORKER_SIZES)
@@ -308,6 +312,25 @@ def test_run_trials_labels_are_the_estimators_draws(threads):
         list(_sharded(N, k, trials, 11, 1, lambda rng, xs: xs)))
     _, columns = run_trials(N, k, 3, trials, seed=11, threads=threads)
     assert np.array_equal(columns["labels"], labels)
+
+
+@pytest.mark.parametrize("hidden", [3, TRIVIAL])
+def test_run_trials_sink_sees_the_columns_in_shard_order(hidden):
+    # a sink gets each shard's labels, at their drawn width, and outcomes
+    # as the pass yields them, and run_trials then keeps no columns
+    N, k, trials = 64, 6, 3 * SHARD + 5
+    rate, columns = run_trials(N, k, hidden, trials, seed=12, threads=2)
+    seen = []
+    streamed, none = run_trials(N, k, hidden, trials, seed=12, threads=2,
+                                sink=lambda xs, out: seen.append((xs, out)))
+    assert none is None and streamed == rate
+    assert [len(out) for _, out in seen] == [SHARD] * 3 + [5]
+    assert {xs.dtype for xs, _ in seen} == {np.dtype(np.int8)}
+    assert columns["labels"].dtype == np.int64
+    assert np.array_equal(np.concatenate([xs for xs, _ in seen]),
+                          columns["labels"])
+    assert np.array_equal(np.concatenate([out for _, out in seen]),
+                          columns["outcomes"])
 
 
 def test_run_trials_validates_count():

@@ -189,7 +189,8 @@ def _instances(draw):
 def test_dp_table_and_sampler_match_brute_force(instance, seed):
     label, t = instance
     table = _dp_rows(label)
-    assert table.shape == (label.k + 1, label.N)
+    assert len(table) == label.k + 1
+    assert all(row.shape == (label.N,) for row in table)
     assert table[-1].tolist() == brute_counts(label)
     draws = sample_solutions(SubsetSumInstance(label, t), 50,
                              np.random.default_rng(seed))
@@ -199,14 +200,62 @@ def test_dp_table_and_sampler_match_brute_force(instance, seed):
 
 @pytest.mark.parametrize("k", [BATCH_K_LIMIT, BATCH_K_LIMIT + 1])
 def test_count_eta_exact_across_the_dtype_switch(k):
-    # x = (1,) * k mod 3: eta_r counts the subsets whose size is r mod 3
+    # x = (1,) * k mod 3: eta_r counts the subsets whose size is r mod 3;
+    # rows 0 .. 62 are int64 and only the deeper ones Python integers
     label = BlockLabel((1,) * k, 3)
-    assert _dp_rows(label).dtype == (np.int64 if k <= BATCH_K_LIMIT
-                                     else object)
+    assert [row.dtype for row in _dp_rows(label)] == (
+        [np.dtype(np.int64)] * (min(k, BATCH_K_LIMIT) + 1)
+        + [np.dtype(object)] * max(0, k - BATCH_K_LIMIT))
     eta = count_eta(label).eta
     assert all(type(c) is int for c in eta)
     assert list(eta) == [sum(math.comb(k, i) for i in range(r, k + 1, 3))
                          for r in range(3)]
+
+
+def _python_rows(label):
+    """The counting table in Python integers, row by row, by the same
+    recurrence T_j[r] = T_{j-1}[r] + T_{j-1}[r - x_j]."""
+    N = label.N
+    rows = [[1] + [0] * (N - 1)]
+    for xj in label.x:
+        prev = rows[-1]
+        rows.append([prev[r] + prev[(r - xj) % N] for r in range(N)])
+    return rows
+
+
+@pytest.mark.parametrize("k", [63, 64, 65, 66])
+@pytest.mark.parametrize("N", [2, 7, 1000])
+def test_dp_rows_past_int64_match_python_integers(N, k):
+    x = tuple(int(v) for v in np.random.default_rng(k * N).integers(0, N, k))
+    rows = _dp_rows(BlockLabel(x, N))
+    assert [row.tolist() for row in rows] == _python_rows(BlockLabel(x, N))
+    assert all(type(c) is int for c in rows[-1].tolist())
+
+
+#: Solutions sampled past k = 62 (seed 7, four draws), recorded before the
+#: int64 rows below the switch: drawing every row through _randbelow keeps
+#: them.
+DEEP_SAMPLES = [
+    (3, (1,) * 64, 0, [6261282878208052486, 3802940952378187279,
+                       7141763212923593564, 11945196036262016268]),
+    (5, tuple(j % 5 for j in range(1, 67)), 2,
+     [33658507882683796793, 28567052851797611575, 47780784146246035519,
+      68537007102388662374]),
+    (1000, tuple(int(v) for v in
+                 np.random.default_rng(63).integers(0, 1000, 63)), 17,
+     [3130639623396986639, 1901470227757400589, 3570879975344454075,
+      5972599890158121685]),
+]
+
+
+@pytest.mark.parametrize("N,x,t,expect", DEEP_SAMPLES)
+def test_sampled_solutions_past_int64_are_unchanged(N, x, t, expect):
+    draws = sample_solutions(SubsetSumInstance(BlockLabel(x, N), t), 4,
+                             np.random.default_rng(7))
+    assert draws.dtype == object
+    assert draws.tolist() == expect
+    for b in expect:
+        assert sum(xj for i, xj in enumerate(x) if b >> i & 1) % N == t
 
 
 def test_batch_sampler_uniformity_chi_square():
