@@ -24,7 +24,9 @@ from __future__ import annotations
 
 # Unused here: perfbench/spans.py traces simulate.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -154,6 +156,20 @@ def outcome_distribution(label: BlockLabel, hidden) -> OutcomeDistribution:
     return OutcomeDistribution(label, hidden, probs)
 
 
+def _trial_shard(N: int, k: int, shift, rng, xs):
+    """One shard of run_trials: the draws xs and their outcomes, from one
+    uniform per draw drawn after them.  shift is the hidden shift, or
+    None for the trivial subgroup: TRIVIAL is a str, which does not keep
+    its identity when the shard is sent to a worker process."""
+    u = rng.random(len(xs))
+    if shift is None:
+        support = count_eta_batch(
+            xs, N, lambda rows, eta: _support_sizes(eta))
+        return xs, _trivial_outcomes(support, N, k, u)
+    return xs, count_eta_batch(
+        xs, N, lambda rows, eta: _outcomes(eta, N, k, shift, u[rows]))
+
+
 def run_trials(N: int, k: int, hidden, trials: int, seed,
                threads: int = 1, sink=None
                ) -> tuple[float, dict[str, np.ndarray] | None]:
@@ -183,30 +199,26 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     if trials < 1:
         raise ValueError("need at least one trial")
 
-    def shard(rng, xs):
-        u = rng.random(len(xs))
-        if hidden is TRIVIAL:
-            support = count_eta_batch(
-                xs, N, lambda rows, eta: _support_sizes(eta))
-            return xs, _trivial_outcomes(support, N, k, u)
-        return xs, count_eta_batch(
-            xs, N, lambda rows, eta: _outcomes(eta, N, k, hidden, u[rows]))
-
-    shards = _sharded(N, k, trials, seed, threads, shard, _outcome_bytes)
+    shift = None if hidden is TRIVIAL else hidden
+    shards = _sharded(N, k, trials, seed, threads,
+                      partial(_trial_shard, N, k, shift), _outcome_bytes)
     columns = None
     if sink is None:
         columns = {"labels": np.empty((trials, k), dtype=np.int64),
                    "outcomes": np.empty(trials, dtype=np.int64)}
     want = N if hidden is TRIVIAL else int(hidden) % N
     hits, lo = 0, 0
-    for xs, outcomes in shards:
-        hits += int(np.count_nonzero(outcomes == want))
-        if columns is None:
-            sink(xs, outcomes)
-        else:
-            columns["labels"][lo:lo + len(xs)] = xs
-            columns["outcomes"][lo:lo + len(xs)] = outcomes
-        lo += len(xs)
+    # a sink that raises closes the pass at once, which cancels its
+    # shards not yet started
+    with closing(shards):
+        for xs, outcomes in shards:
+            hits += int(np.count_nonzero(outcomes == want))
+            if columns is None:
+                sink(xs, outcomes)
+            else:
+                columns["labels"][lo:lo + len(xs)] = xs
+                columns["outcomes"][lo:lo + len(xs)] = outcomes
+            lo += len(xs)
     return hits / trials, columns
 
 

@@ -39,18 +39,26 @@ are closed forms in N and k (lsb_counting_sums).  Its Monte Carlo
 branch averages the seeded shards of SHARD uniform draws of _sharded,
 the one Monte Carlo pass (simulate's trials run it too), merged in shard
 order, so Monte Carlo results are byte-identical for a given seed
-whatever the worker count.  It checks the bytes one worker would hold
-(_mc_guard) before any draw, holds each shard's labels at the width of
-N (_draw_labels), and keeps at most 2 shards a worker in flight, so its
-memory does not grow with the number of draws.
+whatever the worker count.  One worker runs its shards inline; two or
+more are forked processes of one pool, started at its first use and
+reused by every later pass in the process (_pool), so a caller's
+tracemalloc does not see their memory.  It checks the bytes one worker
+would hold (_mc_guard) before any draw, holds each shard's labels at
+the width of N (_draw_labels), and keeps at most 2 shards a worker in
+flight, so its memory does not grow with the number of draws.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
+# Unused here: perfbench/spans.py traces success.ThreadPoolExecutor.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,7 +91,8 @@ SWEEP_EXACT_LIMIT = 2 ** 14
 #: trials streamed to a sink) were 1.0-1.2 MB at N = 1024, k = 12,
 #: 1.5-2.5 MB at N = 2^16, k = 16, and 2.8-3.3 MB for the estimators at
 #: N = 2^17, k = 30, each below the guard's own estimate; `--threads T`
-#: needs T times that.
+#: needs T times that, held by T forked worker processes (by the caller
+#: itself at T = 1), where the caller's tracemalloc does not see it.
 MC_SHARD_BYTES = 2 ** 22
 
 
@@ -282,40 +291,123 @@ def _mc_guard(N: int, k: int, samples: int, held=None) -> None:
             f"k = {k}), past the memory guard of {MC_SHARD_BYTES} bytes")
 
 
+#: The worker pool of _sharded, as (pid, workers, executor), or None
+#: before its first use with 2 or more workers.
+_POOL = None
+
+
+def _pool(workers: int):
+    """The process pool of `workers` workers that _sharded runs shards on.
+
+    It is created on first use and reused by every later pass of the same
+    worker count in the same process; another count, or a call from a
+    process forked since (another pid), replaces it.  Its workers are
+    forked where the platform offers it, so they start in milliseconds
+    with the package and its caches already loaded: the pool forks all of
+    them at its first submission, from the calling thread, before it
+    starts its own manager thread."""
+    global _POOL
+    if _POOL is None or _POOL[:2] != (os.getpid(), workers):
+        # imported here: about 16 ms that a process which never runs two
+        # workers does not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _shutdown_pool()
+        context = (multiprocessing.get_context("fork")
+                   if "fork" in multiprocessing.get_all_start_methods()
+                   else None)
+        _POOL = (os.getpid(), workers,
+                 ProcessPoolExecutor(workers, mp_context=context))
+    return _POOL[2]
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    """Shut down the pool of _pool and join its workers, if this process
+    created it; a pool inherited through fork is only dropped.  Run at
+    exit too, while the interpreter can still run the executor's own
+    clean-up, so no worker outlives the process."""
+    global _POOL
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[2].shutdown(cancel_futures=True)
+    _POOL = None
+
+
+def _shard(N: int, k: int, work, ss: np.random.SeedSequence, n: int):
+    """One shard of _sharded: work(rng, xs) on n labels xs of Z_N^k drawn
+    first from rng, the generator of the shard's seed ss."""
+    rng = np.random.default_rng(ss)
+    return work(rng, _draw_labels(rng, N, n, k))
+
+
 def _sharded(N: int, k: int, samples: int, seed, threads: int, work,
              held=None):
     """The one Monte Carlo pass: the size check and memory guard
     (_mc_guard, with held(N) the bytes work's reducer holds beyond one
-    float64 block) before any draw, then an iterator over work(rng, xs)
-    per shard of SHARD draws, the last partial, in shard order, on
-    `threads` workers.  Each shard's rng is its own child of seed,
-    spawned when the shard is submitted, and first draws xs, its (n, k)
-    labels uniform, held at the width of N (_draw_labels: the values and
-    the rng's state are those of one int64 rng.integers call).  At most
-    2 threads shards are in flight (submitted and not yet yielded), so
-    the pass holds no more shards, seeds or results than that whatever
-    the sample count."""
+    float64 block) and the worker count (ValueError naming max_workers
+    below 1) before any draw, then an iterator over work(rng, xs) per
+    shard of SHARD draws, the last partial, in shard order.  Each shard's
+    rng is its own child of seed, spawned when the shard is submitted,
+    and first draws xs, its (n, k) labels uniform, held at the width of N
+    (_draw_labels: the values and the rng's state are those of one int64
+    rng.integers call).
+
+    With threads == 1 each shard runs inline as it is asked for.  With
+    more, the shards run on the `threads` forked worker processes of the
+    reused pool (_pool), so work must pickle (a module-level function, or
+    a functools.partial of one) and so must its result; at most
+    2 threads shards are in flight (submitted and not yet yielded), so the
+    pass holds no more shards, seeds or results than that whatever the
+    sample count.  Everything but the shards' work stays in the caller's
+    process, so the caller consumes each result while the workers run the
+    next shards.  A pass left early cancels the shards not yet started,
+    and the pool stays usable; a pass whose worker dies raises
+    BrokenProcessPool and drops the pool, so the next pass starts a new
+    one."""
     _mc_guard(N, k, samples, held)
+    if threads < 1:
+        raise ValueError("max_workers must be greater than 0")
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
 
-    def shard(ss, n):
-        rng = np.random.default_rng(ss)
-        return work(rng, _draw_labels(rng, N, n, k))
+    def shard_args(lo):
+        # spawn(1) n times gives the children of spawn(n)
+        return N, k, work, root.spawn(1)[0], min(SHARD, samples - lo)
 
     def results():
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = deque()
+        if threads == 1:
+            for lo in range(0, samples, SHARD):
+                yield _shard(*shard_args(lo))
+            return
+        pool, pending = _pool(threads), deque()
+        try:
             for lo in range(0, samples, SHARD):
                 if len(pending) == 2 * threads:
                     yield pending.popleft().result()
-                # spawn(1) n times gives the children of spawn(n)
-                pending.append(pool.submit(shard, root.spawn(1)[0],
-                                           min(SHARD, samples - lo)))
+                pending.append(pool.submit(_shard, *shard_args(lo)))
             while pending:
                 yield pending.popleft().result()
+        except BrokenExecutor:
+            # a worker died, which leaves the pool unusable: the next
+            # pass starts a new one
+            _shutdown_pool()
+            raise
+        finally:
+            for future in pending:
+                future.cancel()
 
     return results()
+
+
+def _mc_moments(values, N: int, k: int, rng, xs) -> tuple[float, float, int]:
+    """One shard of _mean: the sum of the kernel values(eta, N, k) over
+    the draws xs, their squared deviations about the shard's own mean,
+    and their count."""
+    v = count_eta_batch(xs, N, lambda rows, eta: values(eta, N, k))
+    total = float(np.sum(v))
+    dev = v - total / len(v)
+    return total, float(np.sum(dev * dev)), len(v)
 
 
 def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
@@ -341,15 +433,10 @@ def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
-    def shard(rng, xs):
-        v = count_eta_batch(xs, N, lambda rows, eta: values(eta, N, k))
-        total = float(np.sum(v))
-        dev = v - total / len(v)
-        return total, float(np.sum(dev * dev)), len(v)
-
     # Chan et al.'s pairwise merge of (count, mean, squared deviations),
     # shard by shard as the pass yields them
     totals, seen, run_mean, sq_dev = [], 0, 0.0, 0.0
+    shard = partial(_mc_moments, values, N, k)
     for total, sq, n in _sharded(N, k, samples, seed, threads, shard):
         totals.append(total)
         delta = total / n - run_mean

@@ -5,11 +5,15 @@ import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal
 
 import pytest
 
+import dihedral_pgm
 from dihedral_pgm import success_mc
 from dihedral_pgm.cli import main
 from sk_oracle import decimal_means
@@ -48,6 +52,28 @@ def test_sweep_threads_do_not_change_bytes(tmp_path, capsys):
     run_cli(base + ["--output", str(a)], capsys)
     run_cli(base + ["--threads", "4", "--output", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_on_two_workers_exits_cleanly(tmp_path, capsys):
+    # A fresh interpreter starts the worker pool and shuts it down at
+    # exit: exit 0, and nothing on stderr, where an executor left to
+    # interpreter teardown reports ("Exception ignored in: ...").  The
+    # workers inherit the output pipes, and run() reads them to the end,
+    # so it returns only once no worker outlives the command.
+    src = os.path.dirname(os.path.dirname(dihedral_pgm.__file__))
+    argv = ["simulate", "--N", "64", "--k", "6", "--hidden", "5",
+            "--trials", "20000", "--seed", "3"]
+    out = tmp_path / "two.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", "from dihedral_pgm.cli import run; run()",
+         *argv, "--threads", "2", "--output", str(out)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    one = tmp_path / "one.csv"
+    code, stdout, _ = run_cli(argv + ["--output", str(one)], capsys)
+    assert (code, stdout) == (0, proc.stdout)
+    assert out.read_bytes() == one.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,10 @@
 """Protocol simulation: outcome distributions, trials, shift covariance."""
 
 import math
-import threading
+import os
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -281,26 +283,79 @@ def test_mc_peak_memory_does_not_grow_with_samples():
     assert peak(4 * 10 ** 6) <= 1.2 * peak(10 ** 5)
 
 
+class _CountedSeed(np.random.SeedSequence):
+    """A root seed that counts the shard seeds spawned from it, in the
+    process that holds it: _sharded spawns one as it submits a shard."""
+
+    spawned = 0
+
+    def spawn(self, n_children):
+        self.spawned += n_children
+        return super().spawn(n_children)
+
+
+def _shard_size(rng, xs):
+    return len(xs)
+
+
+def _worker_pid(rng, xs):
+    # long enough that every worker of the pool takes a shard
+    time.sleep(0.02)
+    return os.getpid()
+
+
+def _kill_worker(rng, xs):
+    os._exit(1)
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_at_most_two_shards_a_thread_are_in_flight(threads):
-    # a shard is in flight from its submission (its rng is spawned and
-    # its labels drawn on a worker) until the pass yields its result
-    lock = threading.Lock()
-    state = {"started": 0, "yielded": 0, "most": 0}
-
-    def work(rng, xs):
-        with lock:
-            state["started"] += 1
-            state["most"] = max(state["most"],
-                                state["started"] - state["yielded"])
-        return len(xs)
-
-    sizes = []
-    for n in _sharded(16, 3, 40 * SHARD + 7, 5, threads, work):
+    # a shard is in flight from its submission, when the pass spawns its
+    # seed, until the pass yields its result; both happen in the
+    # caller's process, so both are counted there
+    seed, yielded, most, sizes = _CountedSeed(5), 0, 0, []
+    for n in _sharded(16, 3, 40 * SHARD + 7, seed, threads, _shard_size):
+        most = max(most, seed.spawned - yielded)
+        yielded += 1
         sizes.append(n)
-        state["yielded"] += 1
     assert sizes == [SHARD] * 40 + [7]
-    assert state["most"] <= 2 * threads
+    assert seed.spawned == 41
+    assert most <= 2 * threads
+
+
+def test_passes_reuse_the_worker_processes():
+    # the pool starts once per process: a second pass on as many workers
+    # runs on the same forked processes, none of them the caller
+    first = set(_sharded(16, 3, 8 * SHARD, 1, 2, _worker_pid))
+    second = set(_sharded(16, 3, 8 * SHARD, 2, 2, _worker_pid))
+    assert os.getpid() not in first | second
+    assert len(first | second) <= 2
+
+
+@pytest.mark.parametrize("hidden", [3, TRIVIAL])
+def test_a_failing_sink_leaves_the_pool_working(hidden):
+    # a sink that raises mid-stream ends its pass; the next pass on the
+    # same pool gives the bytes of one worker
+    def sink(xs, outcomes):
+        raise RuntimeError("sink failed")
+
+    N, k, trials = 64, 6, 3 * SHARD + 5
+    with pytest.raises(RuntimeError, match="sink failed"):
+        run_trials(N, k, hidden, 8 * SHARD, seed=12, threads=2, sink=sink)
+    rate, columns = run_trials(N, k, hidden, trials, seed=12, threads=2)
+    one_rate, one = run_trials(N, k, hidden, trials, seed=12, threads=1)
+    assert rate == one_rate
+    for name in ("labels", "outcomes"):
+        assert np.array_equal(columns[name], one[name])
+
+
+def test_a_dead_worker_costs_one_pass():
+    # a worker that dies breaks the pool under the pass that ran it; the
+    # next pass starts a new pool
+    with pytest.raises(BrokenProcessPool):
+        list(_sharded(16, 3, 4 * SHARD, 1, 2, _kill_worker))
+    assert list(_sharded(16, 3, 4 * SHARD + 1, 1, 2, _shard_size)) == (
+        [SHARD] * 4 + [1])
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -282,15 +282,17 @@ def test_threshold_sweep_exact_rows_are_success_exact():
 def test_sweep_guards_every_monte_carlo_k_before_any_draw(N, k_list, match,
                                                           monkeypatch):
     # the guard reads every Monte Carlo k of the sweep first, so no k
-    # before the one past it is walked, drawn or counted
+    # before the one past it is walked, drawn or counted, and no worker
+    # pool is started or asked for
     def never(*args, **kwargs):
         raise AssertionError("the sweep ran before its guard")
 
-    for name in ("count_eta_batch", "_orbit_walk", "ThreadPoolExecutor"):
+    for name in ("count_eta_batch", "_orbit_walk", "ThreadPoolExecutor",
+                 "_pool"):
         monkeypatch.setattr(success, name, never)
     monkeypatch.setattr(np.random, "default_rng", never)
     with pytest.raises(ScaleLimitError, match=match):
-        threshold_sweep(N, k_list, samples=3000, seed=1)
+        threshold_sweep(N, k_list, samples=3000, seed=1, threads=2)
 
 
 def test_sweep_rejects_bad_domain():
