@@ -22,13 +22,11 @@ from .pgm import (GramOperator, LsbPovm, OptimalityReport, PovmBlock,
 from .reptheory import (IrrepDecomposition, IrrepLabel, equivalence_check,
                         hidden_state_in_irrep_basis, irrep, irrep_labels,
                         left_regular, qft_dihedral, right_regular)
-from .simulate import (OutcomeDistribution, outcome_distribution,
-                       run_trials, shift_covariance_check)
-from .subsetsum import (PartialIsometry, SubsetProfile, SubsetSumInstance,
-                        count_eta, count_eta_batch, enumerate_subsets,
-                        format_solution, neumark_complete, parse_instance,
-                        qsample, sample_solutions,
-                        superposition_vector, vtilde)
+from .simulate import outcome_distribution, run_trials, shift_covariance_check
+from .subsetsum import (SubsetProfile, SubsetSumInstance, count_eta,
+                        count_eta_batch, enumerate_subsets, format_solution,
+                        neumark_complete, parse_instance, qsample,
+                        sample_solutions, superposition_vector, vtilde)
 from .success import (InfoBoundResult, ThresholdPoint, chi_single_copy,
                       exact_sweep, info_lower_bound, lsb_counting_sums,
                       lsb_success_exact, lsb_threshold_check,

@@ -123,7 +123,7 @@ def cmd_simulate(args) -> int:
             # shard, so a run the guard refuses writes no file, and N has
             # passed run_trials's size check by then
             nonlocal out, done
-            want = args.N if hidden is TRIVIAL else hidden % args.N
+            want = args.N if hidden == TRIVIAL else hidden % args.N
             if out is None:
                 out = (sys.stdout if args.output is None else
                        stack.enter_context(open(args.output, "w",

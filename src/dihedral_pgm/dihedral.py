@@ -33,7 +33,9 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-#: Marker for the trivial hidden subgroup (and the matching outcome).
+#: Marker for the trivial hidden subgroup (and the matching outcome),
+#: compared by value: a str sent to a worker process arrives as a new
+#: object.
 TRIVIAL = "trivial"
 
 #: Dense operators are only built at oracle scale.
@@ -318,7 +320,7 @@ class BlockState:
 
     @property
     def is_trivial(self) -> bool:
-        return self.shift is TRIVIAL
+        return self.shift == TRIVIAL
 
 
 def block_state(label: BlockLabel, shift) -> BlockState:
@@ -327,7 +329,7 @@ def block_state(label: BlockLabel, shift) -> BlockState:
     For a shift d the amplitudes are omega^(d (b.x)) / 2^(k/2); in the
     subset-sum basis this is sum_p omega^(dp) sqrt(eta_p) |S_p> / 2^(k/2).
     """
-    if shift is TRIVIAL:
+    if shift == TRIVIAL:
         return BlockState(label, TRIVIAL, None)
     amps = _shift_amplitudes(label.N, shift, label.bit_dots, label.k)
     return BlockState(label, int(shift) % label.N, amps)
@@ -355,7 +357,7 @@ def _check_dense(N: int, k: int) -> int:
 def dense_state(shift, k: int, N: int) -> np.ndarray:
     """k-copy hidden subgroup state as a dense (2N)^k matrix (group basis)."""
     dim = _check_dense(N, k)
-    if shift is TRIVIAL:
+    if shift == TRIVIAL:
         return np.eye(dim, dtype=np.complex128) / dim
     single = hidden_subgroup_state(subgroup_elements("order2", N, d=int(shift)))
     return reduce(np.kron, [single] * k)
@@ -410,7 +412,7 @@ def assemble_block_density(shift, k: int, N: int) -> np.ndarray:
     _shift_amplitudes on the bit-dot sums of every label.
     """
     dim = _check_dense(N, k)
-    if shift is TRIVIAL:
+    if shift == TRIVIAL:
         return np.eye(dim, dtype=np.complex128) / dim
     psi = _shift_amplitudes(N, shift, _bit_dots(_block_labels(N, k), N), k)
     return _block_diagonal(psi[:, :, None] * psi.conj()[:, None, :] / N ** k)

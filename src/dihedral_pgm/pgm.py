@@ -67,6 +67,11 @@ PSEUDO_INVERSE_CUTOFF = 1e-10
 #: Generic dense builders stay below this dimension.
 PGM_DENSE_LIMIT = 256
 
+#: Absolute tolerance of every optimality check: the residual may be at
+#: most this, the least dominance eigenvalue no less than its negative,
+#: and verify_holevo's effect and resolution checks hold to it.
+CERT_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # closed-form blocks
@@ -85,7 +90,7 @@ class PovmBlock:
         return np.outer(e, e.conj())
 
     def support_projector(self) -> np.ndarray:
-        V = vtilde(self.label).rows
+        V = vtilde(self.label)
         return V.conj().T @ V
 
 
@@ -125,7 +130,7 @@ class GramOperator:
 
     def block(self, label: BlockLabel) -> np.ndarray:
         """(N / (2N)^k) sum_r eta_r |S_r><S_r| for one block."""
-        V = vtilde(label).rows
+        V = vtilde(label)
         scale = self.N / float((2 * self.N) ** self.k)
         return scale * ((V.T * label.eta[None, :]) @ V.conj())
 
@@ -182,13 +187,12 @@ class OptimalityReport:
 
     hermiticity_residual: float
     dominance_min_eigenvalue: float
-    tolerance: float
     operator: np.ndarray | None = None  # sum_i p_i rho_i E_i when materialized
     worst_block: tuple[int, ...] | None = None  # block x of the least dominance
 
     def _verdicts(self) -> tuple[bool, bool]:
-        return (self.hermiticity_residual <= self.tolerance,
-                self.dominance_min_eigenvalue >= -self.tolerance)
+        return (self.hermiticity_residual <= CERT_TOL,
+                self.dominance_min_eigenvalue >= -CERT_TOL)
 
     @property
     def passed(self) -> bool:
@@ -197,9 +201,9 @@ class OptimalityReport:
     def lines(self) -> list[str]:
         herm_ok, dom_ok = ("PASS" if ok else "FAIL" for ok in self._verdicts())
         return [f"lagrangian-hermiticity residual={self.hermiticity_residual:.3e} "
-                f"tol={self.tolerance:.1e} {herm_ok}",
+                f"tol={CERT_TOL:.1e} {herm_ok}",
                 f"dominance min-eigenvalue={self.dominance_min_eigenvalue:.3e} "
-                f"tol={self.tolerance:.1e} {dom_ok}"]
+                f"tol={CERT_TOL:.1e} {dom_ok}"]
 
 
 def _adjoint(M: np.ndarray) -> np.ndarray:
@@ -224,7 +228,7 @@ def _conditions(priors, states, effects) -> tuple[np.ndarray, float, float]:
     return L, residual, dom_min
 
 
-def _certify_blocks(N: int, k: int, conditions, tol: float) -> OptimalityReport:
+def _certify_blocks(N: int, k: int, conditions) -> OptimalityReport:
     """Worst residual and dominance over Z_N^k, read from one nondecreasing x
     per S_k orbit.  Each block of the orbit walk (subsetsum._orbit_walk,
     behind the dense guard, which is tighter than the enumeration guard)
@@ -242,10 +246,10 @@ def _certify_blocks(N: int, k: int, conditions, tol: float) -> OptimalityReport:
     _check_size(N, k)
     _check_dense(N, k)
     checks = np.concatenate([conditions(eta)
-                             for _, _, eta in _orbit_walk(N, k)])
+                             for _, _, _, eta in _orbit_walk(N, k)])
     worst = int(np.argmin(checks[:, 1]))
     return OptimalityReport(float(checks[:, 0].max()), float(checks[worst, 1]),
-                            tol, worst_block=_unrank_nondecreasing(worst, N, k))
+                            worst_block=_unrank_nondecreasing(worst, N, k))
 
 
 def _diagonal_blocks(mats) -> list[np.ndarray]:
@@ -272,7 +276,7 @@ def _diagonal_blocks(mats) -> list[np.ndarray]:
             for n in sorted(set(sizes.tolist()))]
 
 
-def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityReport:
+def verify_holevo(states, priors, effects) -> OptimalityReport:
     """Check both optimality conditions on explicit dense matrices.
 
     The checks run block by block on the finest contiguous diagonal
@@ -303,12 +307,12 @@ def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityRepor
         for _, part_effects in parts:
             E = part_effects[idx]
             herm = (E + _adjoint(E)) / 2
-            if (np.abs(E - herm).max() > tol
-                    or np.linalg.eigvalsh(herm).min() < -tol):
+            if (np.abs(E - herm).max() > CERT_TOL
+                    or np.linalg.eigvalsh(herm).min() < -CERT_TOL):
                 raise ValueError(f"effect {idx} is not positive semidefinite")
     for part_states, part_effects in parts:
         S = sum(p * rho for p, rho in zip(priors, part_states))
-        if np.abs(sum(part_effects) @ S - S).max() > tol:
+        if np.abs(sum(part_effects) @ S - S).max() > CERT_TOL:
             raise ValueError("effects do not resolve the support of the states")
     checks = [_conditions(priors, *part) for part in parts]
     residual = max(c[1] for c in checks)
@@ -316,7 +320,7 @@ def verify_holevo(states, priors, effects, tol: float = 1e-9) -> OptimalityRepor
     L = np.zeros(shape, dtype=np.result_type(*(c[0] for c in checks)))
     for rows, (L_blocks, _, _) in zip(groups, checks):
         L[rows[:, :, None], rows[:, None, :]] = L_blocks
-    return OptimalityReport(residual, dom_min, tol, L)
+    return OptimalityReport(residual, dom_min, L)
 
 
 def _least_eigenvalues(M: np.ndarray, occupied: np.ndarray) -> np.ndarray:
@@ -368,7 +372,7 @@ def _pgm_conditions(eta: np.ndarray, N: int, k: int, shift: int) -> np.ndarray:
     return np.column_stack([residual, _with_complement(low, n > 0, k)])
 
 
-def certify_dihedral_pgm(N: int, k: int, tol: float = 1e-9,
+def certify_dihedral_pgm(N: int, k: int,
                          assignment_shift: int = 0) -> OptimalityReport:
     """Blockwise optimality certificate for the N-outcome measurement:
     states psi_d psi_d^dag with prior 1/N times the block weight N^-k, and
@@ -377,7 +381,7 @@ def certify_dihedral_pgm(N: int, k: int, tol: float = 1e-9,
     Runs the span-basis kernel (_pgm_conditions) over the orbit walk.
     """
     return _certify_blocks(
-        N, k, lambda eta: _pgm_conditions(eta, N, k, assignment_shift), tol)
+        N, k, lambda eta: _pgm_conditions(eta, N, k, assignment_shift))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +406,7 @@ class LsbPovm:
         self.k = k
 
     def block(self, label: BlockLabel) -> tuple[np.ndarray, np.ndarray]:
-        V = vtilde(label).rows
+        V = vtilde(label)
         half = np.roll(np.arange(self.N), -(self.N // 2))
         P = V.T @ V.conj()
         K = V.T @ V[half].conj()
@@ -428,10 +432,10 @@ class LsbPovm:
         return np.column_stack([residual.reshape(rows, -1).max(axis=1),
                                 _with_complement(low, pairs > 0, k)])
 
-    def certify(self, tol: float = 1e-9) -> OptimalityReport:
+    def certify(self) -> OptimalityReport:
         """Blockwise optimality check for the two parity states (even and
         odd shifts), by the span-basis kernel over the orbit walk."""
-        return _certify_blocks(self.N, self.k, self._conditions, tol)
+        return _certify_blocks(self.N, self.k, self._conditions)
 
 
 def lsb_povm(N: int, k: int) -> LsbPovm:

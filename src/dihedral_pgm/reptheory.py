@@ -42,6 +42,10 @@ from .dihedral import (DihedralElement, ScaleLimitError, _shift_permutation,
 #: shift of N <= 64 is transformed at once, and N = 512 one at a time.
 STATE_STACK_BYTES = 2 ** 24
 
+#: Tolerance of equivalence_check on the total variation of the label
+#: probabilities and on each column state's trace distance.
+EQUIVALENCE_TOL = 1e-9
+
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
 
@@ -244,20 +248,19 @@ def _label_blocks(N: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, pooled
 
 
-def equivalence_check(N: int, shifts, tol: float = 1e-9) -> bool:
+def equivalence_check(N: int, shifts) -> bool:
     """Run the irrep-basis procedure on hidden-shift states and compare
     its (label, column state) statistics with the conditional-Fourier
     block decomposition.
 
-    shifts is one shift d or an iterable of them.  Returns True iff, for
-    every shift, every label has probability 1/N and every column state
+    shifts is an iterable of shifts d.  Returns True iff, for every
+    shift, every label has probability 1/N and every column state
     matches (|0> + omega^(label d) |1>)/sqrt(2), to total-variation plus
-    trace-distance tol.  Only rho_0 is built; each shifted state is rho_0
-    with its group basis permuted (_shift_permutation), and the shifts
-    are transformed and compared in stacks of at most STATE_STACK_BYTES.
+    trace-distance EQUIVALENCE_TOL.  Only rho_0 is built; each shifted
+    state is rho_0 with its group basis permuted (_shift_permutation),
+    and the shifts are transformed and compared in stacks of at most
+    STATE_STACK_BYTES.
     """
-    if isinstance(shifts, (int, np.integer)):
-        shifts = [shifts]
     shifts = np.fromiter(shifts, dtype=np.int64) % N
     Q = qft_dihedral(N)
     rho = hidden_subgroup_state(subgroup_elements("order2", N, d=0))
@@ -271,12 +274,13 @@ def equivalence_check(N: int, shifts, tol: float = 1e-9) -> bool:
         blocks = M[:, rows[:, :, None], rows[:, None, :]]  # (shifts, N, 2, 2)
         blocks[:, pooled] = _HADAMARD @ blocks[:, pooled] @ _HADAMARD
         probs = np.trace(blocks, axis1=-2, axis2=-1).real
-        if not (np.abs(probs - 1.0 / N).sum(axis=1) / 2 <= tol).all():
+        if not (np.abs(probs - 1.0 / N).sum(axis=1) / 2
+                <= EQUIVALENCE_TOL).all():
             return False
         phases = table[np.outer(d, np.arange(N)) % N]
         target = np.stack([np.ones_like(phases), phases], axis=-1) / np.sqrt(2)
         targets = target[..., :, None] * target.conj()[..., None, :]
         states = blocks / probs[..., None, None]
-        if not (_trace_distances(states, targets) <= tol).all():
+        if not (_trace_distances(states, targets) <= EQUIVALENCE_TOL).all():
             return False
     return True

@@ -25,7 +25,6 @@ from __future__ import annotations
 # Unused here: perfbench/spans.py traces simulate.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from contextlib import closing
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -33,15 +32,6 @@ import numpy as np
 from .dihedral import TRIVIAL, BlockLabel
 from .subsetsum import CHUNK_BYTES, count_eta_batch
 from .success import _sharded, _support_sizes
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Exact outcome probabilities within one block (trivial outcome last)."""
-
-    label: BlockLabel
-    hidden: object
-    probs: np.ndarray  # length N + 1
 
 
 def _trivial_distributions(support: np.ndarray, N: int, k: int) -> np.ndarray:
@@ -76,7 +66,7 @@ def _shift_columns(N: int, d: int) -> np.ndarray:
 
 def _distributions(eta: np.ndarray, N: int, k: int, hidden) -> np.ndarray:
     """Outcome probabilities, rows = draws, columns = (j in Z_N, trivial)."""
-    if hidden is TRIVIAL:
+    if hidden == TRIVIAL:
         return _trivial_distributions(_support_sizes(eta), N, k)
     out = np.zeros((eta.shape[0], N + 1))
     cols = _shift_columns(N, int(hidden) % N)
@@ -99,11 +89,12 @@ def _outcome_bytes(N: int) -> int:
     return (2 * _outcome_rows(N) + 1) * (N + 1) * 8
 
 
-def _outcomes(eta: np.ndarray, N: int, k: int, hidden,
+def _outcomes(eta: np.ndarray, N: int, k: int, shift: int,
               u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF outcomes, one per row of eta, from one uniform u per
-    row: the number of cumulative probabilities at or below u (ties
-    resolve toward smaller j), capped at N, the trivial outcome.
+    """Inverse-CDF outcomes for a hidden shift, one per row of eta, from
+    one uniform u per row: the number of cumulative probabilities at or
+    below u (ties resolve toward smaller j), capped at N, the trivial
+    outcome.  The trivial subgroup takes _trivial_outcomes.
 
     count_eta_batch hands the reducer blocks of CHUNK_BYTES // (8 N)
     rows; the tables are built _outcome_rows(N) = CHUNK_BYTES // (16 N)
@@ -119,24 +110,23 @@ def _outcomes(eta: np.ndarray, N: int, k: int, hidden,
     S = eta.shape[0]
     step = _outcome_rows(N)
     outcomes = np.empty(S, dtype=np.int64)
-    cols = None if hidden is TRIVIAL else _shift_columns(N, int(hidden) % N)
+    cols = _shift_columns(N, int(shift) % N)
     for lo in range(0, S, step):
         rows = slice(lo, lo + step)
-        if cols is None:
-            cdf = np.cumsum(_distributions(eta[rows], N, k, hidden), axis=1)
-        else:
-            cdf = np.cumsum(_shift_spectrum(eta[rows], N, k)[:, cols], axis=1)
+        cdf = np.cumsum(_shift_spectrum(eta[rows], N, k)[:, cols], axis=1)
         outcomes[rows] = np.count_nonzero(cdf <= u[rows, None], axis=1)
     return np.minimum(outcomes, N)
 
 
 def _trivial_outcomes(support: np.ndarray, N: int, k: int,
                       u: np.ndarray) -> np.ndarray:
-    """The outcomes _outcomes gives for the trivial subgroup, from the
-    support sizes alone: one cumulative row per distinct support size, by
-    the same cumsum in blocks of _outcomes's size, searched for the u of
-    the rows with that size.  The row never decreases, so
-    searchsorted(side="right") is its number of entries at or below u."""
+    """Inverse-CDF outcomes for the trivial subgroup, from the support
+    sizes alone: one cumulative row of _distributions's trivial table per
+    distinct support size, summed _outcome_rows(N) rows at a time,
+    searched for the u of the rows with that size.  The row never
+    decreases, so searchsorted(side="right") is its number of entries at
+    or below u, as the inverse CDF over each draw's own table counts
+    them."""
     outcomes = np.empty(support.shape[0], dtype=np.int64)
     sizes = np.unique(support)
     step = _outcome_rows(N)
@@ -149,25 +139,25 @@ def _trivial_outcomes(support: np.ndarray, N: int, k: int,
     return np.minimum(outcomes, N)
 
 
-def outcome_distribution(label: BlockLabel, hidden) -> OutcomeDistribution:
-    """Exact within-block outcome distribution for one label."""
+def outcome_distribution(label: BlockLabel, hidden) -> np.ndarray:
+    """Exact within-block outcome probabilities for one label, length
+    N + 1 with the trivial outcome last."""
     eta = count_eta_batch(np.array([label.x]), label.N)
-    probs = _distributions(eta, label.N, label.k, hidden)[0]
-    return OutcomeDistribution(label, hidden, probs)
+    return _distributions(eta, label.N, label.k, hidden)[0]
 
 
-def _trial_shard(N: int, k: int, shift, rng, xs):
+def _trial_shard(N: int, k: int, hidden, rng, xs):
     """One shard of run_trials: the draws xs and their outcomes, from one
-    uniform per draw drawn after them.  shift is the hidden shift, or
-    None for the trivial subgroup: TRIVIAL is a str, which does not keep
-    its identity when the shard is sent to a worker process."""
+    uniform per draw drawn after them.  hidden is compared to TRIVIAL by
+    value: a str does not keep its identity when the shard is sent to a
+    worker process."""
     u = rng.random(len(xs))
-    if shift is None:
+    if hidden == TRIVIAL:
         support = count_eta_batch(
             xs, N, lambda rows, eta: _support_sizes(eta))
         return xs, _trivial_outcomes(support, N, k, u)
     return xs, count_eta_batch(
-        xs, N, lambda rows, eta: _outcomes(eta, N, k, shift, u[rows]))
+        xs, N, lambda rows, eta: _outcomes(eta, N, k, hidden, u[rows]))
 
 
 def run_trials(N: int, k: int, hidden, trials: int, seed,
@@ -194,19 +184,19 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     which the memory guard counts (_outcome_bytes), never a (SHARD, N)
     table.  For the trivial subgroup the reducer keeps only the support
     sizes, and the shard's outcomes come from one cumulative row per
-    distinct size (_trivial_outcomes), equal to _outcomes's.
+    distinct size (_trivial_outcomes).  Any hidden equal to TRIVIAL names
+    the trivial subgroup, whatever object it is.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
 
-    shift = None if hidden is TRIVIAL else hidden
     shards = _sharded(N, k, trials, seed, threads,
-                      partial(_trial_shard, N, k, shift), _outcome_bytes)
+                      partial(_trial_shard, N, k, hidden), _outcome_bytes)
     columns = None
     if sink is None:
         columns = {"labels": np.empty((trials, k), dtype=np.int64),
                    "outcomes": np.empty(trials, dtype=np.int64)}
-    want = N if hidden is TRIVIAL else int(hidden) % N
+    want = N if hidden == TRIVIAL else int(hidden) % N
     hits, lo = 0, 0
     # a sink that raises closes the pass at once, which cancels its
     # shards not yet started
@@ -230,8 +220,8 @@ def shift_covariance_check(N: int, k: int, samples: int, seed) -> bool:
         label = BlockLabel(tuple(rng.integers(0, N, size=k)), N)
         d = int(rng.integers(N))
         delta = int(rng.integers(N))
-        base = outcome_distribution(label, d).probs
-        moved = outcome_distribution(label, (d + delta) % N).probs
+        base = outcome_distribution(label, d)
+        moved = outcome_distribution(label, (d + delta) % N)
         if not np.array_equal(np.roll(base[:N], delta), moved[:N]):
             return False
         if base[N] != moved[N]:

@@ -47,13 +47,13 @@ the units of Z_N and coordinate negations, which shift eta cyclically.
 Its digits are the classes {c, -c}, c = 0 .. N // 2, each use of a
 two-element class standing for 2 labels: 784 representatives in place
 of 45,760 at N = 64, k = 3, and 246 in place of 3,432 at N = 8, k = 7.
-The weights and distinct counts ride down the same walk, and only the
-last level, undoubled, leaves it: the walk yields (weights, distinct,
-counts) blocks, and each exact pass reduces every block itself while it
-is still in cache.  A walk to depth k passes through every shallower
-depth with that depth's own rows, weights and distinct counts, in the
-same order, so on request it yields every depth's blocks as well: one
-walk serves every k of an exact sweep.
+The weights and distinct counts ride down the same walk, and the
+walk yields (depth, weights, distinct, counts) blocks, the last level
+undoubled, which each exact pass reduces itself while they are still
+in cache.  A walk to depth k passes through every shallower depth with
+that depth's own rows, weights and distinct counts, in the same order,
+so on request it yields every depth's blocks as well: one walk serves
+every k of an exact sweep.
 """
 
 from __future__ import annotations
@@ -123,12 +123,11 @@ def _bit_table(m: int) -> np.ndarray:
     return bits.T.astype(np.float64)
 
 
-def _subset_sums(x: np.ndarray, N: int, bits: np.ndarray | None = None
-                 ) -> np.ndarray:
+def _subset_sums(x: np.ndarray, N: int, bits: np.ndarray) -> np.ndarray:
     """The 2^m sums b . x mod N of each row of x, an (S, m) int64 array
     with entries in [0, N), as an (S, 2^m) int64 array in little-endian
     order of b.  While (m + 1) N <= 2^53 they are one float64 product s
-    with bits (_bit_table(m), built here when None), reduced as
+    with bits (_bit_table(m)), reduced as
     s - N floor(s / N): the sums are integers below 2^53 - N, so s is
     exact, and fl(s / N) could round up to the next integer only if
     s + N > 2^53.  Beyond that bound, bit_dot_table's doubling
@@ -136,8 +135,6 @@ def _subset_sums(x: np.ndarray, N: int, bits: np.ndarray | None = None
     m = x.shape[1]
     if (m + 1) * N > 2 ** 53:
         return _bit_dots(x, N)
-    if bits is None:
-        bits = _bit_table(m)
     s = x.astype(np.float64) @ bits
     s -= N * np.floor(s / N)
     return s.astype(np.int64)
@@ -212,14 +209,6 @@ class SubsetSumInstance:
         return count_eta(self.label).eta[self.t] > 0
 
 
-@dataclass(frozen=True)
-class PartialIsometry:
-    """Rows |S_p> of the map sum_p |p><S_p| (zero rows where eta_p = 0)."""
-
-    label: BlockLabel
-    rows: np.ndarray  # (N, 2^k) complex
-
-
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
@@ -259,11 +248,12 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     pass.  The table is viewed as (rows, 2, N), the two halves of each
     row.  A chunk starts from the histogram of the 2^m subset sums of its
     first m coordinates (m from _prefix_width(N), sums from _subset_sums
-    as one float64 product with a bit table built once per call), one
-    int64 bincount per block, written into both halves in one
-    assignment.  Each of the remaining k - m steps of the recurrence
-    gathers the windows and adds them to both halves in one broadcast
-    add, which keeps them equal with no copy.  So each temporary is
+    as one float64 product with a bit table built once per call; at
+    m = 0 the one empty sum gives the unit row T_0), one int64 bincount
+    per block, written into both halves in one assignment.  Each of the
+    remaining k - m steps of the recurrence gathers the windows and adds
+    them to both halves in one broadcast add, which keeps them equal with
+    no copy.  So each temporary is
     sized by its own dtype: the table is 2 CHUNK_BYTES, the gathered
     window CHUNK_BYTES, the int64 histogram, the bit table and the
     float64 copy a value kernel makes of its block are each at most
@@ -290,19 +280,15 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
         n = x.shape[0]
         # the chunk's rows [T | T] as their two halves
         halves = table[:n].reshape(n, 2, N)
-        if m:
-            # one bincount a block: the sums of row a + s of a block land
-            # in s*N .. s*N+N-1
-            flat = (_subset_sums(x[:, :m], N, bits)
-                    + (np.arange(n) % block * N)[:, None])
-            for a in range(0, n, block):
-                b = min(a + block, n)
-                halves[a:b] = np.bincount(
-                    flat[a:b].ravel(), minlength=(b - a) * N
-                ).reshape(b - a, 1, N)
-        else:
-            halves[...] = 0
-            halves[:, :, 0] = 1
+        # one bincount a block: the sums of row a + s of a block land in
+        # s*N .. s*N+N-1 (at m = 0 the one empty sum, 0: the unit row)
+        flat = (_subset_sums(x[:, :m], N, bits)
+                + (np.arange(n) % block * N)[:, None])
+        for a in range(0, n, block):
+            b = min(a + block, n)
+            halves[a:b] = np.bincount(
+                flat[a:b].ravel(), minlength=(b - a) * N
+            ).reshape(b - a, 1, N)
         chunk_rows = np.arange(n)
         start = N - x  # in [1, N]
         for j in range(m, k):
@@ -316,11 +302,12 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     return out
 
 
-def iter_all_eta(N: int, k: int, batch: int = 4096):
+def iter_all_eta(N: int, k: int):
     """Yield (labels_chunk, eta_chunk) over all x in Z_N^k in lexicographic
-    order, chunked; labels_chunk is an (S, k) digit array.  Unguarded and
-    N^k rows long: the slow path the orbit walk is tested against."""
-    total = N ** k
+    order, 4096 rows a chunk (success.SHARD); labels_chunk is an (S, k)
+    digit array.  Unguarded and N^k rows long: the slow path the orbit
+    walk is tested against."""
+    total, batch = N ** k, 4096
     weights = N ** np.arange(k - 1, -1, -1, dtype=np.int64)
     for lo in range(0, total, batch):
         flat = np.arange(lo, min(lo + batch, total), dtype=np.int64)
@@ -419,8 +406,8 @@ def _unit_roots(N: int, k: int) -> _Roots:
 
 def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
                 shallowest: int | None = None):
-    """Yield (weights, distinct, eta) blocks over one x per orbit of Z_N^k
-    under permutations of the coordinates (the nondecreasing x, in
+    """Yield (depth, weights, distinct, eta) blocks over one x per orbit
+    of Z_N^k under permutations of the coordinates (the nondecreasing x, in
     lexicographic order), or under those, the units of Z_N and coordinate
     negations when roots is _unit_roots(N, k).  A row stands for
     weights / distinct labels, so a weighted sum over the rows of a
@@ -433,11 +420,11 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
 
     The walk to depth k passes through every shallower depth j with the
     representatives, weights and distinct counts of the walk to depth j,
-    in the same order.  With shallowest set, it yields those too: every
-    block of each depth j from shallowest to k, as (j, weights, distinct,
-    eta), in walk order, so one walk serves every k of a sweep.  All
-    depths share the work dtype of k, and the eta of a depth below k is
-    the first half of its level's doubled table, a strided view.
+    in the same order.  It yields every block of each depth j from
+    shallowest (k when None: the depth-k blocks alone) to k, in walk
+    order, so one walk serves every k of a sweep.  All depths share the
+    work dtype of k, and the eta of a depth below k is the first half of
+    its level's doubled table, a strided view.
 
     The walk goes depth first from the roots (_Roots), level j holding a
     block of prefixes with their doubled tables [T_j | T_j]; the root
@@ -461,8 +448,7 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
     work = _work_dtype(k)
     rows = _chunk_rows(2 * N, work)
     steps, C = k - depth, sizes.shape[0]
-    # the shallowest depth below k to yield (k + 1 for none)
-    lowest = k + 1 if shallowest is None else shallowest
+    lowest = k if shallowest is None else shallowest
 
     def seed(out, lead):
         # the counts of each root prefix, in each N-wide half of out
@@ -477,9 +463,8 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
         for lo in range(0, C, rows):
             hi = min(lo + rows, C)
             seed(out[:hi - lo], digits[lo:hi, 0])
-            block = (root_weight[lo:hi], np.ones(hi - lo, dtype=np.int64),
-                     out[:hi - lo])
-            yield block if shallowest is None else (k, *block)
+            yield (k, root_weight[lo:hi], np.ones(hi - lo, dtype=np.int64),
+                   out[:hi - lo])
         return
     # level j's table, j = 0 .. steps, sized by its number of prefixes
     tables = [np.empty((C if j == 0 else min(rows, roots.prefixes(depth + j)),
@@ -537,8 +522,7 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
             out = tables[steps][:hi - lo]
             np.take(halves[steps - 1][:, 0], parent, axis=0, out=out)
             out += window
-            block = (weight_c, distinct_c, out)
-            yield block if shallowest is None else (k, *block)
+            yield k, weight_c, distinct_c, out
         else:
             out = halves[level][:hi - lo]
             np.take(halves[level - 1], parent, axis=0, out=out)
@@ -579,13 +563,14 @@ def superposition_vector(label: BlockLabel, r: int) -> np.ndarray:
     return vec
 
 
-def vtilde(label: BlockLabel) -> PartialIsometry:
-    """The partial isometry sum_p |p><S_p| as an (N x 2^k) row stack."""
+def vtilde(label: BlockLabel) -> np.ndarray:
+    """The partial isometry sum_p |p><S_p| as an (N, 2^k) complex row
+    stack: row p is |S_p>, zero where eta_p = 0."""
     sums = label.bit_dots
     rows = np.zeros((label.N, 2 ** label.k), dtype=np.complex128)
     cols = np.arange(2 ** label.k)
     rows[sums, cols] = 1 / np.sqrt(label.eta[sums])
-    return PartialIsometry(label, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +664,7 @@ def neumark_complete(label: BlockLabel) -> np.ndarray:
     if dim > DENSE_DIM_LIMIT:
         raise ScaleLimitError(f"dense dimension {dim} exceeds {DENSE_DIM_LIMIT}")
     sums, eta = label.bit_dots, label.eta
-    V = vtilde(label).rows
+    V = vtilde(label)
     U = np.zeros((dim, dim), dtype=np.complex128)
     U[:N, :2 ** k] = V
     bottom = np.eye(2 ** k, dtype=np.complex128)

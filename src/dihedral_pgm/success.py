@@ -14,38 +14,40 @@ Everything here reduces to statistics of the solution counts eta_r^x:
   spectra of the N 2 x 2 blocks of the single-copy states, and the
   resulting copy lower bound from the displayed entropy inequality.
 
-Each of these is a mean over x of a per-draw value kernel of eta^x, and
-every one goes through the single reducer _mean.  Its exact branch, under
-EXACT_ENUM_LIMIT, uses three symmetries.  Permuting the coordinates of x
-leaves eta^x unchanged; multiplying x by a unit u of Z_N permutes its
-residues r -> u r (for even N, u is odd and u N/2 = N/2, so the parity
-pairs are kept too); and negating one coordinate x_i shifts eta^x
-cyclically by x_i, since complementing bit i maps the solutions of
-b . x = r onto those of b . x' = r - x_i.  None of them changes these
-statistics.  So it evaluates the kernel once per orbit of all three
-(784 representatives in place of 64^3 labels at N = 64, k = 3, 246 in
-place of 8^7 at N = 8, k = 7) and weights each value by the number of
-labels its row stands for.  It reads the counts block by block from
-the orbit walk of subsetsum, which extends each shared prefix's counts
-to its children by one step of the recurrence, and sums the weighted
-values SHARD at a time, in walk order, merged by fsum.  A
-walk to depth K passes through every shallower depth, so an exact sweep
-(exact_sweep, and the exact rows of threshold_sweep) reads every k from
-one walk to the largest, bitwise as the walk to that k alone.  The
-Gram rank and the exact trivial success read the same blocks as exact
-integers (_exact_sums); the certifiers read the walk over coordinate
+Each of these is a mean over x of a per-draw value kernel of eta^x,
+taken by one of two reducers: _exact_means, by exact enumeration under
+EXACT_ENUM_LIMIT, and _mean, by Monte Carlo.  The exact reducer uses
+three symmetries.  Permuting the coordinates of x leaves eta^x
+unchanged; multiplying x by a unit u of Z_N permutes its residues
+r -> u r (for even N, u is odd and u N/2 = N/2, so the parity pairs are
+kept too); and negating one coordinate x_i shifts eta^x cyclically by
+x_i, since complementing bit i maps the solutions of b . x = r onto
+those of b . x' = r - x_i.  None of them changes these statistics.  So
+it evaluates the kernel once per orbit of all three (784
+representatives in place of 64^3 labels at N = 64, k = 3, 246 in place
+of 8^7 at N = 8, k = 7) and weights each value by the number of labels
+its row stands for.  It reads the counts block by block from the orbit
+walk of subsetsum, which extends each shared prefix's counts to its
+children by one step of the recurrence, and sums the weighted values
+SHARD at a time, in walk order, merged by fsum.  A walk to depth K
+passes through every shallower depth, so an exact sweep (exact_sweep,
+and the exact rows of threshold_sweep) reads every k from one walk to
+the largest, bitwise as the walk to that k alone.  The Gram rank and the
+exact trivial success read the same blocks as exact integers
+(_exact_sums); the certifiers read the walk over coordinate
 permutations alone (pgm).  The parity counting sums walk nothing: they
-are closed forms in N and k (lsb_counting_sums).  Its Monte Carlo
-branch averages the seeded shards of SHARD uniform draws of _sharded,
+are closed forms in N and k (lsb_counting_sums).  The Monte Carlo
+reducer averages the seeded shards of SHARD uniform draws of _sharded,
 the one Monte Carlo pass (simulate's trials run it too), merged in shard
 order, so Monte Carlo results are byte-identical for a given seed
-whatever the worker count.  One worker runs its shards inline; two or
-more are forked processes of one pool, started at its first use and
-reused by every later pass in the process (_pool), so a caller's
-tracemalloc does not see their memory.  It checks the bytes one worker
-would hold (_mc_guard) before any draw, holds each shard's labels at
-the width of N (_draw_labels), and keeps at most 2 shards a worker in
-flight, so its memory does not grow with the number of draws.
+whatever the worker count.  A pass runs min(threads, max(2, shards))
+workers: one runs its shards inline; two or more are forked processes
+of one pool, started at its first use and reused by every later pass of
+as many workers in the process (_pool), so a caller's tracemalloc does
+not see their memory.  It checks the bytes one worker would hold
+(_mc_guard) before any draw, holds each shard's labels at the width of
+N (_draw_labels), and keeps at most 2 shards a worker in flight, so its
+memory does not grow with the number of draws.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ SWEEP_EXACT_LIMIT = 2 ** 14
 #: trials streamed to a sink) were 1.0-1.2 MB at N = 1024, k = 12,
 #: 1.5-2.5 MB at N = 2^16, k = 16, and 2.8-3.3 MB for the estimators at
 #: N = 2^17, k = 30, each below the guard's own estimate; `--threads T`
-#: needs T times that, held by T forked worker processes (by the caller
-#: itself at T = 1), where the caller's tracemalloc does not see it.
+#: needs up to T times that, held by T forked worker processes or one
+#: a shard, whichever is fewer but at least two (by the caller itself at
+#: T = 1), where the caller's tracemalloc does not see it.
 MC_SHARD_BYTES = 2 ** 22
 
 
@@ -127,7 +130,7 @@ def _density(N: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the reducer: one mean over x in Z_N^k, exact or Monte Carlo
+# the reducers: means over x in Z_N^k, exact and Monte Carlo
 # ---------------------------------------------------------------------------
 
 def _check_size(N: int, k: int) -> None:
@@ -161,7 +164,7 @@ def _exact_sums(N: int, k: int, terms) -> int:
     the end, over the lcm of the D in Python integers; a total that is
     not an integer raises."""
     by_distinct = {}
-    for w, distinct, eta in _orbit_walk(N, k, _exact_roots(N, k)):
+    for _, w, distinct, eta in _orbit_walk(N, k, _exact_roots(N, k)):
         t = terms(eta)
         for d in range(1, int(distinct.max()) + 1):
             sel = distinct == d
@@ -353,21 +356,27 @@ def _sharded(N: int, k: int, samples: int, seed, threads: int, work,
     (_draw_labels: the values and the rng's state are those of one int64
     rng.integers call).
 
-    With threads == 1 each shard runs inline as it is asked for.  With
-    more, the shards run on the `threads` forked worker processes of the
-    reused pool (_pool), so work must pickle (a module-level function, or
-    a functools.partial of one) and so must its result; at most
-    2 threads shards are in flight (submitted and not yet yielded), so the
-    pass holds no more shards, seeds or results than that whatever the
-    sample count.  Everything but the shards' work stays in the caller's
-    process, so the caller consumes each result while the workers run the
-    next shards.  A pass left early cancels the shards not yet started,
-    and the pool stays usable; a pass whose worker dies raises
-    BrokenProcessPool and drops the pool, so the next pass starts a new
-    one."""
+    The pass runs workers = min(threads, max(2, shards)) workers: a
+    worker past the number of shards would only sit idle, but a pass
+    asked for two or more keeps two, so that a one-shard pass starts the
+    pool that later passes of two shards or more reuse.  The worker
+    count moves no seed and no merge, so no byte either.  With one
+    worker (threads == 1) each shard runs inline as it is asked for.
+    With more, the shards run on the forked worker processes of the
+    reused pool (_pool(workers)), so work must pickle (a module-level
+    function, or a functools.partial of one) and so must its result; at
+    most 2 workers shards are in flight (submitted and not yet yielded),
+    so the pass holds no more shards, seeds or results than that
+    whatever the sample count.  Everything but the shards' work stays in
+    the caller's process, so the caller consumes each result while the
+    workers run the next shards.  A pass left early cancels the shards
+    not yet started, and the pool stays usable; a pass whose worker dies
+    raises BrokenProcessPool and drops the pool, so the next pass starts
+    a new one."""
     _mc_guard(N, k, samples, held)
     if threads < 1:
         raise ValueError("max_workers must be greater than 0")
+    workers = min(threads, max(2, -(-samples // SHARD)))
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
 
@@ -376,14 +385,14 @@ def _sharded(N: int, k: int, samples: int, seed, threads: int, work,
         return N, k, work, root.spawn(1)[0], min(SHARD, samples - lo)
 
     def results():
-        if threads == 1:
+        if workers == 1:
             for lo in range(0, samples, SHARD):
                 yield _shard(*shard_args(lo))
             return
-        pool, pending = _pool(threads), deque()
+        pool, pending = _pool(workers), deque()
         try:
             for lo in range(0, samples, SHARD):
-                if len(pending) == 2 * threads:
+                if len(pending) == 2 * workers:
                     yield pending.popleft().result()
                 pending.append(pool.submit(_shard, *shard_args(lo)))
             while pending:
@@ -410,26 +419,18 @@ def _mc_moments(values, N: int, k: int, rng, xs) -> tuple[float, float, int]:
     return total, float(np.sum(dev * dev)), len(v)
 
 
-def _mean(N: int, k: int, values, samples: int | None = None, seed=None,
+def _mean(N: int, k: int, values, samples: int, seed,
           threads: int = 1) -> tuple[float, float]:
-    """Mean over x in Z_N^k of the kernel values(eta, N, k), which maps
-    (S, N) counts to S per-draw values, and its standard error.  The
-    kernel is row-wise, so it runs on each cache-sized counting block
-    (the orbit walk's when exact, count_eta_batch's otherwise), on counts
-    in the work dtype, and no (SHARD, N) table is held.
-
-    With samples None the mean is exact (stderr 0): it is _exact_means at
-    the one k, so values must be unchanged by coordinate permutations, the
-    units of Z_N and cyclic shifts of eta, and a k read from a sweep's
-    walk (exact_sweep) is bitwise the same.
-    Otherwise x is drawn uniformly by the one Monte Carlo pass _sharded
-    (memory guard, seeded shards, `threads` workers), and the shard
-    results are merged in shard order: the mean from the fsum of the
-    shard sums, the variance from each shard's squared deviations about
-    its own mean, combined by the pairwise update.
+    """Monte Carlo mean over x in Z_N^k of the kernel values(eta, N, k),
+    which maps (S, N) counts to S per-draw values, and its standard
+    error.  The kernel is row-wise, so it runs on each cache-sized
+    counting block of count_eta_batch, on counts in the work dtype, and
+    no (SHARD, N) table is held.  x is drawn uniformly by the one Monte
+    Carlo pass _sharded (memory guard, seeded shards, `threads` workers),
+    and the shard results are merged in shard order: the mean from the
+    fsum of the shard sums, the variance from each shard's squared
+    deviations about its own mean, combined by the pairwise update.
     """
-    if samples is None:
-        return _exact_means(N, [k], values)[k], 0.0
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
@@ -556,16 +557,19 @@ def _lsb_values(eta: np.ndarray, N: int, k: int) -> np.ndarray:
 
 def lsb_upper_bound(N: int, k: int) -> float:
     """Analytic ceiling (1/2)(1 + 2^k/N + 6/N + 3/2^k) on the parity
-    success probability."""
+    success probability.  It says something only below the threshold:
+    from nu = k / log2(N) >= 1 on, 2^k >= N and the ceiling exceeds 1
+    (1.0044 at N = 1024, k = 10, and 8.5 at k = 14)."""
     return 0.5 * (1.0 + 2 ** k / N + 6 / N + 3 / 2 ** k)
 
 
 def lsb_success_exact(N: int, k: int) -> float:
-    """Exact parity success probability by enumeration (N even)."""
+    """Exact parity success probability by orbit-weighted enumeration
+    (N even): the one-k _exact_means of the parity kernel."""
     _density(N, k)
     if N % 2 != 0:
         raise ValueError("N must be even")
-    return _mean(N, k, _lsb_values)[0]
+    return _exact_means(N, [k], _lsb_values)[k]
 
 
 def lsb_threshold_check(N: int, k: int, samples: int, seed,

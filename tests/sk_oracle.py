@@ -10,7 +10,8 @@ the tests run it at oracle sizes, and CI at sizes tier-1 skips for time.
 counting_sums gives the parity counting sums from the same walk, the
 enumeration their closed forms are held to.
 decimal_means gives the success and parity means themselves in 50-digit
-decimal, the reference the printed exact rows are held to:
+decimal, the reference the printed exact rows are held to, and
+threshold_envelope the paper's bounds on the success probability:
 
     PYTHONPATH=src:tests python3 -c \
         "from sk_oracle import check_against_sk; check_against_sk(64, 4)"
@@ -40,7 +41,7 @@ def sk_sums(N: int, k: int, stats: dict) -> dict:
     per-row values, from one pass over the S_k walk."""
     ints = {name: None for name in stats}
     floats = {name: [] for name in stats}
-    for w, _, eta in _orbit_walk(N, k):
+    for _, w, _, eta in _orbit_walk(N, k):
         for name, stat in stats.items():
             v = np.asarray(stat(eta)).reshape(w.shape[0], -1)
             if v.dtype.kind == "f":
@@ -90,7 +91,7 @@ def decimal_means(N: int, k: int, digits: int = 50) -> tuple:
     integer coefficients are exact in int64 (at most N^(k+2)), and each
     root is rounded once, to `digits` digits."""
     pairs, halves = Counter(), Counter()
-    for w, _, eta in _orbit_walk(N, k):
+    for _, w, _, eta in _orbit_walk(N, k):
         eta = eta.astype(np.int64)
         rows = np.arange(eta.shape[0])[:, None]
         values, at = np.unique(eta, return_inverse=True)
@@ -114,6 +115,13 @@ def decimal_means(N: int, k: int, digits: int = 50) -> tuple:
                   + sum(c * Decimal(v).sqrt() for v, c in halves.items())
                   / (2 ** (k + 1) * N ** k)) if N % 2 == 0 else None
     return success, parity
+
+
+def threshold_envelope(N: int, k: int) -> tuple:
+    """The paper's envelope of the exact N-outcome success probability,
+    2^k / (N + 2^k - 1) <= p <= min(1, 2^k / N), as two Fractions."""
+    return (Fraction(2 ** k, N + 2 ** k - 1),
+            min(Fraction(1), Fraction(2 ** k, N)))
 
 
 def _close(value: float, exact: float) -> bool:

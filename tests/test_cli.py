@@ -10,13 +10,14 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 import dihedral_pgm
 from dihedral_pgm import success_mc
 from dihedral_pgm.cli import main
-from sk_oracle import decimal_means
+from sk_oracle import decimal_means, threshold_envelope
 
 
 def run_cli(args, capsys):
@@ -355,13 +356,32 @@ def test_golden_exact_rows_lie_near_a_decimal_reference(argv, stdout_sha,
                                                         capsys):
     out = tmp_path / "out"
     assert run_cli(argv + ["--output", str(out)], capsys)[0] == 0
-    for row in csv.DictReader(out.open()):
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
         N, k = int(row["N"]), int(row["k"])
         success, parity = decimal_means(N, k)
         value, exact = ((float(row["p_lsb"]), parity) if "p_lsb" in row
                         else (float(row["p"]), success))
         ulps = abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact)))
         assert ulps <= GOLDEN_EXACT_ULPS, (N, k, value, float(ulps))
+
+
+@pytest.mark.parametrize("argv", [p.values[0] for p in GOLDEN
+                                  if p.values[0][:2] == ["sweep", "--exact"]])
+def test_golden_exact_rows_lie_in_the_threshold_envelope(argv, tmp_path,
+                                                         capsys):
+    # the printed p, exactly as a Fraction, within the paper's envelope
+    # 2^k / (N + 2^k - 1) <= p <= min(1, 2^k / N)
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--output", str(out)], capsys)[0] == 0
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        N, k = int(row["N"]), int(row["k"])
+        lo, hi = threshold_envelope(N, k)
+        assert lo <= Fraction(float(row["p"])) <= hi, (N, k, row["p"])
 
 
 #: Instances whose sampled solutions are pinned by SUBSETSUM_SHA: a unique

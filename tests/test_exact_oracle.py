@@ -136,7 +136,7 @@ def _check_quotient_rows(N, k):
     # of weight / distinct, exactly as many labels as it holds; depth by
     # depth of one walk to k: the rows stand for N^j labels
     blocks = [(w, d, eta.copy())
-              for w, d, eta in _orbit_walk(N, k, _unit_roots(N, k))]
+              for _, w, d, eta in _orbit_walk(N, k, _unit_roots(N, k))]
     rows = list(_quotient_reference(N, k))
     assert np.concatenate([w for w, _, _ in blocks]).tolist() == \
         [w for _, w, _ in rows]
@@ -192,8 +192,7 @@ def test_a_deep_walk_yields_each_depth_as_its_own_walk(size, data):
         deep = _rows_by_depth(_orbit_walk(N, k, roots(N, k), lo))
         assert sorted(deep) == list(range(lo, k + 1))
         for j in range(lo, k + 1):
-            own = _rows_by_depth((j, *block)
-                                 for block in _orbit_walk(N, j, roots(N, j)))
+            own = _rows_by_depth(_orbit_walk(N, j, roots(N, j)))
             assert deep[j] == own[j]
 
 
@@ -202,7 +201,7 @@ def _quotient_sum(N, k, stat):
     quotient walk, in Python integers: w * stat overflows int64 at
     (2, 26)."""
     by_distinct = Counter()
-    for w, distinct, eta in _orbit_walk(N, k, success._exact_roots(N, k)):
+    for _, w, distinct, eta in _orbit_walk(N, k, success._exact_roots(N, k)):
         for a, d, v in zip(w.tolist(), distinct.tolist(),
                            stat(eta.astype(np.int64)).tolist()):
             by_distinct[d] += a * v

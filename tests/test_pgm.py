@@ -64,15 +64,15 @@ def _lsb_certify(N, k, shift):
     the kernel LsbPovm.certify runs at shift 0."""
     povm = lsb_povm(N, k)
     return pgm._certify_blocks(
-        N, k, lambda eta: povm._conditions(eta, shift), 1e-9)
+        N, k, lambda eta: povm._conditions(eta, shift))
 
 
-def _full_walk(N, k, ensemble, tol):
+def _full_walk(N, k, ensemble):
     """Slow path: both dense conditions at every one of the N^k blocks."""
     residuals, doms = zip(*(
         pgm._conditions(*ensemble(BlockLabel.from_flat(X, N, k)))[1:]
         for X in range(N ** k)))
-    return pgm.OptimalityReport(max(residuals), min(doms), tol)
+    return pgm.OptimalityReport(max(residuals), min(doms))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +308,8 @@ def _dihedral_cases(N, k):
 
 def _assert_matches_whole_matrix(report, priors, states, effects, scale):
     L, residual, dom = pgm._conditions(priors, states, effects)
-    assert report.passed == (residual <= report.tolerance
-                             and dom >= -report.tolerance)
+    assert report.passed == (residual <= pgm.CERT_TOL
+                             and dom >= -pgm.CERT_TOL)
     assert abs(report.hermiticity_residual - residual) <= scale
     assert abs(report.dominance_min_eigenvalue - dom) <= scale
     assert report.operator.shape == L.shape
@@ -464,7 +464,7 @@ def test_orbit_walk_matches_full_walk(N, k):
     scale = 1e-12 * float(N) ** -(k + 1)
 
     def check(orbit, ensemble):
-        full = _full_walk(N, k, ensemble, orbit.tolerance)
+        full = _full_walk(N, k, ensemble)
         assert orbit.passed == full.passed
         assert abs(orbit.hermiticity_residual
                    - full.hermiticity_residual) <= scale
@@ -609,7 +609,7 @@ def test_completion_effect_blockwise():
         expected = np.zeros_like(E_rest)
         for X in range(N ** k):
             label = BlockLabel.from_flat(X, N, k)
-            V = vtilde(label).rows
+            V = vtilde(label)
             expected[X * blk:(X + 1) * blk, X * blk:(X + 1) * blk] = (
                 np.eye(blk) - V.conj().T @ V)
         assert np.abs(E_rest - expected).max() < 1e-10
@@ -633,7 +633,7 @@ def test_lsb_blocks_aggregate_shift_effects():
             Ep, Em = povm.block(label)
             assert np.abs(Ep - even).max() < 1e-12
             assert np.abs(Em - odd).max() < 1e-12
-            V = vtilde(label).rows
+            V = vtilde(label)
             assert np.abs((Ep + Em) - V.conj().T @ V).max() < 1e-12
 
 

@@ -41,7 +41,7 @@ from dihedral_pgm import (TRIVIAL, BlockLabel, count_eta, lsb_success_exact,
                           lsb_threshold_check, run_trials, success_exact,
                           success_mc, trivial_success)
 from dihedral_pgm import subsetsum
-from dihedral_pgm.simulate import _outcomes
+from dihedral_pgm.simulate import _outcomes, _trivial_outcomes
 from dihedral_pgm.subsetsum import (CHUNK_BYTES, INT16_K_LIMIT,
                                     INT32_K_LIMIT, _dp_rows, _orbit_walk,
                                     _prefix_width, count_eta_batch)
@@ -113,7 +113,7 @@ def test_orbit_weights_count_sorted_labels(size):
     assert weights.tolist() == [orbits[tuple(x)] for x in reps.tolist()]
     assert int(weights.sum()) == N ** k
     # the walk's blocks are views valid until the next one: copy each
-    blocks = [(w, eta.copy()) for w, _, eta in _orbit_walk(N, k)]
+    blocks = [(w, eta.copy()) for _, w, _, eta in _orbit_walk(N, k)]
     assert np.array_equal(np.concatenate([w for w, _ in blocks]), weights)
     eta = np.concatenate([eta for _, eta in blocks])
     assert eta.tolist() == [list(count_eta(BlockLabel(tuple(x), N)).eta)
@@ -138,7 +138,7 @@ def _walk_shards(N: int, k: int, batch: int):
     rows, the rest in the last; each block is copied before the walk
     overwrites its tables."""
     ws, etas, held = [], [], 0
-    for w, _, eta in _orbit_walk(N, k):
+    for _, w, _, eta in _orbit_walk(N, k):
         ws.append(w)
         etas.append(eta.copy())
         held += w.shape[0]
@@ -300,7 +300,8 @@ def _assert_reducers_match(N, k, pool, which, xs):
         lambda rows, eta: _support_values(eta, N, k),
         lambda rows, eta: _support_sizes(eta),
         lambda rows, eta: _outcomes(eta, N, k, N // 2, u[rows]),
-        lambda rows, eta: _outcomes(eta, N, k, TRIVIAL, u[rows]),
+        lambda rows, eta: _trivial_outcomes(_support_sizes(eta), N, k,
+                                            u[rows]),
     ]
     for reduce in reducers:
         fused = count_eta_batch(xs, N, reduce)

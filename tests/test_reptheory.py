@@ -13,7 +13,7 @@ X = np.array([[0.0, 1.0], [1.0, 0.0]])
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
 
-def _equivalence_one_shift(N, d, tol=1e-9):
+def _equivalence_one_shift(N, d):
     """The irrep-basis procedure for one shift, label by label: the state
     rebuilt for d, its blocks read irrep by irrep.  The slow path of
     equivalence_check; it reads qft_dihedral and phase_table through the
@@ -44,6 +44,7 @@ def _equivalence_one_shift(N, d, tol=1e-9):
         pooled = H @ M[np.ix_(rows, rows)] @ H
         probs[y] += pooled.trace().real
         states[y] += pooled
+    tol = reptheory.EQUIVALENCE_TOL
     if np.abs(probs - 1.0 / N).sum() / 2 > tol:
         return False
     table = reptheory.phase_table(N)
@@ -223,7 +224,7 @@ def test_irrep_decomposition_probabilities_sum_to_one():
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 8])
 def test_equivalence_check(N):
     for d in range(N):
-        assert equivalence_check(N, d)
+        assert equivalence_check(N, [d])
 
 
 def test_equivalence_check_over_all_shifts_matches_one_shift_at_a_time():
@@ -256,8 +257,8 @@ def test_equivalence_check_fails_on_conjugated_targets(N, monkeypatch):
     monkeypatch.setattr(reptheory, "qft_dihedral", lambda n: Q)
     monkeypatch.setattr(reptheory, "phase_table",
                         lambda n: np.conj(phase_table(n)))
-    assert not equivalence_check(N, 1)
+    assert not equivalence_check(N, [1])
     assert not equivalence_check(N, range(N))
     assert not _equivalence_one_shift(N, 1)
     # shift 0 has real targets, which conjugation leaves as they are
-    assert equivalence_check(N, 0) and _equivalence_one_shift(N, 0)
+    assert equivalence_check(N, [0]) and _equivalence_one_shift(N, 0)

@@ -4,6 +4,7 @@ import math
 import os
 import time
 import tracemalloc
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError, block_state,
                           count_eta, lsb_threshold_check, outcome_distribution,
                           povm_block, run_trials, shift_covariance_check,
-                          success_exact, success_mc, trivial_success)
-from dihedral_pgm.simulate import (_distributions, _outcome_bytes, _outcomes,
+                          success, success_exact, success_mc,
+                          trivial_success)
+from dihedral_pgm.simulate import (_distributions, _outcome_bytes,
                                    _trivial_outcomes)
 from dihedral_pgm.success import (MC_SHARD_BYTES, SHARD, _sharded,
                                   _support_sizes, _worker_bytes)
@@ -27,7 +29,7 @@ def _distributions_by_full_ifft(eta, N, k, hidden):
     S = eta.shape[0]
     out = np.zeros((S, N + 1))
     denom = N * float(2 ** k)
-    if hidden is TRIVIAL:
+    if hidden == TRIVIAL:
         support = np.count_nonzero(eta, axis=1)
         out[:, :N] = (support / denom)[:, None]
         out[:, N] = 1.0 - support / float(2 ** k)
@@ -47,20 +49,20 @@ def _random_draws(N, k, S, seed):
 
 
 def test_outcome_distribution_examples():
-    probs = outcome_distribution(BlockLabel((1,), 2), 0).probs
+    probs = outcome_distribution(BlockLabel((1,), 2), 0)
     assert np.allclose(probs, [1.0, 0.0, 0.0], atol=1e-12)
-    probs = outcome_distribution(BlockLabel((0,), 2), 0).probs
+    probs = outcome_distribution(BlockLabel((0,), 2), 0)
     assert np.allclose(probs, [0.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_outcome_distribution_trivial_block():
-    probs = outcome_distribution(BlockLabel((0,), 2), TRIVIAL).probs
+    probs = outcome_distribution(BlockLabel((0,), 2), TRIVIAL)
     assert np.allclose(probs, [0.25, 0.25, 0.5], atol=1e-15)
     label = BlockLabel((1, 2, 0), 4)
-    dist = outcome_distribution(label, TRIVIAL)
+    probs = outcome_distribution(label, TRIVIAL)
     support = count_eta(label).support_size
-    assert np.allclose(dist.probs[:4], support / (4 * 8), atol=1e-15)
-    assert abs(dist.probs[4] - (1 - support / 8)) < 1e-15
+    assert np.allclose(probs[:4], support / (4 * 8), atol=1e-15)
+    assert abs(probs[4] - (1 - support / 8)) < 1e-15
 
 
 def test_outcome_distribution_matches_born_rule():
@@ -71,7 +73,7 @@ def test_outcome_distribution_matches_born_rule():
         k = int(rng.integers(1, 7))
         label = BlockLabel(tuple(rng.integers(0, N, size=k)), N)
         d = int(rng.integers(N))
-        probs = outcome_distribution(label, d).probs
+        probs = outcome_distribution(label, d)
         psi = block_state(label, d).amplitudes
         blk = povm_block(label)
         for j in range(N):
@@ -87,7 +89,7 @@ def test_outcome_distribution_normalization():
         k = int(rng.integers(1, 15))
         label = BlockLabel(tuple(rng.integers(0, N, size=k)), N)
         hidden = TRIVIAL if rng.integers(2) else int(rng.integers(N))
-        probs = outcome_distribution(label, hidden).probs
+        probs = outcome_distribution(label, hidden)
         assert probs.min() >= -1e-15
         assert abs(probs.sum() - 1) < 1e-12
 
@@ -120,7 +122,6 @@ def test_trivial_outcomes_from_support_sizes_match_the_tables(N, k):
     fast = _trivial_outcomes(_support_sizes(eta), N, k, u)
     assert fast.dtype == tables.dtype
     assert np.array_equal(fast, tables)
-    assert np.array_equal(_outcomes(eta, N, k, TRIVIAL, u), tables)
 
 
 def test_success_marginal_matches_exact():
@@ -323,6 +324,48 @@ def test_at_most_two_shards_a_thread_are_in_flight(threads):
     assert most <= 2 * threads
 
 
+class _InlinePool:
+    """A stand-in for the executor of success._pool: it runs each shard
+    in the caller as it is submitted, so no process is started."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("threads, samples, workers", [
+    (8, 3 * SHARD - 1, 3), (8, 8 * SHARD + 1, 8), (2, 3 * SHARD, 2),
+    (8, SHARD, 2), (1, 3 * SHARD, None)])
+def test_the_pool_has_no_more_workers_than_shards(threads, samples, workers,
+                                                  monkeypatch):
+    # a worker past the number of shards would sit idle: the pass asks
+    # for min(threads, max(2, shards)) workers, runs one thread inline,
+    # and the worker count moves no shard's draws
+    asked = []
+    monkeypatch.setattr(success, "_pool",
+                        lambda n: asked.append(n) or _InlinePool())
+    draws = list(_sharded(16, 3, samples, 1, threads, lambda rng, xs: xs))
+    assert asked == ([] if workers is None else [workers])
+    inline = list(_sharded(16, 3, samples, 1, 1, lambda rng, xs: xs))
+    assert len(draws) == len(inline)
+    assert all(np.array_equal(a, b) for a, b in zip(draws, inline))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_trials_takes_trivial_by_value(threads):
+    # a str equal to TRIVIAL but not the same object, as it arrives from
+    # a command line or from another process, names the trivial subgroup
+    hidden = "".join(["tri", "vial"])
+    assert hidden == TRIVIAL and hidden is not TRIVIAL
+    N, k, trials = 64, 6, 2 * SHARD + 5
+    rate, columns = run_trials(N, k, hidden, trials, seed=13, threads=threads)
+    want, expect = run_trials(N, k, TRIVIAL, trials, seed=13, threads=1)
+    assert rate == want
+    for name in ("labels", "outcomes"):
+        assert np.array_equal(columns[name], expect[name])
+
+
 def test_passes_reuse_the_worker_processes():
     # the pool starts once per process: a second pass on as many workers
     # runs on the same forked processes, none of them the caller
@@ -395,15 +438,15 @@ def test_run_trials_validates_count():
 
 def test_shift_covariance_specific_pair():
     label = BlockLabel((1, 2), 4)
-    base = outcome_distribution(label, 1).probs
-    moved = outcome_distribution(label, 3).probs
+    base = outcome_distribution(label, 1)
+    moved = outcome_distribution(label, 3)
     assert np.array_equal(np.roll(base[:4], 2), moved[:4])
 
 
 def test_shift_covariance_zero_delta():
     label = BlockLabel((3, 1), 5)
-    a = outcome_distribution(label, 2).probs
-    b = outcome_distribution(label, 2).probs
+    a = outcome_distribution(label, 2)
+    b = outcome_distribution(label, 2)
     assert np.array_equal(a, b)
 
 

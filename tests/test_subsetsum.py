@@ -13,8 +13,8 @@ from dihedral_pgm import (BlockLabel, SubsetSumInstance, bit_dot_table,
                           format_solution, neumark_complete, parse_instance,
                           qsample, sample_solutions,
                           superposition_vector, vtilde)
-from dihedral_pgm.subsetsum import (BATCH_K_LIMIT, _dp_rows, _prefix_width,
-                                    _subset_sums)
+from dihedral_pgm.subsetsum import (BATCH_K_LIMIT, _bit_table, _dp_rows,
+                                    _prefix_width, _subset_sums)
 
 
 def brute_counts(label):
@@ -80,7 +80,7 @@ def test_count_eta_batch_prefix_sums_wrap_mod_n():
             xs[1] = np.arange(N - k, N)
             xs[2] = np.arange(k) * (N // k) + 1
             eta = count_eta_batch(xs, N)
-            sums = _subset_sums(xs, N)
+            sums = _subset_sums(xs, N, _bit_table(k))
             for row, counts, row_sums in zip(xs.tolist(), eta.tolist(), sums):
                 label = BlockLabel(tuple(row), N)
                 assert counts == brute_counts(label)
@@ -103,7 +103,8 @@ def test_subset_sums_on_both_sides_of_the_float_bound():
         for N in (edge, edge + 1):
             xs = rng.integers(N - 2 ** 20, N, size=(4, m))
             xs[0] = N - 1
-            for row, row_sums in zip(xs.tolist(), _subset_sums(xs, N)):
+            sums = _subset_sums(xs, N, _bit_table(m))
+            for row, row_sums in zip(xs.tolist(), sums):
                 assert row_sums.tolist() == _python_subset_sums(row, N)
 
 
@@ -117,7 +118,8 @@ def test_subset_sums_by_product_and_by_doubling():
     for m in (1, 2, 3):
         xs = rng.integers(N - 2 ** 20, N, size=(4, m))
         xs[0] = N - 1
-        for row, row_sums in zip(xs.tolist(), _subset_sums(xs, N)):
+        sums = _subset_sums(xs, N, _bit_table(m))
+        for row, row_sums in zip(xs.tolist(), sums):
             assert row_sums.tolist() == _python_subset_sums(row, N)
 
 
@@ -284,9 +286,9 @@ def test_eta_concentration_for_random_draws():
 
 
 def test_vtilde_examples_and_projector():
-    rows = vtilde(BlockLabel((1,), 2)).rows
+    rows = vtilde(BlockLabel((1,), 2))
     assert np.array_equal(rows, np.eye(2))
-    rows = vtilde(BlockLabel((0, 0), 2)).rows
+    rows = vtilde(BlockLabel((0, 0), 2))
     assert np.allclose(rows[0], np.full(4, 0.5), atol=1e-15)
     assert np.array_equal(rows[1], np.zeros(4))
 
@@ -295,7 +297,7 @@ def test_vtilde_examples_and_projector():
         N = int(rng.integers(2, 9))
         k = int(rng.integers(1, 7))
         label = BlockLabel(tuple(rng.integers(0, N, size=k)), N)
-        V = vtilde(label).rows
+        V = vtilde(label)
         gram = V @ V.conj().T
         eta = count_eta(label).eta
         occupied = np.array([e > 0 for e in eta], dtype=float)
@@ -317,7 +319,7 @@ def test_vtilde_fourier_rotation_recovers_effect_rows():
         N = int(rng.integers(2, 8))
         k = int(rng.integers(1, 6))
         label = BlockLabel(tuple(rng.integers(0, N, size=k)), N)
-        W = vtilde(label).rows
+        W = vtilde(label)
         table = phase_table(N)
         grid = np.outer(np.arange(N), np.arange(N))
         V = table[(-grid) % N] @ W / np.sqrt(N)
@@ -344,7 +346,7 @@ def test_neumark_unitarity_and_round_trips():
         U = neumark_complete(label)
         dim = N + 2 ** k
         assert np.abs(U.conj().T @ U - np.eye(dim)).max() < 1e-12
-        assert np.array_equal(U[:N, :2 ** k], vtilde(label).rows)
+        assert np.array_equal(U[:N, :2 ** k], vtilde(label))
         eta = count_eta(label).eta
         for p in range(N):
             if eta[p] == 0:

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,9 +23,9 @@ from dihedral_pgm import (ScaleLimitError, assemble_block_density,
 from dihedral_pgm import pgm, subsetsum, success
 from dihedral_pgm.dihedral import _shift_permutation
 from dihedral_pgm.subsetsum import CHUNK_BYTES, iter_all_eta
-from dihedral_pgm.success import (SHARD, _lsb_values, _mean,
+from dihedral_pgm.success import (SHARD, _exact_means, _lsb_values, _mean,
                                   _success_values, _support_values)
-from sk_oracle import counting_sums
+from sk_oracle import counting_sums, threshold_envelope
 
 #: Every (N, k) the certifiers check, the same set as in test_pgm.py.
 CERT_SIZES = [(N, k) for N in (2, 3, 4, 5, 6, 8) for k in range(1, 13)
@@ -125,8 +126,8 @@ def test_mc_kernel_reproduces_exact_bitwise(N, k, monkeypatch):
     monkeypatch.setattr(success, "_orbit_walk", lambda N, k, roots, lo: (
         (k, np.ones(eta.shape[0], dtype=np.int64),
          np.ones(eta.shape[0], dtype=np.int64), eta)
-        for _, eta in iter_all_eta(N, k, batch=SHARD)))
-    assert _mean(N, k, _success_values)[0] == p
+        for _, eta in iter_all_eta(N, k)))
+    assert _exact_means(N, [k], _success_values)[k] == p
 
 
 def test_mc_stderr_is_shift_invariant():
@@ -566,8 +567,7 @@ def _exact_results():
         for shift in (0, 1):
             for report in (certify_dihedral_pgm(N, k, assignment_shift=shift),
                            pgm._certify_blocks(
-                               N, k, lambda eta: povm._conditions(eta, shift),
-                               1e-9)):
+                               N, k, lambda eta: povm._conditions(eta, shift))):
                 out.append((report.hermiticity_residual,
                             report.dominance_min_eigenvalue,
                             report.worst_block))
@@ -615,6 +615,19 @@ def test_exact_sweep_matches_success_exact_bitwise(size):
 @pytest.mark.parametrize("N,lo,hi", [(16, 1, 6), (2, 14, 15)])
 def test_exact_sweep_matches_success_exact_at_the_edges(N, lo, hi):
     _check_sweep(N, lo, hi)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(2, 64), st.integers(2, 2 ** 16)))
+def test_exact_success_lies_in_the_threshold_envelope(N):
+    # every exact size of N with N^k <= 2^16, compared as Fractions:
+    # 2^k / (N + 2^k - 1) <= p <= min(1, 2^k / N)
+    K = 1
+    while N ** (K + 1) <= 2 ** 16:
+        K += 1
+    for point in exact_sweep(N, range(1, K + 1)):
+        lo, hi = threshold_envelope(N, point.k)
+        assert lo <= Fraction(point.p) <= hi, (N, point.k, point.p)
 
 
 def test_exact_sweep_keeps_the_order_of_k():
