@@ -118,7 +118,7 @@ def cmd_simulate(args) -> int:
     with contextlib.ExitStack() as stack:
         out, done = None, 0
 
-        def sink(labels, outcomes):
+        def sink(outcomes):
             # one shard's CSV rows; the output is opened at the first
             # shard, so a run the guard refuses writes no file, and N has
             # passed run_trials's size check by then

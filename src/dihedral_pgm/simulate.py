@@ -14,10 +14,15 @@ support_dim / (N 2^k) and the leftover outcome absorbs the rest.
 Nothing here materializes 2^k-dimensional vectors.  For a shift, one
 real Fourier transform of sqrt(eta) per block is all it takes: sqrt(eta)
 is real, so the spectrum is Hermitian and its half m = 0 .. N // 2 holds
-every |.|^2 the outcomes read.  For the trivial subgroup the support
-size of eta is all it takes.  That is what lets the simulator run at k
-around 20 and N around 1024.  Trials draw their labels in the
-estimators' one Monte Carlo pass, success._sharded.
+every |.|^2 the outcomes read; a shift's P(j) reads it at fold(d - j)
+from at most three forward or reversed slices (_shift_plan), copied
+into one CDF buffer and summed there.  For the trivial subgroup the
+support size of eta is all it takes.  That is what lets the simulator
+run at k around 20 and N around 1024.  Trials draw their labels in the
+estimators' one Monte Carlo pass, success._sharded.  A shard sends back
+its outcomes alone, at the width of N (success._label_dtype), which
+run_trials hands to a sink when it streams them; it sends its labels
+too only when run_trials keeps the trial columns.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .dihedral import TRIVIAL, BlockLabel
 from .subsetsum import CHUNK_BYTES, count_eta_batch
-from .success import _sharded, _support_sizes
+from .success import _label_dtype, _sharded, _support_sizes
 
 
 def _trivial_distributions(support: np.ndarray, N: int, k: int) -> np.ndarray:
@@ -57,11 +62,33 @@ def _shift_spectrum(eta: np.ndarray, N: int, k: int) -> np.ndarray:
     return W
 
 
-def _shift_columns(N: int, d: int) -> np.ndarray:
-    """The column of W that P(j) reads for a shift d, for j in Z_N:
-    min(m, N - m) for m = (d - j) mod N."""
-    m = (d - np.arange(N)) % N
-    return np.minimum(m, N - m)
+def _shift_plan(N: int, d: int) -> list[tuple[int, int, slice]]:
+    """Where P(j) = W[fold(d - j)] reads the half spectrum W for a shift d
+    in [0, N), j = 0 .. N - 1, with fold(m) = min(m, N - m) of
+    m = (d - j) mod N: at most three runs (j0, j1, cols), P[j0:j1] being
+    W[cols] for a forward or reversed slice cols.  As j runs up, m runs
+    down from d to 0 and then from N - 1 to d + 1, and fold(m) is m up
+    to h = N // 2 and N - m above it, so each of the two stretches splits
+    once at most, where m passes h."""
+    h = N // 2
+    # (first column, length, step) of each run, in the order of j
+    runs = ([(d, d + 1, -1), (1, N - h - 1, 1), (h, h - d, -1)] if d <= h
+            else [(N - d, d - h, 1), (h, h + 1, -1), (1, N - d - 1, 1)])
+    plan, j = [], 0
+    for first, length, step in runs:
+        if length:
+            stop = first + step * length
+            plan.append((j, j + length,
+                         slice(first, stop if stop >= 0 else None, step)))
+            j += length
+    return plan
+
+
+def _unfold(W: np.ndarray, plan, P: np.ndarray) -> None:
+    """Write P(j) = W[fold(d - j)] into the first N columns of P, row by
+    row, from the runs of _shift_plan(N, d)."""
+    for j0, j1, cols in plan:
+        P[:, j0:j1] = W[:, cols]
 
 
 def _distributions(eta: np.ndarray, N: int, k: int, hidden) -> np.ndarray:
@@ -69,8 +96,7 @@ def _distributions(eta: np.ndarray, N: int, k: int, hidden) -> np.ndarray:
     if hidden == TRIVIAL:
         return _trivial_distributions(_support_sizes(eta), N, k)
     out = np.zeros((eta.shape[0], N + 1))
-    cols = _shift_columns(N, int(hidden) % N)
-    out[:, :N] = _shift_spectrum(eta, N, k)[:, cols]
+    _unfold(_shift_spectrum(eta, N, k), _shift_plan(N, int(hidden) % N), out)
     return out
 
 
@@ -82,39 +108,49 @@ def _outcome_rows(N: int) -> int:
 
 def _outcome_bytes(N: int) -> int:
     """The bytes the outcome reducers hold at once beyond a value
-    kernel's one float64 block: two (rows, N + 1) float64 tables of
-    _outcome_rows(N) rows (the complex half spectrum and the table built
-    from it, or a table and its cumulative sums) and the column index of
-    a shift."""
-    return (2 * _outcome_rows(N) + 1) * (N + 1) * 8
+    kernel's one float64 block: for _outcome_rows(N) rows, the CDF
+    buffer, N float64s a row, and the complex half spectrum, N // 2 + 1
+    complex128s a row.  The square roots of eta, and after them the real
+    half spectrum with its temporary, fit in that float64 block (where
+    the block is one row, the latter is 16 bytes more, which the casting
+    buffers of count_eta_batch's estimate hold spare then).  The trivial
+    subgroup's two (rows, N + 1) tables are made after counting, when
+    none of count_eta_batch's temporaries is held."""
+    return _outcome_rows(N) * (N * 8 + (N // 2 + 1) * 16)
 
 
-def _outcomes(eta: np.ndarray, N: int, k: int, shift: int,
-              u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF outcomes for a hidden shift, one per row of eta, from
+def _outcomes(eta: np.ndarray, N: int, k: int, plan, u: np.ndarray,
+              cdf: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outcomes for a hidden shift d, one per row of eta, from
     one uniform u per row: the number of cumulative probabilities at or
     below u (ties resolve toward smaller j), capped at N, the trivial
-    outcome.  The trivial subgroup takes _trivial_outcomes.
+    outcome.  plan is _shift_plan(N, d), and cdf a float64 buffer of N
+    columns and min(_outcome_rows(N), rows of eta) rows or more, both
+    made once for a shard.  The trivial subgroup takes _trivial_outcomes.
 
     count_eta_batch hands the reducer blocks of CHUNK_BYTES // (8 N)
     rows; the tables are built _outcome_rows(N) = CHUNK_BYTES // (16 N)
     rows at a time, half such a block, so the complex128 half spectrum
-    and each float64 table take about CHUNK_BYTES / 2 whatever the work
-    dtype of eta.  With larger blocks (whole counting chunks, or half of
-    them) the allocator handed back and faulted in their pages block
-    after block: 9e4 page faults and up to 1.5x the time for the 10000
-    trials of simulate at N = 1024, k = 20, against 3e3-3e4.  For a shift
-    the trivial column of _distributions, always 0, is left out: its
-    cumulative probability equals the last one, so it changes no count
-    once capped at N."""
+    and the CDF take about CHUNK_BYTES / 2 each whatever the work dtype
+    of eta.  With larger blocks (whole counting chunks, or half of them)
+    the allocator handed back and faulted in their pages block after
+    block: 9e4 page faults and up to 1.5x the time for the 10000 trials
+    of simulate at N = 1024, k = 20, against 3e3-3e4.  Each row's P(j)
+    is copied from the runs of the plan into the buffer, in the order of
+    j, and summed there in place, so the cumulative sums are those of the
+    row of _distributions.  Its trivial column, always 0, is left out:
+    its cumulative probability equals the last one, so it changes no
+    count once capped at N."""
     S = eta.shape[0]
     step = _outcome_rows(N)
     outcomes = np.empty(S, dtype=np.int64)
-    cols = _shift_columns(N, int(shift) % N)
     for lo in range(0, S, step):
         rows = slice(lo, lo + step)
-        cdf = np.cumsum(_shift_spectrum(eta[rows], N, k)[:, cols], axis=1)
-        outcomes[rows] = np.count_nonzero(cdf <= u[rows, None], axis=1)
+        W = _shift_spectrum(eta[rows], N, k)
+        P = cdf[:W.shape[0]]
+        _unfold(W, plan, P)
+        np.cumsum(P, axis=1, out=P)
+        outcomes[rows] = np.count_nonzero(P <= u[rows, None], axis=1)
     return np.minimum(outcomes, N)
 
 
@@ -146,18 +182,28 @@ def outcome_distribution(label: BlockLabel, hidden) -> np.ndarray:
     return _distributions(eta, label.N, label.k, hidden)[0]
 
 
-def _trial_shard(N: int, k: int, hidden, rng, xs):
-    """One shard of run_trials: the draws xs and their outcomes, from one
-    uniform per draw drawn after them.  hidden is compared to TRIVIAL by
-    value: a str does not keep its identity when the shard is sent to a
-    worker process."""
+def _trial_shard(N: int, k: int, hidden, rng, xs) -> np.ndarray:
+    """One shard of run_trials: the outcomes of the draws xs, at the width
+    of N (_label_dtype), from one uniform per draw drawn after them.
+    hidden is compared to TRIVIAL by value: a str does not keep its
+    identity when the shard is sent to a worker process."""
     u = rng.random(len(xs))
     if hidden == TRIVIAL:
         support = count_eta_batch(
             xs, N, lambda rows, eta: _support_sizes(eta))
-        return xs, _trivial_outcomes(support, N, k, u)
-    return xs, count_eta_batch(
-        xs, N, lambda rows, eta: _outcomes(eta, N, k, hidden, u[rows]))
+        outcomes = _trivial_outcomes(support, N, k, u)
+    else:
+        plan = _shift_plan(N, int(hidden) % N)
+        cdf = np.empty((min(_outcome_rows(N), len(xs)), N))
+        outcomes = count_eta_batch(
+            xs, N, lambda rows, eta: _outcomes(eta, N, k, plan, u[rows], cdf))
+    return outcomes.astype(_label_dtype(N))
+
+
+def _labelled_trial_shard(N: int, k: int, hidden, rng, xs):
+    """One shard of run_trials that keeps its columns: the draws xs and
+    their outcomes (_trial_shard)."""
+    return xs, _trial_shard(N, k, hidden, rng, xs)
 
 
 def run_trials(N: int, k: int, hidden, trials: int, seed,
@@ -166,23 +212,27 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     """Simulate full measurement trials and return (success rate, columns).
 
     The columns are "labels", the (trials, k) int64 block labels x, and
-    "outcomes", the (trials,) outcomes j with N standing for the trivial
-    outcome.  Given a sink, no columns are kept and None stands in their
-    place: sink(labels, outcomes) is called once a shard, in shard order,
-    with the shard's labels at the width they were drawn
-    (success._label_dtype(N)) and its outcomes, as the pass yields them,
-    so a caller that streams them holds nothing that grows with the
-    trial count.  Outcomes are drawn by inverse CDF on the N+1
-    probabilities with one uniform per trial (ties resolve toward smaller
-    j), drawn after the shard's labels.  Trials run in the estimators'
-    Monte Carlo pass, success._sharded (memory guard, success.SHARD draws
-    a shard, split seeds, `threads` workers), merged in shard order.
-    Within a shard the outcomes for a shift are count_eta_batch's reducer
+    "outcomes", the (trials,) int64 outcomes j with N standing for the
+    trivial outcome.  Given a sink, no columns are kept and None stands
+    in their place: sink(outcomes) is called once a shard, in shard
+    order, with the shard's outcomes at the width of N
+    (success._label_dtype(N)) as the pass yields them, so a caller that
+    streams them holds nothing that grows with the trial count.  A shard
+    then sends back its outcomes alone, 2 bytes a trial at N = 1024 (8 KB
+    a shard of success.SHARD draws), and its labels only when the columns
+    are kept.  Outcomes are drawn by inverse CDF on the N+1 probabilities
+    with one uniform per trial (ties resolve toward smaller j), drawn
+    after the shard's labels.  Trials run in the estimators' Monte Carlo
+    pass, success._sharded (memory guard, success.SHARD draws a shard,
+    split seeds, `threads` workers), merged in shard order.  Within a
+    shard the outcomes for a shift are count_eta_batch's reducer
     (_outcomes): each cache-sized counting chunk is turned into its
-    outcomes block by block while it is still in cache, so a worker holds
-    its draws plus one chunk's tables and one block's outcome tables,
-    which the memory guard counts (_outcome_bytes), never a (SHARD, N)
-    table.  For the trivial subgroup the reducer keeps only the support
+    outcomes block by block while it is still in cache, so a worker
+    holds its draws plus one chunk's tables and one block's outcome
+    tables, which the memory guard counts (_outcome_bytes), never a
+    (SHARD, N) table; the shard reads the half spectrum through one
+    slice plan and sums it in one CDF buffer (_shift_plan), both made
+    once.  For the trivial subgroup the reducer keeps only the support
     sizes, and the shard's outcomes come from one cumulative row per
     distinct size (_trivial_outcomes).  Any hidden equal to TRIVIAL names
     the trivial subgroup, whatever object it is.
@@ -190,8 +240,9 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     if trials < 1:
         raise ValueError("need at least one trial")
 
+    shard = _labelled_trial_shard if sink is None else _trial_shard
     shards = _sharded(N, k, trials, seed, threads,
-                      partial(_trial_shard, N, k, hidden), _outcome_bytes)
+                      partial(shard, N, k, hidden), _outcome_bytes)
     columns = None
     if sink is None:
         columns = {"labels": np.empty((trials, k), dtype=np.int64),
@@ -201,14 +252,15 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     # a sink that raises closes the pass at once, which cancels its
     # shards not yet started
     with closing(shards):
-        for xs, outcomes in shards:
+        for result in shards:
+            outcomes = result if columns is None else result[1]
             hits += int(np.count_nonzero(outcomes == want))
             if columns is None:
-                sink(xs, outcomes)
+                sink(outcomes)
             else:
-                columns["labels"][lo:lo + len(xs)] = xs
-                columns["outcomes"][lo:lo + len(xs)] = outcomes
-            lo += len(xs)
+                columns["labels"][lo:lo + len(outcomes)] = result[0]
+                columns["outcomes"][lo:lo + len(outcomes)] = outcomes
+            lo += len(outcomes)
     return hits / trials, columns
 
 

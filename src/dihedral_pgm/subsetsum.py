@@ -9,31 +9,37 @@ unitary completion -- is exactly the per-block measurement primitive:
 running the completed unitary backwards quantum-samples from subset-sum
 solutions.
 
-Counting is exact integer dynamic programming.  For one x, count_eta
-and the sampler share the rows T_0 .. T_k of one counting table, int64
-through row 62 and Python integers (dtype object) in the rows beyond
-(a count after j coordinates is at most 2^j); sample_solutions walks
-it backwards for a whole batch of draws at once, so every draw is
-exactly uniform over solutions, at any k, without ever enumerating
-them.  The batched counter is one chunk pipeline: it counts a chunk of
-draws whose work table fits in CHUNK_BYTES, hands the chunk to a
-row-wise reducer in blocks while it is still in cache, and moves on, so
-no (draws, N) table is ever held unless the caller asks for it (the
-default reducer).  Work tables are the narrowest exact integer type
-(int16 up to k = 14, int32 up to k = 30, int64 up to k = 62), and one
-table serves every chunk of a call.  Each row of the table is doubled,
-[T | T], so that no index is ever reduced mod N.  A chunk starts by
-writing the histogram of the 2^m subset sums of its first m coordinates
-into both halves at once; the sums are one float64 product with a table
-of bit strings, exact while (m + 1) N <= 2^53.  Each of the remaining
-k - m steps is then one broadcast add of the gathered window to both
-halves, so the halves never need to be copied into each other.  Every
-temporary is sized by its own dtype: the int64 histograms and the
-blocks handed to the reducer, which a value kernel copies to float64,
-are CHUNK_BYTES // (8 N) rows (_block_rows), and m is capped so that
-the bit table fits CHUNK_BYTES.  So the bytes a call holds do not grow
-with the number of draws, and _count_bytes adds them up for the Monte
-Carlo memory guard.
+Counting is exact integer dynamic programming.  For one x, count_eta and
+the sampler share the rows T_0 .. T_k of one counting table, int64
+through row 62 and Python integers (dtype object) in the rows beyond (a
+count after j coordinates is at most 2^j); sample_solutions walks it
+backwards for a whole batch of draws at once, so every draw is exactly
+uniform over solutions, at any k, without ever enumerating them.  The
+batched counter is one chunk pipeline: it counts a chunk of draws whose
+work table fits in CHUNK_BYTES, hands the chunk to a row-wise reducer in
+blocks while it is still in cache, and moves on, so no (draws, N) table
+is ever held unless the caller asks for it (the default reducer).  Its
+work tables are the narrowest exact integer type (_work_dtype: int16 up
+to k = 14, int32 up to k = 30, int64 up to k = 62), except where k > 14
+and the mean count 2^k / N is at most UINT16_MEAN_LIMIT: there it counts
+in uint16, modulo 2^16 (_batch_dtype).  A count reduced mod 2^16 is at
+most the count, and equal to it exactly when the count is below 2^16,
+and the counts of a row sum to 2^k; so a row is exact exactly when its
+int64 row sum is 2^k.  Every block is checked so before its reducer sees
+it, and the rows that fail are counted again at the exact type, in which
+the block is then handed on.  One table serves every chunk of a call.
+Each row of the table is doubled, [T | T], so that no index is ever
+reduced mod N.  A chunk starts by writing the histogram of the 2^m
+subset sums of its first m coordinates into both halves at once; the
+sums are one float64 product with a table of bit strings, exact while
+(m + 1) N <= 2^53.  Each of the remaining k - m steps is then one
+broadcast add of the gathered window to both halves, so the halves never
+need to be copied into each other.  Every temporary is sized by its own
+dtype: the int64 histograms and the blocks handed to the reducer, which
+a value kernel copies to float64, are CHUNK_BYTES // (8 N) rows
+(_block_rows), and m is capped so that the bit table fits CHUNK_BYTES.
+So the bytes a call holds do not grow with the number of draws, and
+_count_bytes adds them up for the Monte Carlo memory guard.
 
 Exact enumeration does not go through that counter.  One walk,
 _orbit_walk, visits one x per orbit of a symmetry of Z_N^k level by
@@ -76,6 +82,15 @@ INT32_K_LIMIT = 30
 
 #: int16 work tables are exact up to 2^k <= 2^14.
 INT16_K_LIMIT = 14
+
+#: Past INT16_K_LIMIT, count_eta_batch counts in uint16 modulo 2^16 where
+#: the mean count 2^k / N is at most this, and certifies each row by its
+#: sum (_batch_dtype).  A row fails only if some count reaches 2^16, 16
+#: times this mean: the largest count of 4096 uniform draws at N = 1024,
+#: k = 20 was 1,488 to 1,708 over three seeds.  Where the mean is larger,
+#: as at (2, 26) or (2^16, 62), rows would fail and be counted twice, so
+#: the exact type is used.
+UINT16_MEAN_LIMIT = 2 ** 12
 
 #: Cells (k+1) * N of the counting table behind count_eta and
 #: sample_solutions (_dp_rows).  At the guard an int64 table is 8 MB, and
@@ -149,6 +164,16 @@ def _work_dtype(k: int):
             np.int32 if k <= INT32_K_LIMIT else np.int64)
 
 
+def _batch_dtype(N: int, k: int):
+    """The type count_eta_batch counts in: uint16, modulo 2^16, where
+    k > INT16_K_LIMIT and 2^k / N <= UINT16_MEAN_LIMIT, and the exact
+    _work_dtype(k) elsewhere."""
+    work = _work_dtype(k)
+    if k > INT16_K_LIMIT and 2 ** k <= UINT16_MEAN_LIMIT * N:
+        return np.uint16
+    return work
+
+
 def _chunk_rows(N: int, work) -> int:
     """Rows of N counts in the work dtype that fill CHUNK_BYTES."""
     return max(1, CHUNK_BYTES // (N * np.dtype(work).itemsize))
@@ -164,20 +189,27 @@ def _count_bytes(S: int, N: int, k: int) -> int:
     """The bytes count_eta_batch holds for S rows of k coordinates mod N,
     beyond xs and its output: a chunk's reduced and negated coordinates,
     int64; its doubled work table and the window gathered each step, both
-    of min(S, chunk) rows in the work dtype; the int64 histogram of a
-    block, which also bounds the float64 copy a value kernel makes of its
-    block; the bit table, and a chunk's subset sums with the two
-    temporaries _subset_sums makes of them; and three numpy casting
-    buffers of np.getbufsize() float64 values, which a cast of a large
-    operand holds.  Raises ScaleLimitError beyond k = BATCH_K_LIMIT, as
-    the call would."""
-    work = _work_dtype(k)
+    of min(S, chunk) rows in the work dtype (_batch_dtype); the int64
+    histogram of a block, which also bounds the float64 copy a value
+    kernel makes of its block; the bit table, and a chunk's subset sums
+    with the two temporaries _subset_sums makes of them; and three numpy
+    casting buffers of np.getbufsize() float64 values, which a cast of a
+    large operand holds.  On uint16 tables the certificate adds the int64
+    row sums of a block and a block widened to the exact type
+    (_work_dtype), which a block holds while its failed rows are counted
+    again and its reducer runs; the np.roll row of that count is no
+    larger than the histogram of the block, which is not held then.
+    Raises ScaleLimitError beyond k = BATCH_K_LIMIT, as the call would."""
+    work = _batch_dtype(N, k)
     n = min(_chunk_rows(N, work), max(S, 1))
     block = min(_block_rows(N), n)
     m = min(k, _prefix_width(N))
-    return (2 * n * k * 8 + 3 * n * N * np.dtype(work).itemsize
+    held = (2 * n * k * 8 + 3 * n * N * np.dtype(work).itemsize
             + block * N * 8 + (m + 3 * n) * 2 ** m * 8
             + 3 * np.getbufsize() * 8)
+    if work == np.uint16:
+        held += block * (8 + N * np.dtype(_work_dtype(k)).itemsize)
+    return held
 
 
 def _widen(rows: slice, eta: np.ndarray) -> np.ndarray:
@@ -223,6 +255,17 @@ def count_eta(label: BlockLabel) -> SubsetProfile:
     return SubsetProfile(label, tuple(counts), sum(c > 0 for c in counts))
 
 
+def _recount(x: np.ndarray, N: int, out: np.ndarray) -> None:
+    """Write the counts of one row x, k coordinates in [0, N), into out,
+    N integers of an exact type: the recurrence
+    T_j[r] = T_(j-1)[r] + T_(j-1)[r - x_j] of _dp_rows, in place, with
+    one np.roll row more."""
+    out[:] = 0
+    out[0] = 1
+    for xj in x.tolist():
+        out += np.roll(out, xj)
+
+
 def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     """eta for many draws at once, reduced row-wise block by block.
 
@@ -232,20 +275,32 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     each chunk is handed to reduce(rows, eta_block) in blocks of
     _block_rows(N) = CHUNK_BYTES // (8 N) rows while it is still in
     cache: rows is the block's slice of xs and eta_block its (len, N)
-    counts in the work dtype.  eta_block is a view of the work table, so
-    it is valid only during that call: a reducer may return it or a view
-    of it (the result is copied out before the next block), but must not
-    keep it.  The per-row results are concatenated in row order; the
+    exact counts in the work dtype, or in the exact type of k for a block
+    with recounted rows (below).  eta_block is a view of the work table,
+    so it is valid only during that call: a reducer may return it or a
+    view of it (the result is copied out before the next block), but
+    must not keep it.  The per-row results are concatenated in row order,
+    at the type of the first block's result, promoted when a later
+    block's result has another (a recounted block returned whole); the
     reducer must be row-wise, so they do not depend on where the blocks
-    are cut.  An empty xs still makes one call, on no rows, which gives
-    the output's shape and dtype.  The default reducer widens the block
-    to int64, so count_eta_batch(xs, N) is the (S, N) int64 table.
+    are cut.  An empty xs still makes one call, on no rows,
+    which gives the output's shape and dtype.  The default reducer widens
+    the block to int64, so count_eta_batch(xs, N) is the (S, N) int64
+    table.
 
     The work tables are int16 up to k = INT16_K_LIMIT, int32 up to
-    k = INT32_K_LIMIT and int64 beyond (a count is at most 2^k).  Each
-    row is kept doubled, [T | T], so T[(r - x_j) mod N] for every r is
-    the contiguous slice starting at N - x_j, gathered with no modulo
-    pass.  The table is viewed as (rows, 2, N), the two halves of each
+    k = INT32_K_LIMIT and int64 beyond (a count is at most 2^k), but
+    uint16 where k > INT16_K_LIMIT and the mean count 2^k / N is at most
+    UINT16_MEAN_LIMIT (_batch_dtype).  A uint16 table counts modulo 2^16.
+    A count mod 2^16 is at most the count, and equal to it exactly when
+    the count is below 2^16, and the counts of a row sum to 2^k, so a row
+    is exact exactly when its int64 row sum is 2^k.  Each block is
+    checked so before its reducer sees it; if a row fails, the block is
+    widened to the exact type (_work_dtype(k)), the failed rows are
+    counted again there one at a time (_recount), and the reducer gets
+    the widened block.  Each row is kept doubled, [T | T], so
+    T[(r - x_j) mod N] for every r is the contiguous slice starting at
+    N - x_j, gathered with no modulo pass.  The table is viewed as (rows, 2, N), the two halves of each
     row.  A chunk starts from the histogram of the 2^m subset sums of its
     first m coordinates (m from _prefix_width(N), sums from _subset_sums
     as one float64 product with a bit table built once per call; at
@@ -258,11 +313,12 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     window CHUNK_BYTES, the int64 histogram, the bit table and the
     float64 copy a value kernel makes of its block are each at most
     CHUNK_BYTES, and a chunk's subset sums, 2^m <= N / 16 of them a row,
-    at most CHUNK_BYTES / 4 (_count_bytes adds them up).
+    at most CHUNK_BYTES / 4 (_count_bytes adds them up, with what the
+    certificate holds).
     """
     xs = np.asarray(xs)
     S, k = xs.shape
-    work = _work_dtype(k)
+    work, exact = _batch_dtype(N, k), _work_dtype(k)
     if reduce is None:
         reduce = _widen
     rows, block = _chunk_rows(N, work), _block_rows(N)
@@ -295,9 +351,20 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
             halves += windows[chunk_rows, start[:, j]][:, None, :]
         for a in range(0, max(n, 1), block):
             b = min(a + block, n)
-            result = reduce(slice(lo + a, lo + b), halves[a:b, 0])
+            eta = halves[a:b, 0]
+            if work != exact:
+                # the certificate: a row is exact iff its counts sum to 2^k
+                bad = np.flatnonzero(eta.sum(axis=1, dtype=np.int64) != 2 ** k)
+                if bad.size:
+                    eta = eta.astype(exact)
+                    for i in bad.tolist():
+                        _recount(x[a + i], N, eta[i])
+            result = reduce(slice(lo + a, lo + b), eta)
             if out is None:
                 out = np.empty((S,) + result.shape[1:], dtype=result.dtype)
+            elif result.dtype != out.dtype:
+                out = out.astype(np.promote_types(out.dtype, result.dtype),
+                                 copy=False)
             out[lo + a:lo + b] = result
     return out
 

@@ -87,15 +87,20 @@ SWEEP_EXACT_LIMIT = 2 ** 14
 #: count_eta_batch's temporaries and the simulator's outcome tables) may
 #: be at most this many, checked before any draw.  At SHARD draws the
 #: estimators reach every k <= 62 up to N = 2^16, k <= 30 at N = 2^17
-#: and k <= 5 at N = 2^18, and the simulator every k <= 62 up to
-#: N = 2^15 and k <= 29 at N = 2^16.  Measured peaks of one worker
-#: (tracemalloc, SHARD draws, success, parity and both outcome paths,
-#: trials streamed to a sink) were 1.0-1.2 MB at N = 1024, k = 12,
-#: 1.5-2.5 MB at N = 2^16, k = 16, and 2.8-3.3 MB for the estimators at
-#: N = 2^17, k = 30, each below the guard's own estimate; `--threads T`
-#: needs up to T times that, held by T forked worker processes or one
-#: a shard, whichever is fewer but at least two (by the caller itself at
-#: T = 1), where the caller's tracemalloc does not see it.
+#: and k <= 5 at N = 2^18, and on the uint16 tables of k = 15..29
+#: (subsetsum._batch_dtype) N = 161,095 (k = 29) to 174,748 (k = 15);
+#: the simulator every k <= 62 up to N = 2^15 and k <= 30 at N = 2^16.
+#: Below N = 15 (estimators) and 17 (simulator) they stop at k = 35 and
+#: 31: a chunk there is the whole shard, whose reduced and negated
+#: coordinates are (SHARD, k) int64 tables.  Measured peaks of one
+#: worker (tracemalloc, SHARD draws, success, parity and both outcome
+#: paths, trials streamed to a sink) were 1.0-1.3 MB at N = 1024, k = 12
+#: and 20, 1.6-2.7 MB at N = 2^16, k = 16, and 2.9-3.5 MB for the
+#: estimators at N = 2^17, k = 30, each below the guard's own estimate;
+#: `--threads T` needs up to T times that, held by T forked worker
+#: processes or one a shard, whichever is fewer but at least two (by the
+#: caller itself at T = 1), where the caller's tracemalloc does not see
+#: it.
 MC_SHARD_BYTES = 2 ** 22
 
 

@@ -212,8 +212,8 @@ def test_monte_carlo_runs_past_n_4096(tmp_path, capsys):
     ["sweep", "--N", "131072", "--k", "31"],
     ["sweep", "--N", "262144", "--k", "6"],
     ["lsb", "--N", "131072", "--k", "31"],
-    ["simulate", "--N", "65536", "--k", "30", "--hidden", "5"],
-    ["simulate", "--N", "65536", "--k", "30", "--hidden", "trivial"],
+    ["simulate", "--N", "65536", "--k", "31", "--hidden", "5"],
+    ["simulate", "--N", "65536", "--k", "31", "--hidden", "trivial"],
 ])
 @pytest.mark.parametrize("to_file", [True, False])
 def test_one_past_the_memory_guard_exits_3(argv, to_file, tmp_path, capsys):

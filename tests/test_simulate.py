@@ -16,7 +16,7 @@ from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError, block_state,
                           success, success_exact, success_mc,
                           trivial_success)
 from dihedral_pgm.simulate import (_distributions, _outcome_bytes,
-                                   _trivial_outcomes)
+                                   _shift_plan, _trivial_outcomes, _unfold)
 from dihedral_pgm.success import (MC_SHARD_BYTES, SHARD, _sharded,
                                   _support_sizes, _worker_bytes)
 from dihedral_pgm.subsetsum import CHUNK_BYTES, count_eta_batch, iter_all_eta
@@ -92,6 +92,26 @@ def test_outcome_distribution_normalization():
         probs = outcome_distribution(label, hidden)
         assert probs.min() >= -1e-15
         assert abs(probs.sum() - 1) < 1e-12
+
+
+def test_shift_plan_reads_the_folded_columns():
+    # the runs of _shift_plan copy, in the order of j, the columns
+    # min(m, N - m) of m = (d - j) mod N of the half spectrum, bitwise, in
+    # at most three slices, for every shift of every N up to 70 and for
+    # the shifts around 0, N // 2 and N - 1 of larger N, odd and even
+    rng = np.random.default_rng(6)
+    for N in list(range(1, 71)) + [255, 256, 1023, 1024]:
+        W = rng.random((3, N // 2 + 1))
+        shifts = (range(N) if N <= 70 else
+                  {0, 1, N // 2 - 1, N // 2, N // 2 + 1, N - 2, N - 1})
+        for d in shifts:
+            m = (d - np.arange(N)) % N
+            plan = _shift_plan(N, d)
+            P = np.full((3, N + 1), np.nan)
+            _unfold(W, plan, P)
+            assert len(plan) <= 3
+            assert np.array_equal(P[:, :N], W[:, np.minimum(m, N - m)])
+            assert np.isnan(P[:, N]).all()
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 37, 256])
@@ -218,18 +238,21 @@ def test_monte_carlo_guard_bounds_the_largest_shard():
     # the limit is _worker_bytes(N, k, samples, held) <= MC_SHARD_BYTES,
     # checked before any draw: at SHARD draws, held at the width of N,
     # the estimators reach N = 2^16 at every k <= 62, 2^17 up to k = 30
-    # and 2^18 up to k = 5, and the simulator, whose outcome tables are
-    # held too, 2^15 at every k <= 62 and 2^16 up to k = 29
+    # and 2^18 up to k = 5, and on uint16 work tables, whose one-row
+    # chunks are half the bytes of int32 ones, N = 160,000 at k = 20; the
+    # simulator, whose outcome tables are held too, 2^15 at every k <= 62
+    # and 2^16 up to k = 30
     assert MC_SHARD_BYTES == 2 ** 22
     for N, k, held in ((2 ** 16, 62, 0), (2 ** 17, 30, 0), (2 ** 18, 5, 0),
+                       (160_000, 20, 0),
                        (2 ** 15, 62, _outcome_bytes(2 ** 15)),
-                       (2 ** 16, 29, _outcome_bytes(2 ** 16))):
+                       (2 ** 16, 30, _outcome_bytes(2 ** 16))):
         assert _worker_bytes(N, k, SHARD, held) <= MC_SHARD_BYTES
     assert len(list(_sharded(4096, 1, 10000, 1, 1, lambda rng, xs: None))) == 3
     assert len(list(_sharded(2 ** 17, 1, 16, 1, 1, lambda rng, xs: None))) == 1
     for N, k, samples, held in ((2 ** 17, 31, 10000, None),
                                 (2 ** 18, 6, SHARD, None),
-                                (2 ** 16, 30, SHARD, _outcome_bytes),
+                                (2 ** 16, 31, SHARD, _outcome_bytes),
                                 (2 ** 18, 14, SHARD, None),
                                 (2 ** 20, 1, 16, None)):
         assert (_worker_bytes(N, k, samples, held(N) if held else 0)
@@ -241,20 +264,37 @@ def test_monte_carlo_guard_bounds_the_largest_shard():
         _sharded(64, 63, 100, 1, 1, _never)
 
 
-# (N, k) on int16 and int32 work tables, from histogram blocks of 128
-# rows at N = 256 down to one row at N = 2^16, on int8, int16 and int32
-# labels, and at the guard's edges at SHARD draws: the simulator's at
-# N = 2^16, k = 29, and the estimators' at N = 2^16, k = 62, on int64
-# work tables
-WORKER_SIZES = [(64, 6), (256, 8), (1024, 12), (4096, 20), (2 ** 14, 14),
-                (2 ** 16, 16), (2 ** 16, 29), (2 ** 16, 62)]
+# (N, k) on int16, int32 and uint16 work tables, from histogram blocks
+# of 128 rows at N = 256 down to one row at N = 2^16, on int8, int16 and
+# int32 labels, and at or next to the guard's edges at SHARD draws: the
+# simulator's at N = 2^16, k = 29 (its edge is k = 30), and the
+# estimators' at N = 2^16, k = 62, on int64 work tables; and two uint16
+# sizes again, (4096, 20) with blocks of 8 rows and (2^16, 16) with
+# blocks of one, where each shard's first draw is x = 0, whose count 2^k
+# at r = 0 is 0 mod 2^16, so its block fails the row-sum certificate and
+# is counted again at the exact type
+WORKER_SIZES = [pytest.param(N, k, False, id=f"{N}-{k}") for N, k in (
+    (64, 6), (256, 8), (1024, 12), (4096, 20), (2 ** 14, 14), (2 ** 16, 16),
+    (2 ** 16, 29), (2 ** 16, 62))] + [
+    pytest.param(N, k, True, id=f"{N}-{k}-zero-row")
+    for N, k in ((4096, 20), (2 ** 16, 16))]
 
 
-@pytest.mark.parametrize("N,k", WORKER_SIZES)
-def test_one_worker_peaks_within_the_guard_estimate(N, k):
+@pytest.mark.parametrize("N,k,zero_row", WORKER_SIZES)
+def test_one_worker_peaks_within_the_guard_estimate(N, k, zero_row,
+                                                    monkeypatch):
     # the guard's estimate is an upper bound on what one worker holds,
     # for each value kernel and both outcome reducers; one call before
     # the measured one keeps one-time lazy imports out of the peak
+    if zero_row:
+        draw = success._draw_labels
+
+        def draw_with_zero_row(rng, N, n, k):
+            xs = draw(rng, N, n, k)
+            xs[0] = 0
+            return xs
+
+        monkeypatch.setattr(success, "_draw_labels", draw_with_zero_row)
     samples = 64
     for call, held in (
             (lambda: success_mc(N, k, samples, seed=2), 0),
@@ -379,7 +419,7 @@ def test_passes_reuse_the_worker_processes():
 def test_a_failing_sink_leaves_the_pool_working(hidden):
     # a sink that raises mid-stream ends its pass; the next pass on the
     # same pool gives the bytes of one worker
-    def sink(xs, outcomes):
+    def sink(outcomes):
         raise RuntimeError("sink failed")
 
     N, k, trials = 64, 6, 3 * SHARD + 5
@@ -414,21 +454,18 @@ def test_run_trials_labels_are_the_estimators_draws(threads):
 
 @pytest.mark.parametrize("hidden", [3, TRIVIAL])
 def test_run_trials_sink_sees_the_columns_in_shard_order(hidden):
-    # a sink gets each shard's labels, at their drawn width, and outcomes
-    # as the pass yields them, and run_trials then keeps no columns
+    # a sink gets each shard's outcomes, at the width of N, as the pass
+    # yields them, and run_trials then keeps no columns
     N, k, trials = 64, 6, 3 * SHARD + 5
     rate, columns = run_trials(N, k, hidden, trials, seed=12, threads=2)
     seen = []
     streamed, none = run_trials(N, k, hidden, trials, seed=12, threads=2,
-                                sink=lambda xs, out: seen.append((xs, out)))
+                                sink=seen.append)
     assert none is None and streamed == rate
-    assert [len(out) for _, out in seen] == [SHARD] * 3 + [5]
-    assert {xs.dtype for xs, _ in seen} == {np.dtype(np.int8)}
-    assert columns["labels"].dtype == np.int64
-    assert np.array_equal(np.concatenate([xs for xs, _ in seen]),
-                          columns["labels"])
-    assert np.array_equal(np.concatenate([out for _, out in seen]),
-                          columns["outcomes"])
+    assert [len(out) for out in seen] == [SHARD] * 3 + [5]
+    assert {out.dtype for out in seen} == {np.dtype(np.int8)}
+    assert columns["outcomes"].dtype == np.int64
+    assert np.array_equal(np.concatenate(seen), columns["outcomes"])
 
 
 def test_run_trials_validates_count():

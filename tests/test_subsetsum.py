@@ -13,8 +13,8 @@ from dihedral_pgm import (BlockLabel, SubsetSumInstance, bit_dot_table,
                           format_solution, neumark_complete, parse_instance,
                           qsample, sample_solutions,
                           superposition_vector, vtilde)
-from dihedral_pgm.subsetsum import (BATCH_K_LIMIT, _bit_table, _dp_rows,
-                                    _prefix_width, _subset_sums)
+from dihedral_pgm.subsetsum import (BATCH_K_LIMIT, _batch_dtype, _bit_table,
+                                    _dp_rows, _prefix_width, _subset_sums)
 
 
 def brute_counts(label):
@@ -67,6 +67,18 @@ def test_count_eta_batch_largest_counts_on_either_work_dtype():
     for k in (14, 15, 30, 31, 62):
         eta = count_eta_batch(np.zeros((2, k), dtype=np.int64), 3)
         assert eta.tolist() == [[2 ** k, 0, 0]] * 2
+    # on uint16 tables (N = 16 from k = 15, N = 4096 up to k = 24) 2^15
+    # is the last count they hold; 2^16 and 2^24 are 0 mod 2^16, so the
+    # row fails its certificate and is counted again, between rows that
+    # pass it
+    for N, k in ((16, 15), (16, 16), (4096, 24)):
+        assert _batch_dtype(N, k) == np.uint16
+        xs = np.zeros((3, k), dtype=np.int64)
+        xs[::2] = np.arange(1, k + 1) % N
+        eta = count_eta_batch(xs, N)
+        assert eta[1].tolist() == [2 ** k] + [0] * (N - 1)
+        for row, counts in zip(xs[::2].tolist(), eta[::2].tolist()):
+            assert tuple(counts) == count_eta(BlockLabel(tuple(row), N)).eta
 
 
 def test_count_eta_batch_prefix_sums_wrap_mod_n():
