@@ -155,6 +155,14 @@ def _subset_sums(x: np.ndarray, N: int, bits: np.ndarray) -> np.ndarray:
     return s.astype(np.int64)
 
 
+def _label_dtype(N: int):
+    """The narrowest signed integer type that holds N itself (int8 up to
+    N = 127, int16 up to 32767), so that count_eta_batch's N - x of a
+    label x in [0, N) stays in range."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if N <= np.iinfo(t).max)
+
+
 def _work_dtype(k: int):
     """The narrowest integer type that holds every count of k coordinates
     (a count is at most 2^k)."""
@@ -188,13 +196,14 @@ def _block_rows(N: int) -> int:
 def _count_bytes(S: int, N: int, k: int) -> int:
     """The bytes count_eta_batch holds for S rows of k coordinates mod N,
     beyond xs and its output: a chunk's reduced and negated coordinates,
-    int64; its doubled work table and the window gathered each step, both
-    of min(S, chunk) rows in the work dtype (_batch_dtype); the int64
-    histogram of a block, which also bounds the float64 copy a value
-    kernel makes of its block; the bit table, and a chunk's subset sums
-    with the two temporaries _subset_sums makes of them; and three numpy
-    casting buffers of np.getbufsize() float64 values, which a cast of a
-    large operand holds.  On uint16 tables the certificate adds the int64
+    at the width of N (_label_dtype); its doubled work table and the
+    window gathered each step, both of min(S, chunk) rows in the work
+    dtype (_batch_dtype); the int64 histogram of a block, which also
+    bounds the float64 copy a value kernel makes of its block; the bit
+    table, and a chunk's subset sums with the two temporaries
+    _subset_sums makes of them; and three numpy casting buffers of
+    np.getbufsize() float64 values, which a cast of a large operand
+    holds.  On uint16 tables the certificate adds the int64
     row sums of a block and a block widened to the exact type
     (_work_dtype), which a block holds while its failed rows are counted
     again and its reducer runs; the np.roll row of that count is no
@@ -204,7 +213,8 @@ def _count_bytes(S: int, N: int, k: int) -> int:
     n = min(_chunk_rows(N, work), max(S, 1))
     block = min(_block_rows(N), n)
     m = min(k, _prefix_width(N))
-    held = (2 * n * k * 8 + 3 * n * N * np.dtype(work).itemsize
+    width = np.dtype(_label_dtype(N)).itemsize
+    held = (2 * n * k * width + 3 * n * N * np.dtype(work).itemsize
             + block * N * 8 + (m + 3 * n) * 2 ** m * 8
             + 3 * np.getbufsize() * 8)
     if work == np.uint16:
@@ -319,6 +329,7 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     xs = np.asarray(xs)
     S, k = xs.shape
     work, exact = _batch_dtype(N, k), _work_dtype(k)
+    label = _label_dtype(N)
     if reduce is None:
         reduce = _widen
     rows, block = _chunk_rows(N, work), _block_rows(N)
@@ -332,7 +343,8 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     out = None
     # one pass over an empty xs still gives the reducer's output shape
     for lo in range(0, max(S, 1), rows):
-        x = xs[lo:lo + rows] % N
+        # reduced, and below negated, at the width of N
+        x = (xs[lo:lo + rows] % N).astype(label, copy=False)
         n = x.shape[0]
         # the chunk's rows [T | T] as their two halves
         halves = table[:n].reshape(n, 2, N)
@@ -471,6 +483,22 @@ def _unit_roots(N: int, k: int) -> _Roots:
     return _Roots(1, weight, digits, sizes, fresh, uses)
 
 
+def _over_gcd() -> tuple[np.ndarray, np.ndarray]:
+    """run / g and n / g, g = gcd(n, run), as two tables indexed [n, run]
+    for every n, run <= BATCH_K_LIMIT (g = 1 at n = run = 0, never read):
+    _orbit_walk takes a child's weight w n / run, for a prefix of length
+    n whose last digit runs `run` times, as w // (run / g) * (n / g),
+    exact since run / g divides w n / run times run / g and is prime to
+    n / g."""
+    lengths = np.arange(BATCH_K_LIMIT + 1)
+    g = np.gcd.outer(lengths, lengths)
+    g[0, 0] = 1
+    return lengths // g, lengths[:, None] // g
+
+
+_RUN_OVER_GCD, _LENGTH_OVER_GCD = _over_gcd()
+
+
 def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
                 shallowest: int | None = None):
     """Yield (depth, weights, distinct, eta) blocks over one x per orbit
@@ -503,12 +531,15 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
     window at N - x_(j+1), so every child costs one gather and one add
     (both halves at once) and shares its prefix's steps.  A child's
     weight is its parent's times its length over the run of its last
-    digit, exact in int64 since the weight over the root's factor and the
+    digit, an integer since the weight over the root's factor and the
     prefix's uses is the integer orbit size of the prefix, times the uses
-    of that digit (_Roots.uses); its distinct count is its parent's
-    plus one when the digit is fresh and starts a run.  Only the last
-    level is undoubled; each level's table holds min(rows, its number of
-    prefixes) rows."""
+    of that digit (_Roots.uses).  It is taken as the parent's weight
+    divided by run / g and then multiplied by length / g, g their gcd
+    (_over_gcd), so no intermediate exceeds the child's weight and none
+    wraps in int64 where the weights themselves fit.
+    Its distinct count is its parent's plus one when the digit is fresh
+    and starts a run.  Only the last level is undoubled; each level's
+    table holds min(rows, its number of prefixes) rows."""
     if roots is None:
         roots = _symmetric_roots(N)
     depth, root_weight, digits, sizes, fresh, uses = roots
@@ -582,7 +613,9 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
         at_c = at_p + (child - starts[parent])
         same = at_c == at_p
         run_c = np.where(same, run[parent] + 1, 1)
-        weight_c = weight[parent] * (depth + level) // run_c * uses[at_c]
+        n = depth + level
+        weight_c = (weight[parent] // _RUN_OVER_GCD[n][run_c]
+                    * _LENGTH_OVER_GCD[n][run_c] * uses[at_c])
         distinct_c = distinct[parent] + (fresh[at_c] & ~same)
         window = windows[level - 1][parent, shifts[at_c]]
         if level == steps:

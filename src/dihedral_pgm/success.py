@@ -67,8 +67,9 @@ import numpy as np
 from .dihedral import (ScaleLimitError, _bit_dots, _block_labels,
                        _shift_amplitudes)
 # Unused here: perfbench/spans.py traces success.iter_all_eta.
-from .subsetsum import (CHUNK_BYTES, _count_bytes, _orbit_walk,  # noqa: F401
-                        _Roots, _unit_roots, count_eta_batch, iter_all_eta)
+from .subsetsum import (CHUNK_BYTES, _count_bytes, _label_dtype,  # noqa: F401
+                        _orbit_walk, _Roots, _unit_roots, count_eta_batch,
+                        iter_all_eta)
 
 #: Shard size shared by the exact enumerator, the MC estimators and the
 #: trial simulator; the fsum merge over shards makes totals independent
@@ -86,13 +87,13 @@ SWEEP_EXACT_LIMIT = 2 ** 14
 #: at the width of N with one int64 chunk of them, its per-draw results,
 #: count_eta_batch's temporaries and the simulator's outcome tables) may
 #: be at most this many, checked before any draw.  At SHARD draws the
-#: estimators reach every k <= 62 up to N = 2^16, k <= 30 at N = 2^17
+#: estimators reach every k <= 62 up to N = 73,720, k <= 30 at N = 2^17
 #: and k <= 5 at N = 2^18, and on the uint16 tables of k = 15..29
-#: (subsetsum._batch_dtype) N = 161,095 (k = 29) to 174,748 (k = 15);
-#: the simulator every k <= 62 up to N = 2^15 and k <= 30 at N = 2^16.
-#: Below N = 15 (estimators) and 17 (simulator) they stop at k = 35 and
-#: 31: a chunk there is the whole shard, whose reduced and negated
-#: coordinates are (SHARD, k) int64 tables.  Measured peaks of one
+#: (subsetsum._batch_dtype) N = 161,108 (k = 29) to 174,755 (k = 15);
+#: the simulator every k <= 62 up to N = 49,146 and k <= 30 at N = 2^16.
+#: At small N a chunk is the whole shard, whose reduced and negated
+#: coordinates are held at the width of N, so no small N stops short of
+#: k = 62.  Measured peaks of one
 #: worker (tracemalloc, SHARD draws, success, parity and both outcome
 #: paths, trials streamed to a sink) were 1.0-1.3 MB at N = 1024, k = 12
 #: and 20, 1.6-2.7 MB at N = 2^16, k = 16, and 2.9-3.5 MB for the
@@ -239,14 +240,6 @@ def _exact_means(N: int, k_list, values) -> dict[int, float]:
         if k in sums:
             sums[k].add((w / distinct) * values(eta, N, k))
     return {k: s.total() / N ** k for k, s in sums.items()}
-
-
-def _label_dtype(N: int):
-    """The narrowest signed integer type that holds N itself (int8 up to
-    N = 127, int16 up to 32767), so that count_eta_batch's N - x of a
-    label x in [0, N) stays in range."""
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                if N <= np.iinfo(t).max)
 
 
 def _draw_rows(k: int) -> int:

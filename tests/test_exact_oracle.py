@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from dihedral_pgm import BlockLabel, count_eta, success
 from dihedral_pgm.subsetsum import _orbit_walk, _unit_roots, count_eta_batch
 from dihedral_pgm.success import _lsb_values, _success_values, _support_sizes
-from sk_oracle import check_against_sk
+from sk_oracle import check_against_sk, threshold_envelope
 
 #: N at which the exact passes are compared: primes, prime powers and N
 #: with several prime factors.
@@ -238,3 +238,29 @@ def test_collision_sums_hold_through_the_quotient(size):
 @pytest.mark.parametrize("N,k", [(4, 13), (2, 26), (1, 26)])
 def test_collision_sums_hold_at_the_edges(N, k):
     _check_collision_sums(N, k)
+
+
+@pytest.mark.parametrize("N, k", [(2, 62), (16, 15)])
+def test_walk_weights_sum_to_every_depth_past_the_guard(N, k, monkeypatch):
+    # with the enumeration guard lifted, each depth j of the walk from
+    # the exact passes' roots stands for N^j labels, summed as Python
+    # Fractions of weights over distinct counts, and the S_k walk's
+    # weights sum to N^j as Python ints where it is small enough to walk;
+    # a child's int64 weight taken as (parent * length) // run wrapped at
+    # (2, 62), where the exact p came out negative
+    monkeypatch.setattr(success, "EXACT_ENUM_LIMIT", N ** k)
+    totals = Counter()
+    for depth, w, distinct, _ in _orbit_walk(
+            N, k, success._exact_roots(N, k), 1):
+        totals[depth] += sum(Fraction(a, b) for a, b in
+                             zip(w.tolist(), distinct.tolist()))
+    assert totals == {j: N ** j for j in range(1, k + 1)}
+    if math.comb(N + k - 1, k) <= 10 ** 5:
+        sums = Counter()
+        for depth, w, _, _ in _orbit_walk(N, k, None, 1):
+            sums[depth] += sum(w.tolist())
+        assert sums == {j: N ** j for j in range(1, k + 1)}
+    # and the exact p lies in the paper's envelope, within an ulp of 1
+    lo, hi = threshold_envelope(N, k)
+    p = success.success_exact(N, k).p
+    assert lo - Fraction(math.ulp(1.0)) <= Fraction(p) <= hi

@@ -44,7 +44,7 @@ from dihedral_pgm import (TRIVIAL, BlockLabel, count_eta, lsb_success_exact,
                           lsb_threshold_check, run_trials, success_exact,
                           success_mc, trivial_success)
 from dihedral_pgm import subsetsum
-from dihedral_pgm.simulate import (_outcome_rows, _outcomes, _shift_plan,
+from dihedral_pgm.simulate import (_miss_plan, _outcome_rows, _outcomes,
                                    _trivial_outcomes)
 from dihedral_pgm.subsetsum import (CHUNK_BYTES, INT16_K_LIMIT,
                                     INT32_K_LIMIT, UINT16_MEAN_LIMIT,
@@ -174,13 +174,15 @@ def test_orbit_walk_matches_reference_and_count_eta_batch(N, k, shards):
         assert np.array_equal(eta, expect)
 
 
-def _kernel_sizes():
-    """(N, k): N <= 2048 with k on both sides of the int16 switch after
-    k = INT16_K_LIMIT and of N's prefix width m; 8 <= N <= 4096 with
-    k = 15..30 on both sides of the uint16 rule
-    2^k <= UINT16_MEAN_LIMIT N, whose largest k there is 15..24; and
-    k = 28..40 at N <= 4, across the int32/int64 switch after
-    k = INT32_K_LIMIT."""
+def _kernel_sizes(tables: str):
+    """(N, k) that count on the work tables named: "int16", N <= 2048
+    with k on both sides of the int16 switch after k = INT16_K_LIMIT and
+    of N's prefix width m; "int32-int64", k = 28..40 at N <= 4, across
+    the int32/int64 switch after k = INT32_K_LIMIT; "uint16",
+    8 <= N <= 4096 with k = 15..30 on both sides of the uint16 rule
+    2^k <= UINT16_MEAN_LIMIT N, whose largest k there is 15..24.  Each
+    kernel property runs once for each, so every work dtype is drawn
+    whatever the order of the branches."""
     def ks(N):
         m = _prefix_width(N)
         edges = {max(1, m - 1), max(1, m), m + 1, INT16_K_LIMIT,
@@ -194,13 +196,21 @@ def _kernel_sizes():
         return st.one_of(st.sampled_from((last, last + 1)),
                          st.integers(INT16_K_LIMIT + 1, last),
                          st.integers(last + 1, 30))
-    return st.one_of(
-        st.integers(1, 2048).flatmap(lambda N: st.tuples(st.just(N), ks(N))),
-        st.tuples(st.integers(1, 4),
-                  st.one_of(st.sampled_from((INT32_K_LIMIT, INT32_K_LIMIT + 1)),
-                            st.integers(28, 40))),
-        st.integers(8, 4096).flatmap(
-            lambda N: st.tuples(st.just(N), narrow_ks(N))))
+    if tables == "int16":
+        return st.integers(1, 2048).flatmap(
+            lambda N: st.tuples(st.just(N), ks(N)))
+    if tables == "int32-int64":
+        return st.tuples(
+            st.integers(1, 4),
+            st.one_of(st.sampled_from((INT32_K_LIMIT, INT32_K_LIMIT + 1)),
+                      st.integers(28, 40)))
+    assert tables == "uint16"
+    return st.integers(8, 4096).flatmap(
+        lambda N: st.tuples(st.just(N), narrow_ks(N)))
+
+
+#: The branches of _kernel_sizes, one run of each kernel property apiece.
+KERNEL_TABLES = ("int16", "int32-int64", "uint16")
 
 
 #: Row counts as (full counting chunks, extra rows): one row, one chunk
@@ -238,9 +248,11 @@ def _kernel_rows(size, rows, data):
     return N, k, pool, which, xs
 
 
+@pytest.mark.parametrize("tables", KERNEL_TABLES)
 @settings(parent=core, max_examples=30)
-@given(_kernel_sizes(), st.sampled_from(ROW_COUNTS), st.data())
-def test_count_eta_batch_matches_dp_rows(size, rows, data):
+@given(st.sampled_from(ROW_COUNTS), st.data())
+def test_count_eta_batch_matches_dp_rows(tables, rows, data):
+    size = data.draw(_kernel_sizes(tables))
     N, k, pool, which, xs = _kernel_rows(size, rows, data)
     eta = count_eta_batch(xs, N)
     assert eta.dtype == np.int64 and eta.shape == (xs.shape[0], N)
@@ -253,12 +265,14 @@ def test_count_eta_batch_matches_dp_rows(size, rows, data):
                           eta)
 
 
+@pytest.mark.parametrize("tables", KERNEL_TABLES)
 @settings(parent=core, max_examples=30)
-@given(_kernel_sizes(), st.sampled_from(ROW_COUNTS), st.data())
-def test_count_eta_batch_reads_every_label_width(size, rows, data):
+@given(st.sampled_from(ROW_COUNTS), st.data())
+def test_count_eta_batch_reads_every_label_width(tables, rows, data):
     # the Monte Carlo pass hands count_eta_batch labels in [0, N) at the
     # width of N (_label_dtype); counts and values must not depend on it
-    N, k, _, _, xs = _kernel_rows(size, rows, data)
+    N, k, _, _, xs = _kernel_rows(data.draw(_kernel_sizes(tables)), rows,
+                                  data)
     labels = xs % N
 
     def value(rows, chunk):
@@ -303,16 +317,18 @@ def test_chunked_narrow_draws_are_one_int64_draw(N, k, n, seed):
 
 # no shrinking: a failing example is reported as drawn, where shrinking
 # it through the sizes and the three byte budgets ran for over 600 s
+@pytest.mark.parametrize("tables", KERNEL_TABLES)
 @settings(parent=core, max_examples=30,
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
-@given(_kernel_sizes(), st.sampled_from(ROW_COUNTS), st.data())
-def test_chunk_reducers_match_the_int64_table(size, rows, data):
+@given(st.sampled_from(ROW_COUNTS), st.data())
+def test_chunk_reducers_match_the_int64_table(tables, rows, data):
     # every reducer the program hands count_eta_batch sees the counts in
     # the work dtype, in blocks of a counting chunk; its per-row results
     # must be those of the exact counts, and must not depend on that
     # dtype, on a block's recounted rows or on where the chunks, the prefix
     # histograms' blocks and the reducer's blocks are cut, which the
     # byte budgets 2^9 and 2^13 cut at other rows than the default
+    size = data.draw(_kernel_sizes(tables))
     for chunk_bytes in (2 ** 9, 2 ** 13, CHUNK_BYTES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(subsetsum, "CHUNK_BYTES", chunk_bytes)
@@ -325,13 +341,14 @@ def _assert_reducers_match(N, k, pool, which, xs):
     # the exact int64 table, from the slow reference
     table = np.array([_dp_rows(BlockLabel(tuple(x), N))[-1]
                       for x in pool.tolist()], dtype=np.int64)[which]
-    plan, cdf = _shift_plan(N, N // 2), np.empty((_outcome_rows(N), N))
+    d = N // 2
+    plan, cdf = _miss_plan(N, d), np.empty((_outcome_rows(N), N))
     reducers = [
         lambda rows, eta: _success_values(eta, N, k),
         lambda rows, eta: _lsb_values(eta, N, k),
         lambda rows, eta: _support_values(eta, N, k),
         lambda rows, eta: _support_sizes(eta),
-        lambda rows, eta: _outcomes(eta, N, k, plan, u[rows], cdf),
+        lambda rows, eta: _outcomes(eta, N, k, d, plan, u[rows], cdf),
         lambda rows, eta: _trivial_outcomes(_support_sizes(eta), N, k,
                                             u[rows]),
     ]

@@ -9,13 +9,17 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError, block_state,
                           count_eta, lsb_threshold_check, outcome_distribution,
                           povm_block, run_trials, shift_covariance_check,
                           success, success_exact, success_mc,
                           trivial_success)
-from dihedral_pgm.simulate import (_distributions, _outcome_bytes,
+from dihedral_pgm.simulate import (_distributions, _miss_cdf, _miss_plan,
+                                   _outcome_bytes, _outcome_rows, _outcomes,
                                    _shift_plan, _trivial_outcomes, _unfold)
 from dihedral_pgm.success import (MC_SHARD_BYTES, SHARD, _sharded,
                                   _support_sizes, _worker_bytes)
@@ -98,7 +102,9 @@ def test_shift_plan_reads_the_folded_columns():
     # the runs of _shift_plan copy, in the order of j, the columns
     # min(m, N - m) of m = (d - j) mod N of the half spectrum, bitwise, in
     # at most three slices, for every shift of every N up to 70 and for
-    # the shifts around 0, N // 2 and N - 1 of larger N, odd and even
+    # the shifts around 0, N // 2 and N - 1 of larger N, odd and even;
+    # so do those of _miss_plan for every j but d, from CDF column 1 on,
+    # leaving column 0, where P(d) goes, unwritten
     rng = np.random.default_rng(6)
     for N in list(range(1, 71)) + [255, 256, 1023, 1024]:
         W = rng.random((3, N // 2 + 1))
@@ -112,6 +118,86 @@ def test_shift_plan_reads_the_folded_columns():
             assert len(plan) <= 3
             assert np.array_equal(P[:, :N], W[:, np.minimum(m, N - m)])
             assert np.isnan(P[:, N]).all()
+            plan = _miss_plan(N, d)
+            P = np.full((3, N), np.nan)
+            _unfold(W, plan, P)
+            assert len(plan) <= 3
+            assert np.isnan(P[:, 0]).all()
+            m = np.delete(m, d)
+            assert np.array_equal(P[:, 1:], W[:, np.minimum(m, N - m)])
+
+
+def _miss_cases():
+    """(N, d): every shift of N <= 70, and the shifts around 0, N // 2 and
+    N - 1 at N = 1023 and 1024."""
+    return st.one_of(
+        st.integers(1, 70).flatmap(
+            lambda N: st.tuples(st.just(N), st.integers(0, N - 1))),
+        st.sampled_from((1023, 1024)).flatmap(lambda N: st.tuples(
+            st.just(N), st.sampled_from(sorted(
+                {0, 1, N // 2 - 1, N // 2, N // 2 + 1, N - 2, N - 1})))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_miss_cases(), st.integers(1, 14), st.integers(0, 2 ** 32 - 1))
+def test_each_outcome_takes_a_u_interval_of_its_probability(case, k, seed):
+    # the outcomes are ordered d, then j != d ascending, then the trivial
+    # outcome; the u that _outcomes maps to each of them is an interval
+    # as long as its probability in _distributions, within 1e-15, and a
+    # u inside it, or on its lower end (exact when N is a power of two),
+    # maps to it; the trivial outcome, of probability 0, keeps only what
+    # the N roundings of the cumulative sum leave, at most N ulp of 1
+    N, d = case
+    eta, _ = _random_draws(N, k, 4, seed)
+    S, denom = eta.shape[0], N * float(2 ** k)
+    order = [d] + [j for j in range(N) if j != d]
+    roots = np.sqrt(eta, dtype=np.float64)
+    P = np.empty((S, N))
+    plan = _miss_plan(N, d)
+    _miss_cdf(roots, roots.sum(axis=1) ** 2, plan, P)
+    cdf = P / denom
+    probs = _distributions(eta, N, k, d)
+    lengths = np.diff(cdf, axis=1, prepend=0.0)
+    assert np.abs(lengths - probs[:, order]).max() <= 1e-15
+    assert np.abs(1.0 - cdf[:, -1]).max() <= N * 2.0 ** -52
+    probe = (np.arange(N) if N <= 70 else
+             np.unique([0, 1, d, min(d + 1, N - 1), N - 1]
+                       + list(range(0, N, 61))))
+    lower = np.hstack([np.zeros((S, 1)), cdf[:, :-1]])[:, probe]
+    upper = cdf[:, probe]
+    kept = upper > lower
+    points = [(lower + upper) / 2]
+    if N & (N - 1) == 0:
+        points.append(lower)
+    buffer = np.empty((_outcome_rows(N), N))
+    want = np.broadcast_to(np.array(order)[probe], kept.shape)[kept]
+    rows = np.repeat(np.arange(S), probe.size).reshape(S, -1)[kept]
+    for u in points:
+        got = _outcomes(eta[rows], N, k, d, plan, u[kept], buffer)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("N, k, hidden", [(8, 4, 3), (5, 5, 0), (6, 2, 5),
+                                          (4, 6, 2), (3, 7, 1), (2, 12, 1)])
+def test_simulated_outcomes_follow_the_distributions(N, k, hidden):
+    # at dense scale, every label of Z_N^k is enumerated, so the law of a
+    # trial's outcome is the mean of _distributions over them; the
+    # outcomes of run_trials pass a chi-square test against it, bins
+    # expecting under 5 trials pooled, and no trial is trivial
+    law = sum(_distributions(eta, N, k, hidden).sum(axis=0)
+              for _, eta in iter_all_eta(N, k)) / N ** k
+    trials = 20000
+    _, columns = run_trials(N, k, hidden, trials, seed=N * 100 + k)
+    seen = np.bincount(columns["outcomes"], minlength=N + 1)
+    assert seen[N] == 0
+    expect = trials * law[:N]
+    small = expect < 5
+    observed = np.append(seen[:N][~small], seen[:N][small].sum())
+    expected = np.append(expect[~small], expect[small].sum())
+    if not small.any():
+        observed, expected = observed[:-1], expected[:-1]
+    expected *= observed.sum() / expected.sum()
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 37, 256])
@@ -264,6 +350,19 @@ def test_monte_carlo_guard_bounds_the_largest_shard():
         _sharded(64, 63, 100, 1, 1, _never)
 
 
+def test_small_n_reaches_every_k_under_the_guard():
+    # at N <= 16 a counting chunk is the whole shard, and its reduced and
+    # negated coordinates are held at the width of N: one byte a
+    # coordinate, not eight, so the estimators and the simulator reach
+    # k = 62 there (at int64 they stopped at k = 35 and 31 at N = 8,
+    # where `sweep --N 8 --k 40` exited 3)
+    for N in range(1, 17):
+        for held in (0, _outcome_bytes(N)):
+            assert _worker_bytes(N, 62, SHARD, held) <= MC_SHARD_BYTES
+    shards = _sharded(8, 40, 10000, 1, 1, lambda rng, xs: len(xs))
+    assert list(shards) == [SHARD, SHARD, 10000 - 2 * SHARD]
+
+
 # (N, k) on int16, int32 and uint16 work tables, from histogram blocks
 # of 128 rows at N = 256 down to one row at N = 2^16, on int8, int16 and
 # int32 labels, and at or next to the guard's edges at SHARD draws: the
@@ -272,10 +371,14 @@ def test_monte_carlo_guard_bounds_the_largest_shard():
 # sizes again, (4096, 20) with blocks of 8 rows and (2^16, 16) with
 # blocks of one, where each shard's first draw is x = 0, whose count 2^k
 # at r = 0 is 0 mod 2^16, so its block fails the row-sum certificate and
-# is counted again at the exact type
+# is counted again at the exact type; (1024, 6), where nearly every trial
+# misses the hidden shift and its square roots are gathered for the FFT,
+# and (1024, 20), where nearly every trial hits it and none is; and
+# (8, 40), where a chunk is the whole shard, with its coordinates held at
+# the width of N
 WORKER_SIZES = [pytest.param(N, k, False, id=f"{N}-{k}") for N, k in (
     (64, 6), (256, 8), (1024, 12), (4096, 20), (2 ** 14, 14), (2 ** 16, 16),
-    (2 ** 16, 29), (2 ** 16, 62))] + [
+    (2 ** 16, 29), (2 ** 16, 62), (1024, 6), (1024, 20), (8, 40))] + [
     pytest.param(N, k, True, id=f"{N}-{k}-zero-row")
     for N, k in ((4096, 20), (2 ** 16, 16))]
 
