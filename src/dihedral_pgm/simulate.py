@@ -20,8 +20,14 @@ sqrt(eta): sqrt(eta) is real, so the spectrum is Hermitian and its half
 m = 0 .. N // 2 holds every |.|^2 the outcomes read; P(j) for the other
 j reads it at fold(d - j) from at most three forward or reversed slices
 (_shift_plan, and _miss_plan in the CDF's order), copied into one CDF
-buffer and summed there.  For the trivial subgroup the support size of
-eta is all it takes.  That is what lets the simulator run at k around 20
+buffer and summed there.  Most shift trials need not even count all k
+coordinates: head = (sum_p sqrt(eta_p))^2 after k coordinates is at
+least 2^(k - j) times its value after the first j, so a trial whose u
+lies below P(d) of its prefix, by a margin for rounding, takes d at the
+checkpoint depth j (_checkpoint, _settled_outcomes), and only the other
+trials are counted to k.  For the trivial subgroup the support size of
+eta is all it takes, counted on bool tables (count_eta_batch's support
+mode).  That is what lets the simulator run at k around 20
 and N around 1024.  Trials draw their labels in the estimators' one
 Monte Carlo pass, success._sharded.  A shard sends back its outcomes
 alone, at the width of N (success._label_dtype), which run_trials hands
@@ -39,9 +45,9 @@ from functools import partial
 import numpy as np
 
 from .dihedral import TRIVIAL, BlockLabel
-from .subsetsum import (CHUNK_BYTES, _block_rows, _label_dtype,
-                        count_eta_batch)
-from .success import _sharded, _support_sizes
+from .subsetsum import (CHUNK_BYTES, _block_rows, _count_bytes,
+                        _label_dtype, count_eta_batch)
+from .success import SHARD, _draw_rows, _sharded, _support_sizes
 
 
 def _trivial_distributions(support: np.ndarray, N: int, k: int) -> np.ndarray:
@@ -135,7 +141,7 @@ def _outcome_rows(N: int) -> int:
     return max(1, CHUNK_BYTES // (16 * N))
 
 
-def _outcome_bytes(N: int) -> int:
+def _outcome_bytes(N: int, k: int = 0, rows: int = 0) -> int:
     """The bytes the outcome reducers hold at once beyond a value
     kernel's one float64 block, here the square roots of eta of one
     counting block (_block_rows(N) rows): for _outcome_rows(N) rows, the
@@ -146,11 +152,27 @@ def _outcome_bytes(N: int) -> int:
     read in place (so none where a block is one row); and four 8-byte
     values a row of the block: its scaled uniforms, the heads of its
     CDFs, the rows that miss and their outcomes.  The trivial subgroup's
-    two (rows, N + 1) tables are made after counting, when none of
-    count_eta_batch's temporaries is held."""
-    rows, block = _outcome_rows(N), _block_rows(N)
-    return (rows * (N * 8 + (N // 2 + 1) * 16)
-            + min(rows, block - 1) * N * 8 + block * 4 * 8)
+    two (rows, N + 1) tables, and its sort order of the support sizes,
+    are made after counting, when none of count_eta_batch's temporaries
+    is held.
+
+    A shard of `rows` shift trials of k coordinates with a checkpoint
+    (_checkpoint) first counts their first j coordinates, holding none
+    of those tables but four 8-byte values a row of a block (the heads,
+    the scaled uniforms and their comparison), and its own count's
+    temporaries, which can exceed the full count's where the narrower
+    work type of depth j gives a chunk more rows (N = 18,720, k = 31:
+    7 uint16 rows against one int64 row); the larger of the two stages
+    is counted.  Its per-shard arrays are counted in the slots of a draw
+    (_settled_outcomes)."""
+    per_block, block = _outcome_rows(N), _block_rows(N)
+    held = (per_block * (N * 8 + (N // 2 + 1) * 16)
+            + min(per_block, block - 1) * N * 8 + block * 4 * 8)
+    j = _checkpoint(N, k)
+    if j:
+        held = max(held, _count_bytes(rows, N, j) - _count_bytes(rows, N, k)
+                   + min(block, rows) * 4 * 8)
+    return held
 
 
 def _miss_cdf(roots: np.ndarray, head: np.ndarray, plan,
@@ -220,15 +242,24 @@ def _trivial_outcomes(support: np.ndarray, N: int, k: int,
     searched for the u of the rows with that size.  The row never
     decreases, so searchsorted(side="right") is its number of entries at
     or below u, as the inverse CDF over each draw's own table counts
-    them."""
+    them.  The distinct sizes are read from np.bincount and the rows of
+    each from one stable argsort of the sizes, not from np.unique, whose
+    first call in a process imports numpy.ma: 8-10 ms that each cold
+    worker of the pool paid in its first trivial shard, about half the
+    CPU time of a 4096-draw shard at N = 1024, k = 10."""
     outcomes = np.empty(support.shape[0], dtype=np.int64)
-    sizes = np.unique(support)
+    # the rows sorted by size, those of the distinct size sizes[i] ending
+    # at ends[i], in row order
+    order = np.argsort(support, kind="stable")
+    counts = np.bincount(support)
+    sizes = np.flatnonzero(counts)
+    ends = np.cumsum(counts[sizes])
     step = _outcome_rows(N)
     for lo in range(0, sizes.size, step):
         block = sizes[lo:lo + step]
         cdfs = np.cumsum(_trivial_distributions(block, N, k), axis=1)
-        for size, cdf in zip(block, cdfs):
-            rows = support == size
+        for end, count, cdf in zip(ends[lo:lo + step], counts[block], cdfs):
+            rows = order[end - count:end]
             outcomes[rows] = np.searchsorted(cdf, u[rows], side="right")
     return np.minimum(outcomes, N)
 
@@ -240,23 +271,89 @@ def outcome_distribution(label: BlockLabel, hidden) -> np.ndarray:
     return _distributions(eta, label.N, label.k, hidden)[0]
 
 
+def _checkpoint(N: int, k: int) -> int:
+    """The depth j = (N - 1).bit_length() + 3 at which _trial_shard
+    settles the shift trials it can, where the mean count 2^j / N is 8
+    or more, or 0 where k - j < 2 and there is no checkpoint: a trial it
+    settles saves at least two of the k steps, which pays for the count
+    to j of the trials it leaves open."""
+    j = (N - 1).bit_length() + 3
+    return j if k - j >= 2 else 0
+
+
+def _shift_outcomes(xs, N: int, k: int, d: int, u) -> np.ndarray:
+    """The outcomes for a hidden shift d of the draws xs, one uniform u
+    each, from their full counts: count_eta_batch's reducer _outcomes,
+    with its slice plan and CDF buffer made once."""
+    plan = _miss_plan(N, d)
+    cdf = np.empty((min(_outcome_rows(N), len(xs)), N))
+    return count_eta_batch(
+        xs, N, lambda rows, eta: _outcomes(eta, N, k, d, plan, u[rows], cdf))
+
+
+def _settled_outcomes(xs, N: int, k: int, d: int, j: int,
+                      u) -> np.ndarray:
+    """The outcomes of _shift_outcomes(xs, N, k, d, u), from the counts
+    of the first j coordinates (_checkpoint) for the rows they settle and
+    from the full counts for the others, the open rows.  u is overwritten.
+
+    A row settles when u N 2^j < head_j (1 - 2^-30), for the head
+    (sum_r sqrt(eta_r))^2 of its counts after j coordinates.  No row that
+    would miss d is settled: after k coordinates eta is the sum of
+    2^(k - j) copies of the depth-j table, each shifted by one subset sum
+    of the last k - j coordinates, so the concavity of the square root
+    gives head_k >= 2^(k - j) head_j, with equality when those
+    coordinates are all 0.  u N 2^k is exactly 2^(k - j) times u N 2^j,
+    and each computed head, N rounded square roots summed and squared, is
+    within a relative (2N + 1) 2^-53 < 2^-35 of its value at every N the
+    memory guard lets through, so the margin 2^-30 makes u N 2^k < head_k
+    as computed: the full count would have hit d too.  The bound is
+    tight, so the margin is needed.
+
+    The shard's one flag a row, and then the open rows' index, take the
+    place of a draw's values and deviations in the memory guard
+    (success._worker_bytes); the open rows' uniforms are moved to the
+    front of u, in place, and their labels are gathered
+    success._draw_rows(k) rows at a time, at most the bytes of the int64
+    chunk the draws were made in."""
+    scale = N * float(2 ** j)
+    open_rows = np.flatnonzero(count_eta_batch(
+        xs[:, :j], N,
+        lambda rows, eta: u[rows] * scale >= (
+            np.sqrt(eta, dtype=np.float64).sum(axis=1) ** 2
+            * (1 - 2.0 ** -30))))
+    u[:open_rows.size] = u[open_rows]
+    outcomes = np.full(len(xs), d, dtype=np.int64)
+    step = _draw_rows(k)
+    for lo in range(0, open_rows.size, step):
+        rows = open_rows[lo:lo + step]
+        outcomes[rows] = _shift_outcomes(xs[rows], N, k, d,
+                                         u[lo:lo + step])
+    return outcomes
+
+
 def _trial_shard(N: int, k: int, hidden, rng, xs) -> np.ndarray:
     """One shard of run_trials: the outcomes of the draws xs, at the width
     of N (_label_dtype), from one uniform per draw drawn after them.
     hidden is compared to TRIVIAL by value: a str does not keep its
-    identity when the shard is sent to a worker process."""
+    identity when the shard is sent to a worker process.  Each shard
+    counts only what decides its outcomes: for the trivial subgroup the
+    support of eta, on count_eta_batch's bool tables; for a shift the
+    first j coordinates of every draw where there is a checkpoint
+    (_checkpoint), and all k only for the draws it leaves open
+    (_settled_outcomes), with the same outcomes, byte for byte, as the
+    full count of every draw (_shift_outcomes)."""
     u = rng.random(len(xs))
     if hidden == TRIVIAL:
         support = count_eta_batch(
-            xs, N, lambda rows, eta: _support_sizes(eta))
+            xs, N, lambda rows, eta: _support_sizes(eta), support=True)
         outcomes = _trivial_outcomes(support, N, k, u)
     else:
-        d = int(hidden) % N
-        plan = _miss_plan(N, d)
-        cdf = np.empty((min(_outcome_rows(N), len(xs)), N))
-        outcomes = count_eta_batch(
-            xs, N, lambda rows, eta: _outcomes(eta, N, k, d, plan, u[rows],
-                                               cdf))
+        d, j = int(hidden) % N, _checkpoint(N, k)
+        if j:
+            outcomes = _settled_outcomes(xs, N, k, d, j, u)
+        else:
+            outcomes = _shift_outcomes(xs, N, k, d, u)
     return outcomes.astype(_label_dtype(N))
 
 
@@ -296,22 +393,30 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     and one block's outcome tables, which the memory guard counts
     (_outcome_bytes), never a (SHARD, N) table; the shard reads the half
     spectrum through one slice plan and sums it in one CDF buffer
-    (_miss_plan), both made once.  For the trivial subgroup the reducer
-    keeps only the support sizes, and the shard's outcomes come from one
-    cumulative row per distinct size (_trivial_outcomes).  Any hidden
-    equal to TRIVIAL names the trivial subgroup, whatever object it is.
+    (_miss_plan), both made once.  Where there is a checkpoint depth,
+    the draws that a count of their first j coordinates settles take d
+    there, and only the others are counted in full (_settled_outcomes).
+    For the trivial subgroup the reducer keeps only the support sizes,
+    counted on bool tables, which the memory guard counts too
+    (success._worker_bytes with support), and the shard's outcomes come
+    from one cumulative row per distinct size (_trivial_outcomes).  Any
+    hidden equal to TRIVIAL names the trivial subgroup, whatever object
+    it is.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
 
     shard = _labelled_trial_shard if sink is None else _trial_shard
+    trivial = hidden == TRIVIAL
+    held = (_outcome_bytes if trivial else
+            partial(_outcome_bytes, k=k, rows=min(trials, SHARD)))
     shards = _sharded(N, k, trials, seed, threads,
-                      partial(shard, N, k, hidden), _outcome_bytes)
+                      partial(shard, N, k, hidden), held, support=trivial)
     columns = None
     if sink is None:
         columns = {"labels": np.empty((trials, k), dtype=np.int64),
                    "outcomes": np.empty(trials, dtype=np.int64)}
-    want = N if hidden == TRIVIAL else int(hidden) % N
+    want = N if trivial else int(hidden) % N
     hits, lo = 0, 0
     # a sink that raises closes the pass at once, which cancels its
     # shards not yet started

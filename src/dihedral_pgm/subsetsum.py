@@ -28,6 +28,8 @@ and the counts of a row sum to 2^k; so a row is exact exactly when its
 int64 row sum is 2^k.  Every block is checked so before its reducer sees
 it, and the rows that fail are counted again at the exact type, in which
 the block is then handed on.  One table serves every chunk of a call.
+In its support mode, which keeps only which residues are reached, the
+table is bool, each step's add is an OR, and no row needs a check.
 Each row of the table is doubled, [T | T], so that no index is ever
 reduced mod N.  A chunk starts by writing the histogram of the 2^m
 subset sums of its first m coordinates into both halves at once; the
@@ -193,23 +195,27 @@ def _block_rows(N: int) -> int:
     return max(1, CHUNK_BYTES // (8 * N))
 
 
-def _count_bytes(S: int, N: int, k: int) -> int:
+def _count_bytes(S: int, N: int, k: int, support: bool = False) -> int:
     """The bytes count_eta_batch holds for S rows of k coordinates mod N,
-    beyond xs and its output: a chunk's reduced and negated coordinates,
-    at the width of N (_label_dtype); its doubled work table and the
-    window gathered each step, both of min(S, chunk) rows in the work
-    dtype (_batch_dtype); the int64 histogram of a block, which also
-    bounds the float64 copy a value kernel makes of its block; the bit
-    table, and a chunk's subset sums with the two temporaries
-    _subset_sums makes of them; and three numpy casting buffers of
-    np.getbufsize() float64 values, which a cast of a large operand
-    holds.  On uint16 tables the certificate adds the int64
+    beyond xs and its output, in its support mode when support: a
+    chunk's reduced and negated coordinates, at the width of N
+    (_label_dtype); its doubled work table and the window gathered each
+    step, both of min(S, chunk) rows in the work dtype (_batch_dtype, or
+    bool in the support mode, whose chunks have twice the rows of an
+    int16 chunk in the same bytes); the int64 histogram of a block,
+    which also bounds the float64 copy a value kernel makes of its
+    block; the bit table, and a chunk's subset sums with the two
+    temporaries _subset_sums makes of them; and three numpy casting
+    buffers of np.getbufsize() float64 values, which a cast of a large
+    operand holds.  On uint16 tables the certificate adds the int64
     row sums of a block and a block widened to the exact type
     (_work_dtype), which a block holds while its failed rows are counted
     again and its reducer runs; the np.roll row of that count is no
     larger than the histogram of the block, which is not held then.
     Raises ScaleLimitError beyond k = BATCH_K_LIMIT, as the call would."""
     work = _batch_dtype(N, k)
+    if support:
+        work = np.bool_
     n = min(_chunk_rows(N, work), max(S, 1))
     block = min(_block_rows(N), n)
     m = min(k, _prefix_width(N))
@@ -276,7 +282,8 @@ def _recount(x: np.ndarray, N: int, out: np.ndarray) -> None:
         out += np.roll(out, xj)
 
 
-def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
+def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
+                    support: bool = False) -> np.ndarray:
     """eta for many draws at once, reduced row-wise block by block.
 
     xs is (S, k) integers.  The rows are counted in chunks of
@@ -325,10 +332,20 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None) -> np.ndarray:
     CHUNK_BYTES, and a chunk's subset sums, 2^m <= N / 16 of them a row,
     at most CHUNK_BYTES / 4 (_count_bytes adds them up, with what the
     certificate holds).
+
+    With support, the reducer gets only which counts are nonzero, the
+    support of eta, as a bool block: the work table is np.bool_, at any
+    k, so a chunk has twice the rows of an int16 one in the same bytes.
+    The prefix histogram is assigned to it as bool, and each step's add
+    is numpy's bool add, which is OR: a residue is reached after j
+    coordinates exactly when it was reached after j - 1 or its window
+    was.  A bool never wraps, so no row needs a certificate.
     """
     xs = np.asarray(xs)
     S, k = xs.shape
     work, exact = _batch_dtype(N, k), _work_dtype(k)
+    if support:
+        work = exact = np.bool_
     label = _label_dtype(N)
     if reduce is None:
         reduce = _widen

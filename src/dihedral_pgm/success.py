@@ -264,7 +264,8 @@ def _draw_labels(rng: np.random.Generator, N: int, n: int,
     return xs
 
 
-def _worker_bytes(N: int, k: int, samples: int, held: int = 0) -> int:
+def _worker_bytes(N: int, k: int, samples: int, held: int = 0,
+                  support: bool = False) -> int:
     """The bytes one Monte Carlo worker holds for a shard of
     min(samples, SHARD) draws of Z_N^k: the (rows, k) draws at their
     width (_label_dtype(N)) and one int64 chunk of them as drawn
@@ -272,20 +273,31 @@ def _worker_bytes(N: int, k: int, samples: int, held: int = 0) -> int:
     values, their deviations and the result), count_eta_batch's
     temporaries (subsetsum._count_bytes, which include one float64 block
     of the reducer), and `held` more bytes that the caller's reducer
-    holds at once.  Raises ScaleLimitError beyond k = BATCH_K_LIMIT."""
+    holds at once.  With support the shard counts in count_eta_batch's
+    support mode, and its temporaries are taken as the larger of that
+    mode's and the exact count's: bool chunks have more rows, but where
+    one exact row is past CHUNK_BYTES (N = 2^16, k > 30) they hold fewer
+    bytes, and the trivial subgroup keeps the reach of a shift.  Raises
+    ScaleLimitError beyond k = BATCH_K_LIMIT."""
     rows = min(samples, SHARD)
     width = np.dtype(_label_dtype(N)).itemsize
+    count = _count_bytes(rows, N, k)
+    if support:
+        count = max(count, _count_bytes(rows, N, k, support=True))
     return (rows * (k * width + 4 * 8) + min(rows, _draw_rows(k)) * k * 8
-            + _count_bytes(rows, N, k) + held)
+            + count + held)
 
 
-def _mc_guard(N: int, k: int, samples: int, held=None) -> None:
+def _mc_guard(N: int, k: int, samples: int, held=None,
+              support: bool = False) -> None:
     """The size check and the memory guard of one Monte Carlo pass, on
     nothing drawn: ScaleLimitError when a worker would hold more than
     MC_SHARD_BYTES (_worker_bytes, with held(N) more bytes when held is
-    given), or when k is past int64 counting."""
+    given, counting in the support mode when support), or when k is
+    past int64 counting."""
     _check_size(N, k)
-    worker = _worker_bytes(N, k, samples, 0 if held is None else held(N))
+    worker = _worker_bytes(N, k, samples, 0 if held is None else held(N),
+                           support)
     if worker > MC_SHARD_BYTES:
         raise ScaleLimitError(
             f"a Monte Carlo worker would hold {worker} bytes (N = {N}, "
@@ -343,10 +355,11 @@ def _shard(N: int, k: int, work, ss: np.random.SeedSequence, n: int):
 
 
 def _sharded(N: int, k: int, samples: int, seed, threads: int, work,
-             held=None):
+             held=None, support: bool = False):
     """The one Monte Carlo pass: the size check and memory guard
     (_mc_guard, with held(N) the bytes work's reducer holds beyond one
-    float64 block) and the worker count (ValueError naming max_workers
+    float64 block, and support when work counts in count_eta_batch's
+    support mode) and the worker count (ValueError naming max_workers
     below 1) before any draw, then an iterator over work(rng, xs) per
     shard of SHARD draws, the last partial, in shard order.  Each shard's
     rng is its own child of seed, spawned when the shard is submitted,
@@ -371,7 +384,7 @@ def _sharded(N: int, k: int, samples: int, seed, threads: int, work,
     not yet started, and the pool stays usable; a pass whose worker dies
     raises BrokenProcessPool and drops the pool, so the next pass starts
     a new one."""
-    _mc_guard(N, k, samples, held)
+    _mc_guard(N, k, samples, held, support)
     if threads < 1:
         raise ValueError("max_workers must be greater than 0")
     workers = min(threads, max(2, -(-samples // SHARD)))

@@ -279,7 +279,12 @@ def test_exact_sweep_past_the_enumeration_guard_exits_3(N, k, tmp_path,
 #: the hidden shift d first, so that a trial that hits d needs no FFT:
 #: the law of the outcomes did not change, but the outcome a given
 #: uniform maps to did, and with it the rate (0.9836 to 0.9834 and 0.7598
-#: to 0.7542); the trivial run did not move.
+#: to 0.7542); the trivial run did not move.  The (64, 14) and odd-N
+#: (37, 12) shift runs and the (64, 16) trivial run were recorded before
+#: shift trials settled at a checkpoint depth and trivial trials counted
+#: their support on bool tables: the shift runs are deep enough for a
+#: checkpoint, which the runs above are not, and the trivial run counts
+#: past k = 14.
 GOLDEN = [
     pytest.param(
         ["sweep", "--N", "1024", "--k", "8..12", "--samples", "5000",
@@ -310,6 +315,24 @@ GOLDEN = [
         "30cd313d154eaace4b97ad7aaa569bb2cf0b19df7c0235e534594b3f37f4df9e",
         "0870dfbefa1503cd54a02cd99e47fb97d6aeb68bb139f0eb268d672c51b1dc45",
         id="simulate-odd-n"),
+    pytest.param(
+        ["simulate", "--N", "64", "--k", "14", "--hidden", "3", "--trials",
+         "5000", "--seed", "7", "--threads", "2"],
+        "e912aebd16e97c3d9cf12804d1555224f8d5d0d9bedbb1393711d077df4c4f36",
+        "0af7281f86c95feb99815f216af268b022e71c5da227130db107d4c1767bad42",
+        id="simulate-checkpoint"),
+    pytest.param(
+        ["simulate", "--N", "37", "--k", "12", "--hidden", "5", "--trials",
+         "5000", "--seed", "7", "--threads", "2"],
+        "859b1e65ea439987eacde3b6a82dab4e15ae876b93a83b5eae7d4da71caebce5",
+        "e18cdf5b971bc57bd06370dd87ccea06ba3b67813eb87908dd693c07351c659c",
+        id="simulate-checkpoint-odd-n"),
+    pytest.param(
+        ["simulate", "--N", "64", "--k", "16", "--hidden", "trivial",
+         "--trials", "5000", "--seed", "7", "--threads", "2"],
+        "9284431c8829201b45f6cc3f4b5ffe78448f804e592add4505cc493828b03a67",
+        "15410c0601d02306463987dbcbd656e8dca4785123749ef4fce302a7eef82023",
+        id="simulate-trivial-bool"),
     pytest.param(
         ["sweep", "--exact", "--N", "8", "--k", "1..7"],
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

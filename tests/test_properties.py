@@ -22,7 +22,9 @@
   to the same function applied to the whole exact int64 table (the last
   rows of _dp_rows), under three byte budgets that cut the chunks and
   blocks at different rows, and on no rows at all.
-  It reads labels of any integer width bitwise alike.
+  It reads labels of any integer width bitwise alike.  In its support
+  mode, on bool tables, its support sizes equal count_nonzero of the
+  exact table at every k of those work dtypes.
 * The Monte Carlo labels, drawn as int64 a chunk at a time and held at
   the width of N, equal one int64 draw of the whole shard and leave the
   generator where that draw leaves it.
@@ -220,16 +222,18 @@ KERNEL_TABLES = ("int16", "int32-int64", "uint16")
 ROW_COUNTS = ((0, 1), (1, -1), (1, 0), (1, 1), (2, 1))
 
 
-def _kernel_rows(size, rows, data):
+def _kernel_rows(size, rows, data, support=False):
     """(N, k, pool, which, xs): S = chunks * chunk + extra rows for
-    rows = (chunks, extra), each row one of a few distinct x (so the slow
+    rows = (chunks, extra), the chunk of the bool tables of
+    count_eta_batch's support mode when support, each row one of a few
+    distinct x (so the slow
     reference runs once per x) plus multiples of N (so entries must be
     reduced mod N).  From k = 16 on, an x may have 16 or more zero
     coordinates, which makes every count a multiple of 2^16: uint16
     tables hold none of its nonzero counts, so its rows fail the row-sum
     certificate."""
     N, k = size
-    itemsize = np.dtype(_batch_dtype(N, k)).itemsize
+    itemsize = 1 if support else np.dtype(_batch_dtype(N, k)).itemsize
     # read at call time: a test may set CHUNK_BYTES
     chunk = max(1, subsetsum.CHUNK_BYTES // (N * itemsize))
     chunks, extra = rows
@@ -369,6 +373,33 @@ def _assert_reducers_match(N, k, pool, which, xs):
         assert calls == [(0, N)]
         none = reduce(slice(0, 0), table[:0])
         assert empty.dtype == none.dtype and empty.shape == none.shape
+
+
+@pytest.mark.parametrize("tables", KERNEL_TABLES)
+@settings(parent=core, max_examples=30,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+@given(st.sampled_from(ROW_COUNTS), st.data())
+def test_support_mode_sizes_match_the_int64_table(tables, rows, data):
+    # in the support mode every reducer block is a bool table of which
+    # counts are nonzero, at every k whose counts take the int16, uint16,
+    # int32 or int64 tables, including the labels whose counts uint16
+    # tables would wrap to 0; the blocks must be the support of the exact
+    # int64 table, and their support sizes its count_nonzero, with the
+    # chunks and blocks cut at other rows by the byte budgets 2^9 and 2^13
+    size = data.draw(_kernel_sizes(tables))
+    for chunk_bytes in (2 ** 9, 2 ** 13, CHUNK_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsetsum, "CHUNK_BYTES", chunk_bytes)
+            N, k, pool, which, xs = _kernel_rows(size, rows, data,
+                                                 support=True)
+            table = np.array([_dp_rows(BlockLabel(tuple(x), N))[-1]
+                              for x in pool.tolist()], dtype=np.int64)[which]
+            got = count_eta_batch(xs, N, lambda r, chunk: chunk,
+                                  support=True)
+            assert got.dtype == np.bool_
+            assert np.array_equal(got, table != 0)
+            assert np.array_equal(_support_sizes(got),
+                                  np.count_nonzero(table, axis=1))
 
 
 def _mc_cases(Ns=st.integers(2, 16).map(lambda h: 2 * h)):

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from concurrent.futures import Future
@@ -13,17 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import dihedral_pgm
 from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError, block_state,
                           count_eta, lsb_threshold_check, outcome_distribution,
                           povm_block, run_trials, shift_covariance_check,
                           success, success_exact, success_mc,
                           trivial_success)
-from dihedral_pgm.simulate import (_distributions, _miss_cdf, _miss_plan,
-                                   _outcome_bytes, _outcome_rows, _outcomes,
-                                   _shift_plan, _trivial_outcomes, _unfold)
+from dihedral_pgm.simulate import (_checkpoint, _distributions, _miss_cdf,
+                                   _miss_plan, _outcome_bytes, _outcome_rows,
+                                   _outcomes, _shift_plan, _trial_shard,
+                                   _trivial_outcomes, _unfold)
 from dihedral_pgm.success import (MC_SHARD_BYTES, SHARD, _sharded,
                                   _support_sizes, _worker_bytes)
-from dihedral_pgm.subsetsum import CHUNK_BYTES, count_eta_batch, iter_all_eta
+from dihedral_pgm.subsetsum import (CHUNK_BYTES, _label_dtype,
+                                    count_eta_batch, iter_all_eta)
 
 
 def _distributions_by_full_ifft(eta, N, k, hidden):
@@ -230,6 +235,121 @@ def test_trivial_outcomes_from_support_sizes_match_the_tables(N, k):
     assert np.array_equal(fast, tables)
 
 
+def _heads(xs, N):
+    """(sum_r sqrt(eta_r))^2 of each row of xs, computed as the shift
+    reducers compute it."""
+    return count_eta_batch(
+        xs, N,
+        lambda rows, eta: np.sqrt(eta, dtype=np.float64).sum(axis=1) ** 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 70).flatmap(lambda N: st.tuples(
+           st.just(N),
+           st.lists(st.integers(0, N - 1), min_size=2, max_size=16))),
+       st.integers(0, 15))
+def test_a_checkpoint_head_bounds_the_full_head(case, zeros):
+    # eta after k coordinates is the sum of 2^(k - j) shifted copies of
+    # the depth-j table, so the concavity of the square root gives
+    # head_k >= 2^(k - j) head_j, with equality when the last k - j
+    # coordinates are 0; the heads as computed keep it within the margin
+    # 1 - 2^-30 that _trial_shard allows them, at every depth j < k, odd
+    # N and all-zero tails included
+    N, x = case
+    k = len(x)
+    zeros = min(zeros, k - 1)
+    x[k - zeros:] = [0] * zeros
+    xs = np.array([x])
+    full = _heads(xs, N)[0]
+    for j in range(k):
+        head = _heads(xs[:, :j], N)[0]
+        assert full >= 2.0 ** (k - j) * head * (1 - 2.0 ** -30), (j, full)
+
+
+class _Uniforms:
+    """A generator stand-in for _trial_shard whose random(n) gives the
+    uniforms it was made with."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("N, k", [(64, 12), (64, 14), (37, 12), (5, 9),
+                                  (1024, 16)])
+def test_checkpoint_outcomes_match_the_full_count(N, k):
+    # a shift shard settles at the checkpoint depth j the rows whose u
+    # lies below head_j (1 - 2^-30) / (N 2^j) and counts the others in
+    # full: its outcomes must be those of the full count of every row,
+    # with u drawn freely, placed at head_j (1 -+ 2^-30) / (N 2^j), just
+    # below head_j / (N 2^j) and near 1, and with all-zero tails, where
+    # the bound is tight; the open rows must include rows that hit d and
+    # rows that miss it
+    j, d = _checkpoint(N, k), 5 % N
+    assert j
+    rng = np.random.default_rng(N * 100 + k)
+    S = 600
+    xs = rng.integers(0, N, size=(S, k)).astype(_label_dtype(N))
+    xs[:S // 3, j:] = 0
+    scale = N * float(2 ** j)
+    head = _heads(xs[:, :j], N)
+    u = rng.random(S)
+    u[0::5] = head[0::5] * (1 - 2.0 ** -30) / scale
+    u[1::5] = head[1::5] * (1 + 2.0 ** -30) / scale
+    u[2::5] = 1 - rng.random(len(u[2::5])) * 2.0 ** -20
+    u[3::5] = np.nextafter(head[3::5] / scale, 0)
+    u = np.minimum(u, 1 - 2.0 ** -53)
+    plan, cdf = _miss_plan(N, d), np.empty((_outcome_rows(N), N))
+    full = count_eta_batch(
+        xs, N, lambda rows, eta: _outcomes(eta, N, k, d, plan, u[rows], cdf))
+    got = _trial_shard(N, k, d, _Uniforms(u), xs)
+    assert got.dtype == _label_dtype(N)
+    assert np.array_equal(got, full)
+    settled = u * scale < head * (1 - 2.0 ** -30)
+    assert settled.any()
+    assert (full[~settled] == d).any() and (full[~settled] != d).any()
+
+
+def test_the_guard_keeps_checkpoint_heads_within_the_margin():
+    # the checkpoint's margin 2^-30 takes each computed head within a
+    # relative (2N + 1) 2^-53 < 2^-35 of its value, so N < 2^17: the
+    # guard refuses a simulate of N = 2^17 at every k with a checkpoint,
+    # even of one trial
+    N = 2 ** 17
+    ks = [k for k in range(1, 63) if _checkpoint(N, k)]
+    assert ks
+    for k in ks:
+        assert (_worker_bytes(N, k, 1, _outcome_bytes(N, k, 1))
+                > MC_SHARD_BYTES)
+
+
+def test_shards_import_no_masked_arrays():
+    # np.unique imports numpy.ma on its first call in a process, 8-10 ms
+    # that each cold worker of the pool would pay in its first trivial
+    # shard: neither shard path may import it
+    src = os.path.dirname(os.path.dirname(dihedral_pgm.__file__))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from dihedral_pgm.simulate import _trial_shard\n"
+        "from dihedral_pgm.success import _draw_labels\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "for k, hidden in ((10, 'trivial'), (20, 3)):\n"
+        "    rng = np.random.default_rng(1)\n"
+        "    _trial_shard(1024, k, hidden, rng,\n"
+        "                 _draw_labels(rng, 1024, 256, k))\n"
+        "print(before, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
+
+
 def test_success_marginal_matches_exact():
     for N, k in [(2, 3), (4, 2), (8, 1)]:
         parts = []
@@ -411,6 +531,29 @@ def test_one_worker_peaks_within_the_guard_estimate(N, k, zero_row,
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak <= _worker_bytes(N, k, samples, held)
+
+
+@pytest.mark.parametrize("N, k, hidden", [
+    (1024, 10, TRIVIAL), (64, 16, TRIVIAL), (1024, 20, 3), (64, 14, 3)])
+def test_one_worker_peaks_within_the_guard_estimate_at_shard_draws(
+        N, k, hidden):
+    # a full shard, streamed to a sink: a trivial shard counts on bool
+    # chunks of twice the rows of int16 ones, and a shift shard with a
+    # checkpoint holds its flags, then its open rows' index, uniforms and
+    # labels; the guard's estimate, with the support mode and the
+    # checkpoint's count, bounds both
+    trivial = hidden == TRIVIAL
+    held = _outcome_bytes(N) if trivial else _outcome_bytes(N, k, SHARD)
+
+    def call():
+        run_trials(N, k, hidden, SHARD, seed=2, sink=lambda outcomes: None)
+
+    call()
+    tracemalloc.start()
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= _worker_bytes(N, k, SHARD, held, support=trivial)
 
 
 def test_mc_peak_memory_does_not_grow_with_samples():
