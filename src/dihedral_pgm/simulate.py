@@ -22,12 +22,15 @@ j reads it at fold(d - j) from at most three forward or reversed slices
 (_shift_plan, and _miss_plan in the CDF's order), copied into one CDF
 buffer and summed there.  Most shift trials need not even count all k
 coordinates: head = (sum_p sqrt(eta_p))^2 after k coordinates is at
-least 2^(k - j) times its value after the first j, so a trial whose u
-lies below P(d) of its prefix, by a margin for rounding, takes d at the
-checkpoint depth j (_checkpoint, _settled_outcomes), and only the other
-trials are counted to k.  For the trivial subgroup the support size of
-eta is all it takes, counted on bool tables (count_eta_batch's support
-mode).  That is what lets the simulator run at k around 20
+least 2^(k - j) times its value after the first j, and that value is at
+least its value on the first j coordinates' counts mod 2^8.  So the
+prefixes are counted on uint8 tables, their heads taken with float32
+square roots, and a trial whose u lies below P(d) of its prefix, by a
+margin for rounding (SETTLE_MARGIN), takes d at the checkpoint depth j
+(_checkpoint, _settled_outcomes); only the other trials are counted to
+k, exactly.  For the trivial subgroup the support size of eta is all it
+takes, counted on bool tables (count_eta_batch's table=np.bool_).
+That is what lets the simulator run at k around 20
 and N around 1024.  Trials draw their labels in the estimators' one
 Monte Carlo pass, success._sharded.  A shard sends back its outcomes
 alone, at the width of N (success._label_dtype), which run_trials hands
@@ -48,6 +51,10 @@ from .dihedral import TRIVIAL, BlockLabel
 from .subsetsum import (CHUNK_BYTES, _block_rows, _count_bytes,
                         _label_dtype, count_eta_batch)
 from .success import SHARD, _draw_rows, _sharded, _support_sizes
+
+#: delta of the checkpoint's rule u N 2^j < head_j (1 - delta), which
+#: takes in the rounding of the float32 heads (_settled_outcomes).
+SETTLE_MARGIN = 2.0 ** -16
 
 
 def _trivial_distributions(support: np.ndarray, N: int, k: int) -> np.ndarray:
@@ -157,20 +164,21 @@ def _outcome_bytes(N: int, k: int = 0, rows: int = 0) -> int:
     is held.
 
     A shard of `rows` shift trials of k coordinates with a checkpoint
-    (_checkpoint) first counts their first j coordinates, holding none
-    of those tables but four 8-byte values a row of a block (the heads,
-    the scaled uniforms and their comparison), and its own count's
-    temporaries, which can exceed the full count's where the narrower
-    work type of depth j gives a chunk more rows (N = 18,720, k = 31:
-    7 uint16 rows against one int64 row); the larger of the two stages
-    is counted.  Its per-shard arrays are counted in the slots of a draw
-    (_settled_outcomes)."""
+    (_checkpoint) first counts their first j coordinates on uint8
+    tables, holding none of those tables but four 8-byte values a row of
+    a block (the heads, the scaled uniforms and their comparison), and
+    its own count's temporaries, which exceed the full count's where the
+    uint8 chunk has more rows (twice an int16 chunk's; N = 18,720,
+    k = 31: 14 uint8 rows against one int64 row); the larger of the two
+    stages is counted.  Its per-shard arrays are counted in the slots of
+    a draw (_settled_outcomes)."""
     per_block, block = _outcome_rows(N), _block_rows(N)
     held = (per_block * (N * 8 + (N // 2 + 1) * 16)
             + min(per_block, block - 1) * N * 8 + block * 4 * 8)
     j = _checkpoint(N, k)
     if j:
-        held = max(held, _count_bytes(rows, N, j) - _count_bytes(rows, N, k)
+        held = max(held, _count_bytes(rows, N, j, np.uint8)
+                   - _count_bytes(rows, N, k)
                    + min(block, rows) * 4 * 8)
     return held
 
@@ -291,24 +299,55 @@ def _shift_outcomes(xs, N: int, k: int, d: int, u) -> np.ndarray:
         xs, N, lambda rows, eta: _outcomes(eta, N, k, d, plan, u[rows], cdf))
 
 
+def _checkpoint_heads(eta: np.ndarray) -> np.ndarray:
+    """head = (sum_r sqrt(eta_r))^2 of each row of a block of checkpoint
+    counts: float32 square roots, summed by numpy's float32 pairwise sum
+    and squared in float64 (_settled_outcomes bounds its rounding)."""
+    return np.sqrt(eta, dtype=np.float32).sum(axis=1).astype(np.float64) ** 2
+
+
 def _settled_outcomes(xs, N: int, k: int, d: int, j: int,
                       u) -> np.ndarray:
     """The outcomes of _shift_outcomes(xs, N, k, d, u), from the counts
     of the first j coordinates (_checkpoint) for the rows they settle and
     from the full counts for the others, the open rows.  u is overwritten.
 
-    A row settles when u N 2^j < head_j (1 - 2^-30), for the head
-    (sum_r sqrt(eta_r))^2 of its counts after j coordinates.  No row that
-    would miss d is settled: after k coordinates eta is the sum of
-    2^(k - j) copies of the depth-j table, each shifted by one subset sum
-    of the last k - j coordinates, so the concavity of the square root
-    gives head_k >= 2^(k - j) head_j, with equality when those
-    coordinates are all 0.  u N 2^k is exactly 2^(k - j) times u N 2^j,
-    and each computed head, N rounded square roots summed and squared, is
-    within a relative (2N + 1) 2^-53 < 2^-35 of its value at every N the
-    memory guard lets through, so the margin 2^-30 makes u N 2^k < head_k
-    as computed: the full count would have hit d too.  The bound is
-    tight, so the margin is needed.
+    The first j coordinates are counted on uint8 tables
+    (count_eta_batch's table=np.uint8): each count w_r is the true count
+    eta_r mod 2^8, so w_r <= eta_r.  A row settles when
+    u N 2^j < head_j (1 - delta), delta = SETTLE_MARGIN = 2^-16, for
+    head_j the value _checkpoint_heads computes of
+    H_j = (sum_r sqrt(w_r))^2.  No row that would miss d is settled:
+    after k coordinates eta is the sum of 2^(k - j) copies of the
+    depth-j table, each shifted by one subset sum of the last k - j
+    coordinates, so the concavity of the square root gives
+    H_k = (sum_r sqrt(eta_r))^2 >= 2^(k - j) (sum_r sqrt(eta_r^(j)))^2
+    for the depth-j counts eta^(j), and that is at least 2^(k - j) H_j;
+    both bounds are tight, when those k - j coordinates are 0 and no
+    count has wrapped.  A row whose counts wrap
+    (one with many zero coordinates) has a smaller head_j, so it only
+    settles less often, and is then counted in full, exactly.
+
+    The margin delta takes in the rounding.  A count below 2^8 is exact
+    in float32 and its square root is correctly rounded, within a
+    relative 2^-24.  numpy sums a row of N float32s pairwise: runs of at
+    most 128 in 8 running sums of at most 16 terms, joined by a tree of
+    3 adds, and then up to 7 terms more one by one; a longer row is cut
+    in halves of at most n / 2 + 8, at most 11 times below N = 2^17.  So
+    each root passes through at most L = 15 + 3 + 7 + 11 + 1 = 37
+    rounded adds, the last onto the reduction's start value, and, every
+    term being nonnegative, the float32 sum is within a relative
+    gamma = 38 2^-24 / (1 - 38 2^-24) < 2^-18.7 of sum_r sqrt(w_r); its
+    float64 square head_j, within (1 + gamma)^2 (1 + 2^-53) - 1
+    < 2^-17.7 of H_j.  head_j (1 - delta) is rounded once more, by
+    2^-53, and u N 2^k as computed is exactly 2^(k - j) times u N 2^j
+    as computed (a power of two apart).  So a settled row has u N 2^k
+    below 2^(k - j) H_j (1 + 2^-17.7) (1 - 2^-16) (1 + 2^-53)
+    < H_k (1 - 2^-16.5).  The full count's head, N float64 square roots
+    summed and squared (_outcomes), is within a relative
+    (2N + 1) 2^-53 < 2^-35 of H_k, so u N 2^k is below it too: the full
+    count would have hit d.  Every N the memory guard lets through with
+    a checkpoint is below 2^17 (the largest is 110,817).
 
     The shard's one flag a row, and then the open rows' index, take the
     place of a draw's values and deviations in the memory guard
@@ -316,12 +355,11 @@ def _settled_outcomes(xs, N: int, k: int, d: int, j: int,
     front of u, in place, and their labels are gathered
     success._draw_rows(k) rows at a time, at most the bytes of the int64
     chunk the draws were made in."""
-    scale = N * float(2 ** j)
+    scale, keep = N * float(2 ** j), 1 - SETTLE_MARGIN
     open_rows = np.flatnonzero(count_eta_batch(
         xs[:, :j], N,
-        lambda rows, eta: u[rows] * scale >= (
-            np.sqrt(eta, dtype=np.float64).sum(axis=1) ** 2
-            * (1 - 2.0 ** -30))))
+        lambda rows, eta: u[rows] * scale >= _checkpoint_heads(eta) * keep,
+        table=np.uint8))
     u[:open_rows.size] = u[open_rows]
     outcomes = np.full(len(xs), d, dtype=np.int64)
     step = _draw_rows(k)
@@ -339,14 +377,14 @@ def _trial_shard(N: int, k: int, hidden, rng, xs) -> np.ndarray:
     identity when the shard is sent to a worker process.  Each shard
     counts only what decides its outcomes: for the trivial subgroup the
     support of eta, on count_eta_batch's bool tables; for a shift the
-    first j coordinates of every draw where there is a checkpoint
-    (_checkpoint), and all k only for the draws it leaves open
+    first j coordinates of every draw on uint8 tables where there is a
+    checkpoint (_checkpoint), and all k only for the draws it leaves open
     (_settled_outcomes), with the same outcomes, byte for byte, as the
     full count of every draw (_shift_outcomes)."""
     u = rng.random(len(xs))
     if hidden == TRIVIAL:
         support = count_eta_batch(
-            xs, N, lambda rows, eta: _support_sizes(eta), support=True)
+            xs, N, lambda rows, eta: _support_sizes(eta), table=np.bool_)
         outcomes = _trivial_outcomes(support, N, k, u)
     else:
         d, j = int(hidden) % N, _checkpoint(N, k)
@@ -394,14 +432,15 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     (_outcome_bytes), never a (SHARD, N) table; the shard reads the half
     spectrum through one slice plan and sums it in one CDF buffer
     (_miss_plan), both made once.  Where there is a checkpoint depth,
-    the draws that a count of their first j coordinates settles take d
-    there, and only the others are counted in full (_settled_outcomes).
+    the draws that a count of their first j coordinates, on uint8
+    tables, settles take d there, and only the others are counted in
+    full (_settled_outcomes).
     For the trivial subgroup the reducer keeps only the support sizes,
     counted on bool tables, which the memory guard counts too
-    (success._worker_bytes with support), and the shard's outcomes come
-    from one cumulative row per distinct size (_trivial_outcomes).  Any
-    hidden equal to TRIVIAL names the trivial subgroup, whatever object
-    it is.
+    (success._worker_bytes with table=np.bool_), and the shard's
+    outcomes come from one cumulative row per distinct size
+    (_trivial_outcomes).  Any hidden equal to TRIVIAL names the trivial
+    subgroup, whatever object it is.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -411,7 +450,8 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     held = (_outcome_bytes if trivial else
             partial(_outcome_bytes, k=k, rows=min(trials, SHARD)))
     shards = _sharded(N, k, trials, seed, threads,
-                      partial(shard, N, k, hidden), held, support=trivial)
+                      partial(shard, N, k, hidden), held,
+                      np.bool_ if trivial else None)
     columns = None
     if sink is None:
         columns = {"labels": np.empty((trials, k), dtype=np.int64),

@@ -28,11 +28,14 @@ and the counts of a row sum to 2^k; so a row is exact exactly when its
 int64 row sum is 2^k.  Every block is checked so before its reducer sees
 it, and the rows that fail are counted again at the exact type, in which
 the block is then handed on.  One table serves every chunk of a call.
-In its support mode, which keeps only which residues are reached, the
-table is bool, each step's add is an OR, and no row needs a check.
+A caller may ask for two narrower tables instead (its `table`): uint8,
+which counts modulo 2^8 with no check, each count then the true count
+mod 256 and so a lower bound on it; and bool, which keeps only which
+residues are reached, each step's add an OR.
 Each row of the table is doubled, [T | T], so that no index is ever
 reduced mod N.  A chunk starts by writing the histogram of the 2^m
-subset sums of its first m coordinates into both halves at once; the
+subset sums of its first m coordinates into both halves at once (on a
+bool table, True at each sum, with no histogram); the
 sums are one float64 product with a table of bit strings, exact while
 (m + 1) N <= 2^53.  Each of the remaining k - m steps is then one
 broadcast add of the gathered window to both halves, so the halves never
@@ -195,27 +198,30 @@ def _block_rows(N: int) -> int:
     return max(1, CHUNK_BYTES // (8 * N))
 
 
-def _count_bytes(S: int, N: int, k: int, support: bool = False) -> int:
+def _count_bytes(S: int, N: int, k: int, table=None) -> int:
     """The bytes count_eta_batch holds for S rows of k coordinates mod N,
-    beyond xs and its output, in its support mode when support: a
-    chunk's reduced and negated coordinates, at the width of N
-    (_label_dtype); its doubled work table and the window gathered each
-    step, both of min(S, chunk) rows in the work dtype (_batch_dtype, or
-    bool in the support mode, whose chunks have twice the rows of an
-    int16 chunk in the same bytes); the int64 histogram of a block,
-    which also bounds the float64 copy a value kernel makes of its
+    beyond xs and its output, on the work table of `table`
+    (count_eta_batch): a chunk's reduced and negated coordinates, at the
+    width of N (_label_dtype); its doubled work table and the window
+    gathered each step, both of min(S, chunk) rows in the work dtype
+    (_batch_dtype when table is None, else table: a uint8 or bool chunk
+    has twice the rows of an int16 one in the same table bytes, and so
+    twice its coordinates and subset sums); the int64 histogram of a
+    block, which also bounds the float64 copy a value kernel makes of its
     block; the bit table, and a chunk's subset sums with the two
-    temporaries _subset_sums makes of them; and three numpy casting
+    temporaries _subset_sums makes of them (a bool table is seeded from
+    the sums in place, with no histogram, and the block term stays for
+    it as the bound on its reducer's block); and three numpy casting
     buffers of np.getbufsize() float64 values, which a cast of a large
-    operand holds.  On uint16 tables the certificate adds the int64
-    row sums of a block and a block widened to the exact type
-    (_work_dtype), which a block holds while its failed rows are counted
-    again and its reducer runs; the np.roll row of that count is no
-    larger than the histogram of the block, which is not held then.
-    Raises ScaleLimitError beyond k = BATCH_K_LIMIT, as the call would."""
+    operand holds.  On uint16 tables the certificate adds the int64 row
+    sums of a block and a block widened to the exact type (_work_dtype),
+    which a block holds while its failed rows are counted again and its
+    reducer runs; the np.roll row of that count is no larger than the
+    histogram of the block, which is not held then.  Raises
+    ScaleLimitError beyond k = BATCH_K_LIMIT, as the call would."""
     work = _batch_dtype(N, k)
-    if support:
-        work = np.bool_
+    if table is not None:
+        work = np.dtype(table)
     n = min(_chunk_rows(N, work), max(S, 1))
     block = min(_block_rows(N), n)
     m = min(k, _prefix_width(N))
@@ -283,7 +289,7 @@ def _recount(x: np.ndarray, N: int, out: np.ndarray) -> None:
 
 
 def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
-                    support: bool = False) -> np.ndarray:
+                    table=None) -> np.ndarray:
     """eta for many draws at once, reduced row-wise block by block.
 
     xs is (S, k) integers.  The rows are counted in chunks of
@@ -292,7 +298,7 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
     each chunk is handed to reduce(rows, eta_block) in blocks of
     _block_rows(N) = CHUNK_BYTES // (8 N) rows while it is still in
     cache: rows is the block's slice of xs and eta_block its (len, N)
-    exact counts in the work dtype, or in the exact type of k for a block
+    counts in the work dtype, or in the exact type of k for a block
     with recounted rows (below).  eta_block is a view of the work table,
     so it is valid only during that call: a reducer may return it or a
     view of it (the result is copied out before the next block), but
@@ -305,47 +311,55 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
     the block to int64, so count_eta_batch(xs, N) is the (S, N) int64
     table.
 
-    The work tables are int16 up to k = INT16_K_LIMIT, int32 up to
-    k = INT32_K_LIMIT and int64 beyond (a count is at most 2^k), but
-    uint16 where k > INT16_K_LIMIT and the mean count 2^k / N is at most
-    UINT16_MEAN_LIMIT (_batch_dtype).  A uint16 table counts modulo 2^16.
-    A count mod 2^16 is at most the count, and equal to it exactly when
-    the count is below 2^16, and the counts of a row sum to 2^k, so a row
-    is exact exactly when its int64 row sum is 2^k.  Each block is
-    checked so before its reducer sees it; if a row fails, the block is
-    widened to the exact type (_work_dtype(k)), the failed rows are
-    counted again there one at a time (_recount), and the reducer gets
-    the widened block.  Each row is kept doubled, [T | T], so
-    T[(r - x_j) mod N] for every r is the contiguous slice starting at
-    N - x_j, gathered with no modulo pass.  The table is viewed as (rows, 2, N), the two halves of each
-    row.  A chunk starts from the histogram of the 2^m subset sums of its
-    first m coordinates (m from _prefix_width(N), sums from _subset_sums
-    as one float64 product with a bit table built once per call; at
-    m = 0 the one empty sum gives the unit row T_0), one int64 bincount
-    per block, written into both halves in one assignment.  Each of the
-    remaining k - m steps of the recurrence gathers the windows and adds
-    them to both halves in one broadcast add, which keeps them equal with
-    no copy.  So each temporary is
-    sized by its own dtype: the table is 2 CHUNK_BYTES, the gathered
-    window CHUNK_BYTES, the int64 histogram, the bit table and the
-    float64 copy a value kernel makes of its block are each at most
-    CHUNK_BYTES, and a chunk's subset sums, 2^m <= N / 16 of them a row,
-    at most CHUNK_BYTES / 4 (_count_bytes adds them up, with what the
-    certificate holds).
+    `table` picks the work table, one of three:
 
-    With support, the reducer gets only which counts are nonzero, the
-    support of eta, as a bool block: the work table is np.bool_, at any
-    k, so a chunk has twice the rows of an int16 one in the same bytes.
-    The prefix histogram is assigned to it as bool, and each step's add
-    is numpy's bool add, which is OR: a residue is reached after j
-    coordinates exactly when it was reached after j - 1 or its window
-    was.  A bool never wraps, so no row needs a certificate.
+    * None, the exact counts.  The work tables are int16 up to
+      k = INT16_K_LIMIT, int32 up to k = INT32_K_LIMIT and int64 beyond
+      (a count is at most 2^k), but uint16 where k > INT16_K_LIMIT and
+      the mean count 2^k / N is at most UINT16_MEAN_LIMIT (_batch_dtype).
+      A uint16 table counts modulo 2^16.  A count mod 2^16 is at most the
+      count, and equal to it exactly when the count is below 2^16, and
+      the counts of a row sum to 2^k, so a row is exact exactly when its
+      int64 row sum is 2^k.  Each block is checked so before its reducer
+      sees it; if a row fails, the block is widened to the exact type
+      (_work_dtype(k)), the failed rows are counted again there one at a
+      time (_recount), and the reducer gets the widened block.
+    * np.uint8, the counts modulo 2^8, with no certificate.  The
+      recurrence commutes with reduction mod 2^8, and so do the histogram
+      assigned to the table and each step's wrapping add, so every count
+      is the true count mod 256: never above it, and equal to it while
+      it is below 256.  simulate's checkpoint reads lower bounds so.
+    * np.bool_, only which counts are nonzero, the support of eta.  The
+      table is seeded by assigning True at the 2^m subset sums, with no
+      histogram, and each step's add is numpy's bool add, which is OR: a
+      residue is reached after j coordinates exactly when it was reached
+      after j - 1 or its window was.  A bool never wraps.
+
+    A uint8 or bool chunk has twice the rows of an int16 one in the same
+    bytes.  Each row is kept doubled, [T | T], so T[(r - x_j) mod N] for
+    every r is the contiguous slice starting at N - x_j, gathered with no
+    modulo pass.  The table is viewed as (rows, 2, N), the two halves of
+    each row.  A chunk starts from the 2^m subset sums of its first m
+    coordinates (m from _prefix_width(N), sums from _subset_sums as one
+    float64 product with a bit table built once per call; at m = 0 the
+    one empty sum gives the unit row T_0), written into both halves: on a
+    count table as their histogram, one int64 bincount per block, in one
+    assignment, and on a bool table as True at each sum's two places.
+    Each of the remaining k - m steps of the recurrence gathers the
+    windows and adds them to both halves in one broadcast add, which
+    keeps them equal with no copy.  So each temporary is sized by its
+    own dtype: the table is 2 CHUNK_BYTES, the gathered window
+    CHUNK_BYTES, the int64 histogram, the bit table and the float64 copy
+    a value kernel makes of its block are each at most CHUNK_BYTES, and
+    a chunk's subset sums, 2^m <= N / 16 of them a row, at most
+    CHUNK_BYTES / 2 (_count_bytes adds them up, with what the certificate
+    holds).
     """
     xs = np.asarray(xs)
     S, k = xs.shape
     work, exact = _batch_dtype(N, k), _work_dtype(k)
-    if support:
-        work = exact = np.bool_
+    if table is not None:
+        work = exact = np.dtype(table)
     label = _label_dtype(N)
     if reduce is None:
         reduce = _widen
@@ -354,9 +368,9 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
     n_max = min(rows, max(S, 1))
     bits = _bit_table(m)
     # one work table for every chunk: each chunk overwrites its rows
-    table = np.empty((n_max, 2 * N), dtype=work)
-    # windows[s, i] is the view table[s, i:i + N]
-    windows = np.lib.stride_tricks.sliding_window_view(table, N, axis=1)
+    work_table = np.empty((n_max, 2 * N), dtype=work)
+    # windows[s, i] is the view work_table[s, i:i + N]
+    windows = np.lib.stride_tricks.sliding_window_view(work_table, N, axis=1)
     out = None
     # one pass over an empty xs still gives the reducer's output shape
     for lo in range(0, max(S, 1), rows):
@@ -364,16 +378,27 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
         x = (xs[lo:lo + rows] % N).astype(label, copy=False)
         n = x.shape[0]
         # the chunk's rows [T | T] as their two halves
-        halves = table[:n].reshape(n, 2, N)
-        # one bincount a block: the sums of row a + s of a block land in
-        # s*N .. s*N+N-1 (at m = 0 the one empty sum, 0: the unit row)
-        flat = (_subset_sums(x[:, :m], N, bits)
-                + (np.arange(n) % block * N)[:, None])
-        for a in range(0, n, block):
-            b = min(a + block, n)
-            halves[a:b] = np.bincount(
-                flat[a:b].ravel(), minlength=(b - a) * N
-            ).reshape(b - a, 1, N)
+        halves = work_table[:n].reshape(n, 2, N)
+        sums = _subset_sums(x[:, :m], N, bits)
+        if work == np.bool_:
+            # True at each sum in both halves of its row, flat in the
+            # chunk's rows (at m = 0 the one empty sum, 0: the unit row)
+            cells = work_table[:n].reshape(-1)
+            cells[:] = False
+            sums += (np.arange(n) * (2 * N))[:, None]
+            cells[sums] = True
+            sums += N
+            cells[sums] = True
+        else:
+            # one bincount a block: the sums of row a + s of a block land
+            # in s*N .. s*N+N-1 (at m = 0 the one empty sum, 0: the unit
+            # row), wrapped by the assignment on a uint8 table
+            sums += (np.arange(n) % block * N)[:, None]
+            for a in range(0, n, block):
+                b = min(a + block, n)
+                halves[a:b] = np.bincount(
+                    sums[a:b].ravel(), minlength=(b - a) * N
+                ).reshape(b - a, 1, N)
         chunk_rows = np.arange(n)
         start = N - x  # in [1, N]
         for j in range(m, k):

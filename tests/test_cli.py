@@ -284,7 +284,11 @@ def test_exact_sweep_past_the_enumeration_guard_exits_3(N, k, tmp_path,
 #: shift trials settled at a checkpoint depth and trivial trials counted
 #: their support on bool tables: the shift runs are deep enough for a
 #: checkpoint, which the runs above are not, and the trivial run counts
-#: past k = 14.
+#: past k = 14.  The (65536, 22) and odd-N (40000, 21) shift runs and the
+#: (1000, 12) trivial run were recorded before checkpoints counted on
+#: uint8 tables with float32 heads and bool tables were seeded with no
+#: histogram: at N = 65536 a head's float32 sum runs over the most terms
+#: of any golden run.
 GOLDEN = [
     pytest.param(
         ["sweep", "--N", "1024", "--k", "8..12", "--samples", "5000",
@@ -333,6 +337,24 @@ GOLDEN = [
         "9284431c8829201b45f6cc3f4b5ffe78448f804e592add4505cc493828b03a67",
         "15410c0601d02306463987dbcbd656e8dca4785123749ef4fce302a7eef82023",
         id="simulate-trivial-bool"),
+    pytest.param(
+        ["simulate", "--N", "65536", "--k", "22", "--hidden", "5",
+         "--trials", "2000", "--seed", "7", "--threads", "2"],
+        "8ec251b1c5f2482ba0879ecaa5106bc046643e3261c7d5a1d65b00f6be679b9a",
+        "c981eeecfe5edfebce352b9d0b6692929a75fbb295591e641b44b939ad10335e",
+        id="simulate-checkpoint-wide"),
+    pytest.param(
+        ["simulate", "--N", "40000", "--k", "21", "--hidden", "5",
+         "--trials", "3000", "--seed", "7", "--threads", "2"],
+        "3756a8390125f3225113ed3e735a880ddd30d8db618fc3d160fa1ba5a9c1fbe9",
+        "a04ca1bf5625a430e527b111ea35dfe759ddedd8352d254121fe8793b3354f01",
+        id="simulate-checkpoint-wide-odd-n"),
+    pytest.param(
+        ["simulate", "--N", "1000", "--k", "12", "--hidden", "trivial",
+         "--seed", "7", "--threads", "2"],
+        "98b7fe5e6ac4e142a1ea5e846392c2d7f1539e4cbaa46b3d02c2d2f24fb51c86",
+        "e5aa02af68ca8fafd651fcde771943270e6f28138060c4a21351bc6782f17a9a",
+        id="simulate-trivial-n1000"),
     pytest.param(
         ["sweep", "--exact", "--N", "8", "--k", "1..7"],
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

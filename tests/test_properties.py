@@ -22,9 +22,11 @@
   to the same function applied to the whole exact int64 table (the last
   rows of _dp_rows), under three byte budgets that cut the chunks and
   blocks at different rows, and on no rows at all.
-  It reads labels of any integer width bitwise alike.  In its support
-  mode, on bool tables, its support sizes equal count_nonzero of the
-  exact table at every k of those work dtypes.
+  It reads labels of any integer width bitwise alike.  On bool tables
+  its support sizes equal count_nonzero of the exact table at every k of
+  those work dtypes; on uint8 tables every count is the exact count mod
+  256 and on bool tables every entry is the exact count > 0, at counts
+  past 255 too.
 * The Monte Carlo labels, drawn as int64 a chunk at a time and held at
   the width of N, equal one int64 draw of the whole shard and leave the
   generator where that draw leaves it.
@@ -222,18 +224,18 @@ KERNEL_TABLES = ("int16", "int32-int64", "uint16")
 ROW_COUNTS = ((0, 1), (1, -1), (1, 0), (1, 1), (2, 1))
 
 
-def _kernel_rows(size, rows, data, support=False):
+def _kernel_rows(size, rows, data, table=None):
     """(N, k, pool, which, xs): S = chunks * chunk + extra rows for
-    rows = (chunks, extra), the chunk of the bool tables of
-    count_eta_batch's support mode when support, each row one of a few
-    distinct x (so the slow
+    rows = (chunks, extra), the chunk of count_eta_batch's work table of
+    `table`, each row one of a few distinct x (so the slow
     reference runs once per x) plus multiples of N (so entries must be
     reduced mod N).  From k = 16 on, an x may have 16 or more zero
     coordinates, which makes every count a multiple of 2^16: uint16
     tables hold none of its nonzero counts, so its rows fail the row-sum
     certificate."""
     N, k = size
-    itemsize = 1 if support else np.dtype(_batch_dtype(N, k)).itemsize
+    itemsize = np.dtype(_batch_dtype(N, k) if table is None
+                        else table).itemsize
     # read at call time: a test may set CHUNK_BYTES
     chunk = max(1, subsetsum.CHUNK_BYTES // (N * itemsize))
     chunks, extra = rows
@@ -380,7 +382,7 @@ def _assert_reducers_match(N, k, pool, which, xs):
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(st.sampled_from(ROW_COUNTS), st.data())
 def test_support_mode_sizes_match_the_int64_table(tables, rows, data):
-    # in the support mode every reducer block is a bool table of which
+    # on bool tables every reducer block is a bool table of which
     # counts are nonzero, at every k whose counts take the int16, uint16,
     # int32 or int64 tables, including the labels whose counts uint16
     # tables would wrap to 0; the blocks must be the support of the exact
@@ -391,15 +393,47 @@ def test_support_mode_sizes_match_the_int64_table(tables, rows, data):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(subsetsum, "CHUNK_BYTES", chunk_bytes)
             N, k, pool, which, xs = _kernel_rows(size, rows, data,
-                                                 support=True)
+                                                 table=np.bool_)
             table = np.array([_dp_rows(BlockLabel(tuple(x), N))[-1]
                               for x in pool.tolist()], dtype=np.int64)[which]
             got = count_eta_batch(xs, N, lambda r, chunk: chunk,
-                                  support=True)
+                                  table=np.bool_)
             assert got.dtype == np.bool_
             assert np.array_equal(got, table != 0)
             assert np.array_equal(_support_sizes(got),
                                   np.count_nonzero(table, axis=1))
+
+
+@settings(parent=core, max_examples=60)
+@given(st.integers(1, 70), st.integers(1, 16), st.data())
+def test_narrow_tables_are_the_counts_mod_256_and_their_support(N, k, data):
+    # table=np.uint8 counts modulo 2^8 with no certificate, and
+    # table=np.bool_ keeps whether a count is nonzero: elementwise against
+    # the exact counts, on draws of a few repeated values with many zero
+    # coordinates, whose counts pass 255 and wrap, and with every draw
+    # also counting x = 0 (the count 2^k at r = 0) and one value repeated
+    # k times (binomial counts), under budgets that cut chunks and blocks
+    # at other rows
+    values = data.draw(st.lists(st.integers(0, N - 1), min_size=1,
+                                max_size=3))
+    coordinate = st.one_of(st.just(0), st.sampled_from(values),
+                           st.integers(0, N - 1))
+    drawn = data.draw(st.lists(st.lists(coordinate, min_size=k, max_size=k),
+                               max_size=30))
+    xs = np.array(drawn + [[0] * k, [values[-1]] * k], dtype=np.int64)
+    exact = np.array([_dp_rows(BlockLabel(tuple(x), N))[-1]
+                      for x in xs.tolist()], dtype=np.int64)
+    for chunk_bytes in (2 ** 9, CHUNK_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsetsum, "CHUNK_BYTES", chunk_bytes)
+            low = count_eta_batch(xs, N, lambda r, chunk: chunk,
+                                  table=np.uint8)
+            reached = count_eta_batch(xs, N, lambda r, chunk: chunk,
+                                      table=np.bool_)
+        assert low.dtype == np.uint8 and np.array_equal(low, exact % 256)
+        assert reached.dtype == np.bool_ and np.array_equal(reached,
+                                                            exact > 0)
+    assert (exact[-2, 0] > 255) == (k >= 8)
 
 
 def _mc_cases(Ns=st.integers(2, 16).map(lambda h: 2 * h)):

@@ -21,10 +21,11 @@ from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError, block_state,
                           povm_block, run_trials, shift_covariance_check,
                           success, success_exact, success_mc,
                           trivial_success)
-from dihedral_pgm.simulate import (_checkpoint, _distributions, _miss_cdf,
-                                   _miss_plan, _outcome_bytes, _outcome_rows,
-                                   _outcomes, _shift_plan, _trial_shard,
-                                   _trivial_outcomes, _unfold)
+from dihedral_pgm.simulate import (SETTLE_MARGIN, _checkpoint,
+                                   _checkpoint_heads, _distributions,
+                                   _miss_cdf, _miss_plan, _outcome_bytes,
+                                   _outcome_rows, _outcomes, _shift_plan,
+                                   _trial_shard, _trivial_outcomes, _unfold)
 from dihedral_pgm.success import (MC_SHARD_BYTES, SHARD, _sharded,
                                   _support_sizes, _worker_bytes)
 from dihedral_pgm.subsetsum import (CHUNK_BYTES, _label_dtype,
@@ -243,27 +244,48 @@ def _heads(xs, N):
         lambda rows, eta: np.sqrt(eta, dtype=np.float64).sum(axis=1) ** 2)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def _settle_heads(xs, N):
+    """head_j of each row of xs as the checkpoint computes it: from its
+    counts mod 2^8 (uint8 tables), with float32 square roots."""
+    return count_eta_batch(
+        xs, N, lambda rows, eta: _checkpoint_heads(eta), table=np.uint8)
+
+
+def _largest_settled(head, scale):
+    """The largest u that the checkpoint's rule u scale < head (1 - delta)
+    settles, as computed, or None where no u >= 0 settles: a head of 0,
+    whose every count wrapped to 0 mod 2^8."""
+    bound = head * (1 - SETTLE_MARGIN)
+    if bound <= 0:
+        return None
+    u = np.nextafter(bound / scale, np.inf)
+    while not u * scale < bound:
+        u = np.nextafter(u, 0)
+    return u
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(1, 70).flatmap(lambda N: st.tuples(
            st.just(N),
-           st.lists(st.integers(0, N - 1), min_size=2, max_size=16))),
-       st.integers(0, 15))
-def test_a_checkpoint_head_bounds_the_full_head(case, zeros):
-    # eta after k coordinates is the sum of 2^(k - j) shifted copies of
-    # the depth-j table, so the concavity of the square root gives
-    # head_k >= 2^(k - j) head_j, with equality when the last k - j
-    # coordinates are 0; the heads as computed keep it within the margin
-    # 1 - 2^-30 that _trial_shard allows them, at every depth j < k, odd
-    # N and all-zero tails included
+           st.lists(st.integers(0, N - 1), min_size=2, max_size=20))),
+       st.integers(0, 19), st.one_of(st.just(0), st.integers(8, 19)))
+def test_a_checkpoint_head_bounds_the_full_head(case, zeros, lead):
+    # any row that the rule u N 2^j < head_j (1 - delta) settles at a
+    # depth j < k, head_j from its counts mod 2^8 in float32 square
+    # roots, must hit d on its full count: u N 2^k below the float64 head
+    # of _outcomes.  Checked for the largest u settled, at every depth
+    # j < k, with all-zero tails, where head_k = 2^(k - j) head_j exactly
+    # while no count wraps, and with all-zero prefixes of 8 coordinates
+    # or more, whose counts wrap on uint8 tables
     N, x = case
     k = len(x)
-    zeros = min(zeros, k - 1)
-    x[k - zeros:] = [0] * zeros
+    x[k - min(zeros, k - 1):] = [0] * min(zeros, k - 1)
+    x[:min(lead, k - 1)] = [0] * min(lead, k - 1)
     xs = np.array([x])
     full = _heads(xs, N)[0]
     for j in range(k):
-        head = _heads(xs[:, :j], N)[0]
-        assert full >= 2.0 ** (k - j) * head * (1 - 2.0 ** -30), (j, full)
+        u = _largest_settled(_settle_heads(xs[:, :j], N)[0], N * 2.0 ** j)
+        assert u is None or u * (N * 2.0 ** k) < full, (j, u, full)
 
 
 class _Uniforms:
@@ -282,23 +304,26 @@ class _Uniforms:
                                   (1024, 16)])
 def test_checkpoint_outcomes_match_the_full_count(N, k):
     # a shift shard settles at the checkpoint depth j the rows whose u
-    # lies below head_j (1 - 2^-30) / (N 2^j) and counts the others in
-    # full: its outcomes must be those of the full count of every row,
-    # with u drawn freely, placed at head_j (1 -+ 2^-30) / (N 2^j), just
-    # below head_j / (N 2^j) and near 1, and with all-zero tails, where
-    # the bound is tight; the open rows must include rows that hit d and
-    # rows that miss it
+    # lies below head_j (1 - delta) / (N 2^j), head_j from uint8 counts
+    # and float32 roots, and counts the others in full: its outcomes must
+    # be those of the full count of every row, with u drawn freely,
+    # placed at head_j (1 -+ delta) / (N 2^j), just below head_j / (N 2^j)
+    # and near 1; with all-zero tails, where the bound is tight, and with
+    # all-zero prefixes of 8 coordinates, whose counts wrap mod 2^8 from
+    # j = 8 on; the open rows must include rows that hit d and rows that
+    # miss it
     j, d = _checkpoint(N, k), 5 % N
     assert j
     rng = np.random.default_rng(N * 100 + k)
     S = 600
     xs = rng.integers(0, N, size=(S, k)).astype(_label_dtype(N))
     xs[:S // 3, j:] = 0
+    xs[S // 3:S // 2, :8] = 0
     scale = N * float(2 ** j)
-    head = _heads(xs[:, :j], N)
+    head = _settle_heads(xs[:, :j], N)
     u = rng.random(S)
-    u[0::5] = head[0::5] * (1 - 2.0 ** -30) / scale
-    u[1::5] = head[1::5] * (1 + 2.0 ** -30) / scale
+    u[0::5] = head[0::5] * (1 - SETTLE_MARGIN) / scale
+    u[1::5] = head[1::5] * (1 + SETTLE_MARGIN) / scale
     u[2::5] = 1 - rng.random(len(u[2::5])) * 2.0 ** -20
     u[3::5] = np.nextafter(head[3::5] / scale, 0)
     u = np.minimum(u, 1 - 2.0 ** -53)
@@ -308,22 +333,41 @@ def test_checkpoint_outcomes_match_the_full_count(N, k):
     got = _trial_shard(N, k, d, _Uniforms(u), xs)
     assert got.dtype == _label_dtype(N)
     assert np.array_equal(got, full)
-    settled = u * scale < head * (1 - 2.0 ** -30)
+    settled = u * scale < head * (1 - SETTLE_MARGIN)
     assert settled.any()
     assert (full[~settled] == d).any() and (full[~settled] != d).any()
 
 
 def test_the_guard_keeps_checkpoint_heads_within_the_margin():
-    # the checkpoint's margin 2^-30 takes each computed head within a
-    # relative (2N + 1) 2^-53 < 2^-35 of its value, so N < 2^17: the
-    # guard refuses a simulate of N = 2^17 at every k with a checkpoint,
-    # even of one trial
+    # _settled_outcomes bounds a float32 head's rounding, at most 37
+    # rounded adds a square root in numpy's pairwise sum, by 2^-17.7 for
+    # every N < 2^17, and SETTLE_MARGIN = 2^-16 takes that in: the guard
+    # refuses a simulate of N = 2^17 at every k with a checkpoint, even of
+    # one trial, and at the largest N it lets through with a checkpoint,
+    # 110,817, the heads of rows of 255s, of 1s, of random counts and of
+    # one nonzero count lie within 2^-17.7 of their value
     N = 2 ** 17
     ks = [k for k in range(1, 63) if _checkpoint(N, k)]
     assert ks
     for k in ks:
         assert (_worker_bytes(N, k, 1, _outcome_bytes(N, k, 1))
                 > MC_SHARD_BYTES)
+    N = 110_817
+    for n in (N, N + 1):
+        admitted = [k for k in range(1, 63) if _checkpoint(n, k) and
+                    _worker_bytes(n, k, 1, _outcome_bytes(n, k, 1))
+                    <= MC_SHARD_BYTES]
+        assert bool(admitted) == (n == N)
+    eta = np.zeros((4, N), dtype=np.uint8)
+    eta[0] = 255
+    eta[1] = 1
+    eta[2] = np.random.default_rng(1).integers(0, 256, size=N)
+    eta[3, 7] = 200
+    heads = _checkpoint_heads(eta)
+    for head, row in zip(heads, eta):
+        exact = math.fsum(np.sqrt(row, dtype=np.float64)) ** 2
+        assert abs(head - exact) <= 2.0 ** -17.7 * exact
+    assert 2.0 ** -17.7 < SETTLE_MARGIN
 
 
 def test_shards_import_no_masked_arrays():
@@ -493,12 +537,18 @@ def test_small_n_reaches_every_k_under_the_guard():
 # at r = 0 is 0 mod 2^16, so its block fails the row-sum certificate and
 # is counted again at the exact type; (1024, 6), where nearly every trial
 # misses the hidden shift and its square roots are gathered for the FFT,
-# and (1024, 20), where nearly every trial hits it and none is; and
-# (8, 40), where a chunk is the whole shard, with its coordinates held at
-# the width of N
+# and (1024, 20), where nearly every trial hits it and none is; (8, 40),
+# where a chunk is the whole shard, with its coordinates held at the
+# width of N; and (18,720, 31), whose checkpoint count on 14-row uint8
+# chunks holds more than its full count on one-row int64 chunks.  A
+# shift shard has a checkpoint at (4096, 20), (2^16, 29), (2^16, 62),
+# (1024, 20), (8, 40) and (18,720, 31), and at (4096, 20), (2^14, 14),
+# (2^16, 29) and (18,720, 31) the bool-seeded trivial count holds more
+# than the exact one
 WORKER_SIZES = [pytest.param(N, k, False, id=f"{N}-{k}") for N, k in (
     (64, 6), (256, 8), (1024, 12), (4096, 20), (2 ** 14, 14), (2 ** 16, 16),
-    (2 ** 16, 29), (2 ** 16, 62), (1024, 6), (1024, 20), (8, 40))] + [
+    (2 ** 16, 29), (2 ** 16, 62), (1024, 6), (1024, 20), (8, 40),
+    (18_720, 31))] + [
     pytest.param(N, k, True, id=f"{N}-{k}-zero-row")
     for N, k in ((4096, 20), (2 ** 16, 16))]
 
@@ -506,9 +556,12 @@ WORKER_SIZES = [pytest.param(N, k, False, id=f"{N}-{k}") for N, k in (
 @pytest.mark.parametrize("N,k,zero_row", WORKER_SIZES)
 def test_one_worker_peaks_within_the_guard_estimate(N, k, zero_row,
                                                     monkeypatch):
-    # the guard's estimate is an upper bound on what one worker holds,
-    # for each value kernel and both outcome reducers; one call before
-    # the measured one keeps one-time lazy imports out of the peak
+    # the guard's estimate, as each pass checks it, is an upper bound on
+    # what one worker holds, for each value kernel and both outcome
+    # reducers: a shift shard's with its checkpoint count on uint8 tables
+    # (_outcome_bytes with k and the shard's rows), a trivial shard's
+    # with its count on bool-seeded tables (table=np.bool_); one call
+    # before the measured one keeps one-time lazy imports out of the peak
     if zero_row:
         draw = success._draw_labels
 
@@ -519,18 +572,19 @@ def test_one_worker_peaks_within_the_guard_estimate(N, k, zero_row,
 
         monkeypatch.setattr(success, "_draw_labels", draw_with_zero_row)
     samples = 64
-    for call, held in (
-            (lambda: success_mc(N, k, samples, seed=2), 0),
-            (lambda: lsb_threshold_check(N, k, samples, seed=2), 0),
-            (lambda: run_trials(N, k, 3, samples, seed=2), _outcome_bytes(N)),
+    for call, held, table in (
+            (lambda: success_mc(N, k, samples, seed=2), 0, None),
+            (lambda: lsb_threshold_check(N, k, samples, seed=2), 0, None),
+            (lambda: run_trials(N, k, 3, samples, seed=2),
+             _outcome_bytes(N, k, samples), None),
             (lambda: run_trials(N, k, TRIVIAL, samples, seed=2),
-             _outcome_bytes(N))):
+             _outcome_bytes(N), np.bool_)):
         call()
         tracemalloc.start()
         call()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak <= _worker_bytes(N, k, samples, held)
+        assert peak <= _worker_bytes(N, k, samples, held, table)
 
 
 @pytest.mark.parametrize("N, k, hidden", [
@@ -539,9 +593,10 @@ def test_one_worker_peaks_within_the_guard_estimate_at_shard_draws(
         N, k, hidden):
     # a full shard, streamed to a sink: a trivial shard counts on bool
     # chunks of twice the rows of int16 ones, and a shift shard with a
-    # checkpoint holds its flags, then its open rows' index, uniforms and
-    # labels; the guard's estimate, with the support mode and the
-    # checkpoint's count, bounds both
+    # checkpoint counts on uint8 chunks as large and holds its flags,
+    # then its open rows' index, uniforms and labels; the guard's
+    # estimate, with the bool table and the checkpoint's count, bounds
+    # both
     trivial = hidden == TRIVIAL
     held = _outcome_bytes(N) if trivial else _outcome_bytes(N, k, SHARD)
 
@@ -553,7 +608,8 @@ def test_one_worker_peaks_within_the_guard_estimate_at_shard_draws(
     call()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= _worker_bytes(N, k, SHARD, held, support=trivial)
+    assert peak <= _worker_bytes(N, k, SHARD, held,
+                                 np.bool_ if trivial else None)
 
 
 def test_mc_peak_memory_does_not_grow_with_samples():
