@@ -12,11 +12,15 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dihedral_pgm
 from dihedral_pgm import success_mc
-from dihedral_pgm.cli import main
+from dihedral_pgm.cli import CSV_SLICE, _csv_rows, main
+from dihedral_pgm.subsetsum import _label_dtype
 from sk_oracle import decimal_means, threshold_envelope
 
 
@@ -249,6 +253,80 @@ def test_simulate_memory_does_not_grow_with_trials(tmp_path, capsys):
     assert peak(4 * 10 ** 5) <= 1.2 * peak(4 * 10 ** 4)
 
 
+def _fstring_rows(outcomes, first, N, want):
+    # the CSV rows as the CLI formatted them, one f-string a trial
+    def name(j):
+        return "trivial" if j == N else str(j)
+    return "".join(f"{i},{name(want)},{name(o)},{int(o == want)}\n"
+                   for i, o in enumerate(outcomes.tolist(), first))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_csv_rows_equal_the_fstring_rows(data):
+    # any N, a shift or the trivial subgroup (want = N), outcomes at the
+    # width of N in [0, N] with N and want among them, first indices at
+    # and past a change of digit count, and slices of 1 to 2 CSV_SLICE
+    # rows
+    N = data.draw(st.integers(1, 2 ** 17), label="N")
+    want = data.draw(st.just(N) | st.integers(0, N - 1), label="want")
+    n = data.draw(st.integers(1, 2 * CSV_SLICE), label="rows")
+    first = data.draw(st.sampled_from([0, 9, 10, 99, 100, 10 ** 9 - 3])
+                      | st.integers(0, 10 ** 12), label="first")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    outcomes = rng.integers(0, N + 1, n).astype(_label_dtype(N))
+    for value in (N, want):
+        outcomes[data.draw(st.integers(0, n - 1))] = value
+    assert ("".join(_csv_rows(outcomes, first, N, want))
+            == _fstring_rows(outcomes, first, N, want))
+
+
+def test_simulate_parent_memory_grows_with_neither_n_nor_trials(tmp_path,
+                                                                capsys):
+    # The parent formats the CSV a slice at a time, with no str a trial
+    # and none an outcome, and the workers' memory is their own.  A first
+    # run of 10^5 trials starts the pool, makes the lazy imports and
+    # fills the pool's window of 4 shards in flight once, so that the
+    # allocator's free lists hold what a full window needs before any
+    # peak is taken.  A run's peak is the highest of its shards' overlaps
+    # of the formatter with the results in flight, which timing moves, so
+    # the 10^4-trial peak is the highest of 8 runs: as many shards as the
+    # 10^5 run's 25.
+    out = tmp_path / "peak.csv"
+
+    def peak(N, k, trials):
+        argv = ["simulate", "--N", str(N), "--k", str(k), "--hidden", "5",
+                "--trials", str(trials), "--seed", "7", "--threads", "2",
+                "--output", str(out)]
+        tracemalloc.start()
+        code = main(argv)
+        high = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 0
+        capsys.readouterr()
+        return high
+
+    peak(1024, 6, 10 ** 5)
+    more, fewer = (peak(1024, 6, 10 ** 5),
+                   max(peak(1024, 6, 10 ** 4) for _ in range(8)))
+    assert more <= 1.25 * fewer, (more, fewer)
+    wide, narrow = peak(65536, 17, 300), peak(1024, 17, 300)
+    assert wide <= 1.5 * narrow, (wide, narrow)
+
+
+@pytest.mark.parametrize("hidden", ["999", "trivial"])
+def test_simulate_stdout_is_the_csv_then_the_summary(hidden, tmp_path,
+                                                     capsys):
+    argv = ["simulate", "--N", "1000", "--k", "6", "--hidden", hidden,
+            "--trials", "5000", "--seed", "7", "--threads", "2"]
+    out = tmp_path / "out.csv"
+    code, summary, _ = run_cli(argv + ["--output", str(out)], capsys)
+    assert code == 0 and summary.count("\n") == 1
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert stdout.encode() == out.read_bytes() + summary.encode()
+
+
 @pytest.mark.parametrize("N,k", [(2, "1..27"), (8, "1..9")])
 def test_exact_sweep_past_the_enumeration_guard_exits_3(N, k, tmp_path,
                                                         capsys):
@@ -288,7 +366,12 @@ def test_exact_sweep_past_the_enumeration_guard_exits_3(N, k, tmp_path,
 #: (1000, 12) trivial run were recorded before checkpoints counted on
 #: uint8 tables with float32 heads and bool tables were seeded with no
 #: histogram: at N = 65536 a head's float32 sum runs over the most terms
-#: of any golden run.
+#: of any golden run.  The (1000, 6) run past 10^5 trials, the N = 1
+#: trivial run and the (65536, 17) run at hidden N - 1 were recorded
+#: while CSV rows were still formatted one f-string a trial: the index
+#: column widens from 5 to 6 digits inside one formatting slice, N = 1
+#: names only the outcomes 0 and trivial, and N = 65536 has the widest
+#: outcome column.
 GOLDEN = [
     pytest.param(
         ["sweep", "--N", "1024", "--k", "8..12", "--samples", "5000",
@@ -355,6 +438,24 @@ GOLDEN = [
         "98b7fe5e6ac4e142a1ea5e846392c2d7f1539e4cbaa46b3d02c2d2f24fb51c86",
         "e5aa02af68ca8fafd651fcde771943270e6f28138060c4a21351bc6782f17a9a",
         id="simulate-trivial-n1000"),
+    pytest.param(
+        ["simulate", "--N", "1000", "--k", "6", "--hidden", "999",
+         "--trials", "100500", "--seed", "7", "--threads", "2"],
+        "f1a920e90b5f13404a9c268e048b3d7fd352a4680bda0cbf9ee6451d5d499117",
+        "668cfb8148a0c363aaf395012f69d2b168dd9c8f6ade61ae3e1d1a1d394d0fa4",
+        id="simulate-index-widens"),
+    pytest.param(
+        ["simulate", "--N", "1", "--k", "5", "--hidden", "trivial",
+         "--trials", "3000", "--seed", "7", "--threads", "2"],
+        "3ccb0904442760a4129b2a35e36d210821794d21f6f1f104bc476aff4e77115e",
+        "3d345e388508723af2cfe6dd109202376315a27a24f5f138f9c60d9c225308ad",
+        id="simulate-n1-trivial"),
+    pytest.param(
+        ["simulate", "--N", "65536", "--k", "17", "--hidden", "65535",
+         "--trials", "600", "--seed", "7", "--threads", "2"],
+        "646d128002cbe86d9ee6b2c6449179626d14fea9a637b10d2a63722429e3a8d9",
+        "fe922192c4b61b0f0423f951f8159f97acec5cce86e42ba116db2155f8c2d782",
+        id="simulate-widest-outcome"),
     pytest.param(
         ["sweep", "--exact", "--N", "8", "--k", "1..7"],
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
