@@ -1,5 +1,6 @@
 """Protocol simulation: outcome distributions, trials, shift covariance."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -525,6 +526,49 @@ def test_small_n_reaches_every_k_under_the_guard():
             assert _worker_bytes(N, 62, SHARD, held) <= MC_SHARD_BYTES
     shards = _sharded(8, 40, 10000, 1, 1, lambda rng, xs: len(xs))
     assert list(shards) == [SHARD, SHARD, 10000 - 2 * SHARD]
+
+
+# 33 N from 1 to 2^20, odd ones among them, at and next to the guard's
+# edges: the simulator's reach at every k (49,146) and with a checkpoint
+# (110,817), the estimators' at every k (73,720), on uint16 tables
+# (161,108 and 174,755), at k <= 5 (2^18) and past it (2^18 + 2^16);
+# and (18,720, 31), whose checkpoint count is the larger stage
+GUARD_NS = [1, 2, 3, 5, 7, 8, 12, 16, 17, 27, 64, 100, 255, 256, 1000,
+            1023, 1024, 4096, 18_720, 2 ** 15, 40_000, 49_146, 65_535,
+            2 ** 16, 73_720, 110_817, 110_818, 2 ** 17, 161_108, 174_755,
+            2 ** 18, 2 ** 18 + 2 ** 16, 2 ** 20]
+GUARD_SAMPLES = [1, 64, SHARD, 10000]
+GUARD_DIGEST = (
+    "15a434255cd0bfa5574faf24842c331d11811551e6c01c83ca52fe3629276147")
+
+
+def _guard_prices(N, k, samples):
+    """The bytes one worker holds, as the guard prices them, for the
+    estimators, for shift trials and for trivial trials."""
+    rows = min(samples, SHARD)
+    return (_worker_bytes(N, k, samples),
+            _worker_bytes(N, k, samples, _outcome_bytes(N, k, rows)),
+            _worker_bytes(N, k, samples, _outcome_bytes(N), np.bool_))
+
+
+def test_every_guard_estimate_is_pinned():
+    # the memory guard's estimate of every Monte Carlo path over a grid of
+    # 8,184 sizes, k = 1..62, as one SHA-256 digest: a change to any
+    # price, and so to any verdict, shows here as a digest to re-record
+    # and to log with the sizes that cross the guard
+    assert len(GUARD_NS) == 33
+    lines, admitted = [], [0, 0, 0]
+    for N in GUARD_NS:
+        for k in range(1, 63):
+            for samples in GUARD_SAMPLES:
+                prices = _guard_prices(N, k, samples)
+                lines.append(f"{N} {k} {samples} "
+                             + " ".join(map(str, prices)) + "\n")
+                for i, price in enumerate(prices):
+                    admitted[i] += price <= MC_SHARD_BYTES
+    assert len(lines) == 8184
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert (digest, admitted) == (GUARD_DIGEST, [6934, 6138, 6137])
 
 
 # (N, k) on int16, int32 and uint16 work tables, from histogram blocks
