@@ -26,16 +26,18 @@ least 2^(k - j) times its value after the first j, and that value is at
 least its value on the first j coordinates' counts mod 2^8.  So the
 prefixes are counted on uint8 tables, their heads taken with float32
 square roots, and a trial whose u lies below P(d) of its prefix, by a
-margin for rounding (SETTLE_MARGIN), takes d at the checkpoint depth j
-(_checkpoint, _settled_outcomes); only the other trials are counted to
-k, exactly.  For the trivial subgroup the support size of eta is all it
-takes, counted on bool tables (count_eta_batch's table=np.bool_).
-That is what lets the simulator run at k around 20
-and N around 1024.  Trials draw their labels in the estimators' one
-Monte Carlo pass, success._sharded.  A shard sends back its outcomes
-alone, at the width of N (success._label_dtype), which run_trials hands
-to a sink when it streams them; it sends its labels too only when
-run_trials keeps the trial columns.
+margin for rounding in any order of summation (SETTLE_MARGIN), takes d
+at the checkpoint depth j (_checkpoint, _settled_outcomes); only the
+other trials are counted to k, exactly.  For the trivial subgroup the
+support size of eta is all it takes, counted on bool tables
+(count_eta_batch's table=np.bool_).  That is what lets the simulator run
+at k around 20 and N around 1024.  Trials draw their labels in the
+estimators' one Monte Carlo pass, success._sharded, whose memory guard
+takes the price of each kind of shard from here (_shift_bytes,
+_trivial_bytes).  A shard sends back its outcomes alone, at the width
+of N (success._label_dtype), which run_trials hands to a sink when it
+streams them; it sends its labels too only when run_trials keeps the
+trial columns.
 """
 
 from __future__ import annotations
@@ -50,11 +52,12 @@ import numpy as np
 from .dihedral import TRIVIAL, BlockLabel
 from .subsetsum import (CHUNK_BYTES, _block_rows, _count_bytes,
                         _label_dtype, count_eta_batch)
-from .success import SHARD, _draw_rows, _sharded, _support_sizes
+from .success import _draw_rows, _sharded, _support_sizes
 
-#: delta of the checkpoint's rule u N 2^j < head_j (1 - delta), which
-#: takes in the rounding of the float32 heads (_settled_outcomes).
-SETTLE_MARGIN = 2.0 ** -16
+#: The checkpoint's rule u N 2^j < head_j (1 - delta) takes in the
+#: rounding of the float32 heads, in any order of summation, with
+#: delta = (N + 1) times this (_settled_outcomes).
+SETTLE_MARGIN = 2.0 ** -23
 
 
 def _trivial_distributions(support: np.ndarray, N: int, k: int) -> np.ndarray:
@@ -148,7 +151,7 @@ def _outcome_rows(N: int) -> int:
     return max(1, CHUNK_BYTES // (16 * N))
 
 
-def _outcome_bytes(N: int, k: int = 0, rows: int = 0) -> int:
+def _outcome_bytes(N: int) -> int:
     """The bytes the outcome reducers hold at once beyond a value
     kernel's one float64 block, here the square roots of eta of one
     counting block (_block_rows(N) rows): for _outcome_rows(N) rows, the
@@ -161,26 +164,44 @@ def _outcome_bytes(N: int, k: int = 0, rows: int = 0) -> int:
     CDFs, the rows that miss and their outcomes.  The trivial subgroup's
     two (rows, N + 1) tables, and its sort order of the support sizes,
     are made after counting, when none of count_eta_batch's temporaries
-    is held.
-
-    A shard of `rows` shift trials of k coordinates with a checkpoint
-    (_checkpoint) first counts their first j coordinates on uint8
-    tables, holding none of those tables but four 8-byte values a row of
-    a block (the heads, the scaled uniforms and their comparison), and
-    its own count's temporaries, which exceed the full count's where the
-    uint8 chunk has more rows (twice an int16 chunk's; N = 18,720,
-    k = 31: 14 uint8 rows against one int64 row); the larger of the two
-    stages is counted.  Its per-shard arrays are counted in the slots of
-    a draw (_settled_outcomes)."""
+    is held."""
     per_block, block = _outcome_rows(N), _block_rows(N)
-    held = (per_block * (N * 8 + (N // 2 + 1) * 16)
+    return (per_block * (N * 8 + (N // 2 + 1) * 16)
             + min(per_block, block - 1) * N * 8 + block * 4 * 8)
+
+
+def _shift_bytes(rows: int, N: int, k: int) -> int:
+    """The price of a shard of `rows` shift trials of k coordinates
+    (_trial_shard), every byte it holds beyond its draws
+    (success._worker_bytes): the larger of its two stages.  One is the
+    full count (subsetsum._count_bytes) with the outcome tables
+    (_outcome_bytes).  The other, where there is a checkpoint
+    (_checkpoint), is the count of the first j coordinates on uint8
+    tables, which holds none of those tables but four 8-byte values a row
+    of a block (the heads, the scaled uniforms and their comparison); it
+    is the larger where the uint8 chunk has more rows (twice an int16
+    chunk's; N = 18,720, k = 31: 14 uint8 rows against one int64 row).
+    The shard's per-shard arrays are counted in the slots of a draw
+    (_settled_outcomes)."""
+    held = _count_bytes(rows, N, k) + _outcome_bytes(N)
     j = _checkpoint(N, k)
     if j:
         held = max(held, _count_bytes(rows, N, j, np.uint8)
-                   - _count_bytes(rows, N, k)
-                   + min(block, rows) * 4 * 8)
+                   + min(_block_rows(N), rows) * 4 * 8)
     return held
+
+
+def _trivial_bytes(rows: int, N: int, k: int) -> int:
+    """The price of a shard of `rows` trivial-subgroup trials of k
+    coordinates (_trial_shard), every byte it holds beyond its draws
+    (success._worker_bytes): its count on bool tables, taken as the
+    larger of that count's and the exact count's temporaries
+    (subsetsum._count_bytes), with the outcome tables (_outcome_bytes).
+    Bool chunks have more rows, but where one exact row is past
+    CHUNK_BYTES (N = 2^16, k > 30) they hold fewer bytes, and the trivial
+    subgroup keeps the reach of a shift."""
+    return (max(_count_bytes(rows, N, k), _count_bytes(rows, N, k, np.bool_))
+            + _outcome_bytes(N))
 
 
 def _miss_cdf(roots: np.ndarray, head: np.ndarray, plan,
@@ -301,8 +322,9 @@ def _shift_outcomes(xs, N: int, k: int, d: int, u) -> np.ndarray:
 
 def _checkpoint_heads(eta: np.ndarray) -> np.ndarray:
     """head = (sum_r sqrt(eta_r))^2 of each row of a block of checkpoint
-    counts: float32 square roots, summed by numpy's float32 pairwise sum
-    and squared in float64 (_settled_outcomes bounds its rounding)."""
+    counts: float32 square roots, summed in float32 in whatever order
+    numpy takes, and squared in float64 (_settled_outcomes bounds its
+    rounding for any order)."""
     return np.sqrt(eta, dtype=np.float32).sum(axis=1).astype(np.float64) ** 2
 
 
@@ -315,8 +337,8 @@ def _settled_outcomes(xs, N: int, k: int, d: int, j: int,
     The first j coordinates are counted on uint8 tables
     (count_eta_batch's table=np.uint8): each count w_r is the true count
     eta_r mod 2^8, so w_r <= eta_r.  A row settles when
-    u N 2^j < head_j (1 - delta), delta = SETTLE_MARGIN = 2^-16, for
-    head_j the value _checkpoint_heads computes of
+    u N 2^j < head_j (1 - delta), delta = (N + 1) SETTLE_MARGIN =
+    (2N + 2) 2^-24, for head_j the value _checkpoint_heads computes of
     H_j = (sum_r sqrt(w_r))^2.  No row that would miss d is settled:
     after k coordinates eta is the sum of 2^(k - j) copies of the
     depth-j table, each shifted by one subset sum of the last k - j
@@ -328,26 +350,27 @@ def _settled_outcomes(xs, N: int, k: int, d: int, j: int,
     (one with many zero coordinates) has a smaller head_j, so it only
     settles less often, and is then counted in full, exactly.
 
-    The margin delta takes in the rounding.  A count below 2^8 is exact
-    in float32 and its square root is correctly rounded, within a
-    relative 2^-24.  numpy sums a row of N float32s pairwise: runs of at
-    most 128 in 8 running sums of at most 16 terms, joined by a tree of
-    3 adds, and then up to 7 terms more one by one; a longer row is cut
-    in halves of at most n / 2 + 8, at most 11 times below N = 2^17.  So
-    each root passes through at most L = 15 + 3 + 7 + 11 + 1 = 37
-    rounded adds, the last onto the reduction's start value, and, every
-    term being nonnegative, the float32 sum is within a relative
-    gamma = 38 2^-24 / (1 - 38 2^-24) < 2^-18.7 of sum_r sqrt(w_r); its
-    float64 square head_j, within (1 + gamma)^2 (1 + 2^-53) - 1
-    < 2^-17.7 of H_j.  head_j (1 - delta) is rounded once more, by
-    2^-53, and u N 2^k as computed is exactly 2^(k - j) times u N 2^j
+    The margin delta takes in the rounding, whatever order numpy sums
+    in.  Let e = 2^-24 and f = 2^-53, the unit roundoffs of float32 and
+    float64.  A count below 2^8 is exact in float32 and its square root
+    is correctly rounded, within a relative e.  A sum of n nonnegative
+    terms, added in any order, is within a relative
+    gamma_(n-1) = (n - 1) e / (1 - (n - 1) e) of its exact value, so the
+    float32 sum of the N roots is at most
+    (1 + e) (1 + gamma_(N-1)) <= 1 / (1 - N e) times sum_r sqrt(w_r),
+    and its float64 square head_j at most H_j (1 + f) / (1 - N e)^2.
+    head_j (1 - delta) is rounded once more, by f (1 - delta itself is
+    exact), and u N 2^k as computed is exactly 2^(k - j) times u N 2^j
     as computed (a power of two apart).  So a settled row has u N 2^k
-    below 2^(k - j) H_j (1 + 2^-17.7) (1 - 2^-16) (1 + 2^-53)
-    < H_k (1 - 2^-16.5).  The full count's head, N float64 square roots
-    summed and squared (_outcomes), is within a relative
-    (2N + 1) 2^-53 < 2^-35 of H_k, so u N 2^k is below it too: the full
-    count would have hit d.  Every N the memory guard lets through with
-    a checkpoint is below 2^17 (the largest is 110,817).
+    below H_k (1 - delta) (1 + f)^2 / (1 - N e)^2.  The full count's
+    head, N float64 roots summed in any order and squared (_outcomes),
+    is at least H_k (1 - gamma'_N)^2 (1 - f) >= H_k (1 - 2 gamma'_N - f),
+    gamma' the float64 gamma.  Since (1 - N e)^2 >= 1 - 2N e, the first
+    bound is below the second when 2 e >= 2 gamma'_N + 4 f, that is for
+    every N < 2^28: the full count would have hit d.  From
+    N = 2^23 - 1 on, delta >= 1 and no row settles.  The guard lets no
+    N past 110,817 through with a checkpoint, where delta < 2^-6; at
+    N = 1024, delta is 2^-13.
 
     The shard's one flag a row, and then the open rows' index, take the
     place of a draw's values and deviations in the memory guard
@@ -355,7 +378,7 @@ def _settled_outcomes(xs, N: int, k: int, d: int, j: int,
     front of u, in place, and their labels are gathered
     success._draw_rows(k) rows at a time, at most the bytes of the int64
     chunk the draws were made in."""
-    scale, keep = N * float(2 ** j), 1 - SETTLE_MARGIN
+    scale, keep = N * float(2 ** j), 1 - (N + 1) * SETTLE_MARGIN
     open_rows = np.flatnonzero(count_eta_batch(
         xs[:, :j], N,
         lambda rows, eta: u[rows] * scale >= _checkpoint_heads(eta) * keep,
@@ -428,30 +451,28 @@ def run_trials(N: int, k: int, hidden, trials: int, seed,
     counting chunk is turned into its outcomes block by block while it
     is still in cache, a trial that hits d with no FFT and one that
     misses with one, so a worker holds its draws plus one chunk's tables
-    and one block's outcome tables, which the memory guard counts
-    (_outcome_bytes), never a (SHARD, N) table; the shard reads the half
-    spectrum through one slice plan and sums it in one CDF buffer
-    (_miss_plan), both made once.  Where there is a checkpoint depth,
-    the draws that a count of their first j coordinates, on uint8
-    tables, settles take d there, and only the others are counted in
-    full (_settled_outcomes).
-    For the trivial subgroup the reducer keeps only the support sizes,
-    counted on bool tables, which the memory guard counts too
-    (success._worker_bytes with table=np.bool_), and the shard's
-    outcomes come from one cumulative row per distinct size
-    (_trivial_outcomes).  Any hidden equal to TRIVIAL names the trivial
-    subgroup, whatever object it is.
+    and one block's outcome tables, never a (SHARD, N) table; the shard
+    reads the half spectrum through one slice plan and sums it in one
+    CDF buffer (_miss_plan), both made once.  Where there is a
+    checkpoint depth, the draws that a count of their first j
+    coordinates, on uint8 tables, settles take d there, and only the
+    others are counted in full (_settled_outcomes).  For the trivial
+    subgroup the reducer keeps only the support sizes, counted on bool
+    tables, and the shard's outcomes come from one cumulative row per
+    distinct size (_trivial_outcomes).  The pass's memory guard takes
+    the price of the shards it runs, which lives with them:
+    _shift_bytes for a shift and _trivial_bytes for the trivial
+    subgroup, each the larger of its stages.  Any hidden equal to
+    TRIVIAL names the trivial subgroup, whatever object it is.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
 
     shard = _labelled_trial_shard if sink is None else _trial_shard
     trivial = hidden == TRIVIAL
-    held = (_outcome_bytes if trivial else
-            partial(_outcome_bytes, k=k, rows=min(trials, SHARD)))
     shards = _sharded(N, k, trials, seed, threads,
-                      partial(shard, N, k, hidden), held,
-                      np.bool_ if trivial else None)
+                      partial(shard, N, k, hidden),
+                      _trivial_bytes if trivial else _shift_bytes)
     columns = None
     if sink is None:
         columns = {"labels": np.empty((trials, k), dtype=np.int64),

@@ -187,6 +187,16 @@ def _batch_dtype(N: int, k: int):
     return work
 
 
+def _table_types(N: int, k: int, table=None) -> tuple:
+    """The (work, exact) types of count_eta_batch's table for k
+    coordinates mod N: _batch_dtype(N, k) and _work_dtype(k) when table is
+    None, the two differing only on a uint16 table, whose rows are
+    certified and counted again at the exact type; the type `table` for
+    both otherwise.  Raises ScaleLimitError beyond k = BATCH_K_LIMIT."""
+    work, exact = _batch_dtype(N, k), _work_dtype(k)
+    return (work, exact) if table is None else (np.dtype(table),) * 2
+
+
 def _chunk_rows(N: int, work) -> int:
     """Rows of N counts in the work dtype that fill CHUNK_BYTES."""
     return max(1, CHUNK_BYTES // (N * np.dtype(work).itemsize))
@@ -203,25 +213,23 @@ def _count_bytes(S: int, N: int, k: int, table=None) -> int:
     beyond xs and its output, on the work table of `table`
     (count_eta_batch): a chunk's reduced and negated coordinates, at the
     width of N (_label_dtype); its doubled work table and the window
-    gathered each step, both of min(S, chunk) rows in the work dtype
-    (_batch_dtype when table is None, else table: a uint8 or bool chunk
-    has twice the rows of an int16 one in the same table bytes, and so
-    twice its coordinates and subset sums); the int64 histogram of a
-    block, which also bounds the float64 copy a value kernel makes of its
-    block; the bit table, and a chunk's subset sums with the two
-    temporaries _subset_sums makes of them (a bool table is seeded from
-    the sums in place, with no histogram, and the block term stays for
-    it as the bound on its reducer's block); and three numpy casting
-    buffers of np.getbufsize() float64 values, which a cast of a large
-    operand holds.  On uint16 tables the certificate adds the int64 row
-    sums of a block and a block widened to the exact type (_work_dtype),
-    which a block holds while its failed rows are counted again and its
-    reducer runs; the np.roll row of that count is no larger than the
-    histogram of the block, which is not held then.  Raises
+    gathered each step, both of min(S, chunk) rows in the work type of
+    _table_types (a uint8 or bool chunk has twice the rows of an int16
+    one in the same table bytes, and so twice its coordinates and subset
+    sums); the int64 histogram of a block, which also bounds the float64
+    copy a value kernel makes of its block; the bit table, and a chunk's
+    subset sums with the two temporaries _subset_sums makes of them (a
+    bool table is seeded from the sums in place, with no histogram, and
+    the block term stays for it as the bound on its reducer's block);
+    and three numpy casting buffers of np.getbufsize() float64 values,
+    which a cast of a large operand holds.  Where the work type is not
+    the exact one (a uint16 table) the certificate adds the int64 row
+    sums of a block and a block widened to the exact type, which a block
+    holds while its failed rows are counted again and its reducer runs;
+    the np.roll row of that count is no larger than the histogram of the
+    block, which is not held then.  Raises
     ScaleLimitError beyond k = BATCH_K_LIMIT, as the call would."""
-    work = _batch_dtype(N, k)
-    if table is not None:
-        work = np.dtype(table)
+    work, exact = _table_types(N, k, table)
     n = min(_chunk_rows(N, work), max(S, 1))
     block = min(_block_rows(N), n)
     m = min(k, _prefix_width(N))
@@ -229,8 +237,8 @@ def _count_bytes(S: int, N: int, k: int, table=None) -> int:
     held = (2 * n * k * width + 3 * n * N * np.dtype(work).itemsize
             + block * N * 8 + (m + 3 * n) * 2 ** m * 8
             + 3 * np.getbufsize() * 8)
-    if work == np.uint16:
-        held += block * (8 + N * np.dtype(_work_dtype(k)).itemsize)
+    if work != exact:
+        held += block * (8 + N * np.dtype(exact).itemsize)
     return held
 
 
@@ -357,9 +365,7 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
     """
     xs = np.asarray(xs)
     S, k = xs.shape
-    work, exact = _batch_dtype(N, k), _work_dtype(k)
-    if table is not None:
-        work = exact = np.dtype(table)
+    work, exact = _table_types(N, k, table)
     label = _label_dtype(N)
     if reduce is None:
         reduce = _widen

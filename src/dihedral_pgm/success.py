@@ -85,8 +85,10 @@ SWEEP_EXACT_LIMIT = 2 ** 14
 #: Memory guard on Monte Carlo, the scale limit of the Monte Carlo
 #: commands: the bytes one worker holds (_worker_bytes: a shard's draws
 #: at the width of N with one int64 chunk of them, its per-draw results,
-#: count_eta_batch's temporaries and the simulator's outcome tables) may
-#: be at most this many, checked before any draw.  At SHARD draws the
+#: and the price of its work, which each path states next to the code
+#: that runs it: one exact count for the estimators here, the larger of
+#: its stages for each of simulate's shards there) may be at most this
+#: many, checked before any draw.  At SHARD draws the
 #: estimators reach every k <= 62 up to N = 73,720, k <= 30 at N = 2^17
 #: and k <= 5 at N = 2^18, and on the uint16 tables of k = 15..29
 #: (subsetsum._batch_dtype) N = 161,108 (k = 29) to 174,755 (k = 15);
@@ -161,17 +163,21 @@ def _exact_roots(N: int, k: int) -> _Roots:
 
 def _exact_sums(N: int, k: int, terms) -> int:
     """The exact integer sum over x in Z_N^k of terms(eta), an (S,) int64
-    array of per-draw integers that the units and cyclic shifts of eta
-    leave unchanged, read from the prefix-sharing walk
+    array of nonnegative per-draw integers that the units and cyclic
+    shifts of eta leave unchanged, read from the prefix-sharing walk
     (subsetsum._orbit_walk) from _exact_roots(N, k).  A row of the walk
-    stands for weights / distinct labels, so each block adds one int64
-    dot of weights and terms per value of distinct, summed across blocks
-    in Python integers, and the totals are combined as sum_D S_D / D at
-    the end, over the lcm of the D in Python integers; a total that is
-    not an integer raises."""
+    stands for weights / distinct labels, so each block adds one dot of
+    weights and terms per value of distinct, summed across blocks in
+    Python integers, and the totals are combined as sum_D S_D / D at the
+    end, over the lcm of the D in Python integers; a total that is not an
+    integer raises.  A dot is taken in int64 where no partial sum can
+    wrap, max(weights) max(terms) rows < 2^63, and in Python integers
+    elsewhere (at (8, 20) one block's dot is about 1.08e19)."""
     by_distinct = {}
     for _, w, distinct, eta in _orbit_walk(N, k, _exact_roots(N, k)):
         t = terms(eta)
+        if int(w.max()) * int(t.max()) * len(w) >= 2 ** 63:
+            w, t = w.astype(object), t.astype(object)
         for d in range(1, int(distinct.max()) + 1):
             sel = distinct == d
             if sel.any():
@@ -264,40 +270,30 @@ def _draw_labels(rng: np.random.Generator, N: int, n: int,
     return xs
 
 
-def _worker_bytes(N: int, k: int, samples: int, held: int = 0,
-                  table=None) -> int:
+def _worker_bytes(N: int, k: int, samples: int, held=_count_bytes) -> int:
     """The bytes one Monte Carlo worker holds for a shard of
-    min(samples, SHARD) draws of Z_N^k: the (rows, k) draws at their
-    width (_label_dtype(N)) and one int64 chunk of them as drawn
+    rows = min(samples, SHARD) draws of Z_N^k: the (rows, k) draws at
+    their width (_label_dtype(N)) and one int64 chunk of them as drawn
     (_draw_labels), four float64 or int64 values a draw (a uniform, the
-    values, their deviations and the result), count_eta_batch's
-    temporaries (subsetsum._count_bytes, which include one float64 block
-    of the reducer), and `held` more bytes that the caller's reducer
-    holds at once.  With a table the shard counts on count_eta_batch's
-    work table of that type, and its temporaries are taken as the larger
-    of that table's and the exact count's: bool chunks have more rows,
-    but where one exact row is past CHUNK_BYTES (N = 2^16, k > 30) they
-    hold fewer bytes, and the trivial subgroup keeps the reach of a
-    shift.  Raises ScaleLimitError beyond k = BATCH_K_LIMIT."""
+    values, their deviations and the result), and held(rows, N, k), the
+    price of the shard's work: every byte it holds beyond those.  The
+    default is the estimators' price, one exact count
+    (subsetsum._count_bytes, which includes one float64 block of the
+    reducer); simulate states its own.  Raises ScaleLimitError beyond
+    k = BATCH_K_LIMIT, as _count_bytes does."""
     rows = min(samples, SHARD)
     width = np.dtype(_label_dtype(N)).itemsize
-    count = _count_bytes(rows, N, k)
-    if table is not None:
-        count = max(count, _count_bytes(rows, N, k, table))
     return (rows * (k * width + 4 * 8) + min(rows, _draw_rows(k)) * k * 8
-            + count + held)
+            + held(rows, N, k))
 
 
-def _mc_guard(N: int, k: int, samples: int, held=None,
-              table=None) -> None:
+def _mc_guard(N: int, k: int, samples: int, held=_count_bytes) -> None:
     """The size check and the memory guard of one Monte Carlo pass, on
     nothing drawn: ScaleLimitError when a worker would hold more than
-    MC_SHARD_BYTES (_worker_bytes, with held(N) more bytes when held is
-    given, counting on count_eta_batch's `table`), or when k is past
-    int64 counting."""
+    MC_SHARD_BYTES (_worker_bytes, with held the price of its work), or
+    when k is past int64 counting."""
     _check_size(N, k)
-    worker = _worker_bytes(N, k, samples, 0 if held is None else held(N),
-                           table)
+    worker = _worker_bytes(N, k, samples, held)
     if worker > MC_SHARD_BYTES:
         raise ScaleLimitError(
             f"a Monte Carlo worker would hold {worker} bytes (N = {N}, "
@@ -355,11 +351,11 @@ def _shard(N: int, k: int, work, ss: np.random.SeedSequence, n: int):
 
 
 def _sharded(N: int, k: int, samples: int, seed, threads: int, work,
-             held=None, table=None):
+             held=_count_bytes):
     """The one Monte Carlo pass: the size check and memory guard
-    (_mc_guard, with held(N) the bytes work's reducer holds beyond one
-    float64 block, and table the work table count_eta_batch counts work's
-    draws on) and the worker count (ValueError naming max_workers
+    (_mc_guard, with held(rows, N, k) the price of work on a shard of
+    rows draws, which the caller states with work: by default one exact
+    count) and the worker count (ValueError naming max_workers
     below 1) before any draw, then an iterator over work(rng, xs) per
     shard of SHARD draws, the last partial, in shard order.  Each shard's
     rng is its own child of seed, spawned when the shard is submitted,
@@ -384,7 +380,7 @@ def _sharded(N: int, k: int, samples: int, seed, threads: int, work,
     not yet started, and the pool stays usable; a pass whose worker dies
     raises BrokenProcessPool and drops the pool, so the next pass starts
     a new one."""
-    _mc_guard(N, k, samples, held, table)
+    _mc_guard(N, k, samples, held)
     if threads < 1:
         raise ValueError("max_workers must be greater than 0")
     workers = min(threads, max(2, -(-samples // SHARD)))

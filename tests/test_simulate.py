@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,16 +21,17 @@ import dihedral_pgm
 from dihedral_pgm import (TRIVIAL, BlockLabel, ScaleLimitError, block_state,
                           count_eta, lsb_threshold_check, outcome_distribution,
                           povm_block, run_trials, shift_covariance_check,
-                          success, success_exact, success_mc,
+                          simulate, success, success_exact, success_mc,
                           trivial_success)
 from dihedral_pgm.simulate import (SETTLE_MARGIN, _checkpoint,
                                    _checkpoint_heads, _distributions,
-                                   _miss_cdf, _miss_plan, _outcome_bytes,
-                                   _outcome_rows, _outcomes, _shift_plan,
-                                   _trial_shard, _trivial_outcomes, _unfold)
+                                   _miss_cdf, _miss_plan, _outcome_rows,
+                                   _outcomes, _shift_bytes, _shift_plan,
+                                   _trial_shard, _trivial_bytes,
+                                   _trivial_outcomes, _unfold)
 from dihedral_pgm.success import (MC_SHARD_BYTES, SHARD, _sharded,
                                   _support_sizes, _worker_bytes)
-from dihedral_pgm.subsetsum import (CHUNK_BYTES, _label_dtype,
+from dihedral_pgm.subsetsum import (CHUNK_BYTES, _count_bytes, _label_dtype,
                                     count_eta_batch, iter_all_eta)
 
 
@@ -252,11 +254,16 @@ def _settle_heads(xs, N):
         xs, N, lambda rows, eta: _checkpoint_heads(eta), table=np.uint8)
 
 
-def _largest_settled(head, scale):
+def _keep(N):
+    """1 - delta of the checkpoint's rule at N."""
+    return 1 - (N + 1) * SETTLE_MARGIN
+
+
+def _largest_settled(head, N, scale):
     """The largest u that the checkpoint's rule u scale < head (1 - delta)
-    settles, as computed, or None where no u >= 0 settles: a head of 0,
-    whose every count wrapped to 0 mod 2^8."""
-    bound = head * (1 - SETTLE_MARGIN)
+    settles at N, as computed, or None where no u >= 0 settles: a head of
+    0, whose every count wrapped to 0 mod 2^8."""
+    bound = head * _keep(N)
     if bound <= 0:
         return None
     u = np.nextafter(bound / scale, np.inf)
@@ -285,7 +292,8 @@ def test_a_checkpoint_head_bounds_the_full_head(case, zeros, lead):
     xs = np.array([x])
     full = _heads(xs, N)[0]
     for j in range(k):
-        u = _largest_settled(_settle_heads(xs[:, :j], N)[0], N * 2.0 ** j)
+        u = _largest_settled(_settle_heads(xs[:, :j], N)[0], N,
+                             N * 2.0 ** j)
         assert u is None or u * (N * 2.0 ** k) < full, (j, u, full)
 
 
@@ -323,8 +331,8 @@ def test_checkpoint_outcomes_match_the_full_count(N, k):
     scale = N * float(2 ** j)
     head = _settle_heads(xs[:, :j], N)
     u = rng.random(S)
-    u[0::5] = head[0::5] * (1 - SETTLE_MARGIN) / scale
-    u[1::5] = head[1::5] * (1 + SETTLE_MARGIN) / scale
+    u[0::5] = head[0::5] * _keep(N) / scale
+    u[1::5] = head[1::5] * (2 - _keep(N)) / scale
     u[2::5] = 1 - rng.random(len(u[2::5])) * 2.0 ** -20
     u[3::5] = np.nextafter(head[3::5] / scale, 0)
     u = np.minimum(u, 1 - 2.0 ** -53)
@@ -334,41 +342,72 @@ def test_checkpoint_outcomes_match_the_full_count(N, k):
     got = _trial_shard(N, k, d, _Uniforms(u), xs)
     assert got.dtype == _label_dtype(N)
     assert np.array_equal(got, full)
-    settled = u * scale < head * (1 - SETTLE_MARGIN)
+    settled = u * scale < head * _keep(N)
     assert settled.any()
     assert (full[~settled] == d).any() and (full[~settled] != d).any()
 
 
+def _head_bound(N):
+    """The relative rounding of a float32 head of N roots summed in any
+    order, (1 + f) / (1 - N e)^2 - 1 for e = 2^-24 and f = 2^-53, as
+    _settled_outcomes bounds it, exactly."""
+    e, f = Fraction(1, 2 ** 24), Fraction(1, 2 ** 53)
+    return (1 + f) / (1 - N * e) ** 2 - 1
+
+
 def test_the_guard_keeps_checkpoint_heads_within_the_margin():
-    # _settled_outcomes bounds a float32 head's rounding, at most 37
-    # rounded adds a square root in numpy's pairwise sum, by 2^-17.7 for
-    # every N < 2^17, and SETTLE_MARGIN = 2^-16 takes that in: the guard
-    # refuses a simulate of N = 2^17 at every k with a checkpoint, even of
-    # one trial, and at the largest N it lets through with a checkpoint,
-    # 110,817, the heads of rows of 255s, of 1s, of random counts and of
-    # one nonzero count lie within 2^-17.7 of their value
+    # the guard refuses a simulate of N = 2^17 at every k with a
+    # checkpoint, even of one trial, and 110,817 is the largest N it lets
+    # through with one
     N = 2 ** 17
     ks = [k for k in range(1, 63) if _checkpoint(N, k)]
     assert ks
     for k in ks:
-        assert (_worker_bytes(N, k, 1, _outcome_bytes(N, k, 1))
-                > MC_SHARD_BYTES)
+        assert _worker_bytes(N, k, 1, _shift_bytes) > MC_SHARD_BYTES
     N = 110_817
     for n in (N, N + 1):
         admitted = [k for k in range(1, 63) if _checkpoint(n, k) and
-                    _worker_bytes(n, k, 1, _outcome_bytes(n, k, 1))
-                    <= MC_SHARD_BYTES]
+                    _worker_bytes(n, k, 1, _shift_bytes) <= MC_SHARD_BYTES]
         assert bool(admitted) == (n == N)
-    eta = np.zeros((4, N), dtype=np.uint8)
-    eta[0] = 255
-    eta[1] = 1
-    eta[2] = np.random.default_rng(1).integers(0, 256, size=N)
-    eta[3, 7] = 200
-    heads = _checkpoint_heads(eta)
-    for head, row in zip(heads, eta):
-        exact = math.fsum(np.sqrt(row, dtype=np.float64)) ** 2
-        assert abs(head - exact) <= 2.0 ** -17.7 * exact
-    assert 2.0 ** -17.7 < SETTLE_MARGIN
+
+
+def test_the_settle_margin_holds_for_any_summation_order():
+    # _settled_outcomes proves its rule for any order of summation: a
+    # settled row has u N 2^k below H_k (1 - delta) (1 + f)^2 / (1 - N e)^2
+    # and the full count's head is at least H_k (1 - 2 gamma'_N - f),
+    # checked here as exact fractions for N up to 2^23 - 2; from
+    # N = 2^23 - 1 on, 1 - delta <= 0 and nothing settles
+    e, f = Fraction(1, 2 ** 24), Fraction(1, 2 ** 53)
+    for N in (1, 2, 3, 70, 1024, 110_817, 2 ** 17, 2 ** 20, 2 ** 23 - 2):
+        settled = (Fraction(_keep(N)) * (1 + f) ** 2 / (1 - N * e) ** 2)
+        assert settled < 1 - 2 * (N * f / (1 - N * f)) - f
+    assert _keep(2 ** 23 - 1) <= 0
+    # the heads of rows of 255s, of 1s, of random counts and of one
+    # nonzero count, summed by numpy, one by one in order and one by one
+    # reversed, lie within that bound of their value, at the largest N the
+    # guard lets through with a checkpoint, at 2^17 and at 2^20; one by
+    # one, a row of 255s at 110,817 errs by about 2^-11, so no margin
+    # below that could take in every order there
+    rng = np.random.default_rng(1)
+    for N in (110_817, 2 ** 17, 2 ** 20):
+        eta = np.zeros((4, N), dtype=np.uint8)
+        eta[0] = 255
+        eta[1] = 1
+        eta[2] = rng.integers(0, 256, size=N)
+        eta[3, 7] = 200
+        exact = [math.fsum(np.sqrt(row, dtype=np.float64)) ** 2
+                 for row in eta]
+        roots = np.sqrt(eta, dtype=np.float32)
+        orders = (_checkpoint_heads(eta),
+                  np.cumsum(roots, axis=1)[:, -1].astype(np.float64) ** 2,
+                  np.cumsum(roots[:, ::-1], axis=1)[:, -1]
+                  .astype(np.float64) ** 2)
+        bound = float(_head_bound(N))
+        for heads in orders:
+            for head, value in zip(heads, exact):
+                assert abs(head - value) <= bound * value
+        if N == 110_817:
+            assert abs(orders[1][0] - exact[0]) > 2.0 ** -16 * exact[0]
 
 
 def test_shards_import_no_masked_arrays():
@@ -487,27 +526,32 @@ def _never(rng, xs):
 
 def test_monte_carlo_guard_bounds_the_largest_shard():
     # the limit is _worker_bytes(N, k, samples, held) <= MC_SHARD_BYTES,
-    # checked before any draw: at SHARD draws, held at the width of N,
-    # the estimators reach N = 2^16 at every k <= 62, 2^17 up to k = 30
-    # and 2^18 up to k = 5, and on uint16 work tables, whose one-row
-    # chunks are half the bytes of int32 ones, N = 160,000 at k = 20; the
-    # simulator, whose outcome tables are held too, 2^15 at every k <= 62
-    # and 2^16 up to k = 30
+    # checked before any draw, held the price of the pass's work: at SHARD
+    # draws, held at the width of N, the estimators (one exact count)
+    # reach N = 2^16 at every k <= 62, 2^17 up to k = 30 and 2^18 up to
+    # k = 5, and on uint16 work tables, whose one-row chunks are half the
+    # bytes of int32 ones, N = 160,000 at k = 20; the simulator, whose
+    # outcome tables are held too, 2^15 at every k <= 62 and 2^16 up to
+    # k = 30, for a shift and for the trivial subgroup
     assert MC_SHARD_BYTES == 2 ** 22
-    for N, k, held in ((2 ** 16, 62, 0), (2 ** 17, 30, 0), (2 ** 18, 5, 0),
-                       (160_000, 20, 0),
-                       (2 ** 15, 62, _outcome_bytes(2 ** 15)),
-                       (2 ** 16, 30, _outcome_bytes(2 ** 16))):
+    for N, k, held in ((2 ** 16, 62, _count_bytes),
+                       (2 ** 17, 30, _count_bytes),
+                       (2 ** 18, 5, _count_bytes),
+                       (160_000, 20, _count_bytes),
+                       (2 ** 15, 62, _shift_bytes),
+                       (2 ** 15, 62, _trivial_bytes),
+                       (2 ** 16, 30, _shift_bytes),
+                       (2 ** 16, 30, _trivial_bytes)):
         assert _worker_bytes(N, k, SHARD, held) <= MC_SHARD_BYTES
     assert len(list(_sharded(4096, 1, 10000, 1, 1, lambda rng, xs: None))) == 3
     assert len(list(_sharded(2 ** 17, 1, 16, 1, 1, lambda rng, xs: None))) == 1
-    for N, k, samples, held in ((2 ** 17, 31, 10000, None),
-                                (2 ** 18, 6, SHARD, None),
-                                (2 ** 16, 31, SHARD, _outcome_bytes),
-                                (2 ** 18, 14, SHARD, None),
-                                (2 ** 20, 1, 16, None)):
-        assert (_worker_bytes(N, k, samples, held(N) if held else 0)
-                > MC_SHARD_BYTES)
+    for N, k, samples, held in ((2 ** 17, 31, 10000, _count_bytes),
+                                (2 ** 18, 6, SHARD, _count_bytes),
+                                (2 ** 16, 31, SHARD, _shift_bytes),
+                                (2 ** 16, 31, SHARD, _trivial_bytes),
+                                (2 ** 18, 14, SHARD, _count_bytes),
+                                (2 ** 20, 1, 16, _count_bytes)):
+        assert _worker_bytes(N, k, samples, held) > MC_SHARD_BYTES
         with pytest.raises(ScaleLimitError, match="memory guard"):
             _sharded(N, k, samples, 1, 1, _never, held)
     # past int64 counting the guard raises before any draw, too
@@ -522,7 +566,7 @@ def test_small_n_reaches_every_k_under_the_guard():
     # k = 62 there (at int64 they stopped at k = 35 and 31 at N = 8,
     # where `sweep --N 8 --k 40` exited 3)
     for N in range(1, 17):
-        for held in (0, _outcome_bytes(N)):
+        for held in (_count_bytes, _shift_bytes, _trivial_bytes):
             assert _worker_bytes(N, 62, SHARD, held) <= MC_SHARD_BYTES
     shards = _sharded(8, 40, 10000, 1, 1, lambda rng, xs: len(xs))
     assert list(shards) == [SHARD, SHARD, 10000 - 2 * SHARD]
@@ -542,26 +586,36 @@ GUARD_DIGEST = (
     "15a434255cd0bfa5574faf24842c331d11811551e6c01c83ca52fe3629276147")
 
 
-def _guard_prices(N, k, samples):
-    """The bytes one worker holds, as the guard prices them, for the
-    estimators, for shift trials and for trivial trials."""
-    rows = min(samples, SHARD)
-    return (_worker_bytes(N, k, samples),
-            _worker_bytes(N, k, samples, _outcome_bytes(N, k, rows)),
-            _worker_bytes(N, k, samples, _outcome_bytes(N), np.bool_))
+def _trial_price(hidden):
+    """The price of its shards that run_trials hands the Monte Carlo
+    pass for hidden, read from a stand-in pass that runs nothing."""
+    seen = []
+
+    def pass_(N, k, samples, seed, threads, work, held=_count_bytes):
+        seen.append(held)
+        yield from ()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_sharded", pass_)
+        run_trials(8, 4, hidden, 1, seed=1, sink=lambda outcomes: None)
+    return seen[0]
 
 
 def test_every_guard_estimate_is_pinned():
     # the memory guard's estimate of every Monte Carlo path over a grid of
-    # 8,184 sizes, k = 1..62, as one SHA-256 digest: a change to any
-    # price, and so to any verdict, shows here as a digest to re-record
-    # and to log with the sizes that cross the guard
+    # 8,184 sizes, k = 1..62, as one SHA-256 digest: the estimators'
+    # default price and the prices run_trials hands the pass for a shift
+    # and for the trivial subgroup.  A change to any price, and so to any
+    # verdict, shows here as a digest to re-record and to log with the
+    # sizes that cross the guard
     assert len(GUARD_NS) == 33
+    paths = (_count_bytes, _trial_price(3), _trial_price(TRIVIAL))
     lines, admitted = [], [0, 0, 0]
     for N in GUARD_NS:
         for k in range(1, 63):
             for samples in GUARD_SAMPLES:
-                prices = _guard_prices(N, k, samples)
+                prices = [_worker_bytes(N, k, samples, held)
+                          for held in paths]
                 lines.append(f"{N} {k} {samples} "
                              + " ".join(map(str, prices)) + "\n")
                 for i, price in enumerate(prices):
@@ -602,10 +656,11 @@ def test_one_worker_peaks_within_the_guard_estimate(N, k, zero_row,
                                                     monkeypatch):
     # the guard's estimate, as each pass checks it, is an upper bound on
     # what one worker holds, for each value kernel and both outcome
-    # reducers: a shift shard's with its checkpoint count on uint8 tables
-    # (_outcome_bytes with k and the shard's rows), a trivial shard's
-    # with its count on bool-seeded tables (table=np.bool_); one call
-    # before the measured one keeps one-time lazy imports out of the peak
+    # reducers, each at the price its pass is handed: the estimators' one
+    # exact count, and the price run_trials hands for a shift, whose
+    # shard has a checkpoint count on uint8 tables, and for the trivial
+    # subgroup, whose shard counts on bool-seeded tables; one call before
+    # the measured one keeps one-time lazy imports out of the peak
     if zero_row:
         draw = success._draw_labels
 
@@ -616,19 +671,18 @@ def test_one_worker_peaks_within_the_guard_estimate(N, k, zero_row,
 
         monkeypatch.setattr(success, "_draw_labels", draw_with_zero_row)
     samples = 64
-    for call, held, table in (
-            (lambda: success_mc(N, k, samples, seed=2), 0, None),
-            (lambda: lsb_threshold_check(N, k, samples, seed=2), 0, None),
-            (lambda: run_trials(N, k, 3, samples, seed=2),
-             _outcome_bytes(N, k, samples), None),
+    for call, held in (
+            (lambda: success_mc(N, k, samples, seed=2), _count_bytes),
+            (lambda: lsb_threshold_check(N, k, samples, seed=2), _count_bytes),
+            (lambda: run_trials(N, k, 3, samples, seed=2), _trial_price(3)),
             (lambda: run_trials(N, k, TRIVIAL, samples, seed=2),
-             _outcome_bytes(N), np.bool_)):
+             _trial_price(TRIVIAL))):
         call()
         tracemalloc.start()
         call()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak <= _worker_bytes(N, k, samples, held, table)
+        assert peak <= _worker_bytes(N, k, samples, held)
 
 
 @pytest.mark.parametrize("N, k, hidden", [
@@ -639,10 +693,7 @@ def test_one_worker_peaks_within_the_guard_estimate_at_shard_draws(
     # chunks of twice the rows of int16 ones, and a shift shard with a
     # checkpoint counts on uint8 chunks as large and holds its flags,
     # then its open rows' index, uniforms and labels; the guard's
-    # estimate, with the bool table and the checkpoint's count, bounds
-    # both
-    trivial = hidden == TRIVIAL
-    held = _outcome_bytes(N) if trivial else _outcome_bytes(N, k, SHARD)
+    # estimate, at the price run_trials hands its pass, bounds both
 
     def call():
         run_trials(N, k, hidden, SHARD, seed=2, sink=lambda outcomes: None)
@@ -652,8 +703,7 @@ def test_one_worker_peaks_within_the_guard_estimate_at_shard_draws(
     call()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= _worker_bytes(N, k, SHARD, held,
-                                 np.bool_ if trivial else None)
+    assert peak <= _worker_bytes(N, k, SHARD, _trial_price(hidden))
 
 
 def test_mc_peak_memory_does_not_grow_with_samples():

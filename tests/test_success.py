@@ -256,6 +256,27 @@ def test_trivial_success_dense_oracle():
                    - trivial_success(N, k)) < 1e-10
 
 
+@pytest.mark.parametrize("N, k", [(8, 20), (2, 62), (16, 15)])
+def test_gram_rank_does_not_wrap_past_the_guard(N, k, monkeypatch):
+    # with the enumeration guard lifted, one block's dot of weights and
+    # support sizes passes 2^63 at (8, 20), where an int64 dot read
+    # -4,399,825,910,329; it reaches 2^63 - 1 at (2, 62), and the rank
+    # passes 2^64 at (16, 15): each must equal the same rows summed as
+    # Python integers, weights / distinct as exact fractions
+    monkeypatch.setattr(success, "EXACT_ENUM_LIMIT", math.inf)
+    by_distinct = Counter()
+    for _, w, distinct, eta in subsetsum._orbit_walk(
+            N, k, subsetsum._unit_roots(N, k)):
+        for wi, di, ti in zip(w.tolist(), distinct.tolist(),
+                              success._support_sizes(eta).tolist()):
+            by_distinct[di] += wi * ti
+    rank = sum(Fraction(s, d) for d, s in by_distinct.items())
+    assert rank.denominator == 1
+    assert success._gram_rank(N, k) == rank
+    if (N, k) == (8, 20):
+        assert rank == 9_223_367_637_028_865_479
+
+
 def test_threshold_sweep_mixed_methods():
     points = threshold_sweep(64, range(2, 13), samples=2000, seed=7)
     assert len(points) == 11
