@@ -296,8 +296,8 @@ def _recount(x: np.ndarray, N: int, out: np.ndarray) -> None:
         out += np.roll(out, xj)
 
 
-def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
-                    table=None) -> np.ndarray:
+def count_eta_batch(xs: np.ndarray, N: int, reduce=None, table=None,
+                    depths=None):
     """eta for many draws at once, reduced row-wise block by block.
 
     xs is (S, k) integers.  The rows are counted in chunks of
@@ -306,8 +306,8 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
     each chunk is handed to reduce(rows, eta_block) in blocks of
     _block_rows(N) = CHUNK_BYTES // (8 N) rows while it is still in
     cache: rows is the block's slice of xs and eta_block its (len, N)
-    counts in the work dtype, or in the exact type of k for a block
-    with recounted rows (below).  eta_block is a view of the work table,
+    counts in the work dtype, or in an exact type for a block with
+    recounted rows (below).  eta_block is a view of the work table,
     so it is valid only during that call: a reducer may return it or a
     view of it (the result is copied out before the next block), but
     must not keep it.  The per-row results are concatenated in row order,
@@ -319,6 +319,16 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
     the block to int64, so count_eta_batch(xs, N) is the (S, N) int64
     table.
 
+    `depths`, in place of reduce, is a dict {j: reducer} of depths
+    0 <= j <= k, and the call returns the dict {j: output}.  Every step
+    of the recurrence from the seed on is a depth of the count: after j
+    of them, each row holds the counts of its first j coordinates,
+    bitwise those of count_eta_batch(xs[:, :j], N).  So one count to k
+    hands each chunk, block by block, to the reducer of every depth asked
+    for, as it passes that depth, and each depth's results are put
+    together as one call's are.  The default is the one depth k, with
+    reduce.
+
     `table` picks the work table, one of three:
 
     * None, the exact counts.  The work tables are int16 up to
@@ -328,10 +338,14 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
       A uint16 table counts modulo 2^16.  A count mod 2^16 is at most the
       count, and equal to it exactly when the count is below 2^16, and
       the counts of a row sum to 2^k, so a row is exact exactly when its
-      int64 row sum is 2^k.  Each block is checked so before its reducer
-      sees it; if a row fails, the block is widened to the exact type
-      (_work_dtype(k)), the failed rows are counted again there one at a
-      time (_recount), and the reducer gets the widened block.
+      int64 row sum is 2^k.  Each block is checked so, at each depth j by
+      its own row sum 2^j (from j = 16 on: below it no count reaches
+      2^16), before its reducer sees it; if a row fails,
+      the block is widened to the exact type of that depth
+      (_work_dtype(j)), the failed rows are counted again there on their
+      first j coordinates, one at a time (_recount), and the reducer gets
+      the widened block.  A count only grows with the depth, so a row
+      that fails at j fails at every deeper depth too.
     * np.uint8, the counts modulo 2^8, with no certificate.  The
       recurrence commutes with reduction mod 2^8, and so do the histogram
       assigned to the table and each step's wrapping add, so every count
@@ -348,7 +362,8 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
     every r is the contiguous slice starting at N - x_j, gathered with no
     modulo pass.  The table is viewed as (rows, 2, N), the two halves of
     each row.  A chunk starts from the 2^m subset sums of its first m
-    coordinates (m from _prefix_width(N), sums from _subset_sums as one
+    coordinates (m the smaller of _prefix_width(N) and the shallowest
+    depth asked for, sums from _subset_sums as one
     float64 product with a bit table built once per call; at m = 0 the
     one empty sum gives the unit row T_0), written into both halves: on a
     count table as their histogram, one int64 bincount per block, in one
@@ -367,18 +382,22 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
     S, k = xs.shape
     work, exact = _table_types(N, k, table)
     label = _label_dtype(N)
-    if reduce is None:
-        reduce = _widen
+    one = depths is None
+    if one:
+        depths = {k: _widen if reduce is None else reduce}
+    elif reduce is not None or not all(0 <= j <= k for j in depths):
+        raise ValueError(f"depths must map depths 0 .. {k} to reducers, "
+                         "in place of reduce")
     rows, block = _chunk_rows(N, work), _block_rows(N)
-    m = min(k, _prefix_width(N))
+    m = min(min(depths), _prefix_width(N))
     n_max = min(rows, max(S, 1))
     bits = _bit_table(m)
     # one work table for every chunk: each chunk overwrites its rows
     work_table = np.empty((n_max, 2 * N), dtype=work)
     # windows[s, i] is the view work_table[s, i:i + N]
     windows = np.lib.stride_tricks.sliding_window_view(work_table, N, axis=1)
-    out = None
-    # one pass over an empty xs still gives the reducer's output shape
+    outs = dict.fromkeys(depths)
+    # one pass over an empty xs still gives the reducers' output shapes
     for lo in range(0, max(S, 1), rows):
         # reduced, and below negated, at the width of N
         x = (xs[lo:lo + rows] % N).astype(label, copy=False)
@@ -407,26 +426,35 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None,
                 ).reshape(b - a, 1, N)
         chunk_rows = np.arange(n)
         start = N - x  # in [1, N]
-        for j in range(m, k):
-            halves += windows[chunk_rows, start[:, j]][:, None, :]
-        for a in range(0, max(n, 1), block):
-            b = min(a + block, n)
-            eta = halves[a:b, 0]
-            if work != exact:
-                # the certificate: a row is exact iff its counts sum to 2^k
-                bad = np.flatnonzero(eta.sum(axis=1, dtype=np.int64) != 2 ** k)
-                if bad.size:
-                    eta = eta.astype(exact)
-                    for i in bad.tolist():
-                        _recount(x[a + i], N, eta[i])
-            result = reduce(slice(lo + a, lo + b), eta)
-            if out is None:
-                out = np.empty((S,) + result.shape[1:], dtype=result.dtype)
-            elif result.dtype != out.dtype:
-                out = out.astype(np.promote_types(out.dtype, result.dtype),
-                                 copy=False)
-            out[lo + a:lo + b] = result
-    return out
+        for j in range(m, k + 1):
+            if j > m:
+                halves += windows[chunk_rows, start[:, j - 1]][:, None, :]
+            if j not in depths:
+                continue
+            for a in range(0, max(n, 1), block):
+                b = min(a + block, n)
+                eta = halves[a:b, 0]
+                # the certificate, on a uint16 table (the one work type
+                # that differs from the exact type): a row is exact iff
+                # its counts sum to 2^j, and below j = 16 no count can
+                # reach 2^16
+                if work != exact and j >= 16:
+                    bad = np.flatnonzero(
+                        eta.sum(axis=1, dtype=np.int64) != 2 ** j)
+                    if bad.size:
+                        eta = eta.astype(_work_dtype(j))
+                        for i in bad.tolist():
+                            _recount(x[a + i, :j], N, eta[i])
+                result = depths[j](slice(lo + a, lo + b), eta)
+                out = outs[j]
+                if out is None:
+                    out = np.empty((S,) + result.shape[1:], dtype=result.dtype)
+                elif result.dtype != out.dtype:
+                    out = out.astype(np.promote_types(out.dtype, result.dtype),
+                                     copy=False)
+                out[lo + a:lo + b] = result
+                outs[j] = out
+    return outs[k] if one else outs
 
 
 def iter_all_eta(N: int, k: int):

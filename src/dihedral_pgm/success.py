@@ -16,7 +16,7 @@ Everything here reduces to statistics of the solution counts eta_r^x:
 
 Each of these is a mean over x of a per-draw value kernel of eta^x,
 taken by one of two reducers: _exact_means, by exact enumeration under
-EXACT_ENUM_LIMIT, and _mean, by Monte Carlo.  The exact reducer uses
+EXACT_ENUM_LIMIT, and _means, by Monte Carlo.  The exact reducer uses
 three symmetries.  Permuting the coordinates of x leaves eta^x
 unchanged; multiplying x by a unit u of Z_N permutes its residues
 r -> u r (for even N, u is odd and u N/2 = N/2, so the parity pairs are
@@ -40,14 +40,19 @@ are closed forms in N and k (lsb_counting_sums).  The Monte Carlo
 reducer averages the seeded shards of SHARD uniform draws of _sharded,
 the one Monte Carlo pass (simulate's trials run it too), merged in shard
 order, so Monte Carlo results are byte-identical for a given seed
-whatever the worker count.  A pass runs min(threads, max(2, shards))
-workers: one runs its shards inline; two or more are forked processes
-of one pool, started at its first use and reused by every later pass of
-as many workers in the process (_pool), so a caller's tracemalloc does
-not see their memory.  It checks the bytes one worker would hold
-(_mc_guard) before any draw, holds each shard's labels at the width of
-N (_draw_labels), and keeps at most 2 shards a worker in flight, so its
-memory does not grow with the number of draws.
+whatever the worker count.  It has the exact sweep's shape: one count
+of draws of Z_N^K passes through every shallower depth, each depth j
+the counts of the draws' first j coordinates, so a Monte Carlo sweep
+(the Monte Carlo rows of threshold_sweep) reads every k from one pass at
+the largest, and its point at K is bitwise success_mc at K (_means).  A
+pass runs min(threads, max(2, shards)) workers: one runs its shards
+inline; two or more are forked processes of one pool, started at its
+first use and reused by every later pass of as many workers in the
+process (_pool), so a caller's tracemalloc does not see their memory.
+It checks the bytes one worker would hold (_mc_guard) before any draw,
+holds each shard's labels at the width of N (_draw_labels), and keeps at
+most 2 shards a worker in flight, so its memory does not grow with the
+number of draws.
 """
 
 from __future__ import annotations
@@ -86,9 +91,10 @@ SWEEP_EXACT_LIMIT = 2 ** 14
 #: commands: the bytes one worker holds (_worker_bytes: a shard's draws
 #: at the width of N with one int64 chunk of them, its per-draw results,
 #: and the price of its work, which each path states next to the code
-#: that runs it: one exact count for the estimators here, the larger of
-#: its stages for each of simulate's shards there) may be at most this
-#: many, checked before any draw.  At SHARD draws the
+#: that runs it: one exact count for the estimators here, with one more
+#: float64 result a draw for each further k a sweep reads from it, the
+#: larger of its stages for each of simulate's shards there) may be at
+#: most this many, checked before any draw.  At SHARD draws the
 #: estimators reach every k <= 62 up to N = 73,720, k <= 30 at N = 2^17
 #: and k <= 5 at N = 2^18, and on the uint16 tables of k = 15..29
 #: (subsetsum._batch_dtype) N = 161,108 (k = 29) to 174,755 (k = 15);
@@ -355,7 +361,9 @@ def _sharded(N: int, k: int, samples: int, seed, threads: int, work,
     """The one Monte Carlo pass: the size check and memory guard
     (_mc_guard, with held(rows, N, k) the price of work on a shard of
     rows draws, which the caller states with work: by default one exact
-    count) and the worker count (ValueError naming max_workers
+    count, and for the shards of _means that read several depths of one
+    count, that count and each depth's results, _depth_bytes) and the
+    worker count (ValueError naming max_workers
     below 1) before any draw, then an iterator over work(rng, xs) per
     shard of SHARD draws, the last partial, in shard order.  Each shard's
     rng is its own child of seed, spawned when the shard is submitted,
@@ -416,43 +424,74 @@ def _sharded(N: int, k: int, samples: int, seed, threads: int, work,
     return results()
 
 
-def _mc_moments(values, N: int, k: int, rng, xs) -> tuple[float, float, int]:
-    """One shard of _mean: the sum of the kernel values(eta, N, k) over
-    the draws xs, their squared deviations about the shard's own mean,
-    and their count."""
-    v = count_eta_batch(xs, N, lambda rows, eta: values(eta, N, k))
-    total = float(np.sum(v))
-    dev = v - total / len(v)
-    return total, float(np.sum(dev * dev)), len(v)
+def _depth_bytes(depths: int, rows: int, N: int, k: int) -> int:
+    """The price of a shard of _means that reads `depths` depths of one
+    count to k: the count (subsetsum._count_bytes, which no shallower
+    depth raises) and one float64 result a draw for every depth past the
+    first, whose results _worker_bytes counts.  At one depth it is
+    _count_bytes."""
+    return _count_bytes(rows, N, k) + (depths - 1) * rows * 8
+
+
+def _mc_moments(values, N: int, depths, rng, xs) -> list:
+    """One shard of _means: for each depth j of depths, in order, the sum
+    of the kernel values(eta, N, j) over the draws xs cut to their first
+    j coordinates, their squared deviations about the shard's own mean,
+    and their count, all from one count of xs (count_eta_batch's
+    depths)."""
+    per_depth = count_eta_batch(xs, N, depths={
+        j: lambda rows, eta, j=j: values(eta, N, j) for j in depths})
+    moments = []
+    for j in depths:
+        v = per_depth.pop(j)
+        total = float(np.sum(v))
+        dev = v - total / len(v)
+        moments.append((total, float(np.sum(dev * dev)), len(v)))
+    return moments
+
+
+def _means(N: int, depths, values, samples: int, seed,
+           threads: int = 1) -> dict:
+    """Monte Carlo means over x in Z_N^j of the kernel values(eta, N, j),
+    which maps (S, N) counts to S per-draw values, and their standard
+    errors, as {j: (mean, stderr)} for every depth j of depths, from one
+    pass at the largest, K.  x is drawn uniformly on Z_N^K by the one
+    Monte Carlo pass _sharded (memory guard at K with the price of every
+    depth, _depth_bytes; seeded shards; `threads` workers), and depth j
+    reads the first j coordinates of every draw, which are uniform on
+    Z_N^j.  The kernel is row-wise, so it runs on each cache-sized
+    counting block of count_eta_batch, on counts in the work dtype, as
+    one count to K passes depth j, and no (SHARD, N) table is held.  The
+    shard results are merged per depth in shard order: the mean from the
+    fsum of the shard sums, the variance from each shard's squared
+    deviations about its own mean, combined by the pairwise update.  At
+    one depth this is _mean."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    depths = sorted(set(depths))
+    # Chan et al.'s pairwise merge of (count, mean, squared deviations),
+    # per depth, shard by shard as the pass yields them
+    totals, seen = [[] for _ in depths], 0
+    run_mean, sq_dev = [0.0] * len(depths), [0.0] * len(depths)
+    shard = partial(_mc_moments, values, N, depths)
+    for moments in _sharded(N, depths[-1], samples, seed, threads, shard,
+                            partial(_depth_bytes, len(depths))):
+        seen += moments[0][2]
+        for i, (total, sq, n) in enumerate(moments):
+            totals[i].append(total)
+            delta = total / n - run_mean[i]
+            run_mean[i] += delta * n / seen
+            sq_dev[i] += sq + delta * delta * (seen - n) * n / seen
+    return {j: (math.fsum(t) / samples,
+                math.sqrt(sq / (samples - 1) / samples))
+            for j, t, sq in zip(depths, totals, sq_dev)}
 
 
 def _mean(N: int, k: int, values, samples: int, seed,
           threads: int = 1) -> tuple[float, float]:
     """Monte Carlo mean over x in Z_N^k of the kernel values(eta, N, k),
-    which maps (S, N) counts to S per-draw values, and its standard
-    error.  The kernel is row-wise, so it runs on each cache-sized
-    counting block of count_eta_batch, on counts in the work dtype, and
-    no (SHARD, N) table is held.  x is drawn uniformly by the one Monte
-    Carlo pass _sharded (memory guard, seeded shards, `threads` workers),
-    and the shard results are merged in shard order: the mean from the
-    fsum of the shard sums, the variance from each shard's squared
-    deviations about its own mean, combined by the pairwise update.
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-
-    # Chan et al.'s pairwise merge of (count, mean, squared deviations),
-    # shard by shard as the pass yields them
-    totals, seen, run_mean, sq_dev = [], 0, 0.0, 0.0
-    shard = partial(_mc_moments, values, N, k)
-    for total, sq, n in _sharded(N, k, samples, seed, threads, shard):
-        totals.append(total)
-        delta = total / n - run_mean
-        seen += n
-        run_mean += delta * n / seen
-        sq_dev += sq + delta * delta * (seen - n) * n / seen
-    return math.fsum(totals) / samples, math.sqrt(sq_dev / (samples - 1)
-                                                   / samples)
+    and its standard error: the one-depth _means."""
+    return _means(N, [k], values, samples, seed, threads)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -538,21 +577,32 @@ def trivial_success(N: int, k: int, samples: int | None = None,
 
 def threshold_sweep(N: int, k_list, samples: int, seed,
                     threads: int = 1) -> list[ThresholdPoint]:
-    """One success-probability point per k: exact when N^k is small
-    enough, all such k read from one walk (exact_sweep), and Monte Carlo
-    (with a per-k child seed) otherwise.  Every Monte Carlo k passes the
-    memory guard (_mc_guard) before the walk or any draw, so a k past the
-    guard fails the sweep before the others are computed."""
+    """One success-probability point per k of k_list, in its order: exact
+    where N^k <= SWEEP_EXACT_LIMIT, all such k read from one walk
+    (exact_sweep), and Monte Carlo elsewhere, all such k read from one
+    pass at the largest of them, K (_means): samples labels of Z_N^K drawn
+    from seed itself, depth k of their one count reading their first k
+    coordinates.  So the point at K is bitwise success_mc(N, K, samples,
+    seed), and each other Monte Carlo point is success_mc's estimate on
+    those draws cut to k coordinates.  The points are correlated across
+    k: each point's stderr is still that of its own mean, and a
+    difference p_(k+1) - p_k, taken on common draws, has a smaller
+    variance than that of independent points.  The pass is guarded once,
+    at K with the price of every depth it reads (_mc_guard,
+    _depth_bytes), before the walk or any draw, so a sweep past the guard
+    fails before any point is computed."""
     k_list = list(k_list)
-    children = np.random.SeedSequence(seed).spawn(len(k_list))
     exact = [k for k in k_list if N ** k <= SWEEP_EXACT_LIMIT]
-    for k in k_list:
-        if k not in exact:
-            _mc_guard(N, k, samples)
+    mc = sorted(set(k_list) - set(exact))
+    if mc:
+        _mc_guard(N, mc[-1], samples, partial(_depth_bytes, len(mc)))
     points = dict(zip(exact, exact_sweep(N, exact)))
-    return [points[k] if k in points
-            else success_mc(N, k, samples, child, threads)
-            for k, child in zip(k_list, children)]
+    if mc:
+        for k, (p, stderr) in _means(N, mc, _success_values, samples, seed,
+                                     threads).items():
+            points[k] = ThresholdPoint(N, k, _density(N, k), p, stderr,
+                                       "MC")
+    return [points[k] for k in k_list]
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from dihedral_pgm.subsetsum import (CHUNK_BYTES, INT16_K_LIMIT,
                                     INT32_K_LIMIT, UINT16_MEAN_LIMIT,
                                     _batch_dtype, _dp_rows, _orbit_walk,
                                     _prefix_width, count_eta_batch)
+from dihedral_pgm.subsetsum import _recount as subsetsum_recount
 from dihedral_pgm.success import (SHARD, _draw_labels, _label_dtype,
                                   _lsb_values, _mean, _success_values,
                                   _support_sizes, _support_values)
@@ -319,6 +320,90 @@ def test_chunked_narrow_draws_are_one_int64_draw(N, k, n, seed):
     assert np.array_equal(xs, whole.integers(0, N, size=(n, k)))
     assert chunked.bit_generator.state == whole.bit_generator.state
     assert chunked.random() == whole.random()
+
+
+def _assert_depths_are_prefix_counts(N, k, xs, depths):
+    """Each depth j of one count of xs to k (count_eta_batch's depths)
+    gives the counts and the success values of a separate count of
+    xs[:, :j], bitwise, under three byte budgets that cut the chunks and
+    blocks at other rows; the one-depth call is the default call.
+    Returns the rows the certificate counted again, as _recount got
+    them (reduced mod N, cut to their depth)."""
+    def values(j):
+        return lambda rows, eta: _success_values(eta, N, j)
+
+    alone = {j: (count_eta_batch(xs[:, :j], N),
+                 count_eta_batch(xs[:, :j], N, values(j))) for j in depths}
+    recounted = []
+
+    def recount(x, N, out):
+        recounted.append(x.copy())
+        subsetsum_recount(x, N, out)
+
+    for chunk_bytes in (2 ** 9, 2 ** 13, CHUNK_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsetsum, "CHUNK_BYTES", chunk_bytes)
+            mp.setattr(subsetsum, "_recount", recount)
+            counts = count_eta_batch(xs, N, depths={
+                j: lambda rows, eta: eta for j in depths})
+            got = count_eta_batch(xs, N, depths={j: values(j)
+                                                 for j in depths})
+            one = count_eta_batch(xs, N, depths={k: values(k)})
+            assert np.array_equal(one[k], count_eta_batch(xs, N, values(k)))
+        assert sorted(counts) == sorted(got) == sorted(depths)
+        for j, (eta, v) in alone.items():
+            assert np.array_equal(counts[j], eta)
+            assert got[j].dtype == v.dtype and np.array_equal(got[j], v)
+    return recounted
+
+
+# no shrinking, as below
+@pytest.mark.parametrize("tables", KERNEL_TABLES)
+@settings(parent=core,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+@given(st.sampled_from(ROW_COUNTS), st.data())
+def test_every_depth_of_one_count_is_a_count_of_its_prefix(tables, rows,
+                                                           data):
+    # at depths from 0 to k, on int16, int32, int64 and uint16 tables, with
+    # a smallest depth below the prefix width m where one is drawn (the
+    # chunk is then seeded at that depth); on a uint16 table past k = 16
+    # the first row's first 16 coordinates are 0, so its count at r = 0
+    # is 0 mod 2^16 from depth 16 on and it fails the certificate at
+    # that intermediate depth, whose own row sum 2^16 must catch it
+    N, k, _, _, xs = _kernel_rows(data.draw(_kernel_sizes(tables)), rows,
+                                  data)
+    depths = data.draw(st.sets(st.integers(0, k), min_size=1, max_size=5))
+    m = _prefix_width(N)
+    if m > 1 and data.draw(st.booleans()):
+        depths.add(data.draw(st.integers(1, m - 1)))
+    wraps = _batch_dtype(N, k) == np.uint16 and k > 16
+    if wraps:
+        xs[0, :16] = 0
+        depths.add(16)
+    recounted = _assert_depths_are_prefix_counts(N, k, xs, sorted(depths))
+    assert not wraps or 16 in {len(x) for x in recounted}
+
+
+@pytest.mark.parametrize("N, k, depths", [
+    # odd N on uint16 tables, from depth 3 below the prefix width 5
+    (999, 20, (3, 16, 17, 20)),
+    # uint16 at the rule's last k, and int16, int32 and int64 tables
+    (64, 18, (1, 14, 15, 16, 18)), (1000, 14, (2, 9, 14)),
+    (3, 30, (5, 29, 30)), (2, 33, (1, 30, 31, 33))])
+def test_every_depth_of_one_count_on_each_table(N, k, depths):
+    # the first row's first 16 coordinates are 0: on a uint16 table it
+    # fails the certificate at depth 16 and every depth past it
+    rng = np.random.default_rng(N + k)
+    xs = rng.integers(0, N, size=(300, k))
+    xs[0, :16] = 0
+    recounted = _assert_depths_are_prefix_counts(N, k, xs, depths)
+    if _batch_dtype(N, k) == np.uint16:
+        # only that row is counted again, and only where it fails: a
+        # depth is certified by its own row sum, not by that of k
+        assert {len(x) for x in recounted} == {j for j in depths if j >= 16}
+        assert all(np.array_equal(x, xs[0, :len(x)] % N) for x in recounted)
+    else:
+        assert not recounted
 
 
 # no shrinking: a failing example is reported as drawn, where shrinking

@@ -336,6 +336,79 @@ def test_walk_and_draws_reject_sizes_without_a_block(N, k):
             call()
 
 
+@pytest.mark.parametrize("N, k_list", [
+    (1024, range(8, 13)), (64, range(2, 13)), (1024, range(16, 21)),
+    (2, [16, 14, 15, 16])])
+def test_sweep_rows_at_the_largest_k_are_success_mc(N, k_list):
+    # one pass at the largest Monte Carlo k K, drawn from the seed itself:
+    # its row is success_mc at K and the sweep of K alone, bitwise, at
+    # every worker count, on int16 tables (N = 1024, 64), uint16 tables
+    # (K = 20) and int32 tables (N = 2, K = 16), with exact rows first
+    # (N = 64) and a repeated k
+    K = max(k_list)
+    runs = [threshold_sweep(N, k_list, SHARD + 1, seed=11, threads=t)
+            for t in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert [p.k for p in runs[0]] == list(k_list)
+    last = [p for p in runs[0] if p.k == K]
+    assert last[0] == success_mc(N, K, SHARD + 1, seed=11)
+    assert threshold_sweep(N, [K], SHARD + 1, seed=11) == last[:1]
+
+
+def test_sweep_guards_its_one_pass_at_the_price_of_every_depth(
+        monkeypatch):
+    # at N = 2^18 one pass at k = 5 fits the guard, but the sweep of
+    # k = 1..5 holds four more float64 results a draw and does not: it
+    # fails before any walk or draw
+    success._mc_guard(2 ** 18, 5, SHARD)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran before its guard")
+
+    for name in ("count_eta_batch", "_orbit_walk", "_pool"):
+        monkeypatch.setattr(success, name, never)
+    monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(ScaleLimitError, match="memory guard"):
+        threshold_sweep(2 ** 18, range(1, 6), samples=SHARD, seed=1)
+
+
+#: Monte Carlo sweeps on a grid up to N = 2^16: odd and even N, every k
+#: of each range a Monte Carlo row (N^k > SWEEP_EXACT_LIMIT), across the
+#: threshold k = log2 N, on int16, uint16, int32 and int64 tables.
+MC_ENVELOPE_SWEEPS = [
+    (2, range(15, 35), 2000), (8, range(5, 12), 2000),
+    (16, range(4, 10), 2000), (27, range(3, 14), 2000),
+    (64, range(3, 19), 1000), (1000, range(2, 17), 1000),
+    (1024, range(2, 21), 1000), (4095, range(2, 18), 500),
+    (2 ** 16, range(1, 20), 300)]
+
+
+@pytest.mark.parametrize("N, k_list, samples", MC_ENVELOPE_SWEEPS)
+def test_monte_carlo_rows_lie_in_the_threshold_envelope(N, k_list, samples):
+    # 2^k / (N + 2^k - 1) <= p <= min(1, 2^k / N) within 5 se, compared
+    # as Fractions, with 2^-40 p more for the rounding of a row whose
+    # draws all give one value (se 0)
+    for point in threshold_sweep(N, k_list, samples, seed=N):
+        assert point.method == "MC"
+        lo, hi = threshold_envelope(N, point.k)
+        p = Fraction(point.p)
+        slack = Fraction(5 * point.stderr + 2 ** -40 * point.p)
+        assert lo - slack <= p <= hi + slack, (N, point.k, point)
+
+
+@pytest.mark.parametrize("N, K", [(8, 8), (16, 6)])
+def test_monte_carlo_rows_lie_near_the_exact_value(N, K):
+    # where exact_sweep reaches, each Monte Carlo row of a sweep is within
+    # 5 se of the exact value: k = 5..8 at N = 8, k = 4..6 at N = 16
+    exact = {p.k: p.p for p in exact_sweep(N, range(1, K + 1))}
+    mc = [p for p in threshold_sweep(N, range(1, K + 1), 4000, seed=K)
+          if p.method == "MC"]
+    assert [p.k for p in mc] == list(range(K - len(mc) + 1, K + 1))
+    assert len(mc) >= 3
+    for point in mc:
+        assert abs(point.p - exact[point.k]) <= 5 * point.stderr, point
+
+
 def test_bound_sandwich():
     for point in threshold_sweep(32, [2, 4, 6, 9], samples=3000, seed=13):
         assert point.p <= min(1.0, 2 ** point.k / 32) + 4 * point.stderr
