@@ -228,8 +228,6 @@ def cmd_subsetsum(args) -> int:
 
 
 def cmd_lsb(args) -> int:
-    if args.N % 2 != 0:
-        raise ValueError("N must be even")
     if args.exact:
         p = success.lsb_success_exact(args.N, args.k)
         point = success.ThresholdPoint(args.N, args.k,

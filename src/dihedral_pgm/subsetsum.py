@@ -326,8 +326,8 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None, table=None,
     bitwise those of count_eta_batch(xs[:, :j], N).  So one count to k
     hands each chunk, block by block, to the reducer of every depth asked
     for, as it passes that depth, and each depth's results are put
-    together as one call's are.  The default is the one depth k, with
-    reduce.
+    together as one call's are.  Without depths, the call reads the one
+    depth k with reduce and returns that depth's output alone.
 
     `table` picks the work table, one of three:
 
@@ -379,24 +379,30 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None, table=None,
     holds).
     """
     xs = np.asarray(xs)
+    _, k = xs.shape
+    if depths is None:
+        return _count_depths(xs, N, table, {k: reduce or _widen})[k]
+    if reduce is not None or not all(0 <= j <= k for j in depths):
+        raise ValueError(f"depths must map depths 0 .. {k} to reducers, "
+                         "in place of reduce")
+    return _count_depths(xs, N, table, depths)
+
+
+def _count_depths(xs: np.ndarray, N: int, table, reducers: dict) -> dict:
+    """count_eta_batch of xs on the work table of `table`, handing every
+    block to reducers[j] at each depth j it holds: {j: output}."""
     S, k = xs.shape
     work, exact = _table_types(N, k, table)
     label = _label_dtype(N)
-    one = depths is None
-    if one:
-        depths = {k: _widen if reduce is None else reduce}
-    elif reduce is not None or not all(0 <= j <= k for j in depths):
-        raise ValueError(f"depths must map depths 0 .. {k} to reducers, "
-                         "in place of reduce")
     rows, block = _chunk_rows(N, work), _block_rows(N)
-    m = min(min(depths), _prefix_width(N))
+    m = min(min(reducers), _prefix_width(N))
     n_max = min(rows, max(S, 1))
     bits = _bit_table(m)
     # one work table for every chunk: each chunk overwrites its rows
     work_table = np.empty((n_max, 2 * N), dtype=work)
     # windows[s, i] is the view work_table[s, i:i + N]
     windows = np.lib.stride_tricks.sliding_window_view(work_table, N, axis=1)
-    outs = dict.fromkeys(depths)
+    outs = dict.fromkeys(reducers)
     # one pass over an empty xs still gives the reducers' output shapes
     for lo in range(0, max(S, 1), rows):
         # reduced, and below negated, at the width of N
@@ -429,7 +435,7 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None, table=None,
         for j in range(m, k + 1):
             if j > m:
                 halves += windows[chunk_rows, start[:, j - 1]][:, None, :]
-            if j not in depths:
+            if j not in reducers:
                 continue
             for a in range(0, max(n, 1), block):
                 b = min(a + block, n)
@@ -445,7 +451,7 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None, table=None,
                         eta = eta.astype(_work_dtype(j))
                         for i in bad.tolist():
                             _recount(x[a + i, :j], N, eta[i])
-                result = depths[j](slice(lo + a, lo + b), eta)
+                result = reducers[j](slice(lo + a, lo + b), eta)
                 out = outs[j]
                 if out is None:
                     out = np.empty((S,) + result.shape[1:], dtype=result.dtype)
@@ -454,7 +460,7 @@ def count_eta_batch(xs: np.ndarray, N: int, reduce=None, table=None,
                                      copy=False)
                 out[lo + a:lo + b] = result
                 outs[j] = out
-    return outs[k] if one else outs
+    return outs
 
 
 def iter_all_eta(N: int, k: int):
@@ -598,8 +604,9 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
     its level's doubled table, a strided view.
 
     The walk goes depth first from the roots (_Roots), level j holding a
-    block of prefixes with their doubled tables [T_j | T_j]; the root
-    level holds every root.  A prefix's other digits run nondecreasing in
+    block of prefixes with their doubled tables [T_j | T_j]; the roots are
+    taken a table of at most that many at a time, each table walked to
+    depth k before the next.  A prefix's other digits run nondecreasing in
     the order of its root's digit set, so the children of a prefix whose
     last digit sits at position i of that set append the digits at
     positions i, i + 1, ...; a depth-1 root's digit sits at position 0.
@@ -632,25 +639,11 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
             if depth:
                 out[np.arange(lead.shape[0]), half + lead] += 1
 
-    if steps == 0:
-        out = np.empty((min(rows, C), N), dtype=work)
-        for lo in range(0, C, rows):
-            hi = min(lo + rows, C)
-            seed(out[:hi - lo], digits[lo:hi, 0])
-            yield (k, root_weight[lo:hi], np.ones(hi - lo, dtype=np.int64),
-                   out[:hi - lo])
-        return
     # level j's table, j = 0 .. steps, sized by its number of prefixes
-    tables = [np.empty((C if j == 0 else min(rows, roots.prefixes(depth + j)),
+    tables = [np.empty((min(rows, roots.prefixes(depth + j)),
                         (2 if j < steps else 1) * N), dtype=work)
               for j in range(steps + 1)]
-    seed(tables[0], digits[:, 0])
     halves = [t.reshape(-1, 2, N) for t in tables[:steps]]
-    if depth >= lowest:
-        for lo in range(0, C, rows):
-            hi = min(lo + rows, C)
-            yield (depth, root_weight[lo:hi], np.ones(hi - lo, dtype=np.int64),
-                   halves[0][lo:hi, 0])
     # windows[j][s, i] is the view tables[j][s, i:i + N], made without
     # sliding_window_view's checks, which cost more than a small level
     windows = [np.lib.stride_tricks.as_strided(
@@ -672,40 +665,49 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
         frames.append([at, stop, run, weight, distinct, ends,
                        ends - (stop - at), 0])
 
-    first = np.arange(C) * width
-    push(first, first + sizes, np.full(C, depth, dtype=np.int64),
-         root_weight, np.ones(C, dtype=np.int64))
-    while frames:
-        at, stop, run, weight, distinct, ends, starts, lo = frames[-1]
-        total = int(ends[-1])
-        if lo == total:
-            frames.pop()
-            continue
-        hi = frames[-1][-1] = min(lo + rows, total)
-        level = len(frames)  # of the children, 1 .. steps
-        child = np.arange(lo, hi)
-        parent = np.searchsorted(ends, child, side="right")
-        at_p = at[parent]
-        at_c = at_p + (child - starts[parent])
-        same = at_c == at_p
-        run_c = np.where(same, run[parent] + 1, 1)
-        n = depth + level
-        weight_c = (weight[parent] // _RUN_OVER_GCD[n][run_c]
-                    * _LENGTH_OVER_GCD[n][run_c] * uses[at_c])
-        distinct_c = distinct[parent] + (fresh[at_c] & ~same)
-        window = windows[level - 1][parent, shifts[at_c]]
-        if level == steps:
-            out = tables[steps][:hi - lo]
-            np.take(halves[steps - 1][:, 0], parent, axis=0, out=out)
-            out += window
-            yield k, weight_c, distinct_c, out
-        else:
-            out = halves[level][:hi - lo]
-            np.take(halves[level - 1], parent, axis=0, out=out)
-            out += window[:, None, :]
-            if depth + level >= lowest:
-                yield depth + level, weight_c, distinct_c, out[:, 0]
-            push(at_c, stop[parent], run_c, weight_c, distinct_c)
+    for c0 in range(0, C, rows):
+        c1 = min(c0 + rows, C)
+        top = tables[0][:c1 - c0]
+        seed(top, digits[c0:c1, 0])
+        ones = np.ones(c1 - c0, dtype=np.int64)
+        if depth >= lowest:
+            yield depth, root_weight[c0:c1], ones, top[:, :N]
+        if steps:
+            first = np.arange(c0, c1) * width
+            push(first, first + sizes[c0:c1],
+                 np.full(c1 - c0, depth, dtype=np.int64), root_weight[c0:c1],
+                 ones)
+        while frames:
+            at, stop, run, weight, distinct, ends, starts, lo = frames[-1]
+            total = int(ends[-1])
+            if lo == total:
+                frames.pop()
+                continue
+            hi = frames[-1][-1] = min(lo + rows, total)
+            level = len(frames)  # of the children, 1 .. steps
+            child = np.arange(lo, hi)
+            parent = np.searchsorted(ends, child, side="right")
+            at_p = at[parent]
+            at_c = at_p + (child - starts[parent])
+            same = at_c == at_p
+            run_c = np.where(same, run[parent] + 1, 1)
+            n = depth + level
+            weight_c = (weight[parent] // _RUN_OVER_GCD[n][run_c]
+                        * _LENGTH_OVER_GCD[n][run_c] * uses[at_c])
+            distinct_c = distinct[parent] + (fresh[at_c] & ~same)
+            window = windows[level - 1][parent, shifts[at_c]]
+            if level == steps:
+                out = tables[steps][:hi - lo]
+                np.take(halves[steps - 1][:, 0], parent, axis=0, out=out)
+                out += window
+                yield k, weight_c, distinct_c, out
+            else:
+                out = halves[level][:hi - lo]
+                np.take(halves[level - 1], parent, axis=0, out=out)
+                out += window[:, None, :]
+                if depth + level >= lowest:
+                    yield depth + level, weight_c, distinct_c, out[:, 0]
+                push(at_c, stop[parent], run_c, weight_c, distinct_c)
 
 
 def _unrank_nondecreasing(index: int, N: int, k: int) -> tuple[int, ...]:
@@ -757,22 +759,19 @@ def _dp_rows(label: BlockLabel) -> list[np.ndarray]:
     """The counting table T_0 .. T_k as a list of k+1 rows of N counts,
     by T_j[r] = T_{j-1}[r] + T_{j-1}[r - x_j].  A count after j
     coordinates is at most 2^j, so rows 0 .. min(k, BATCH_K_LIMIT) are
-    int64, views of one table filled in native code, and only the deeper
-    rows hold Python integers (dtype object), so every count is exact.
-    Guarded at DP_TABLE_LIMIT cells before it is allocated."""
+    int64, and each deeper row is widened to Python integers (dtype
+    object) before it is summed, so every count is exact.  Guarded at
+    DP_TABLE_LIMIT cells before it is allocated."""
     N, k = label.N, label.k
     if (k + 1) * N > DP_TABLE_LIMIT:
         raise ScaleLimitError(
             f"counting table (k+1) * N = {(k + 1) * N} cells exceeds "
             f"the guard of {DP_TABLE_LIMIT}")
-    table = np.zeros((min(k, BATCH_K_LIMIT) + 1, N), dtype=np.int64)
-    table[0, 0] = 1
-    for j in range(1, len(table)):
+    rows = [np.zeros(N, dtype=np.int64)]
+    rows[0][0] = 1
+    for j, xj in enumerate(label.x, start=1):
+        prev = rows[-1] if j <= BATCH_K_LIMIT else rows[-1].astype(object)
         # np.roll(T, x)[r] = T[(r - x) mod N]
-        table[j] = table[j - 1] + np.roll(table[j - 1], label.x[j - 1])
-    rows = list(table)
-    for xj in label.x[BATCH_K_LIMIT:]:
-        prev = rows[-1].astype(object)
         rows.append(prev + np.roll(prev, xj))
     return rows
 

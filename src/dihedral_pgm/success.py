@@ -464,8 +464,9 @@ def _means(N: int, depths, values, samples: int, seed,
     one count to K passes depth j, and no (SHARD, N) table is held.  The
     shard results are merged per depth in shard order: the mean from the
     fsum of the shard sums, the variance from each shard's squared
-    deviations about its own mean, combined by the pairwise update.  At
-    one depth this is _mean."""
+    deviations about its own mean, combined by the pairwise update.
+    success_mc, lsb_threshold_check and trivial_success read it at one
+    depth, so K = k and every draw is of Z_N^k."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     depths = sorted(set(depths))
@@ -485,13 +486,6 @@ def _means(N: int, depths, values, samples: int, seed,
     return {j: (math.fsum(t) / samples,
                 math.sqrt(sq / (samples - 1) / samples))
             for j, t, sq in zip(depths, totals, sq_dev)}
-
-
-def _mean(N: int, k: int, values, samples: int, seed,
-          threads: int = 1) -> tuple[float, float]:
-    """Monte Carlo mean over x in Z_N^k of the kernel values(eta, N, k),
-    and its standard error: the one-depth _means."""
-    return _means(N, [k], values, samples, seed, threads)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +530,10 @@ def success_mc(N: int, k: int, samples: int, seed,
     """Unbiased Monte Carlo estimate of the success probability.
 
     Draws x uniformly from Z_N^k and averages (sum_r sqrt(eta_r))^2
-    / (2^k N); deterministic for a given seed.
+    / (2^k N) by the one-depth _means; deterministic for a given seed.
     """
     nu = _density(N, k)
-    p, stderr = _mean(N, k, _success_values, samples, seed, threads)
+    p, stderr = _means(N, [k], _success_values, samples, seed, threads)[k]
     return ThresholdPoint(N, k, nu, p, stderr, "MC")
 
 
@@ -572,7 +566,7 @@ def trivial_success(N: int, k: int, samples: int | None = None,
     if samples is None:
         dim = (2 * N) ** k
         return (dim - _gram_rank(N, k)) / dim
-    return 1.0 - _mean(N, k, _support_values, samples, seed)[0]
+    return 1.0 - _means(N, [k], _support_values, samples, seed)[k][0]
 
 
 def threshold_sweep(N: int, k_list, samples: int, seed,
@@ -587,21 +581,24 @@ def threshold_sweep(N: int, k_list, samples: int, seed,
     those draws cut to k coordinates.  The points are correlated across
     k: each point's stderr is still that of its own mean, and a
     difference p_(k+1) - p_k, taken on common draws, has a smaller
-    variance than that of independent points.  The pass is guarded once,
-    at K with the price of every depth it reads (_mc_guard,
-    _depth_bytes), before the walk or any draw, so a sweep past the guard
-    fails before any point is computed."""
+    variance than that of independent points.  Every k of the exact
+    rows is checked first (_density; a k < 1 is always one of them), and
+    the pass runs before the exact walk, so its own guard, at K with the
+    price of every depth it reads (_depth_bytes), refuses a sweep past it
+    before the walk or any draw; the exact rows, N^k <= SWEEP_EXACT_LIMIT,
+    lie far below EXACT_ENUM_LIMIT, so the walk is never refused."""
     k_list = list(k_list)
     exact = [k for k in k_list if N ** k <= SWEEP_EXACT_LIMIT]
     mc = sorted(set(k_list) - set(exact))
-    if mc:
-        _mc_guard(N, mc[-1], samples, partial(_depth_bytes, len(mc)))
-    points = dict(zip(exact, exact_sweep(N, exact)))
+    for k in exact:
+        _density(N, k)
+    points = {}
     if mc:
         for k, (p, stderr) in _means(N, mc, _success_values, samples, seed,
                                      threads).items():
             points[k] = ThresholdPoint(N, k, _density(N, k), p, stderr,
                                        "MC")
+    points.update(zip(exact, exact_sweep(N, exact)))
     return [points[k] for k in k_list]
 
 
@@ -641,7 +638,7 @@ def lsb_threshold_check(N: int, k: int, samples: int, seed,
     nu = _density(N, k)
     if N % 2 != 0:
         raise ValueError("N must be even")
-    p, stderr = _mean(N, k, _lsb_values, samples, seed, threads)
+    p, stderr = _means(N, [k], _lsb_values, samples, seed, threads)[k]
     return ThresholdPoint(N, k, nu, p, stderr, "MC"), lsb_upper_bound(N, k)
 
 

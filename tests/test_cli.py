@@ -638,6 +638,27 @@ def test_subsetsum_malformed_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_subsetsum_skips_blank_lines(tmp_path, capsys):
+    # a blank line writes nothing and keeps the numbering and the seeds of
+    # the lines after it, which are spawned one a line of the file
+    inst = tmp_path / "inst.txt"
+    outs = []
+    for middle in ("\n   \n", "4 2 3 1 2\n" * 2):
+        inst.write_text("4 2 3 1 2\n" + middle + "3 3 0 1 1 1\n")
+        code, out, _ = run_cli(["subsetsum", "--file", str(inst),
+                                "--samples", "20", "--seed", "5"], capsys)
+        assert code == 0
+        outs.append(out.splitlines())
+    blank, full = outs
+    assert blank[:20] == ["11"] * 20 and len(blank) == 40
+    assert blank[20:] == full[60:]
+    assert set(blank[20:]) == {"000", "111"}
+    inst.write_text("4 2 3 1 2\n\n4 2 3 1\n")
+    code, _, err = run_cli(["subsetsum", "--file", str(inst)], capsys)
+    assert code == 2
+    assert "line 3" in err
+
+
 def test_subsetsum_illegal_instance(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     inst.write_text("2 2 1 0 0\n")
@@ -677,6 +698,32 @@ def test_lsb_odd_n(capsys):
     code, _, err = run_cli(["lsb", "--N", "3", "--k", "2"], capsys)
     assert code == 2
     assert "N must be even" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--N", "1", "--k", "2"], "need N >= 2 and k >= 1"),
+    (["--N", "3", "--k", "0"], "need N >= 2 and k >= 1"),
+    (["--N", "1", "--k", "2", "--exact"], "need N >= 2 and k >= 1"),
+    (["--N", "3", "--k", "2", "--exact"], "N must be even")])
+def test_lsb_domain_errors_come_from_the_library(argv, message, capsys):
+    code, out, err = run_cli(["lsb"] + argv, capsys)
+    assert code == 2
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--N", "1024", "--k", "8..12"],
+    # past the memory guard too: the sample count is checked first
+    ["sweep", "--N", "1024", "--k", "63"],
+    ["lsb", "--N", "256", "--k", "12"]])
+def test_one_monte_carlo_sample_exits_2_and_writes_nothing(argv, tmp_path,
+                                                          capsys):
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(argv + ["--samples", "1", "--output",
+                                        str(out)], capsys)
+    assert code == 2
+    assert stdout == "" and "need at least 2 samples" in err
+    assert not out.exists()
 
 
 def test_lsb_oversized_k_hits_the_guard(capsys):

@@ -56,7 +56,7 @@ from dihedral_pgm.subsetsum import (CHUNK_BYTES, INT16_K_LIMIT,
                                     _prefix_width, count_eta_batch)
 from dihedral_pgm.subsetsum import _recount as subsetsum_recount
 from dihedral_pgm.success import (SHARD, _draw_labels, _label_dtype,
-                                  _lsb_values, _mean, _success_values,
+                                  _lsb_values, _means, _success_values,
                                   _support_sizes, _support_values)
 from orbit_reference import _nondecreasing_blocks, _orbit_weights
 
@@ -535,7 +535,7 @@ def _assert_mc_thread_invariant(samples, case):
             for t in THREADS)}
     assert len(lsb) == 1
     # trivial_success runs the same reducer single-threaded
-    leftover = {1.0 - _mean(N, k, _support_values, samples, seed, t)[0]
+    leftover = {1.0 - _means(N, [k], _support_values, samples, seed, t)[k][0]
                 for t in THREADS}
     assert leftover == {trivial_success(N, k, samples, seed)}
 

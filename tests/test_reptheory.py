@@ -8,6 +8,7 @@ from dihedral_pgm import (DihedralElement, IrrepLabel, element_from_index,
                           hidden_subgroup_state, irrep, irrep_labels,
                           left_regular, multiply, phase_table, qft_dihedral,
                           reptheory, right_regular, subgroup_elements)
+from dihedral_pgm.cli import main
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -262,3 +263,33 @@ def test_equivalence_check_fails_on_conjugated_targets(N, monkeypatch):
     assert not _equivalence_one_shift(N, 1)
     # shift 0 has real targets, which conjugation leaves as they are
     assert equivalence_check(N, [0]) and _equivalence_one_shift(N, 0)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 8])
+def test_equivalence_check_fails_on_label_probabilities(N, monkeypatch,
+                                                        capsys):
+    # label 0's pooled block reads its first row twice, so its trace, the
+    # label's probability, is no longer 1/N: the check fails there, before
+    # any column state is compared, and verify reports it with exit 1
+    blocks = reptheory._label_blocks
+
+    def one_row_twice(n):
+        rows, pooled = blocks(n)
+        rows = rows.copy()
+        rows[0, 1] = rows[0, 0]
+        return rows, pooled
+
+    def no_states(*args):
+        raise AssertionError("compared column states")
+
+    monkeypatch.setattr(reptheory, "_label_blocks", one_row_twice)
+    monkeypatch.setattr(reptheory, "_trace_distances", no_states)
+    assert not equivalence_check(N, range(N))
+    assert not equivalence_check(N, [0])
+    monkeypatch.undo()
+    monkeypatch.setattr(reptheory, "_label_blocks", one_row_twice)
+    assert main(["verify", "--N", str(N), "--k", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "irrep-equivalence single-copy all-shifts FAIL" in lines
+    assert all(line.endswith("PASS") for line in lines
+               if not line.startswith("irrep-equivalence"))

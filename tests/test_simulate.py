@@ -840,7 +840,7 @@ def test_a_dead_worker_costs_one_pass():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_trials_labels_are_the_estimators_draws(threads):
     # run_trials draws its labels from the estimators' shard plan, so the
-    # simulator and _mean see the same x for a given seed
+    # simulator and _means see the same x for a given seed
     N, k, trials = 64, 6, SHARD + 5
     labels = np.concatenate(
         list(_sharded(N, k, trials, 11, 1, lambda rng, xs: xs)))
@@ -886,3 +886,22 @@ def test_shift_covariance_zero_delta():
 def test_shift_covariance_randomized():
     assert shift_covariance_check(8, 5, 100, seed=9)
     assert shift_covariance_check(6, 3, 50, seed=10)
+
+
+@pytest.mark.parametrize("column", ["shift", "trivial"])
+def test_shift_covariance_check_fails_when_a_column_moves(column,
+                                                          monkeypatch):
+    # the shift outcomes rolled once more by d break P_d(j) =
+    # P_(d+delta)(j+delta); the trivial outcome moved by d leaves the
+    # shift outcomes covariant and breaks only the trivial column
+    def moved(eta, N, k, hidden):
+        out = _distributions(eta, N, k, hidden)
+        if column == "shift":
+            out[:, :N] = np.roll(out[:, :N], hidden, axis=1)
+        else:
+            out[:, N] += hidden
+        return out
+
+    monkeypatch.setattr(simulate, "_distributions", moved)
+    assert not shift_covariance_check(8, 5, 100, seed=9)
+    assert not shift_covariance_check(6, 3, 50, seed=10)

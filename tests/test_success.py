@@ -23,7 +23,7 @@ from dihedral_pgm import (ScaleLimitError, assemble_block_density,
 from dihedral_pgm import pgm, subsetsum, success
 from dihedral_pgm.dihedral import _shift_permutation
 from dihedral_pgm.subsetsum import CHUNK_BYTES, iter_all_eta
-from dihedral_pgm.success import (SHARD, _exact_means, _lsb_values, _mean,
+from dihedral_pgm.success import (SHARD, _exact_means, _lsb_values, _means,
                                   _success_values, _support_values)
 from sk_oracle import counting_sums, threshold_envelope
 
@@ -136,8 +136,8 @@ def test_mc_stderr_is_shift_invariant():
     def shifted(eta, N, k):
         return _success_values(eta, N, k) + 1e3
 
-    mean, stderr = _mean(64, 6, _success_values, 10000, seed=3)
-    mean_c, stderr_c = _mean(64, 6, shifted, 10000, seed=3)
+    mean, stderr = _means(64, [6], _success_values, 10000, seed=3)[6]
+    mean_c, stderr_c = _means(64, [6], shifted, 10000, seed=3)[6]
     assert stderr > 0
     assert abs(stderr_c - stderr) <= 1e-12 * stderr
     assert abs(mean_c - 1e3 - mean) < 1e-9
@@ -149,7 +149,7 @@ def test_mc_stderr_matches_two_pass():
     v = np.concatenate([
         _success_values(count_eta_batch(xs, N), N, k)
         for xs in success._sharded(N, k, samples, 3, 1, lambda rng, xs: xs)])
-    mean, stderr = _mean(N, k, _success_values, samples, seed=3)
+    mean, stderr = _means(N, [k], _success_values, samples, seed=3)[k]
     assert abs(mean - math.fsum(v) / samples) <= 2 * math.ulp(mean)
     two_pass = math.sqrt(math.fsum((v - v.mean()) ** 2)
                          / (samples - 1) / samples)
