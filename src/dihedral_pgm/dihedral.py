@@ -49,7 +49,17 @@ BIT_DOT_N_LIMIT = 2 ** 62
 
 
 class ScaleLimitError(ValueError):
-    """An operation would exceed its dense/enumeration guard."""
+    """An operation would exceed one of its scale guards (_guard)."""
+
+
+def _guard(what: str, value: int, limit: int) -> int:
+    """value, checked against its scale guard: the one refusal of every
+    guard in the package, a ScaleLimitError "<what> <value> exceeds
+    <limit>" when value > limit.  what names the guard and the quantity
+    it bounds."""
+    if value > limit:
+        raise ScaleLimitError(f"{what} {value} exceeds {limit}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -172,9 +182,7 @@ def hidden_subgroup_state(subgroup: frozenset[DihedralElement],
         N = elems[0].N
     if any(h.N != N for h in elems):
         raise ValueError("group mismatch")
-    dim = 2 * N
-    if dim > DENSE_DIM_LIMIT:
-        raise ScaleLimitError(f"dense dimension {dim} exceeds {DENSE_DIM_LIMIT}")
+    dim = _guard("dense dimension", 2 * N, DENSE_DIM_LIMIT)
     order = len(elems)
     # g h for every g = r^t s^k (rows) and h in H (columns), by multiply's
     # rule r^(t + t_h) s^(k_h + (-1)^(t_h) k); a coset is named by its
@@ -212,8 +220,7 @@ def tilde_basis_change(N: int) -> np.ndarray:
     (1/N) sum_x |phi~_{x,d}><phi~_{x,d}| with
     |phi~_{x,d}> = (|0> + omega^(xd) |1>) |x> / sqrt(2).
     """
-    if 2 * N > DENSE_DIM_LIMIT:
-        raise ScaleLimitError(f"dense dimension {2*N} exceeds {DENSE_DIM_LIMIT}")
+    _guard("dense dimension", 2 * N, DENSE_DIM_LIMIT)
     table = phase_table(N)
     grid = np.outer(np.arange(N), np.arange(N))
     forward = table[grid % N] / np.sqrt(N)
@@ -289,12 +296,8 @@ def bit_dot_table(label: BlockLabel) -> np.ndarray:
     equals the full-integer sum reduced mod N.  Guarded at 2^k <= 2^24
     entries and N < BIT_DOT_N_LIMIT.
     """
-    k = label.k
-    if 2 ** k > ENUM_LIMIT:
-        raise ScaleLimitError(f"2^{k} bit strings exceed the enumeration guard")
-    if label.N >= BIT_DOT_N_LIMIT:
-        raise ScaleLimitError(
-            f"N = {label.N} is not below the int64 bit-dot guard 2^62")
+    _guard("enumeration guard: bit strings 2^k =", 2 ** label.k, ENUM_LIMIT)
+    _guard("int64 bit-dot guard: N =", label.N, BIT_DOT_N_LIMIT - 1)
     return _bit_dots(np.array([label.x], dtype=np.int64), label.N)[0]
 
 
@@ -346,12 +349,8 @@ def _shift_amplitudes(N: int, shift, sums: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_dense(N: int, k: int) -> int:
-    dim = (2 * N) ** k
-    if dim > DENSE_DIM_LIMIT:
-        raise ScaleLimitError(
-            f"oracle scale exceeded: (2N)^k = {dim} > the dense guard "
-            f"{DENSE_DIM_LIMIT}")
-    return dim
+    return _guard("oracle scale guard: (2N)^k =", (2 * N) ** k,
+                  DENSE_DIM_LIMIT)
 
 
 def dense_state(shift, k: int, N: int) -> np.ndarray:

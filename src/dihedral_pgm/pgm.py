@@ -53,9 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Unused here: perfbench/spans.py traces pgm.block_state, pgm.bit_dot_table.
-from .dihedral import (BlockLabel, ScaleLimitError,  # noqa: F401
-                       _bit_dots, _block_diagonal, _block_labels,
-                       _check_dense, bit_dot_table, block_state, phase_table)
+from .dihedral import (BlockLabel, _bit_dots,  # noqa: F401
+                       _block_diagonal, _block_labels, _check_dense, _guard,
+                       bit_dot_table, block_state, phase_table)
 # Unused here: perfbench/spans.py traces pgm.iter_all_eta.
 from .subsetsum import (_orbit_walk, _unrank_nondecreasing,  # noqa: F401
                         count_eta_batch, iter_all_eta, vtilde)
@@ -166,9 +166,7 @@ def pgm_dense(states: list[np.ndarray], priors) -> list[np.ndarray]:
     dims = {s.shape for s in states}
     if len(dims) != 1 or states[0].shape[0] != states[0].shape[1]:
         raise ValueError("dimension mismatch")
-    dim = states[0].shape[0]
-    if dim > PGM_DENSE_LIMIT:
-        raise ScaleLimitError(f"dense dimension {dim} exceeds {PGM_DENSE_LIMIT}")
+    _guard("dense dimension", states[0].shape[0], PGM_DENSE_LIMIT)
     S = sum(p * rho for p, rho in zip(priors, states))
     w, U = np.linalg.eigh(S)
     cutoff = PSEUDO_INVERSE_CUTOFF * max(w.max(), 0.0)
@@ -450,10 +448,9 @@ def dense_block_effects(N: int, k: int) -> list[np.ndarray]:
     """All N effects assembled densely in the x-major block basis: the
     povm_block vectors of all N^k blocks formed at once, with the bit-dot
     sums of every label (_block_labels) and their counts from
-    count_eta_batch, in povm_block's operations and order."""
-    dim = _check_dense(N, k)
-    if dim > PGM_DENSE_LIMIT:
-        raise ScaleLimitError(f"dense dimension {dim} exceeds {PGM_DENSE_LIMIT}")
+    count_eta_batch, in povm_block's operations and order.  Guarded at
+    (2N)^k <= PGM_DENSE_LIMIT, below the oracle scale DENSE_DIM_LIMIT."""
+    _guard("dense dimension", (2 * N) ** k, PGM_DENSE_LIMIT)
     xs = _block_labels(N, k)
     sums = _bit_dots(xs, N)
     eta_at_sums = np.take_along_axis(count_eta_batch(xs, N), sums, axis=1)

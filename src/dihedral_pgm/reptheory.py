@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dihedral import (DihedralElement, ScaleLimitError, _shift_permutation,
+from .dihedral import (DihedralElement, _guard, _shift_permutation,
                        element_from_index, hidden_subgroup_state, inverse,
                        multiply, phase_table, subgroup_elements)
 
@@ -136,8 +136,7 @@ def qft_dihedral(N: int) -> np.ndarray:
     the module convention.  Row orthonormality is Schur orthogonality.
     Built once per N and shared read-only.
     """
-    if 2 * N > 1024:
-        raise ScaleLimitError("QFT guard is 2N <= 1024")
+    _guard("QFT guard: 2N =", 2 * N, 1024)
     table = phase_table(N)
     ks = np.arange(N)
     Q = np.zeros((2 * N, 2 * N), dtype=np.complex128)

@@ -76,8 +76,8 @@ from typing import NamedTuple
 import numpy as np
 
 # Unused here: perfbench/spans.py traces subsetsum.bit_dot_table.
-from .dihedral import (DENSE_DIM_LIMIT, BlockLabel, ScaleLimitError,  # noqa: F401
-                       _bit_dots, bit_dot_table)
+from .dihedral import (DENSE_DIM_LIMIT, BlockLabel, _bit_dots,  # noqa: F401
+                       _guard, bit_dot_table)
 
 #: int64 counting is exact up to 2^k <= 2^62.
 BATCH_K_LIMIT = 62
@@ -171,8 +171,7 @@ def _label_dtype(N: int):
 def _work_dtype(k: int):
     """The narrowest integer type that holds every count of k coordinates
     (a count is at most 2^k)."""
-    if k > BATCH_K_LIMIT:
-        raise ScaleLimitError(f"int64 counting overflows beyond k = {BATCH_K_LIMIT}")
+    _guard("int64 counting guard: k =", k, BATCH_K_LIMIT)
     return (np.int16 if k <= INT16_K_LIMIT else
             np.int32 if k <= INT32_K_LIMIT else np.int64)
 
@@ -763,10 +762,7 @@ def _dp_rows(label: BlockLabel) -> list[np.ndarray]:
     object) before it is summed, so every count is exact.  Guarded at
     DP_TABLE_LIMIT cells before it is allocated."""
     N, k = label.N, label.k
-    if (k + 1) * N > DP_TABLE_LIMIT:
-        raise ScaleLimitError(
-            f"counting table (k+1) * N = {(k + 1) * N} cells exceeds "
-            f"the guard of {DP_TABLE_LIMIT}")
+    _guard("counting table guard: (k + 1) N =", (k + 1) * N, DP_TABLE_LIMIT)
     rows = [np.zeros(N, dtype=np.int64)]
     rows[0][0] = 1
     for j, xj in enumerate(label.x, start=1):
@@ -835,9 +831,7 @@ def neumark_complete(label: BlockLabel) -> np.ndarray:
     illegal-sector images to fixed basis vectors.
     """
     N, k = label.N, label.k
-    dim = N + 2 ** k
-    if dim > DENSE_DIM_LIMIT:
-        raise ScaleLimitError(f"dense dimension {dim} exceeds {DENSE_DIM_LIMIT}")
+    dim = _guard("dense dimension", N + 2 ** k, DENSE_DIM_LIMIT)
     sums, eta = label.bit_dots, label.eta
     V = vtilde(label)
     U = np.zeros((dim, dim), dtype=np.complex128)

@@ -69,8 +69,7 @@ from functools import partial
 
 import numpy as np
 
-from .dihedral import (ScaleLimitError, _bit_dots, _block_labels,
-                       _shift_amplitudes)
+from .dihedral import _bit_dots, _block_labels, _guard, _shift_amplitudes
 # Unused here: perfbench/spans.py traces success.iter_all_eta.
 from .subsetsum import (CHUNK_BYTES, _count_bytes, _label_dtype,  # noqa: F401
                         _orbit_walk, _Roots, _unit_roots, count_eta_batch,
@@ -160,10 +159,8 @@ def _exact_roots(N: int, k: int) -> _Roots:
     guard.  Every exact mean and integer sum here is of a statistic that
     the units and cyclic shifts of eta leave unchanged."""
     _check_size(N, k)
-    if N ** k > EXACT_ENUM_LIMIT:
-        raise ScaleLimitError(
-            f"N^k = {N ** k} exceeds the enumeration guard; use success_mc, "
-            "lsb_threshold_check or trivial_success with samples")
+    _guard("enumeration guard (use success_mc, lsb_threshold_check or "
+           "trivial_success with samples): N^k =", N ** k, EXACT_ENUM_LIMIT)
     return _unit_roots(N, k)
 
 
@@ -299,11 +296,8 @@ def _mc_guard(N: int, k: int, samples: int, held=_count_bytes) -> None:
     MC_SHARD_BYTES (_worker_bytes, with held the price of its work), or
     when k is past int64 counting."""
     _check_size(N, k)
-    worker = _worker_bytes(N, k, samples, held)
-    if worker > MC_SHARD_BYTES:
-        raise ScaleLimitError(
-            f"a Monte Carlo worker would hold {worker} bytes (N = {N}, "
-            f"k = {k}), past the memory guard of {MC_SHARD_BYTES} bytes")
+    _guard(f"memory guard (N = {N}, k = {k}): Monte Carlo worker bytes",
+           _worker_bytes(N, k, samples, held), MC_SHARD_BYTES)
 
 
 #: The worker pool of _sharded, as (pid, workers, executor), or None
@@ -695,8 +689,7 @@ def chi_single_copy(N: int) -> float:
     checked by the two batched (N, 2, 2) eigensolves this routine
     performs.
     """
-    if 2 * N > 512:
-        raise ScaleLimitError("dense eigensolve guard is 2N <= 512")
+    _guard("dense eigensolve guard: 2N =", 2 * N, 512)
     sums = _bit_dots(_block_labels(N, 1), N)
     # psi[d, x] is block x of the state for shift d
     psi = np.stack([_shift_amplitudes(N, d, sums, 1) for d in range(N)])

@@ -354,6 +354,65 @@ def test_exact_sweep_past_the_enumeration_guard_exits_3(N, k, tmp_path,
     assert not out.exists()
 
 
+#: Every refusal a command can reach, as (argv, subsetsum instance or
+#: None, what its stderr line must name): the Monte Carlo memory guard and
+#: int64 counting, the enumeration guard of the exact passes, the oracle
+#: and QFT guards of verify, and the subset-sum sampler's counting table
+#: and the completion's dense dimension, past N and past 2^k.
+#: bit_dot_table's own guards are not among them: the completion's
+#: N + 2^k <= 4096 refuses first
+ENUMERATION_GUARD = (
+    "enumeration guard (use success_mc, lsb_threshold_check or "
+    "trivial_success with samples): N^k = 134217728 exceeds 67108864")
+REFUSALS = {
+    "sweep-memory": (["sweep", "--N", "262144", "--k", "16"], None,
+                     "memory guard (N = 262144, k = 16)"),
+    "sweep-counting": (["sweep", "--N", "1024", "--k", "60..63"], None,
+                       "int64 counting guard: k = 63 exceeds 62"),
+    "sweep-exact": (["sweep", "--exact", "--N", "8", "--k", "1..9"], None,
+                    ENUMERATION_GUARD),
+    "lsb-memory": (["lsb", "--N", "131072", "--k", "31"], None,
+                   "memory guard (N = 131072, k = 31)"),
+    "lsb-exact": (["lsb", "--exact", "--N", "2", "--k", "27"], None,
+                  ENUMERATION_GUARD),
+    "verify-oracle": (["verify", "--N", "9", "--k", "4"], None,
+                      "oracle scale guard: (2N)^k = 104976 exceeds 4096"),
+    "verify-qft": (["verify", "--N", "513", "--k", "1"], None,
+                   "QFT guard: 2N = 1026 exceeds 1024"),
+    "simulate-memory": (["simulate", "--N", "131072", "--k", "14",
+                         "--hidden", "5"], None,
+                        "memory guard (N = 131072, k = 14)"),
+    "simulate-trivial-memory": (["simulate", "--N", "65536", "--k", "31",
+                                 "--hidden", "trivial"], None,
+                                "memory guard (N = 65536, k = 31)"),
+    "simulate-counting": (["simulate", "--N", "64", "--k", "63",
+                           "--hidden", "5"], None,
+                          "int64 counting guard: k = 63 exceeds 62"),
+    "subsetsum-table": (["subsetsum"], "2000000 3 5 1999999 7 11",
+                        "counting table guard: (k + 1) N = 8000000"),
+    "subsetsum-qsample-n": (["subsetsum", "--qsample"],
+                            "3000000000 3 5 2999999999 7 11",
+                            "dense dimension 3000000008 exceeds 4096"),
+    "subsetsum-qsample-k": (["subsetsum", "--qsample"],
+                            "4 25 0" + " 1" * 25,
+                            "dense dimension 33554436 exceeds 4096"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_every_refusal_exits_3_and_names_its_guard(name, tmp_path, capsys):
+    argv, instance, guard = REFUSALS[name]
+    if instance is not None:
+        (tmp_path / "inst.txt").write_text(instance + "\n")
+        argv = argv + ["--file", str(tmp_path / "inst.txt")]
+    out = tmp_path / "out.txt"
+    code, stdout, err = run_cli(argv + ["--output", str(out)], capsys)
+    assert code == 3
+    assert stdout == "" and not out.exists()
+    line, = err.splitlines()
+    assert line.startswith("error: ") and guard in line
+
+
 #: sha256 of (stdout, --output file) at fixed seeds, as written before the
 #: counting kernel was chunked (sweep, lsb, simulate with a shift) and
 #: before trivial outcomes were read from support sizes and shift outcomes

@@ -40,9 +40,10 @@ GUARDS = {
         lambda: dense_block_effects(3, 4), ScaleLimitError,
         "dense dimension 1296"),
     "qft_dihedral, 2N > 1024": (
-        lambda: qft_dihedral(513), ScaleLimitError, "2N <= 1024"),
+        lambda: qft_dihedral(513), ScaleLimitError, "QFT guard: 2N = 1026"),
     "chi_single_copy, 2N > 512": (
-        lambda: chi_single_copy(257), ScaleLimitError, "2N <= 512"),
+        lambda: chi_single_copy(257), ScaleLimitError,
+        "eigensolve guard: 2N = 514"),
     # input checks
     "_means with one sample": (
         lambda: _means(64, [3], _success_values, 1, seed=1), ValueError,

@@ -10,6 +10,7 @@ import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from dihedral_pgm.simulate import (SETTLE_MARGIN, _checkpoint,
                                    _outcomes, _shift_bytes, _shift_plan,
                                    _trial_shard, _trivial_bytes,
                                    _trivial_outcomes, _unfold)
-from dihedral_pgm.success import (MC_SHARD_BYTES, SHARD, _sharded,
-                                  _support_sizes, _worker_bytes)
+from dihedral_pgm.success import (MC_SHARD_BYTES, SHARD, _depth_bytes,
+                                  _sharded, _support_sizes, _worker_bytes)
 from dihedral_pgm.subsetsum import (CHUNK_BYTES, _count_bytes, _label_dtype,
                                     count_eta_batch, iter_all_eta)
 
@@ -555,7 +556,7 @@ def test_monte_carlo_guard_bounds_the_largest_shard():
         with pytest.raises(ScaleLimitError, match="memory guard"):
             _sharded(N, k, samples, 1, 1, _never, held)
     # past int64 counting the guard raises before any draw, too
-    with pytest.raises(ScaleLimitError, match="beyond k = 62"):
+    with pytest.raises(ScaleLimitError, match="int64 counting guard: k = 63"):
         _sharded(64, 63, 100, 1, 1, _never)
 
 
@@ -685,25 +686,52 @@ def test_one_worker_peaks_within_the_guard_estimate(N, k, zero_row,
         assert peak <= _worker_bytes(N, k, samples, held)
 
 
-@pytest.mark.parametrize("N, k, hidden", [
-    (1024, 10, TRIVIAL), (64, 16, TRIVIAL), (1024, 20, 3), (64, 14, 3)])
+# one full shard of every Monte Carlo path, each at the price its pass is
+# handed: success_mc and lsb (_count_bytes), a sweep's depths read from
+# one count (_depth_bytes, k a range), and run_trials for a shift, 3
+# (_shift_bytes), and for the trivial subgroup (_trivial_bytes).  Sizes:
+# the largest tables at N = 2^16, uint8 checkpoint chunks larger than the
+# full count's at (18,720, 31), chunks that are the whole shard at
+# (8, 40), and uint16 tables in a sweep's deeper depths
+SHARD_PATHS = [
+    (TRIVIAL, 1024, 10), (TRIVIAL, 64, 16), (TRIVIAL, 8, 40),
+    (3, 1024, 20), (3, 64, 14), (3, 2 ** 16, 16), (3, 18_720, 31),
+    (3, 8, 40), ("success", 1024, 12), ("success", 8, 40),
+    ("lsb", 1024, 20), ("lsb", 8, 40), ("sweep", 1024, range(12, 21)),
+    ("sweep", 64, range(13, 21)), ("sweep", 8, range(30, 41)),
+    ("sweep", 2 ** 16, range(14, 17))]
+
+
+@pytest.mark.parametrize("path, N, k", SHARD_PATHS, ids=[
+    f"{N}-{k}-{path}" if isinstance(k, int)
+    else f"{N}-{k[0]}..{k[-1]}-{path}" for path, N, k in SHARD_PATHS])
 def test_one_worker_peaks_within_the_guard_estimate_at_shard_draws(
-        N, k, hidden):
-    # a full shard, streamed to a sink: a trivial shard counts on bool
-    # chunks of twice the rows of int16 ones, and a shift shard with a
-    # checkpoint counts on uint8 chunks as large and holds its flags,
-    # then its open rows' index, uniforms and labels; the guard's
-    # estimate, at the price run_trials hands its pass, bounds both
-
-    def call():
-        run_trials(N, k, hidden, SHARD, seed=2, sink=lambda outcomes: None)
-
-    call()
+        path, N, k):
+    # one shard of SHARD draws, run inline (one worker), holds at most
+    # the guard's estimate of it: a trivial shard counts on bool chunks
+    # of twice the rows of int16 ones, a shift shard with a checkpoint
+    # counts on uint8 chunks as large and holds its flags, then its open
+    # rows' index, uniforms and labels, and a sweep holds one float64 a
+    # draw for each depth past the first.  Trials are streamed to a sink;
+    # one small call before the measured one keeps one-time lazy imports
+    # out of the peak, and the peak holds at least the shard's draws, so
+    # the shard ran in this process
+    ks = k if isinstance(k, range) else range(k, k + 1)
+    K = ks[-1]
+    run, held = {
+        "success": (lambda n: success_mc(N, K, n, seed=2), _count_bytes),
+        "lsb": (lambda n: lsb_threshold_check(N, K, n, seed=2), _count_bytes),
+        "sweep": (lambda n: success.threshold_sweep(N, ks, n, seed=2),
+                  partial(_depth_bytes, len(ks)))}.get(path) or (
+        lambda n: run_trials(N, K, path, n, seed=2,
+                             sink=lambda outcomes: None), _trial_price(path))
+    run(2)
     tracemalloc.start()
-    call()
+    run(SHARD)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= _worker_bytes(N, k, SHARD, _trial_price(hidden))
+    draws = SHARD * K * np.dtype(_label_dtype(N)).itemsize
+    assert draws < peak <= _worker_bytes(N, K, SHARD, held)
 
 
 def test_mc_peak_memory_does_not_grow_with_samples():

@@ -299,7 +299,7 @@ def test_threshold_sweep_exact_rows_are_success_exact():
 
 
 @pytest.mark.parametrize("N,k_list,match", [
-    (1024, [61, 62, 63], "beyond k = 62"),
+    (1024, [61, 62, 63], "int64 counting guard: k = 63"),
     (2 ** 18, [2, 3, 14], "memory guard")])
 def test_sweep_guards_every_monte_carlo_k_before_any_draw(N, k_list, match,
                                                           monkeypatch):
