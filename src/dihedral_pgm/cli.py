@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import pgm, reptheory, simulate, subsetsum, success
-from .dihedral import TRIVIAL, ScaleLimitError
+from .dihedral import TRIVIAL, ScaleLimitError, _check_dense
 
 DEFAULT_SEED = 20050815
 
@@ -145,6 +145,12 @@ def cmd_verify(args) -> int:
         raise ValueError("--perturb needs N >= 2: with one shift there is "
                          "no wrong assignment")
     shift = 1 if args.perturb else 0
+    # every refusal before any certificate: the size check and the oracle
+    # guard as the certifiers make them, then the QFT guard of the irrep
+    # check, which reads the transform cached here
+    success._check_size(args.N, args.k)
+    _check_dense(args.N, args.k)
+    reptheory.qft_dihedral(args.N)
     lines = []
     ok = True
 
@@ -208,21 +214,18 @@ def cmd_subsetsum(args) -> int:
             continue
         try:
             inst = subsetsum.parse_instance(line)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if args.qsample:
-            vec = subsetsum.qsample(inst.label, inst.t)
-            for idx in np.flatnonzero(np.abs(vec) > 1e-14):
-                out_lines.append(f"{idx},{_float_repr(vec[idx].real)},"
-                                 f"{_float_repr(vec[idx].imag)}")
-        else:
-            rng = np.random.default_rng(line_seeds[lineno - 1])
-            try:
+            if args.qsample:
+                vec = subsetsum.qsample(inst.label, inst.t)
+                for idx in np.flatnonzero(np.abs(vec) > 1e-14):
+                    out_lines.append(f"{idx},{_float_repr(vec[idx].real)},"
+                                     f"{_float_repr(vec[idx].imag)}")
+            else:
+                rng = np.random.default_rng(line_seeds[lineno - 1])
                 draws = subsetsum.sample_solutions(inst, args.samples, rng)
-            except ValueError as exc:  # a ScaleLimitError keeps its exit 3
-                raise type(exc)(f"line {lineno}: {exc}") from None
-            out_lines += [subsetsum.format_solution(b, inst.label.k)
-                          for b in draws]
+                out_lines += [subsetsum.format_solution(b, inst.label.k)
+                              for b in draws]
+        except ValueError as exc:  # a ScaleLimitError keeps its exit 3
+            raise type(exc)(f"line {lineno}: {exc}") from None
     _write(args.output, "\n".join(out_lines) + "\n")
     return EXIT_OK
 

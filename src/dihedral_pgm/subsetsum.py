@@ -61,10 +61,13 @@ of 45,760 at N = 64, k = 3, and 246 in place of 3,432 at N = 8, k = 7.
 The weights and distinct counts ride down the same walk, and the
 walk yields (depth, weights, distinct, counts) blocks, the last level
 undoubled, which each exact pass reduces itself while they are still
-in cache.  A walk to depth k passes through every shallower depth with
-that depth's own rows, weights and distinct counts, in the same order,
-so on request it yields every depth's blocks as well: one walk serves
-every k of an exact sweep.
+in cache.  It cuts each level's table into blocks of at most
+_block_rows(N) rows, the counter's reducer contract, so a value
+kernel's float64 copy of a block is at most CHUNK_BYTES here too.  A
+walk to depth k passes through every shallower depth with that depth's
+own rows, weights and distinct counts, in the same order, so on
+request it yields every depth's blocks as well: one walk serves every
+k of an exact sweep.
 """
 
 from __future__ import annotations
@@ -591,8 +594,12 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
     Z_N^k.  weights are exact int64 (with roots None, the S_k orbit
     sizes, summing to N^k, and distinct all 1), and eta the (rows, N)
     counts in the work dtype of count_eta_batch, a view of a work table
-    that is valid only until the next block.  A block has at most as many
-    rows as fill CHUNK_BYTES with doubled tables [T | T].
+    that is valid only until the next block.  A block has at most
+    _block_rows(N) = CHUNK_BYTES // (8 N) rows, as a block count_eta_batch
+    hands its reducer has: each level's table, which holds twice that
+    many rows on int16 tables, is yielded in consecutive slices of it, in
+    walk order, so a reducer that widens its block to float64 copies at
+    most CHUNK_BYTES.
 
     The walk to depth k passes through every shallower depth j with the
     representatives, weights and distinct counts of the walk to depth j,
@@ -626,7 +633,7 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
         roots = _symmetric_roots(N)
     depth, root_weight, digits, sizes, fresh, uses = roots
     work = _work_dtype(k)
-    rows = _chunk_rows(2 * N, work)
+    rows, block = _chunk_rows(2 * N, work), _block_rows(N)
     steps, C = k - depth, sizes.shape[0]
     lowest = k if shallowest is None else shallowest
 
@@ -659,6 +666,12 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
     # of children, and the next child to make
     frames = []
 
+    def sliced(j, weight, distinct, eta):
+        # a level's rows in walk order, at most _block_rows(N) at a time
+        for a in range(0, weight.shape[0], block):
+            yield (j, weight[a:a + block], distinct[a:a + block],
+                   eta[a:a + block])
+
     def push(at, stop, run, weight, distinct):
         ends = np.cumsum(stop - at)
         frames.append([at, stop, run, weight, distinct, ends,
@@ -670,7 +683,7 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
         seed(top, digits[c0:c1, 0])
         ones = np.ones(c1 - c0, dtype=np.int64)
         if depth >= lowest:
-            yield depth, root_weight[c0:c1], ones, top[:, :N]
+            yield from sliced(depth, root_weight[c0:c1], ones, top[:, :N])
         if steps:
             first = np.arange(c0, c1) * width
             push(first, first + sizes[c0:c1],
@@ -699,13 +712,14 @@ def _orbit_walk(N: int, k: int, roots: _Roots | None = None,
                 out = tables[steps][:hi - lo]
                 np.take(halves[steps - 1][:, 0], parent, axis=0, out=out)
                 out += window
-                yield k, weight_c, distinct_c, out
+                yield from sliced(k, weight_c, distinct_c, out)
             else:
                 out = halves[level][:hi - lo]
                 np.take(halves[level - 1], parent, axis=0, out=out)
                 out += window[:, None, :]
                 if depth + level >= lowest:
-                    yield depth + level, weight_c, distinct_c, out[:, 0]
+                    yield from sliced(depth + level, weight_c, distinct_c,
+                                      out[:, 0])
                 push(at_c, stop[parent], run_c, weight_c, distinct_c)
 
 

@@ -158,6 +158,27 @@ def test_verify_pass_and_guard_and_perturb(capsys):
     assert "dominance" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("N", [513, 2048])
+def test_verify_checks_the_qft_guard_before_any_certificate(N, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+    # at k = 1, (2N)^k <= 4096 passes the oracle guard, but 2N > 1024
+    # fails the irrep check's QFT guard, which verify checks first
+    def certifier(*args, **kwargs):
+        raise AssertionError("certified before the QFT guard")
+
+    for module, name in ((dihedral_pgm.pgm, "certify_dihedral_pgm"),
+                         (dihedral_pgm.pgm, "lsb_povm"),
+                         (dihedral_pgm.reptheory, "equivalence_check")):
+        monkeypatch.setattr(module, name, certifier)
+    out = tmp_path / "out.txt"
+    code, stdout, err = run_cli(["verify", "--N", str(N), "--k", "1",
+                                 "--output", str(out)], capsys)
+    assert code == 3
+    assert stdout == "" and not out.exists()
+    assert err == f"error: QFT guard: 2N = {2 * N} exceeds 1024\n"
+
+
 @pytest.mark.parametrize("k", [1, 2, 12])
 def test_verify_perturb_needs_two_shifts(k, tmp_path, capsys):
     # at N = 1 every assignment is the right one, so the negative control
@@ -751,6 +772,34 @@ def test_subsetsum_guards_exit_3(line, qsample, tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "exceeds" in err
+
+
+#: A third line the sampler or the completion refuses (exit 3), and one
+#: neither can read (exit 2), after two lines that pass.
+BAD_THIRD_LINES = [
+    ("2000000 3 5 1999999 7 11", False, 3, "counting table guard"),
+    ("8 40 1" + " 1" * 40, True, 3,
+     "dense dimension 1099511627784 exceeds 4096"),
+    ("2 2 1 0 0", False, 2, "no solution"),
+    ("4 2 3 1", True, 2, "expected 2 entries, got 1"),
+]
+
+
+@pytest.mark.parametrize("line, qsample, exit_code, message",
+                         BAD_THIRD_LINES, ids=["sample-guard", "qsample-guard",
+                                               "sample-usage", "qsample-usage"])
+def test_subsetsum_names_the_line_of_every_refusal(line, qsample, exit_code,
+                                                   message, tmp_path,
+                                                   capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("4 2 3 1 2\n2 2 0 1 1\n" + line + "\n")
+    out = tmp_path / "out.txt"
+    argv = ["subsetsum", "--file", str(inst), "--output", str(out)]
+    code, stdout, err = run_cli(argv + (["--qsample"] if qsample else []),
+                                capsys)
+    assert code == exit_code
+    assert stdout == "" and not out.exists()
+    assert err.startswith(f"error: line 3: {message}")
 
 
 def test_lsb_odd_n(capsys):

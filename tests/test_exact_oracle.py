@@ -23,11 +23,12 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dihedral_pgm import BlockLabel, count_eta, success
-from dihedral_pgm.subsetsum import _orbit_walk, _unit_roots, count_eta_batch
+from dihedral_pgm import BlockLabel, count_eta, subsetsum, success
+from dihedral_pgm.subsetsum import (CHUNK_BYTES, _orbit_walk, _unit_roots,
+                                    count_eta_batch)
 from dihedral_pgm.success import _lsb_values, _success_values, _support_sizes
 from sk_oracle import check_against_sk, threshold_envelope
 
@@ -240,27 +241,50 @@ def test_collision_sums_hold_at_the_edges(N, k):
     _check_collision_sums(N, k)
 
 
-@pytest.mark.parametrize("N, k", [(2, 62), (16, 15)])
-def test_walk_weights_sum_to_every_depth_past_the_guard(N, k, monkeypatch):
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_sizes())
+# past the guard: the int64 walk at (2, 62) and the int32 one at (16, 15);
+# int16 levels of more rows than a block at (64, 4), (128, 3) and (4096, 2),
+# and int32 levels at (2, 20)
+@example((2, 62))
+@example((16, 15))
+@example((64, 4))
+@example((128, 3))
+@example((4096, 2))
+@example((2, 20))
+def test_walk_weights_sum_to_every_depth(size):
     # with the enumeration guard lifted, each depth j of the walk from
     # the exact passes' roots stands for N^j labels, summed as Python
     # Fractions of weights over distinct counts, and the S_k walk's
-    # weights sum to N^j as Python ints where it is small enough to walk;
-    # a child's int64 weight taken as (parent * length) // run wrapped at
-    # (2, 62), where the exact p came out negative
-    monkeypatch.setattr(success, "EXACT_ENUM_LIMIT", N ** k)
-    totals = Counter()
-    for depth, w, distinct, _ in _orbit_walk(
-            N, k, success._exact_roots(N, k), 1):
-        totals[depth] += sum(Fraction(a, b) for a, b in
-                             zip(w.tolist(), distinct.tolist()))
-    assert totals == {j: N ** j for j in range(1, k + 1)}
-    if math.comb(N + k - 1, k) <= 10 ** 5:
-        sums = Counter()
-        for depth, w, _, _ in _orbit_walk(N, k, None, 1):
-            sums[depth] += sum(w.tolist())
-        assert sums == {j: N ** j for j in range(1, k + 1)}
-    # and the exact p lies in the paper's envelope, within an ulp of 1
-    lo, hi = threshold_envelope(N, k)
-    p = success.success_exact(N, k).p
-    assert lo - Fraction(math.ulp(1.0)) <= Fraction(p) <= hi
+    # weights sum to N^j as Python ints where it is small enough to walk,
+    # over blocks of at most _block_rows(N) rows at either block budget
+    # (at 2^9 bytes a block is a few rows, so (16, 15), with 322,966 rows
+    # at depth 15, is walked at the default alone); a child's int64
+    # weight taken as (parent * length) // run wrapped at (2, 62), where
+    # the exact p came out negative
+    N, k = size
+    depths = {j: N ** j for j in range(1, k + 1)}
+    small = _unit_roots(N, k).prefixes(k) <= 10 ** 4
+    for chunk_bytes in (2 ** 9, CHUNK_BYTES) if small else (CHUNK_BYTES,):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(success, "EXACT_ENUM_LIMIT", N ** k)
+            mp.setattr(subsetsum, "CHUNK_BYTES", chunk_bytes)
+            limit = subsetsum._block_rows(N)
+            totals = Counter()
+            for depth, w, distinct, _ in _orbit_walk(
+                    N, k, success._exact_roots(N, k), 1):
+                assert w.shape[0] <= limit
+                totals[depth] += sum(Fraction(a, b) for a, b in
+                                     zip(w.tolist(), distinct.tolist()))
+            assert totals == depths
+            if math.comb(N + k - 1, k) <= 10 ** 5:
+                sums = Counter()
+                for depth, w, _, _ in _orbit_walk(N, k, None, 1):
+                    assert w.shape[0] <= limit
+                    sums[depth] += sum(w.tolist())
+                assert sums == depths
+            # and the exact p lies in the paper's envelope, within an ulp
+            # of 1
+            lo, hi = threshold_envelope(N, k)
+            p = success.success_exact(N, k).p
+            assert lo - Fraction(math.ulp(1.0)) <= Fraction(p) <= hi

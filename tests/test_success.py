@@ -187,6 +187,18 @@ def test_mc_shard_peak_memory_is_chunk_sized():
         assert peak < 16 * CHUNK_BYTES + draws
 
 
+def _traced_peak(call) -> int:
+    """tracemalloc's peak over call(), after one untraced call that keeps
+    one-time lazy imports and caches out of it."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_exact_pass_peak_memory_is_block_sized(monkeypatch):
     # Every exact pass reduces each walk block as it comes: with 16 KB
     # blocks it holds the walk's level tables, one block's kernel tables
@@ -214,12 +226,23 @@ def test_exact_pass_peak_memory_is_block_sized(monkeypatch):
              "trivial_success": lambda: trivial_success(N, k),
              "rank": lambda: gram_operator(N, k).rank()}
     for name, call in calls.items():
-        call()
-        tracemalloc.start()
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        peak = _traced_peak(call)
         assert peak < 200 * 1024, (name, peak)
+
+
+@pytest.mark.parametrize("N,k", [(64, 4), (128, 3), (4096, 2)])
+def test_exact_value_kernel_widens_at_most_chunk_bytes(N, k):
+    # success_exact holds the walk's own tables and, beyond them, one
+    # block's float64 values (at most CHUNK_BYTES), a casting buffer and
+    # the small per-block and SHARD-sized arrays of the reducer; with
+    # whole int16 level tables as blocks it held about twice CHUNK_BYTES
+    # beyond the walk
+    def walk():
+        for _ in success._orbit_walk(N, k, success._exact_roots(N, k)):
+            pass
+
+    excess = _traced_peak(lambda: success_exact(N, k)) - _traced_peak(walk)
+    assert excess <= CHUNK_BYTES + np.getbufsize() * 8
 
 
 def test_eta_row_sums():
