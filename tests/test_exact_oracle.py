@@ -241,28 +241,14 @@ def test_collision_sums_hold_at_the_edges(N, k):
     _check_collision_sums(N, k)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(_sizes())
-# past the guard: the int64 walk at (2, 62) and the int32 one at (16, 15);
-# int16 levels of more rows than a block at (64, 4), (128, 3) and (4096, 2),
-# and int32 levels at (2, 20)
-@example((2, 62))
-@example((16, 15))
-@example((64, 4))
-@example((128, 3))
-@example((4096, 2))
-@example((2, 20))
-def test_walk_weights_sum_to_every_depth(size):
+def _check_walk_weights(N, k):
     # with the enumeration guard lifted, each depth j of the walk from
     # the exact passes' roots stands for N^j labels, summed as Python
     # Fractions of weights over distinct counts, and the S_k walk's
     # weights sum to N^j as Python ints where it is small enough to walk,
     # over blocks of at most _block_rows(N) rows at either block budget
     # (at 2^9 bytes a block is a few rows, so (16, 15), with 322,966 rows
-    # at depth 15, is walked at the default alone); a child's int64
-    # weight taken as (parent * length) // run wrapped at (2, 62), where
-    # the exact p came out negative
-    N, k = size
+    # at depth 15, is walked at the default alone)
     depths = {j: N ** j for j in range(1, k + 1)}
     small = _unit_roots(N, k).prefixes(k) <= 10 ** 4
     for chunk_bytes in (2 ** 9, CHUNK_BYTES) if small else (CHUNK_BYTES,):
@@ -288,3 +274,23 @@ def test_walk_weights_sum_to_every_depth(size):
             lo, hi = threshold_envelope(N, k)
             p = success.success_exact(N, k).p
             assert lo - Fraction(math.ulp(1.0)) <= Fraction(p) <= hi
+
+
+@pytest.mark.parametrize("N, k", [(2, 62), (16, 15)])
+def test_walk_weights_sum_to_every_depth_past_the_guard(N, k):
+    # the int64 walk at (2, 62) and the int32 one at (16, 15); a child's
+    # int64 weight taken as (parent * length) // run wrapped at (2, 62),
+    # where the exact p came out negative
+    _check_walk_weights(N, k)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_sizes())
+# int16 levels of more rows than a block at (64, 4), (128, 3) and (4096, 2),
+# and int32 levels at (2, 20)
+@example((64, 4))
+@example((128, 3))
+@example((4096, 2))
+@example((2, 20))
+def test_walk_weights_sum_to_every_depth(size):
+    _check_walk_weights(*size)
